@@ -2,12 +2,9 @@
 
 from .equiv import (
     EquivVerdict,
-    OrderSignature,
     j_equal,
     opt_equivalent,
     ord_equivalent,
-    order_signature,
-    refines,
 )
 from .lab import (
     CounterexampleRecord,
@@ -27,7 +24,6 @@ from .mdp import (
     RewardTable,
     StochasticPolicy,
     ValidationReport,
-    enumerate_deterministic_policies,
     is_trivial_transition,
     lift_reward,
     validate_mdp,

@@ -41,6 +41,15 @@ def _emit(doc, fmt: str, out, text_renderer) -> None:
         click.echo(payload, nl=False)
 
 
+def _usage_error(message: str):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _solve_text(doc) -> str:
     lines = ["optimal values"]
     lines.append(f"  v_star: {doc['v_star']}")
@@ -187,21 +196,34 @@ def transform(mdp_path, reward_path, spec_path, out):
 @click.option("--out", type=click.Path(), default=None)
 def lab(claim, seed, trials, gamma1, gamma2, tol, config_path, out):
     """Run registered theorem checks; exit 0 iff everything passes."""
-    file_cfg = documents.load_json(config_path) if config_path else {}
+    try:
+        file_cfg = documents.load_json(config_path) if config_path else {}
+    except (OSError, json.JSONDecodeError) as exc:
+        _usage_error(f"cannot read config file: {exc}")
+    if not isinstance(file_cfg, dict):
+        _usage_error("config file must hold a JSON object")
     claim = claim if claim is not None else file_cfg.get("claim")
     seed = seed if seed is not None else file_cfg.get("seed")
-    trials = trials if trials is not None else int(file_cfg.get("trials", 0))
+    trials = trials if trials is not None else file_cfg.get("trials")
     gamma1 = gamma1 if gamma1 is not None else file_cfg.get("gamma1")
     gamma2 = gamma2 if gamma2 is not None else file_cfg.get("gamma2")
+    params = file_cfg.get("params", {})
     if claim is None:
-        click.echo("error: --claim is required (flag or config file)", err=True)
-        sys.exit(2)
+        _usage_error("--claim is required (flag or config file)")
     if seed is None:
         # No wall-clock seeding: randomized runs must be reproducible.
-        click.echo("error: --seed is required (flag or config file)", err=True)
-        sys.exit(2)
-    seed = int(seed)
-    params = dict(file_cfg.get("params", {}))
+        _usage_error("--seed is required (flag or config file)")
+    if not _is_int(seed):
+        _usage_error(f"seed must be an integer, got {seed!r}")
+    if trials is not None and not (_is_int(trials) and trials > 0):
+        _usage_error(f"trials must be a positive integer, got {trials!r}")
+    for name, value in (("gamma1", gamma1), ("gamma2", gamma2)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            _usage_error(f"{name} must be a number, got {value!r}")
+    if not isinstance(params, dict):
+        _usage_error(f"params must be a JSON object, got {params!r}")
+    trials = trials or 0
+    params = dict(params)
     if gamma1 is not None and gamma2 is not None:
         params["gamma_pairs"] = [[gamma1, gamma2]]
     if tol is not None:
@@ -213,8 +235,7 @@ def lab(claim, seed, trials, gamma1, gamma2, tol, config_path, out):
             config = ExperimentConfig(claim_id=claim, trials=trials, seed=seed, params=params)
             reports = [verify_claim(config)]
     except UnknownClaimError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _usage_error(str(exc))
     doc = {
         "ok": all(rep.ok for rep in reports),
         "claims": {rep.claim_id: rep.to_doc() for rep in reports},

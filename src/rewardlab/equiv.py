@@ -1,4 +1,4 @@
-"""Deciders for reward equivalence relations, with certificates and oracles.
+"""Deciders for reward equivalence relations, with certificates and an exact oracle.
 
 Three relations over rewards in a fixed environment:
 
@@ -7,14 +7,22 @@ Three relations over rewards in a fixed environment:
   scaling-plus-shaping certificate, which scales past brute force);
 * ``jeq`` - identical J for every policy.
 
-The ord/jeq deciders carry a standing cross-check: whenever the deterministic
-policies fit under the enumeration cap, the verdict is compared against exact
-brute-force J values. The brute-force battery includes a fixed set of seeded
-stochastic probe policies in addition to the deterministic ones; rankings over
-deterministic policies alone can coincide by chance between genuinely
-inequivalent rewards on tiny MDPs, and the probes make that event vanish.
-A mismatch raises InternalConsistencyError: it means a bug or a tolerance
-breach, never bad user input.
+The ord/jeq deciders carry a standing cross-check against an exact vertex
+oracle whenever the A^S deterministic policies fit under the cap. J(pi) =
+<d^pi, r> is linear in the occupancy d^pi, and the vertices of the occupancy
+polytope are the deterministic policies, so one batched occupancy solve gives
+every J table as ``d @ r``. Two rewards order all policies alike iff, relative
+to the chord between the argmin-J1 and argmax-J1 vertices, J2 is a positive
+affine function of J1 on every vertex (or both tables are flat); they give
+every policy the same J iff J1 = J2 on every vertex.
+
+The oracle has two thresholds. It disagrees confidently only beyond the
+deviation an accepted certificate permits: a certificate with residual at
+most DECOMP_TOL moves each J by at most DECOMP_TOL/(1 - gamma), hence a
+vertex off the chord by at most twice that. It agrees confidently only within
+the tie floor TIE_ATOL. In the band between the two it never raises. A
+confident disagreement with the decider raises InternalConsistencyError: it
+means a bug, never bad user input.
 """
 
 from __future__ import annotations
@@ -24,16 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .mdp import DEFAULT_ENUM_CAP, Mdp, RewardTable, enumerate_action_tuples
-from .solve import evaluate_action_tuples, evaluate_policy_batch, optimal_values, reward_vector
-from .transform import Decomposition, decompose_j, decompose_ord
+from .mdp import Mdp, RewardTable
+from .solve import deterministic_policies, occupancies, optimal_values, reward_vector
+from .transform import DECOMP_TOL, Decomposition, decompose_j, decompose_ord
 
-TIE_ATOL = 1e-9          # |J_i - J_j| below this counts as a structural tie
-STRICT_ATOL = 1e-6       # |J_i - J_j| above this counts as a confident ordering
-JEQ_ORACLE_ATOL = 1e-8   # brute-force J agreement tolerance for jeq
-CROSS_CHECK_CAP = 1024   # cross-check runs when A^S fits under this
-N_PROBES = 32
-_PROBE_SEED = 91171
+TIE_ATOL = 1e-9          # vertex J deviations within this count as exact agreement
+CROSS_CHECK_CAP = 1024   # the oracle runs when A^S fits under this
 
 
 @dataclass(frozen=True)
@@ -44,84 +48,83 @@ class EquivVerdict:
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class OrderSignature:
-    """J of every deterministic policy (s0-major order) plus tie-grouped ranks."""
-
-    j: np.ndarray
-    groups: np.ndarray  # group index per policy, 0 = best, ties share a group
-
-    def __len__(self) -> int:
-        return self.j.shape[0]
-
-
-def _tie_groups(j: np.ndarray, atol: float = TIE_ATOL) -> np.ndarray:
-    order = np.argsort(-j, kind="stable")
-    groups = np.empty(len(j), dtype=int)
-    g = 0
-    prev = None
-    for rank, idx in enumerate(order):
-        if prev is not None and prev - j[idx] > atol:
-            g += 1
-        groups[idx] = g
-        prev = j[idx]
-    return groups
+def _vertex_tables(r1: RewardTable, r2: RewardTable, mdp: Mdp):
+    """(policies, occupancies, J1, J2) over every deterministic policy, or None past the cap."""
+    if mdp.n_actions**mdp.n_states > CROSS_CHECK_CAP:
+        return None
+    probs = deterministic_policies(mdp, cap=CROSS_CHECK_CAP)
+    d = occupancies(mdp, probs)
+    flat = d.reshape(len(d), -1)
+    return probs, d, flat @ reward_vector(r1, mdp).flat, flat @ reward_vector(r2, mdp).flat
 
 
-def order_signature(r: RewardTable, mdp: Mdp, cap: int = DEFAULT_ENUM_CAP) -> OrderSignature:
-    """Exact J per deterministic policy, via batched linear solves."""
-    actions = enumerate_action_tuples(mdp.n_states, mdp.n_actions, cap=cap)
-    rsa = reward_vector(r, mdp).r
-    j = evaluate_action_tuples(mdp, rsa, actions)
-    return OrderSignature(j=j, groups=_tie_groups(j))
+def _chord(j1: np.ndarray, j2: np.ndarray):
+    """Extreme J1 vertices, each vertex's position along them and its J2 deviation from the chord.
 
-
-def probe_policies(n_states: int, n_actions: int, count: int = N_PROBES) -> np.ndarray:
-    """Fixed seeded battery of stochastic policies for the ordering cross-check."""
-    rng = np.random.default_rng(np.random.SeedSequence([_PROBE_SEED, n_states, n_actions]))
-    return rng.dirichlet(np.ones(n_actions), size=(count, n_states))
-
-
-def _order_codes(j: np.ndarray) -> np.ndarray:
-    """Pairwise comparison codes: 0 tie, +/-1 confident, 9 borderline."""
-    scale = max(1.0, float(np.abs(j).max(initial=0.0)))
-    d = j[:, None] - j[None, :]
-    codes = np.full(d.shape, 9, dtype=int)
-    codes[np.abs(d) <= TIE_ATOL * scale] = 0
-    codes[d >= STRICT_ATOL * scale] = 1
-    codes[d <= -STRICT_ATOL * scale] = -1
-    return codes
-
-
-def orderings_agree(j1: np.ndarray, j2: np.ndarray):
-    """Whether two J vectors rank their (shared) index set identically.
-
-    Comparisons falling between the tie and confidence thresholds are treated
-    as compatible with anything, so tolerance dust never produces a verdict.
-    Returns (agree, witness-pair-or-None).
+    Ties in J1 are broken by J2, so a vertex level with ``lo`` never lies
+    below the chord and one level with ``hi`` never above it.
     """
-    c1, c2 = _order_codes(j1), _order_codes(j2)
-    clash = (
-        ((c1 == 1) & (c2 == -1))
-        | ((c1 == -1) & (c2 == 1))
-        | ((c1 == 0) & (np.abs(c2) == 1))
-        | ((np.abs(c1) == 1) & (c2 == 0))
-    )
-    if not clash.any():
-        return True, None
-    i, k = np.argwhere(clash)[0]
-    return False, (int(i), int(k))
+    order = np.lexsort((j2, j1))
+    lo, hi = order[0], order[-1]
+    span = j1[hi] - j1[lo]
+    t = (j1 - j1[lo]) / span if span > 0 else np.zeros_like(j1)
+    rise = j2[hi] - j2[lo]
+    return lo, hi, t, j2 - j2[lo] - t * rise, rise
 
 
-def _brute_force_j(r: RewardTable, mdp: Mdp, cap: int) -> np.ndarray:
-    det = order_signature(r, mdp, cap=cap).j
-    probes = probe_policies(mdp.n_states, mdp.n_actions)
-    rsa = reward_vector(r, mdp).r
-    return np.concatenate([det, evaluate_policy_batch(mdp, rsa, probes)])
+def _flip_pair(j1: np.ndarray, j2: np.ndarray):
+    """Vertices (i, k) with J1(i) < J1(k) and J2(i) > J2(k), both beyond the tie floor, or None."""
+    order = np.argsort(j1, kind="stable")
+    s1, s2 = j1[order], j2[order]
+    best = np.maximum.accumulate(s2)
+    below = np.searchsorted(s1, s1 - TIE_ATOL, side="left")  # s1[:below[k]] < s1[k] - TIE_ATOL
+    margin = np.where(below > 0, best[below - 1] - s2, -np.inf)
+    k = int(np.argmax(margin))
+    if margin[k] <= TIE_ATOL:
+        return None
+    return int(order[np.argmax(s2[: below[k]])]), int(order[k])
 
 
-def _cross_check_feasible(mdp: Mdp, cap: int) -> bool:
-    return mdp.n_actions**mdp.n_states <= cap
+def _policy_from_occupancy(d: np.ndarray) -> np.ndarray:
+    """pi(a|s) = d(s,a) / sum_a d(s,a); uniform at states d never visits."""
+    w = d.sum(axis=1, keepdims=True)
+    return np.divide(d, w, out=np.full_like(d, 1.0 / d.shape[1]), where=w > 0)
+
+
+def _ord_witness(probs, d, j1, j2, chord) -> dict:
+    """Two policies whose J order differs under r1 and r2.
+
+    A flipping deterministic pair when one exists. Otherwise every vertex is
+    ordered alike, so the vertex ``v`` farthest from the chord is set against
+    the occupancy mixture of the two extreme vertices that sits just past
+    ``v`` in J1 and on the chord in J2, hence on the other side of ``v``. With
+    no vertex off the chord, J2 is flat where J1 is not: the extremes differ.
+    """
+    lo, hi, t, dev, rise = chord
+    v = int(np.argmax(np.abs(dev)))
+    pair = _flip_pair(j1, j2)
+    if pair is None and dev[v] == 0:
+        pair = (lo, hi)
+    if pair is not None:
+        a, b = pair
+        policies = [probs[a], probs[b]]
+        ja, jb = (j1[a], j1[b]), (j2[a], j2[b])
+    else:
+        room = abs(dev[v]) / rise if rise > 0 else np.inf
+        if dev[v] > 0:
+            lam = t[v] + 0.5 * min(1.0 - t[v], room)
+        else:
+            lam = t[v] - 0.5 * min(t[v], room)
+        mix = (1.0 - lam) * d[lo] + lam * d[hi]
+        policies = [probs[v], _policy_from_occupancy(mix)]
+        ja = (j1[v], (1.0 - lam) * j1[lo] + lam * j1[hi])
+        jb = (j2[v], (1.0 - lam) * j2[lo] + lam * j2[hi])
+    return {
+        "kind": "policy-pair",
+        "policies": [p.tolist() for p in policies],
+        "j1": [float(x) for x in ja],
+        "j2": [float(x) for x in jb],
+    }
 
 
 def opt_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
@@ -135,66 +138,50 @@ def opt_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     return EquivVerdict(equivalent=True, relation="opt")
 
 
-def ord_equivalent(
-    r1: RewardTable,
-    r2: RewardTable,
-    mdp: Mdp,
-    cross_check_cap: int = CROSS_CHECK_CAP,
-) -> EquivVerdict:
+def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     """Same policy ordering, decided by the decomposition certificate."""
     cert = decompose_ord(r1, r2, mdp)
     equivalent = cert is not None
     witness = None
-    if _cross_check_feasible(mdp, cross_check_cap):
-        agree, pair = orderings_agree(_brute_force_j(r1, mdp, cross_check_cap),
-                                      _brute_force_j(r2, mdp, cross_check_cap))
-        if agree != equivalent:
+    tables = _vertex_tables(r1, r2, mdp)
+    if tables is not None:
+        probs, d, j1, j2 = tables
+        chord = lo, hi, _, dev, rise = _chord(j1, j2)
+        off_chord = float(np.abs(dev).max())
+        if j1[hi] - j1[lo] <= TIE_ATOL:
+            oracle_agrees = float(np.ptp(j2)) <= TIE_ATOL
+        else:
+            oracle_agrees = rise > TIE_ATOL and off_chord <= TIE_ATOL
+        gap = max(off_chord, -float(rise))
+        if equivalent and gap > 2 * DECOMP_TOL / (1.0 - mdp.discount):
             raise InternalConsistencyError(
-                f"ord decider said {equivalent} but brute-force ordering agreement is {agree}"
-            )
+                f"ord decider said True but J2 leaves the positive chord through J1 by {gap:.3e}")
+        if not equivalent and oracle_agrees:
+            raise InternalConsistencyError(
+                "ord decider said False but J2 is a positive affine function of J1 on every vertex")
         if not equivalent:
-            witness = {"kind": "policy-pair", "indices": list(pair)}
+            witness = _ord_witness(probs, d, j1, j2, chord)
     elif not equivalent:
         witness = {"kind": "fit-residual", "note": "no scaling+shaping certificate exists"}
     return EquivVerdict(equivalent=equivalent, relation="ord", certificate=cert, witness=witness)
 
 
-def j_equal(
-    r1: RewardTable,
-    r2: RewardTable,
-    mdp: Mdp,
-    cross_check_cap: int = CROSS_CHECK_CAP,
-) -> EquivVerdict:
+def j_equal(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     """Identical J for every policy, decided by the constrained shaping fit."""
     cert = decompose_j(r1, r2, mdp)
     equivalent = cert is not None
     witness = None
-    if _cross_check_feasible(mdp, cross_check_cap):
-        j1 = order_signature(r1, mdp, cap=cross_check_cap).j
-        j2 = order_signature(r2, mdp, cap=cross_check_cap).j
-        scale = max(1.0, float(np.abs(j1).max(initial=0.0)))
+    tables = _vertex_tables(r1, r2, mdp)
+    if tables is not None:
+        _, _, j1, j2 = tables
         gaps = np.abs(j1 - j2)
-        oracle_equal = bool(gaps.max(initial=0.0) <= JEQ_ORACLE_ATOL * scale)
-        if oracle_equal != equivalent:
-            raise InternalConsistencyError(
-                f"jeq decider said {equivalent} but brute-force J agreement is {oracle_equal}"
-            )
+        gap = float(gaps.max())
+        if equivalent and gap > DECOMP_TOL / (1.0 - mdp.discount):
+            raise InternalConsistencyError(f"jeq decider said True but a vertex J differs by {gap:.3e}")
+        if not equivalent and gap <= TIE_ATOL:
+            raise InternalConsistencyError("jeq decider said False but J1 = J2 on every vertex")
         if not equivalent:
-            witness = {"kind": "policy", "index": int(np.argmax(gaps)), "j_gap": float(gaps.max())}
+            witness = {"kind": "policy", "index": int(np.argmax(gaps)), "j_gap": gap}
     elif not equivalent:
         witness = {"kind": "fit-residual", "note": "no zero-mean shaping fit exists"}
     return EquivVerdict(equivalent=equivalent, relation="jeq", certificate=cert, witness=witness)
-
-
-def refines(p_labels, q_labels) -> bool:
-    """True iff every P-class sits inside a single Q-class (P is at least as fine)."""
-    p = list(p_labels)
-    q = list(q_labels)
-    if len(p) != len(q):
-        raise ValueError(f"label sequences differ in length: {len(p)} vs {len(q)}")
-    seen: dict = {}
-    for pl, ql in zip(p, q):
-        if pl in seen and seen[pl] != ql:
-            return False
-        seen[pl] = ql
-    return True

@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -275,14 +274,6 @@ def is_trivial_transition(mdp: Mdp) -> bool:
     tau = mdp.transition
     diff = np.abs(tau[:, :, None, :] - tau[:, None, :, :]).max()
     return bool(diff <= TRIVIAL_ATOL)
-
-
-def enumerate_deterministic_policies(
-    mdp: Mdp, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[StochasticPolicy]:
-    """Yield all A^S one-hot policies in lexicographic (s0-major) order."""
-    for actions in enumerate_action_tuples(mdp.n_states, mdp.n_actions, cap=cap):
-        yield StochasticPolicy.deterministic(actions, mdp.n_actions)
 
 
 def enumerate_action_tuples(

@@ -14,7 +14,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError
-from .mdp import ActionSetPolicy, Mdp, RewardTable, StochasticPolicy, enumerate_action_tuples
+from .mdp import (
+    DEFAULT_ENUM_CAP,
+    ActionSetPolicy,
+    Mdp,
+    RewardTable,
+    StochasticPolicy,
+    enumerate_action_tuples,
+)
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10**6
@@ -175,51 +182,55 @@ def soft_optimal_values(
 
 def occupancy(mdp: Mdp, pi: StochasticPolicy) -> OccupancyVector:
     """Solve w = mu0 + gamma*(T^pi)' w, then d[s,a] = w[s] * pi(a|s)."""
-    gamma = mdp.discount
-    t_pi = np.einsum("sa,sap->sp", pi.probs, mdp.transition)
-    n = mdp.n_states
-    w = np.linalg.solve(np.eye(n) - gamma * t_pi.T, mdp.initial)
-    return OccupancyVector(w[:, None] * pi.probs)
+    return OccupancyVector(occupancies(mdp, pi.probs[None])[0])
 
 
-def _state_weights_batch(mdp: Mdp, prob_batch: np.ndarray) -> np.ndarray:
-    """w_pi for a (N, S, A) batch of policies, via batched linear solves."""
+def occupancies(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
+    """d[n, s, a] for an (N, S, A) batch of policies, from one batched flow solve.
+
+    J(pi_n) = d[n].ravel() @ reward_vector(r, mdp).flat, so one batch serves
+    every reward on the same MDP.
+    """
     gamma = mdp.discount
     n = mdp.n_states
-    t = np.einsum("nsa,sap->nsp", prob_batch, mdp.transition)
+    t = np.einsum("nsa,sap->nsp", probs, mdp.transition)
     lhs = np.eye(n)[None, :, :] - gamma * np.swapaxes(t, 1, 2)
-    rhs = np.broadcast_to(mdp.initial, (prob_batch.shape[0], n))
-    return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+    rhs = np.broadcast_to(mdp.initial, (probs.shape[0], n))
+    w = np.linalg.solve(lhs, rhs[:, :, None])
+    return w * probs
 
 
-def evaluate_action_tuples(mdp: Mdp, rsa: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """J for a (N, S) batch of deterministic policies, via batched solves."""
-    gamma = mdp.discount
-    n = mdp.n_states
-    srange = np.arange(n)
-    t = mdp.transition[srange[None, :], actions, :]          # (N, S, S)
-    r_pi = rsa[srange[None, :], actions]                     # (N, S)
-    lhs = np.eye(n)[None, :, :] - gamma * t
-    v = np.linalg.solve(lhs, r_pi[:, :, None])[:, :, 0]
-    return v @ mdp.initial
+def deterministic_policies(mdp: Mdp, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """One-hot (A^S, S, A) batch of every deterministic policy, s0-major.
+
+    Their occupancies are the vertices of the occupancy polytope, so a linear
+    function of the occupancy is extremal, and affine in another, iff it is so
+    on this batch.
+    """
+    actions = enumerate_action_tuples(mdp.n_states, mdp.n_actions, cap=cap)
+    return np.eye(mdp.n_actions)[actions]
 
 
-def evaluate_policy_batch(mdp: Mdp, rsa: np.ndarray, prob_batch: np.ndarray) -> np.ndarray:
-    """J for a (N, S, A) batch of stochastic policies."""
-    gamma = mdp.discount
-    n = mdp.n_states
-    t = np.einsum("nsa,sap->nsp", prob_batch, mdp.transition)
-    r_pi = (prob_batch * rsa[None, :, :]).sum(axis=2)
-    lhs = np.eye(n)[None, :, :] - gamma * t
-    v = np.linalg.solve(lhs, r_pi[:, :, None])[:, :, 0]
-    return v @ mdp.initial
+def entry_spread(
+    mdp: Mdp,
+    cap: int = CONTROL_ENUM_CAP,
+    n_samples: int = CONTROL_SAMPLES,
+    seed: int = 0,
+) -> tuple[np.ndarray, bool]:
+    """Per-state spread of the discounted entry measure (the t>=1 part of w) across policies.
 
-
-def _one_hot_batch(actions: np.ndarray, n_actions: int) -> np.ndarray:
-    n, s = actions.shape
-    out = np.zeros((n, s, n_actions))
-    out[np.arange(n)[:, None], np.arange(s)[None, :], actions] = 1.0
-    return out
+    Enumerates all deterministic policies when A^S fits under ``cap``;
+    otherwise uses seeded random policies, and the returned flag says so.
+    """
+    if mdp.n_actions**mdp.n_states <= cap:
+        batch = deterministic_policies(mdp, cap=cap)
+        sampled = False
+    else:
+        rng = np.random.default_rng(seed)
+        batch = rng.dirichlet(np.ones(mdp.n_actions), size=(n_samples, mdp.n_states))
+        sampled = True
+    entry = occupancies(mdp, batch).sum(axis=2) - mdp.initial[None, :]
+    return entry.max(axis=0) - entry.min(axis=0), sampled
 
 
 def controllable_states(
@@ -229,24 +240,8 @@ def controllable_states(
     seed: int = 0,
     atol: float = CONTROL_ATOL,
 ) -> ControllableStates:
-    """States whose discounted entry measure (the t>=1 part of w) varies with the policy.
-
-    Enumerates all deterministic policies when A^S fits under ``cap``;
-    otherwise falls back to seeded random policies and flags the result
-    as sampled.
-    """
-    n_policies = mdp.n_actions**mdp.n_states
-    if n_policies <= cap:
-        actions = enumerate_action_tuples(mdp.n_states, mdp.n_actions, cap=cap)
-        batch = _one_hot_batch(actions, mdp.n_actions)
-        sampled = False
-    else:
-        rng = np.random.default_rng(seed)
-        batch = rng.dirichlet(np.ones(mdp.n_actions), size=(n_samples, mdp.n_states))
-        sampled = True
-    w = _state_weights_batch(mdp, batch)
-    entry = w - mdp.initial[None, :]  # the discounted entry sum starts at t=1
-    spread = entry.max(axis=0) - entry.min(axis=0)
+    """States whose discounted entry measure varies with the policy (see entry_spread)."""
+    spread, sampled = entry_spread(mdp, cap=cap, n_samples=n_samples, seed=seed)
     states = frozenset(np.flatnonzero(spread > atol).tolist())
     return ControllableStates(states=states, sampled=sampled)
 

@@ -141,6 +141,26 @@ class TestLab:
         assert result.exit_code == 2
         assert "seed" in result.output
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ("{not json", []),
+            ({"claim": "OCC-INJ", "seed": 3, "trials": "abc"}, []),
+            ({"claim": "OCC-INJ", "seed": 3}, ["--trials", "-3"]),
+        ],
+        ids=["malformed-config", "ill-typed-trials", "negative-trials"],
+    )
+    def test_input_errors_exit_2_with_one_line(self, runner, tmp_path, config, flags):
+        path = tmp_path / "cfg.json"
+        if isinstance(config, str):
+            path.write_text(config)
+        else:
+            documents.save_doc(config, path)
+        result = runner.invoke(main, ["lab", "--config", str(path), *flags])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+
     def test_config_file_supplies_defaults(self, runner, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"claim": "OCC-INJ", "seed": 3, "trials": 4})
         result = runner.invoke(main, ["lab", "--config", cfg])

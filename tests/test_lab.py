@@ -23,6 +23,7 @@ from rewardlab.lab import (
     CLAIM_ORDER,
     CLAIMS,
     CounterexampleRecord,
+    _run_trials,
     advantage_gap,
     oracle_opt_sets,
     run_registry,
@@ -234,6 +235,17 @@ class TestClaims:
         b = verify_claim(cfg).to_doc()
         a.pop("wall_clock_s"), b.pop("wall_clock_s")
         assert documents.dumps(a) == documents.dumps(b)
+
+    def test_exception_fails_only_its_trial(self):
+        def body(i):
+            if i == 1:
+                raise ValueError("bad draw")
+            return {"status": "pass"}
+
+        rep = _run_trials(ExperimentConfig(claim_id="OCC-INJ", trials=3, seed=1), body)
+        assert [o["status"] for o in rep.outcomes] == ["pass", "fail", "pass"]
+        assert rep.outcomes[1]["error"] == "ValueError: bad draw"
+        assert not rep.ok
 
     def test_registry_covers_all_claims(self):
         assert set(CLAIMS) == set(CLAIM_ORDER)

@@ -7,14 +7,13 @@ from rewardlab import (
     Mdp,
     RewardTable,
     StochasticPolicy,
-    enumerate_deterministic_policies,
     is_trivial_transition,
     lift_reward,
     reward_vector,
     validate_mdp,
 )
 from rewardlab.errors import CapacityError, StructuralError
-from rewardlab.mdp import ActionSetPolicy
+from rewardlab.mdp import ActionSetPolicy, enumerate_action_tuples
 
 from conftest import make_chain
 
@@ -83,28 +82,21 @@ class TestTrivialTransition:
 
 class TestEnumerate:
     def test_chain_has_four_policies(self, chain):
-        policies = list(enumerate_deterministic_policies(chain))
-        assert len(policies) == 4
+        actions = enumerate_action_tuples(chain.n_states, chain.n_actions)
         # s0-major lexicographic order: (a0,a0), (a0,a1), (a1,a0), (a1,a1)
-        actions = [tuple(np.argmax(p.probs, axis=1)) for p in policies]
-        assert actions == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [tuple(a) for a in actions] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_three_states_two_actions(self):
-        tau = np.full((3, 2, 3), 1 / 3)
-        mdp = Mdp(transition=tau, initial=np.full(3, 1 / 3), discount=0.5)
-        assert len(list(enumerate_deterministic_policies(mdp))) == 8
+        assert enumerate_action_tuples(3, 2).shape == (8, 3)
 
     def test_cap_exceeded(self):
-        tau = np.full((10, 5, 10), 0.1)
-        mdp = Mdp(transition=tau, initial=np.full(10, 0.1), discount=0.5)
         with pytest.raises(CapacityError):
-            list(enumerate_deterministic_policies(mdp))
+            enumerate_action_tuples(10, 5)
 
     def test_policies_distinct_and_one_hot(self):
-        tau = np.full((3, 3, 3), 1 / 3)
-        mdp = Mdp(transition=tau, initial=np.full(3, 1 / 3), discount=0.5)
-        policies = [p.probs for p in enumerate_deterministic_policies(mdp)]
-        assert len({p.tobytes() for p in policies}) == 27
+        actions = enumerate_action_tuples(3, 3)
+        assert len({tuple(a) for a in actions}) == 27
+        policies = [StochasticPolicy.deterministic(a, 3).probs for a in actions]
         for p in policies:
             assert set(np.unique(p)) == {0.0, 1.0}
             assert np.all(p.sum(axis=1) == 1.0)
