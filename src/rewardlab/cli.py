@@ -92,7 +92,13 @@ def validate(mdp_path, reward_path, fmt):
 @main.command()
 @click.argument("mdp_path", type=click.Path(exists=True))
 @click.argument("reward_path", type=click.Path(exists=True))
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option(
+    "--tol",
+    type=float,
+    default=1e-10,
+    show_default=True,
+    help="Bellman residual the result must meet (exit 3 otherwise)",
+)
 @click.option("--beta", type=float, default=None, help="also report the softmax-of-Q* policy")
 @click.option("--alpha", type=float, default=None, help="also report the entropy-regularized policy")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text")

@@ -19,7 +19,7 @@ class ValidationFailure(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """A solver could not meet its tolerance: iteration cap hit, or round-off above it."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

@@ -1,9 +1,11 @@
 """Exact solvers: values, optimal values, soft values, occupancies, controllability.
 
-Policy evaluation and occupancy measures go through direct dense linear solves
-(the systems have at most S unknowns and (I - gamma*T) is strictly diagonally
-dominant for gamma < 1), so they carry no iteration error. Only the two
-fixed-point solvers iterate, via the kernels in :mod:`rewardlab._kernels`.
+Every value comes from a direct dense solve of (I - gamma*T^pi) v = r^pi (at
+most S unknowns, strictly diagonally dominant for gamma < 1), so policy
+evaluation and occupancies carry no iteration error. The optimal and
+entropy-regularized optima are found by policy iteration on top of that solve:
+Howard's algorithm for the hard Bellman equation, and soft policy iteration
+(Newton's method on v = alpha*logsumexp(q/alpha)) for the soft one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvergenceError
 from .mdp import (
     DEFAULT_ENUM_CAP,
@@ -23,8 +24,10 @@ from .mdp import (
     enumerate_action_tuples,
 )
 
-DEFAULT_TOL = 1e-10
-MAX_ITER = 10**6
+DEFAULT_TOL = 1e-10       # Bellman residual the optimisers must reach
+MAX_ITER = 1000           # policy-iteration steps (evaluate, then improve)
+SOLVE_RTOL = 1e-10        # round-off bound on an exact solve's residual, relative to max(1, |v|)
+IMPROVE_RTOL = 1e-12      # strict-improvement margin of Howard's switch, relative to max(1, |v|)
 TIE_TOL = 1e-8            # membership tolerance for optimal-action sets
 CONTROL_ATOL = 1e-9       # entry-measure spread above which a state counts as controllable
 CONTROL_ENUM_CAP = 4096   # controllability enumerates policies up to here
@@ -106,23 +109,22 @@ def reward_vector(r: RewardTable, mdp: Mdp) -> RewardVector:
     return RewardVector(np.einsum("sap,sap->sa", mdp.transition, r.values))
 
 
-def _policy_matrices(mdp: Mdp, r: RewardTable, probs: np.ndarray):
+def _policy_values(mdp: Mdp, probs: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
+    """Exact v = r_pi + gamma*T^pi v for the (S, A) policy ``probs`` by one dense solve."""
+    gamma = mdp.discount
     t_pi = np.einsum("sa,sap->sp", probs, mdp.transition)
-    rsa = np.einsum("sap,sap->sa", mdp.transition, r.values)
-    r_pi = (probs * rsa).sum(axis=1)
-    return t_pi, r_pi, rsa
+    v = np.linalg.solve(np.eye(mdp.n_states) - gamma * t_pi, r_pi)
+    residual = float(np.abs(v - (r_pi + gamma * (t_pi @ v))).max())
+    if residual > SOLVE_RTOL * max(1.0, float(np.abs(v).max())):
+        raise ConvergenceError("policy evaluation residual too large", residual=residual)
+    return v
 
 
 def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBundle:
     """Exact V^pi, Q^pi, and J via the (I - gamma*T^pi) linear system."""
-    gamma = mdp.discount
-    t_pi, r_pi, rsa = _policy_matrices(mdp, r, pi.probs)
-    n = mdp.n_states
-    v = np.linalg.solve(np.eye(n) - gamma * t_pi, r_pi)
-    residual = np.abs(v - (r_pi + gamma * t_pi @ v)).max()
-    if residual > 1e-10:
-        raise ConvergenceError("policy evaluation residual too large", residual=residual)
-    q = rsa + gamma * (mdp.transition @ v)
+    rsa = reward_vector(r, mdp).r
+    v = _policy_values(mdp, pi.probs, (pi.probs * rsa).sum(axis=1))
+    q = rsa + mdp.discount * (mdp.transition @ v)
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
 
 
@@ -133,21 +135,36 @@ def optimal_values(
     tie_tol: float = TIE_TOL,
     max_iter: int = MAX_ITER,
 ) -> OptimalBundle:
-    """Value iteration to sup-norm residual tol, with tie-tolerant argmax sets."""
+    """Howard policy iteration from the greedy policy on r, with tie-tolerant argmax sets.
+
+    A state switches action only on a strict improvement, so the iteration
+    cannot cycle; it stops when no state improves. Raises ConvergenceError if
+    that takes more than ``max_iter`` steps or the final Bellman residual
+    exceeds ``tol``.
+    """
     gamma = mdp.discount
-    rsa = np.einsum("sap,sap->sa", mdp.transition, r.values)
-    v, iters = _kernels.value_iteration(mdp.transition, rsa, gamma, tol, max_iter)
-    if iters < 0:
-        q = rsa + gamma * (mdp.transition @ v)
-        residual = float(np.abs(q.max(axis=1) - v).max())
+    rsa = reward_vector(r, mdp).r
+    states = np.arange(mdp.n_states)
+    one_hot = np.eye(mdp.n_actions)
+    act = rsa.argmax(axis=1)
+    for _ in range(max_iter):
+        v = _policy_values(mdp, one_hot[act], rsa[states, act])
+        q_star = rsa + gamma * (mdp.transition @ v)
+        v_star = q_star.max(axis=1)
+        residual = float(np.abs(v_star - v).max())
+        margin = IMPROVE_RTOL * max(1.0, float(np.abs(v).max()))
+        improve = q_star[states, act] < v_star - margin
+        if not improve.any():
+            break
+        act = np.where(improve, q_star.argmax(axis=1), act)
+    else:
         raise ConvergenceError(
-            f"value iteration did not reach tol={tol} within {max_iter} iterations",
+            f"policy iteration still improving after {max_iter} steps",
             residual=residual,
             iterations=max_iter,
         )
-    q_star = rsa + gamma * (mdp.transition @ v)
-    v_star = q_star.max(axis=1)
-    residual = float(np.abs(v_star - v).max())
+    if residual > tol:
+        raise ConvergenceError(f"Bellman residual {residual:.3e} above tol={tol}", residual=residual)
     a_star = q_star - v_star[:, None]
     opt_sets = ActionSetPolicy(
         tuple(frozenset(np.flatnonzero(a_star[s] >= -tie_tol).tolist()) for s in range(mdp.n_states))
@@ -162,22 +179,44 @@ def soft_optimal_values(
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITER,
 ) -> SoftBundle:
-    """Entropy-regularized value iteration: v(s) = alpha*log sum_a exp(q(s,a)/alpha)."""
+    """Soft policy iteration for v(s) = alpha*log sum_a exp(q(s,a)/alpha).
+
+    Each step evaluates pi = softmax(q/alpha) exactly, with the entropy bonus
+    -alpha*log pi in the reward; this is Newton's method on the soft Bellman
+    equation. Far from the fixed point a step can raise the sup-norm residual;
+    one that fails to fall while already at the solve's round-off level means
+    ``tol`` is out of reach, and raises ConvergenceError, as does running out
+    of ``max_iter`` steps.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     gamma = mdp.discount
-    rsa = np.einsum("sap,sap->sa", mdp.transition, r.values)
-    v, iters = _kernels.soft_value_iteration(mdp.transition, rsa, gamma, alpha, tol, max_iter)
-    if iters < 0:
-        raise ConvergenceError(
-            f"soft value iteration did not reach tol={tol} within {max_iter} iterations",
-            iterations=max_iter,
-        )
-    q_soft = rsa + gamma * (mdp.transition @ v)
-    m = q_soft.max(axis=1)
-    v_soft = m + alpha * np.log(np.exp((q_soft - m[:, None]) / alpha).sum(axis=1))
-    residual = float(np.abs(v_soft - v).max())
-    return SoftBundle(q_soft=q_soft, v_soft=v_soft, alpha=float(alpha), residual=residual)
+    rsa = reward_vector(r, mdp).r
+    v = np.zeros(mdp.n_states)
+    last = np.inf
+    for _ in range(max_iter):
+        q_soft = rsa + gamma * (mdp.transition @ v)
+        m = q_soft.max(axis=1)
+        z = (q_soft - m[:, None]) / alpha
+        log_norm = np.log(np.exp(z).sum(axis=1))
+        v_soft = m + alpha * log_norm
+        residual = float(np.abs(v_soft - v).max())
+        if residual <= tol:
+            return SoftBundle(q_soft=q_soft, v_soft=v_soft, alpha=float(alpha), residual=residual)
+        if residual >= last and residual <= SOLVE_RTOL * max(1.0, float(np.abs(v_soft).max())):
+            raise ConvergenceError(
+                f"soft policy iteration stalled at residual {residual:.3e} above tol={tol}",
+                residual=residual,
+            )
+        last = residual
+        log_pi = z - log_norm[:, None]
+        pi = np.exp(log_pi)
+        v = _policy_values(mdp, pi, (pi * (rsa - alpha * log_pi)).sum(axis=1))
+    raise ConvergenceError(
+        f"soft policy iteration did not reach tol={tol} within {max_iter} steps",
+        residual=residual,
+        iterations=max_iter,
+    )
 
 
 def occupancy(mdp: Mdp, pi: StochasticPolicy) -> OccupancyVector:

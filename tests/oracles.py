@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
-Everything here is deliberately primitive: truncated power series and
-exhaustive enumeration, no linear solves and no reuse of library internals.
+Everything here is deliberately primitive: truncated power series, plain
+value-iteration sweeps and exhaustive enumeration, no linear solves and no
+reuse of library internals.
 The library's exact solvers are checked against these, never the other way
 round.
 """
@@ -21,16 +22,47 @@ def horizon_for(gamma: float, rmax: float, target: float = 1e-12) -> int:
 
 
 def truncated_values(mdp, r, probs, horizon):
-    """V^pi by accumulating the power series sum_t gamma^t (T^pi)^t r^pi."""
-    t_pi = np.einsum("sa,sap->sp", probs, mdp.transition)
+    """V^pi by accumulating the power series sum_t gamma^t (T^pi)^t r^pi.
+
+    ``probs`` is one (S, A) policy or an (N, S, A) stack of them.
+    """
+    t_pi = np.einsum("...sa,sap->...sp", probs, mdp.transition)
     rsa = np.einsum("sap,sap->sa", mdp.transition, r.values)
-    r_pi = (probs * rsa).sum(axis=1)
-    v = np.zeros(mdp.n_states)
+    r_pi = (probs * rsa).sum(axis=-1)
+    v = np.zeros_like(r_pi)
     term = r_pi.copy()
     for _ in range(horizon):
         v += term
-        term = mdp.discount * (t_pi @ term)
+        term = mdp.discount * np.einsum("...sp,...p->...s", t_pi, term)
     return v
+
+
+def value_iteration(mdp, r, tol=1e-13, max_iter=10**6):
+    """V* by sweeping v <- max_a [r(s,a) + gamma * tau(s,a,.) . v] until an update is <= tol."""
+    rsa = np.einsum("sap,sap->sa", mdp.transition, r.values)
+    v = np.zeros(mdp.n_states)
+    for _ in range(max_iter):
+        v_new = (rsa + mdp.discount * (mdp.transition @ v)).max(axis=1)
+        delta = np.abs(v_new - v).max()
+        v = v_new
+        if delta <= tol:
+            return v
+    raise ArithmeticError(f"value iteration did not reach {tol} in {max_iter} sweeps")
+
+
+def soft_value_iteration(mdp, r, alpha, tol=1e-13, max_iter=10**6):
+    """Soft V* by sweeping v <- alpha * logsumexp_a(q / alpha), max-subtracted per state."""
+    rsa = np.einsum("sap,sap->sa", mdp.transition, r.values)
+    v = np.zeros(mdp.n_states)
+    for _ in range(max_iter):
+        q = rsa + mdp.discount * (mdp.transition @ v)
+        m = q.max(axis=1)
+        v_new = m + alpha * np.log(np.exp((q - m[:, None]) / alpha).sum(axis=1))
+        delta = np.abs(v_new - v).max()
+        v = v_new
+        if delta <= tol:
+            return v
+    raise ArithmeticError(f"soft value iteration did not reach {tol} in {max_iter} sweeps")
 
 
 def truncated_j(mdp, r, probs, horizon=None):
@@ -68,10 +100,13 @@ def one_hot(actions, n_actions):
 
 def brute_force_j_table(mdp, r, horizon=None):
     """J of every deterministic policy, in s0-major order."""
-    return [
-        truncated_j(mdp, r, one_hot(actions, mdp.n_actions), horizon)
+    if horizon is None:
+        horizon = horizon_for(mdp.discount, float(np.abs(r.values).max()))
+    probs = np.stack([
+        one_hot(actions, mdp.n_actions)
         for actions in all_deterministic_policies(mdp.n_states, mdp.n_actions)
-    ]
+    ])
+    return (truncated_values(mdp, r, probs, horizon) @ mdp.initial).tolist()
 
 
 def brute_force_opt_sets(mdp, r, tol=1e-9):

@@ -14,6 +14,8 @@ from rewardlab import (
     reward_vector,
     soft_optimal_values,
 )
+from rewardlab import solve
+from rewardlab.errors import ConvergenceError
 from rewardlab.lab import random_mdp, random_policy, random_reward
 from rewardlab.solve import truncation_bias
 
@@ -21,6 +23,32 @@ import oracles
 
 ALWAYS_STAY = StochasticPolicy(np.array([[1.0, 0.0], [1.0, 0.0]]))
 SWITCH_THEN_STAY = StochasticPolicy(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _detour_instance():
+    """s0: a0 earns 1 and stays, a1 earns 0 and moves to s1, which pays 2 forever.
+
+    At gamma = 0.9 the greedy-on-r choice a0 at s0 (V = 10) loses to a1 (V = 18).
+    """
+    tau = np.zeros((2, 2, 2))
+    tau[0, 0, 0] = tau[0, 1, 1] = tau[1, :, 1] = 1.0
+    mdp = Mdp(tau, np.array([1.0, 0.0]), 0.9)
+    return mdp, RewardTable.from_sa(np.array([[1.0, 0.0], [2.0, 2.0]]))
+
+
+def _oracle_instances(count, seed=2024):
+    """Seeded (mdp, r, alpha): S 2-6, A 2-4, gamma 0.5-0.99, alpha log-uniform in [1e-3, 10]."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, k = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        gamma = float(rng.uniform(0.5, 0.99))
+        alpha = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+        mdp = random_mdp(n, k, gamma, seed=seed + i)
+        yield mdp, random_reward(mdp, seed=10_000 + seed + i), alpha
+
+
+def _sup_gap(a, b):
+    return float(np.abs(a - b).max()) / max(1.0, float(np.abs(b).max()))
 
 
 class TestRewardVector:
@@ -61,6 +89,15 @@ class TestPolicyEvaluate:
                 bundle.v, oracles.truncated_values(mdp, r, pi.probs, horizon), atol=1e-9
             )
 
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e6, 1e9])
+    def test_scaled_reward_scales_values(self, c):
+        mdp = random_mdp(3, 2, 0.9, seed=0)
+        r = random_reward(mdp, seed=1)
+        pi = StochasticPolicy(np.full((3, 2), 0.5))
+        v = policy_evaluate(mdp, r, pi).v
+        v_c = policy_evaluate(mdp, RewardTable(c * r.values), pi).v
+        assert np.abs(v_c - c * v).max() <= 1e-12 * c * np.abs(v).max()
+
     def test_bundle_internal_consistency(self, chain, chain_reward):
         bundle = policy_evaluate(chain, chain_reward, SWITCH_THEN_STAY)
         rsa = reward_vector(chain_reward, chain).r
@@ -97,6 +134,15 @@ class TestOptimalValues:
             r = random_reward(mdp, seed=seed + 50)
             assert tuple(optimal_values(mdp, r).opt_sets) == oracles.brute_force_opt_sets(mdp, r)
 
+    def test_exhausted_cap_reports_nonconvergence(self):
+        mdp, r = _detour_instance()
+        with pytest.raises(ConvergenceError) as err:
+            optimal_values(mdp, r, max_iter=1)
+        assert err.value.residual is not None
+        bundle = optimal_values(mdp, r, max_iter=2)
+        assert tuple(bundle.opt_sets) == ({1}, {0, 1})
+        np.testing.assert_allclose(bundle.v_star, [18.0, 20.0], atol=1e-12)
+
 
 class TestSoftOptimalValues:
     def test_constant_reward_gives_uniform_policy(self, chain):
@@ -130,6 +176,54 @@ class TestSoftOptimalValues:
         probs = np.exp((bundle.q_soft - bundle.q_soft.max(axis=1, keepdims=True)) / 0.5)
         probs /= probs.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_small_alpha_does_not_overflow(self):
+        mdp = random_mdp(5, 3, 0.8, seed=11)
+        r = random_reward(mdp, seed=12, gap_floor=None)
+        bundle = soft_optimal_values(mdp, r, alpha=1e-6)
+        assert bundle.residual <= 1e-10
+        assert np.all(np.isfinite(bundle.v_soft)) and np.all(np.isfinite(bundle.q_soft))
+
+
+class TestAgainstValueIterationOracle:
+    """Policy-iteration solvers against plain value iteration run to 1e-13."""
+
+    def test_seeded_instances(self):
+        for mdp, r, alpha in _oracle_instances(200):
+            hard = optimal_values(mdp, r)
+            assert _sup_gap(hard.v_star, oracles.value_iteration(mdp, r)) <= 1e-9
+            assert tuple(hard.opt_sets) == oracles.brute_force_opt_sets(mdp, r)
+            soft = soft_optimal_values(mdp, r, alpha)
+            assert _sup_gap(soft.v_soft, oracles.soft_value_iteration(mdp, r, alpha)) <= 1e-8
+
+    def test_user_size(self):
+        rng = np.random.default_rng(5)
+        mdp = Mdp(rng.dirichlet(np.ones(100), size=(100, 8)), rng.dirichlet(np.ones(100)), 0.99)
+        r = RewardTable(rng.uniform(-1.0, 1.0, size=(100, 8, 100)))
+        hard = optimal_values(mdp, r)
+        assert hard.residual <= 1e-10
+        assert _sup_gap(hard.v_star, oracles.value_iteration(mdp, r)) <= 1e-9
+        assert all(int(a) in hard.opt_sets[s] for s, a in enumerate(hard.q_star.argmax(axis=1)))
+        soft = soft_optimal_values(mdp, r, alpha=0.5)
+        assert soft.residual <= 1e-10
+        assert _sup_gap(soft.v_soft, oracles.soft_value_iteration(mdp, r, 0.5)) <= 1e-8
+
+    def test_unreachable_tol_fails_fast(self, monkeypatch):
+        mdp = random_mdp(3, 2, 0.9, seed=0)
+        r = RewardTable(1e9 * random_reward(mdp, seed=1).values)
+        exact, solves = solve._policy_values, []
+
+        def counted(*args):
+            solves.append(1)
+            return exact(*args)
+
+        monkeypatch.setattr(solve, "_policy_values", counted)
+        for run in (lambda: optimal_values(mdp, r), lambda: soft_optimal_values(mdp, r, 0.5)):
+            solves.clear()
+            with pytest.raises(ConvergenceError) as err:
+                run()
+            assert err.value.residual > 1e-10
+            assert len(solves) <= 20
 
 
 class TestOccupancy:
