@@ -5,7 +5,9 @@ most S unknowns, strictly diagonally dominant for gamma < 1), so policy
 evaluation and occupancies carry no iteration error. The optimal and
 entropy-regularized optima are found by policy iteration on top of that solve:
 Howard's algorithm for the hard Bellman equation, and soft policy iteration
-(Newton's method on v = alpha*logsumexp(q/alpha)) for the soft one.
+(Newton's method on v = alpha*logsumexp(q/alpha)) for the soft one. Where the
+exact policy value still misses ``tol`` (round-off at large |v|, or a near-tie
+finer than Howard's switch margin), Bellman sweeps settle it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ DEFAULT_TOL = 1e-10       # Bellman residual the optimisers must reach
 MAX_ITER = 1000           # policy-iteration steps (evaluate, then improve)
 SOLVE_RTOL = 1e-10        # round-off bound on an exact solve's residual, relative to max(1, |v|)
 IMPROVE_RTOL = 1e-12      # strict-improvement margin of Howard's switch, relative to max(1, |v|)
+SETTLE_SWEEPS = 10**6     # cap on the Bellman sweeps that settle a residual left above tol
 TIE_TOL = 1e-8            # membership tolerance for optimal-action sets
 CONTROL_ATOL = 1e-9       # entry-measure spread above which a state counts as controllable
 CONTROL_ENUM_CAP = 4096   # controllability enumerates policies up to here
@@ -128,6 +131,29 @@ def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBund
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
 
 
+def _settle(bellman, v: np.ndarray, residual: float, gamma: float, tol: float):
+    """Sweep v <- bellman(v) until one sweep moves v by at most ``tol``; return (q, v, residual).
+
+    ``v`` is a policy's exact value, which lies at or below the fixed point;
+    starting 2*residual/(1-gamma) lower keeps the sweeps below it despite
+    round-off. Both Bellman operators are monotone, so the sweeps rise towards
+    the fixed point and, like value iteration from zero, stop on a
+    floating-point fixed point once round-off dominates.
+    """
+    v = v - 2.0 * residual / (1.0 - gamma)
+    for _ in range(SETTLE_SWEEPS):
+        q, v_new = bellman(v)
+        residual = float(np.abs(v_new - v).max())
+        if residual <= tol:
+            return q, v_new, residual
+        v = v_new
+    raise ConvergenceError(
+        f"Bellman residual {residual:.3e} above tol={tol} after {SETTLE_SWEEPS} sweeps",
+        residual=residual,
+        iterations=SETTLE_SWEEPS,
+    )
+
+
 def optimal_values(
     mdp: Mdp,
     r: RewardTable,
@@ -139,8 +165,8 @@ def optimal_values(
 
     A state switches action only on a strict improvement, so the iteration
     cannot cycle; it stops when no state improves. Raises ConvergenceError if
-    that takes more than ``max_iter`` steps or the final Bellman residual
-    exceeds ``tol``.
+    that takes more than ``max_iter`` steps, or if the Bellman residual still
+    exceeds ``tol`` after settling (see _settle).
     """
     gamma = mdp.discount
     rsa = reward_vector(r, mdp).r
@@ -164,7 +190,12 @@ def optimal_values(
             iterations=max_iter,
         )
     if residual > tol:
-        raise ConvergenceError(f"Bellman residual {residual:.3e} above tol={tol}", residual=residual)
+
+        def bellman(u):
+            q = rsa + gamma * (mdp.transition @ u)
+            return q, q.max(axis=1)
+
+        q_star, v_star, residual = _settle(bellman, v, residual, gamma, tol)
     a_star = q_star - v_star[:, None]
     opt_sets = ActionSetPolicy(
         tuple(frozenset(np.flatnonzero(a_star[s] >= -tie_tol).tolist()) for s in range(mdp.n_states))
@@ -184,39 +215,42 @@ def soft_optimal_values(
     Each step evaluates pi = softmax(q/alpha) exactly, with the entropy bonus
     -alpha*log pi in the reward; this is Newton's method on the soft Bellman
     equation. Far from the fixed point a step can raise the sup-norm residual;
-    one that fails to fall while already at the solve's round-off level means
-    ``tol`` is out of reach, and raises ConvergenceError, as does running out
-    of ``max_iter`` steps.
+    one that fails to fall while already at the solve's round-off level ends
+    the iteration, and soft-Bellman sweeps settle the rest (see _settle).
+    Raises ConvergenceError after ``max_iter`` steps, or if settling fails.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     gamma = mdp.discount
     rsa = reward_vector(r, mdp).r
+
+    def soft_bellman(u):
+        q = rsa + gamma * (mdp.transition @ u)
+        m = q.max(axis=1)
+        z = (q - m[:, None]) / alpha
+        log_norm = np.log(np.exp(z).sum(axis=1))
+        return q, m + alpha * log_norm, z - log_norm[:, None]
+
     v = np.zeros(mdp.n_states)
     last = np.inf
     for _ in range(max_iter):
-        q_soft = rsa + gamma * (mdp.transition @ v)
-        m = q_soft.max(axis=1)
-        z = (q_soft - m[:, None]) / alpha
-        log_norm = np.log(np.exp(z).sum(axis=1))
-        v_soft = m + alpha * log_norm
+        q_soft, v_soft, log_pi = soft_bellman(v)
         residual = float(np.abs(v_soft - v).max())
         if residual <= tol:
-            return SoftBundle(q_soft=q_soft, v_soft=v_soft, alpha=float(alpha), residual=residual)
+            break
         if residual >= last and residual <= SOLVE_RTOL * max(1.0, float(np.abs(v_soft).max())):
-            raise ConvergenceError(
-                f"soft policy iteration stalled at residual {residual:.3e} above tol={tol}",
-                residual=residual,
-            )
+            q_soft, v_soft, residual = _settle(lambda u: soft_bellman(u)[:2], v, residual, gamma, tol)
+            break
         last = residual
-        log_pi = z - log_norm[:, None]
         pi = np.exp(log_pi)
         v = _policy_values(mdp, pi, (pi * (rsa - alpha * log_pi)).sum(axis=1))
-    raise ConvergenceError(
-        f"soft policy iteration did not reach tol={tol} within {max_iter} steps",
-        residual=residual,
-        iterations=max_iter,
-    )
+    else:
+        raise ConvergenceError(
+            f"soft policy iteration did not reach tol={tol} within {max_iter} steps",
+            residual=residual,
+            iterations=max_iter,
+        )
+    return SoftBundle(q_soft=q_soft, v_soft=v_soft, alpha=float(alpha), residual=residual)
 
 
 def occupancy(mdp: Mdp, pi: StochasticPolicy) -> OccupancyVector:
