@@ -29,7 +29,6 @@ from .mdp import (
     validate_mdp,
 )
 from .models import (
-    BehaviouralModel,
     FVariantSpec,
     boltzmann_policy,
     fvariant_policy,
@@ -42,7 +41,6 @@ from .solve import (
     ControllableStates,
     OccupancyVector,
     OptimalBundle,
-    RewardVector,
     SoftBundle,
     ValueBundle,
     controllable_states,

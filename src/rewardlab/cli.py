@@ -194,13 +194,12 @@ def transform(mdp_path, reward_path, spec_path, out):
 @click.option("--claim", default=None, help="claim id, or 'all' for the whole registry")
 @click.option("--seed", type=int, default=None, help="required here or in the config file")
 @click.option("--trials", type=int, default=None, help="override the claim's default trial count")
-@click.option("--gamma1", type=float, default=None)
+@click.option("--gamma1", type=float, default=None, help="with --gamma2, the discount pair LEM-GAMMA tests")
 @click.option("--gamma2", type=float, default=None)
-@click.option("--tol", type=float, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON file with the same keys; explicit flags override it")
 @click.option("--out", type=click.Path(), default=None)
-def lab(claim, seed, trials, gamma1, gamma2, tol, config_path, out):
+def lab(claim, seed, trials, gamma1, gamma2, config_path, out):
     """Run registered theorem checks; exit 0 iff everything passes."""
     try:
         file_cfg = documents.load_json(config_path) if config_path else {}
@@ -223,24 +222,21 @@ def lab(claim, seed, trials, gamma1, gamma2, tol, config_path, out):
         _usage_error(f"seed must be an integer, got {seed!r}")
     if trials is not None and not (_is_int(trials) and trials > 0):
         _usage_error(f"trials must be a positive integer, got {trials!r}")
-    for name, value in (("gamma1", gamma1), ("gamma2", gamma2)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            _usage_error(f"{name} must be a number, got {value!r}")
+    if (gamma1 is None) != (gamma2 is None):
+        _usage_error("gamma1 and gamma2 must be given together")
     if not isinstance(params, dict):
         _usage_error(f"params must be a JSON object, got {params!r}")
     trials = trials or 0
     params = dict(params)
-    if gamma1 is not None and gamma2 is not None:
+    if gamma1 is not None:
         params["gamma_pairs"] = [[gamma1, gamma2]]
-    if tol is not None:
-        params["tol"] = tol
     try:
         if claim == "all":
             reports = run_registry(seed=seed, trials=trials, params=params)
         else:
             config = ExperimentConfig(claim_id=claim, trials=trials, seed=seed, params=params)
             reports = [verify_claim(config)]
-    except UnknownClaimError as exc:
+    except (UnknownClaimError, StructuralError) as exc:
         _usage_error(str(exc))
     doc = {
         "ok": all(rep.ok for rep in reports),

@@ -44,6 +44,11 @@ def mdp_to_doc(mdp: Mdp) -> dict:
     return doc
 
 
+def _malformed(what: str, exc: Exception) -> StructuralError:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return StructuralError(f"malformed {what} document: {detail}")
+
+
 def mdp_from_doc(doc: dict) -> Mdp:
     try:
         mdp = Mdp(
@@ -52,9 +57,10 @@ def mdp_from_doc(doc: dict) -> Mdp:
             discount=float(doc["gamma"]),
             labels=tuple(doc["labels"]) if "labels" in doc else None,
         )
+        declared = int(doc["n_states"]), int(doc["n_actions"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed MDP document: {exc}") from exc
-    if mdp.n_states != int(doc["n_states"]) or mdp.n_actions != int(doc["n_actions"]):
+        raise _malformed("MDP", exc) from exc
+    if (mdp.n_states, mdp.n_actions) != declared:
         raise StructuralError("declared n_states/n_actions do not match the transition tensor")
     report = validate_mdp(mdp)
     if not report.ok:
@@ -77,8 +83,11 @@ def reward_to_doc(r: RewardTable) -> dict:
 
 
 def reward_from_doc(doc: dict, n_actions: int | None = None) -> RewardTable:
-    domain = doc.get("domain")
-    values = np.array(doc.get("values"), dtype=float)
+    try:
+        domain = doc.get("domain")
+        values = np.array(doc.get("values"), dtype=float)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise _malformed("reward", exc) from exc
     if domain == "sas":
         return RewardTable(values, domain="sas")
     if domain == "sa":
@@ -111,54 +120,27 @@ def transform_to_doc(t: TransformSpec) -> dict:
 
 
 def transform_from_doc(doc: dict) -> TransformSpec:
-    kind = doc.get("kind")
-    if kind == "ps":
-        return PotentialShaping(
-            PotentialFn(np.array(doc["phi"], dtype=float), bool(doc.get("zero_initial", False)))
-        )
-    if kind == "sr":
-        return SuccessorRedistribution(reward_from_doc(doc["replacement"]))
-    if kind == "ls":
-        return LinearScaling(float(doc["c"]))
-    if kind == "cs":
-        return ConstantShift(float(doc["k"]))
-    if kind == "op":
-        return OptimalityPreserving(
-            psi=np.array(doc["psi"], dtype=float), slack=np.array(doc["slack"], dtype=float)
-        )
-    if kind == "seq":
-        return Chain(tuple(transform_from_doc(s) for s in doc["steps"]))
-    raise StructuralError(f"unknown transformation kind {kind!r}")
-
-
-def model_to_doc(model) -> dict:
-    doc = {"kind": model.kind}
-    if model.beta is not None:
-        doc["beta"] = model.beta
-    if model.alpha is not None:
-        doc["alpha"] = model.alpha
-    if model.spec is not None:
-        spec = {"variant": model.spec.variant}
-        for key in ("lam", "beta1", "beta2", "beta", "p"):
-            value = getattr(model.spec, key)
-            if value is not None:
-                spec[key] = value
-        doc["spec"] = spec
-    return doc
-
-
-def model_from_doc(doc: dict):
-    from .models import BehaviouralModel, FVariantSpec
-
-    spec = None
-    if "spec" in doc:
-        spec = FVariantSpec(**doc["spec"])
     try:
-        return BehaviouralModel(
-            kind=doc["kind"], beta=doc.get("beta"), alpha=doc.get("alpha"), spec=spec
-        )
-    except (KeyError, ValueError) as exc:
-        raise StructuralError(f"malformed model document: {exc}") from exc
+        kind = doc.get("kind")
+        if kind == "ps":
+            return PotentialShaping(
+                PotentialFn(np.array(doc["phi"], dtype=float), bool(doc.get("zero_initial", False)))
+            )
+        if kind == "sr":
+            return SuccessorRedistribution(reward_from_doc(doc["replacement"]))
+        if kind == "ls":
+            return LinearScaling(float(doc["c"]))
+        if kind == "cs":
+            return ConstantShift(float(doc["k"]))
+        if kind == "op":
+            return OptimalityPreserving(
+                psi=np.array(doc["psi"], dtype=float), slack=np.array(doc["slack"], dtype=float)
+            )
+        if kind == "seq":
+            return Chain(tuple(transform_from_doc(s) for s in doc["steps"]))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise _malformed("transformation", exc) from exc
+    raise StructuralError(f"unknown transformation kind {kind!r}")
 
 
 def verdict_to_doc(verdict) -> dict:

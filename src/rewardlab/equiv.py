@@ -55,7 +55,7 @@ def _vertex_tables(r1: RewardTable, r2: RewardTable, mdp: Mdp):
     probs = deterministic_policies(mdp, cap=CROSS_CHECK_CAP)
     d = occupancies(mdp, probs)
     flat = d.reshape(len(d), -1)
-    return probs, d, flat @ reward_vector(r1, mdp).flat, flat @ reward_vector(r2, mdp).flat
+    return probs, d, flat @ reward_vector(r1, mdp).ravel(), flat @ reward_vector(r2, mdp).ravel()
 
 
 def _chord(j1: np.ndarray, j2: np.ndarray):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import documents
 from .equiv import j_equal, opt_equivalent, ord_equivalent
-from .errors import GenerationError, UnknownClaimError
+from .errors import GenerationError, StructuralError, UnknownClaimError
 from .mdp import (
     DEFAULT_ENUM_CAP,
     Mdp,
@@ -59,8 +59,11 @@ from .transform import (
 
 GAP_FLOOR = 1e-4       # minimum optimal-advantage gap enforced on generated rewards
 BOLTZ_MATCH_ATOL = 1e-10
-DEFAULT_X_GRID = (1.0, 10.0, 100.0, 1000.0)
-X_GRID_CAP = 1e9
+X_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # |X| tried by gamma_counterexample
+MDP_TRIES = 100        # rejection-sampling budget of random_mdp
+STATES = (2, 5)        # inclusive range of n_states drawn per trial
+ACTIONS = (2, 3)       # inclusive range of n_actions drawn per trial
+BOUNDS = 1.0           # magnitude of generated rewards and potentials
 
 
 def _substream(seed: int, *path: int) -> np.random.Generator:
@@ -78,11 +81,10 @@ def random_mdp(
     gamma: float,
     seed: int,
     sparsity: float = 0.0,
-    max_tries: int = 100,
 ) -> Mdp:
     """Dirichlet-sampled MDP; reachability enforced by rejection."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MDP_TRIES):
         tau = np.zeros((n_states, n_actions, n_states))
         for s in range(n_states):
             for a in range(n_actions):
@@ -98,7 +100,7 @@ def random_mdp(
         mdp = Mdp(transition=tau, initial=mu0, discount=gamma)
         if validate_mdp(mdp).ok:
             return mdp
-    raise GenerationError(f"no valid MDP after {max_tries} tries (sparsity={sparsity})")
+    raise GenerationError(f"no valid MDP after {MDP_TRIES} tries (sparsity={sparsity})")
 
 
 def random_policy(n_states: int, n_actions: int, seed: int) -> StochasticPolicy:
@@ -148,7 +150,7 @@ def random_reward(
             raise ValueError(f"unknown domain {domain!r}")
         if gap_floor is not None and advantage_gap(mdp, r) < gap_floor:
             continue
-        if j_floor is not None and np.abs(d @ reward_vector(r, mdp).flat).max() < j_floor:
+        if j_floor is not None and np.abs(d @ reward_vector(r, mdp).ravel()).max() < j_floor:
             continue
         return r
     raise GenerationError(f"no reward met the floors after {max_tries} tries")
@@ -159,12 +161,6 @@ class ExperimentConfig:
     claim_id: str
     trials: int = 0  # 0 means "use the claim's default"
     seed: int = 0
-    min_states: int = 2
-    max_states: int = 5
-    min_actions: int = 2
-    max_actions: int = 3
-    bounds: float = 1.0
-    enum_cap: int = DEFAULT_ENUM_CAP
     params: dict = field(default_factory=dict)
 
 
@@ -222,8 +218,8 @@ class CounterexampleRecord:
             gap = _model_identity_gap(self.mdp_model, self.r1, self.r2, self.params["x"])
             return bool(gap <= BOLTZ_MATCH_ATOL)
         if kind == "tau":
-            rv1 = reward_vector(self.r1, self.mdp_model).r
-            rv2 = reward_vector(self.r2, self.mdp_model).r
+            rv1 = reward_vector(self.r1, self.mdp_model)
+            rv2 = reward_vector(self.r2, self.mdp_model)
             return bool(np.array_equal(rv1, rv2))
         return True
 
@@ -255,20 +251,41 @@ def _model_identity_gap(mdp_model: Mdp, r1: RewardTable, r2: RewardTable, x: flo
     return float(np.abs(b1.probs - b2.probs).max())
 
 
-def _expanded_grid(x_grid) -> list[float]:
-    grid = [float(x) for x in (x_grid if x_grid is not None else DEFAULT_X_GRID)]
-    x = max(grid)
-    while x * 10 <= X_GRID_CAP:
-        x *= 10
-        grid.append(x)
-    return grid
+def _flip_search(
+    mdp_model: Mdp, mdp_true: Mdp, r1: RewardTable, candidates
+) -> CounterexampleRecord | None:
+    """First candidate r2 whose optimal-action sets under ``mdp_true`` differ from r1's and verify.
+
+    ``candidates`` yields (r2, params) pairs in search order; r1's sets are
+    solved once for the whole search.
+    """
+    opt1 = optimal_values(mdp_true, r1).opt_sets
+    for r2, params in candidates:
+        opt2 = optimal_values(mdp_true, r2).opt_sets
+        differing = [s for s in range(mdp_true.n_states) if opt1[s] != opt2[s]]
+        if differing:
+            record = CounterexampleRecord(
+                mdp_model=mdp_model,
+                mdp_true=mdp_true,
+                r1=r1,
+                r2=r2,
+                relation="opt",
+                evidence={
+                    "state": differing[0],
+                    "opt1": sorted(opt1[differing[0]]),
+                    "opt2": sorted(opt2[differing[0]]),
+                },
+                params=params,
+            )
+            if record.verify():
+                return record
+    return None
 
 
 def gamma_counterexample(
     mdp: Mdp,
     gamma1: float,
     gamma2: float,
-    x_grid=None,
     seed: int = 0,
 ) -> CounterexampleRecord | None:
     """Shape under gamma1, evaluate under gamma2, and search for an optimality flip.
@@ -276,8 +293,8 @@ def gamma_counterexample(
     The potential puts weight X on one controllable state; the induced J gap
     X * n(pi) * (gamma1 - gamma2) varies across policies through the entry
     measure n, so growing |X| eventually reorders them. Returns None when the
-    transition function is trivial, when gamma1 == gamma2, or if the grid
-    (after geometric expansion) never produces a flip.
+    transition function is trivial, when gamma1 == gamma2, or if no |X| in
+    X_GRID produces a flip.
     """
     for g in (gamma1, gamma2):
         if not (0.0 < g < 1.0):
@@ -295,39 +312,23 @@ def gamma_counterexample(
         return None
 
     r1 = random_reward(mdp2, bounds=1.0, seed=_child_seeds(seed, 1)[0], gap_floor=GAP_FLOOR)
-    opt1 = optimal_values(mdp2, r1).opt_sets
 
-    for x_abs in _expanded_grid(x_grid):
-        for x in (x_abs, -x_abs):
-            phi = np.zeros(mdp.n_states)
-            phi[state] = x
-            r2 = apply(PotentialShaping(PotentialFn(phi)), r1, mdp1)
-            opt2 = optimal_values(mdp2, r2).opt_sets
-            differing = [s for s in range(mdp.n_states) if opt1[s] != opt2[s]]
-            if differing:
-                record = CounterexampleRecord(
-                    mdp_model=mdp1,
-                    mdp_true=mdp2,
-                    r1=r1,
-                    r2=r2,
-                    relation="opt",
-                    evidence={
-                        "state": differing[0],
-                        "opt1": sorted(opt1[differing[0]]),
-                        "opt2": sorted(opt2[differing[0]]),
-                    },
-                    params={
-                        "kind": "gamma",
-                        "x": x,
-                        "shaped_state": state,
-                        "gamma1": gamma1,
-                        "gamma2": gamma2,
-                        "p": float(mdp.initial[state]),
-                    },
-                )
-                if record.verify():
-                    return record
-    return None
+    def shaped():
+        for x_abs in X_GRID:
+            for x in (x_abs, -x_abs):
+                phi = np.zeros(mdp.n_states)
+                phi[state] = x
+                r2 = apply(PotentialShaping(PotentialFn(phi)), r1, mdp1)
+                yield r2, {
+                    "kind": "gamma",
+                    "x": x,
+                    "shaped_state": state,
+                    "gamma1": gamma1,
+                    "gamma2": gamma2,
+                    "p": float(mdp.initial[state]),
+                }
+
+    return _flip_search(mdp1, mdp2, r1, shaped())
 
 
 def tau_counterexample(mdp1: Mdp, tau2, seed: int = 0) -> CounterexampleRecord | None:
@@ -373,34 +374,20 @@ def tau_counterexample(mdp1: Mdp, tau2, seed: int = 0) -> CounterexampleRecord |
 
     base = random_reward(mdp2, bounds=1.0, seed=_child_seeds(seed, 2)[0], gap_floor=GAP_FLOOR)
     magnitudes = [float(2**k) for k in range(0, 31, 2)]
-    for s, a, delta, _ in candidates:
-        vals1 = base.values.copy()
-        vals1[s, a, :] = 0.0
-        r1 = RewardTable(vals1)
-        opt1 = optimal_values(mdp2, r1).opt_sets
+
+    def rewrites(vals1, s, a, delta):
         for m in magnitudes:
             for sign in (1.0, -1.0):
                 vals2 = vals1.copy()
                 vals2[s, a, :] = sign * m * delta
-                r2 = RewardTable(vals2)
-                opt2 = optimal_values(mdp2, r2).opt_sets
-                differing = [st for st in range(mdp1.n_states) if opt1[st] != opt2[st]]
-                if differing:
-                    record = CounterexampleRecord(
-                        mdp_model=mdp1,
-                        mdp_true=mdp2,
-                        r1=r1,
-                        r2=r2,
-                        relation="opt",
-                        evidence={
-                            "state": differing[0],
-                            "opt1": sorted(opt1[differing[0]]),
-                            "opt2": sorted(opt2[differing[0]]),
-                        },
-                        params={"kind": "tau", "row": [s, a], "magnitude": sign * m},
-                    )
-                    if record.verify():
-                        return record
+                yield RewardTable(vals2), {"kind": "tau", "row": [s, a], "magnitude": sign * m}
+
+    for s, a, delta, _ in candidates:
+        vals1 = base.values.copy()
+        vals1[s, a, :] = 0.0
+        record = _flip_search(mdp1, mdp2, RewardTable(vals1), rewrites(vals1, s, a, delta))
+        if record is not None:
+            return record
     return None
 
 
@@ -425,15 +412,65 @@ DEFAULT_TRIALS = {
 }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_discount(x) -> bool:
+    return _is_number(x) and 0.0 < x < 1.0
+
+
+def _is_positive(x) -> bool:
+    return _is_number(x) and x > 0
+
+
+def _is_gamma_pairs(x) -> bool:
+    return (
+        isinstance(x, (list, tuple))
+        and len(x) > 0
+        and all(isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_discount, p)) for p in x)
+    )
+
+
+# Every key a claim reads from ``params``, with the values it accepts.
+PARAM_TYPES = {
+    "gamma": ("a discount in (0, 1)", _is_discount),
+    "probe_budget": ("a non-negative integer", lambda x: _is_number(x) and isinstance(x, int) and x >= 0),
+    "beta1": ("a positive number", _is_positive),
+    "beta2": ("a positive number", _is_positive),
+    "residual_bound": ("a positive number", _is_positive),
+    "gamma_pairs": ("a non-empty list of [gamma1, gamma2] discount pairs", _is_gamma_pairs),
+}
+
+# The params keys each claim reads besides "gamma", which every claim accepts.
+CLAIM_PARAMS = {
+    "BOLTZ-OPT": ("probe_budget",),
+    "BM-ORD": ("beta1", "beta2"),
+    "MCE-ORD": ("residual_bound",),
+    "LEM-GAMMA": ("gamma_pairs",),
+}
+
+
+def _check_params(params: dict, keys, reader: str) -> None:
+    """Raise StructuralError on a key outside ``keys`` or a value PARAM_TYPES rejects."""
+    for key, value in params.items():
+        if key not in keys:
+            accepted = ", ".join(sorted(keys))
+            raise StructuralError(f"params key {key!r} is not read by {reader}; accepted: {accepted}")
+        what, accepts = PARAM_TYPES[key]
+        if not accepts(value):
+            raise StructuralError(f"params[{key!r}] must be {what}, got {value!r}")
+
+
 def _config_doc(config: ExperimentConfig, trials: int) -> dict:
     return {
         "claim_id": config.claim_id,
         "trials": trials,
         "seed": config.seed,
-        "states": [config.min_states, config.max_states],
-        "actions": [config.min_actions, config.max_actions],
-        "bounds": config.bounds,
-        "enum_cap": config.enum_cap,
+        "states": list(STATES),
+        "actions": list(ACTIONS),
+        "bounds": BOUNDS,
+        "enum_cap": DEFAULT_ENUM_CAP,
         "params": config.params,
     }
 
@@ -444,8 +481,8 @@ def _n_trials(config: ExperimentConfig) -> int:
 
 def _draw_env(config: ExperimentConfig, trial: int, salt: int = 0) -> Mdp:
     rng = _substream(config.seed, trial, salt)
-    n = int(rng.integers(config.min_states, config.max_states + 1))
-    k = int(rng.integers(config.min_actions, config.max_actions + 1))
+    n = int(rng.integers(STATES[0], STATES[1] + 1))
+    k = int(rng.integers(ACTIONS[0], ACTIONS[1] + 1))
     gamma = config.params.get("gamma") or float(rng.uniform(0.4, 0.95))
     return random_mdp(n, k, gamma, _child_seeds(config.seed, trial, salt, 1)[0])
 
@@ -454,7 +491,7 @@ def _loguniform(rng, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def oracle_opt_sets(mdp: Mdp, r: RewardTable, cap: int = DEFAULT_ENUM_CAP) -> tuple:
+def oracle_opt_sets(mdp: Mdp, r: RewardTable) -> tuple:
     """Optimal-action sets by brute force: union of argmax-J deterministic policies.
 
     Matches the argmax-of-Q* sets whenever every state is visited under every
@@ -462,8 +499,8 @@ def oracle_opt_sets(mdp: Mdp, r: RewardTable, cap: int = DEFAULT_ENUM_CAP) -> tu
     sparse transitions a J-optimal policy can behave arbitrarily at states it
     never reaches, which this enumeration cannot distinguish.
     """
-    probs = deterministic_policies(mdp, cap=cap)
-    j = occupancies(mdp, probs).reshape(len(probs), -1) @ reward_vector(r, mdp).flat
+    probs = deterministic_policies(mdp)
+    j = occupancies(mdp, probs).reshape(len(probs), -1) @ reward_vector(r, mdp).ravel()
     best = j.max()
     tol = 1e-9 * max(1.0, abs(best))
     winners = probs[j >= best - tol].argmax(axis=2)
@@ -505,7 +542,7 @@ def _claim_ord_char(config: ExperimentConfig) -> TrialReport:
         rng = _substream(config.seed, i, 10)
         mdp = _draw_env(config, i)
         seeds = _child_seeds(config.seed, i, 11, n=4)
-        r1 = random_reward(mdp, bounds=config.bounds, seed=seeds[0])
+        r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
         c = _loguniform(rng, 0.2, 5.0)
         cur = r1
         applied_order = [["ls", "ps", "sr"][k] for k in rng.permutation(3)]
@@ -513,9 +550,9 @@ def _claim_ord_char(config: ExperimentConfig) -> TrialReport:
             if step_kind == "ls":
                 spec = LinearScaling(c)
             elif step_kind == "ps":
-                spec = sample_potential_shaping(mdp, config.bounds, False, seeds[1])
+                spec = sample_potential_shaping(mdp, BOUNDS, False, seeds[1])
             else:
-                spec = sample_s_redistribution(mdp, cur, config.bounds, seeds[2])
+                spec = sample_s_redistribution(mdp, cur, BOUNDS, seeds[2])
             cur = apply(spec, cur, mdp)
         verdict = ord_equivalent(r1, cur, mdp)
         cert = verdict.certificate
@@ -526,7 +563,7 @@ def _claim_ord_char(config: ExperimentConfig) -> TrialReport:
         )
         # Negative control: an independent reward; decider and oracle must agree
         # (ord_equivalent raises InternalConsistencyError on any disagreement).
-        r3 = random_reward(mdp, bounds=config.bounds, seed=seeds[3])
+        r3 = random_reward(mdp, bounds=BOUNDS, seed=seeds[3])
         neg_verdict = ord_equivalent(r1, r3, mdp)
         status = "pass" if pos_ok else "fail"
         return {
@@ -552,7 +589,7 @@ def _claim_boltz_opt(config: ExperimentConfig) -> TrialReport:
         rng = _substream(config.seed, i, 20)
         mdp = _draw_env(config, i)
         seeds = _child_seeds(config.seed, i, 21, n=2)
-        r2 = random_reward(mdp, bounds=config.bounds, seed=seeds[0])
+        r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
         if i % 2 == 0:
             spec = FVariantSpec(
                 variant="mixture",
@@ -608,7 +645,7 @@ def _claim_bm_ord(config: ExperimentConfig) -> TrialReport:
             return {"status": "skip", "note": "not misspecified"}
         mdp = _draw_env(config, i)
         seeds = _child_seeds(config.seed, i, 31, n=1)
-        r2 = random_reward(mdp, bounds=config.bounds, seed=seeds[0])
+        r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
         beta2 = forced_b2 if forced_b2 is not None else _loguniform(rng, 0.1, 10.0)
         beta1 = forced_b1 if forced_b1 is not None else _loguniform(rng, 0.1, 10.0)
         while beta1 == beta2:
@@ -635,7 +672,7 @@ def _claim_mce_ord(config: ExperimentConfig) -> TrialReport:
         rng = _substream(config.seed, i, 40)
         mdp = _draw_env(config, i)
         seeds = _child_seeds(config.seed, i, 41, n=1)
-        r2 = random_reward(mdp, bounds=config.bounds, seed=seeds[0])
+        r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
         alpha2 = _loguniform(rng, 0.1, 10.0)
         alpha1 = _loguniform(rng, 0.1, 10.0)
         while alpha1 == alpha2:
@@ -663,13 +700,13 @@ def _claim_opt_model(config: ExperimentConfig) -> TrialReport:
     def body(i):
         mdp = _draw_env(config, i)
         seeds = _child_seeds(config.seed, i, 51, n=3)
-        r1 = random_reward(mdp, bounds=config.bounds, seed=seeds[0])
+        r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
         related = i % 2 == 0
         if related:
-            op = sample_optimality_preserving(mdp, r1, config.bounds, seeds[1])
+            op = sample_optimality_preserving(mdp, r1, BOUNDS, seeds[1])
             r2 = apply(op, r1, mdp)
         else:
-            r2 = random_reward(mdp, bounds=config.bounds, seed=seeds[2])
+            r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[2])
         decider = opt_equivalent(r1, r2, mdp).equivalent
         sets_equal = optimal_set_policy(mdp, r1) == optimal_set_policy(mdp, r2)
         oracle = oracle_opt_sets(mdp, r1) == oracle_opt_sets(mdp, r2)
@@ -714,8 +751,7 @@ def _claim_lem_gamma(config: ExperimentConfig) -> TrialReport:
             if rec is None or not rec.verify():
                 return {"status": "fail", "error": f"no verified counterexample for {(g1, g2)}"}
             records.append(rec)
-        uniform = np.full_like(mdp.transition, 1.0 / mdp.n_states)
-        trivial = Mdp(transition=uniform, initial=mdp.initial, discount=mdp.discount)
+        trivial = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
         if gamma_counterexample(trivial, pairs[0][0], pairs[0][1], seed=config.seed) is not None:
             return {"status": "fail", "error": "trivial-transition control produced a counterexample"}
         if gamma_counterexample(mdp, pairs[0][0], pairs[0][0], seed=config.seed) is not None:
@@ -765,8 +801,7 @@ def _claim_mdp_misspec(config: ExperimentConfig) -> TrialReport:
         rec_t = tau_counterexample(mdp, tau2, seed=seeds[1])
         if rec_t is None or not rec_t.verify():
             return {"status": "fail", "error": "tau generator failed on differing rows"}
-        uniform = np.full_like(mdp.transition, 1.0 / mdp.n_states)
-        trivial = Mdp(transition=uniform, initial=mdp.initial, discount=mdp.discount)
+        trivial = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
         excluded = (
             gamma_counterexample(mdp, 0.7, 0.7, seed=seeds[2]) is None
             and gamma_counterexample(trivial, 0.5, 0.9, seed=seeds[2]) is None
@@ -811,10 +846,10 @@ def _claim_j_amb(config: ExperimentConfig) -> TrialReport:
         rng = _substream(config.seed, i, 100)
         mdp = _draw_env(config, i)
         seeds = _child_seeds(config.seed, i, 101, n=3)
-        r1 = random_reward(mdp, bounds=config.bounds, seed=seeds[0], j_floor=1e-2)
-        ps = sample_potential_shaping(mdp, config.bounds, True, seeds[1])
+        r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0], j_floor=1e-2)
+        ps = sample_potential_shaping(mdp, BOUNDS, True, seeds[1])
         shaped = apply(ps, r1, mdp)
-        sr = sample_s_redistribution(mdp, shaped, config.bounds, seeds[2])
+        sr = sample_s_redistribution(mdp, shaped, BOUNDS, seeds[2])
         r2 = apply(sr, shaped, mdp)
         if not j_equal(r1, r2, mdp).equivalent:
             return {"status": "fail", "error": "zero-mean shaping + redistribution changed J"}
@@ -835,8 +870,7 @@ def _claim_control(config: ExperimentConfig) -> TrialReport:
     def body(i):
         mdp = _draw_env(config, i)
         if i % 4 == 3:
-            uniform = np.full_like(mdp.transition, 1.0 / mdp.n_states)
-            mdp = Mdp(transition=uniform, initial=mdp.initial, discount=mdp.discount)
+            mdp = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
         states = controllable_states(mdp)
         ok = bool(states) == (not is_trivial_transition(mdp))
         return {
@@ -855,8 +889,8 @@ def _claim_ex_sa_shaping(config: ExperimentConfig) -> TrialReport:
         rng = _substream(config.seed, i, 110)
         mdp = _draw_env(config, i)
         seeds = _child_seeds(config.seed, i, 111, n=1)
-        r = random_reward(mdp, domain="sa", bounds=config.bounds, seed=seeds[0])
-        phi = PotentialFn(rng.uniform(-config.bounds, config.bounds, size=mdp.n_states))
+        r = random_reward(mdp, domain="sa", bounds=BOUNDS, seed=seeds[0])
+        phi = PotentialFn(rng.uniform(-BOUNDS, BOUNDS, size=mdp.n_states))
         shaped = shaping_on_sa_domain(phi, r, mdp)
         if shaped.domain != "sa":
             return {"status": "fail", "error": "output left the SA domain"}
@@ -906,17 +940,28 @@ CLAIM_ORDER = list(CLAIMS)
 
 
 def verify_claim(config: ExperimentConfig) -> TrialReport:
-    """Run one registered claim; unknown ids raise UnknownClaimError."""
+    """Run one registered claim.
+
+    Unknown ids raise UnknownClaimError; a params key the claim does not read,
+    or an ill-typed value, raises StructuralError.
+    """
     if config.claim_id not in CLAIMS:
         raise UnknownClaimError(
             f"unknown claim {config.claim_id!r}; registered: {', '.join(CLAIM_ORDER)}"
         )
+    _check_params(config.params, ("gamma", *CLAIM_PARAMS.get(config.claim_id, ())), config.claim_id)
     return CLAIMS[config.claim_id](config)
 
 
-def run_registry(seed: int, trials: int = 0, **config_kwargs) -> list[TrialReport]:
-    """Run every registered claim at its default size with the given seed."""
+def run_registry(seed: int, trials: int = 0, params: dict | None = None) -> list[TrialReport]:
+    """Run every registered claim at its default size with the given seed.
+
+    Every claim sees the same ``params``; each key must be one that some
+    claim reads (see CLAIM_PARAMS), or StructuralError is raised.
+    """
+    params = dict(params or {})
+    _check_params(params, PARAM_TYPES, "any claim")
     return [
-        verify_claim(ExperimentConfig(claim_id=cid, trials=trials, seed=seed, **config_kwargs))
+        CLAIMS[cid](ExperimentConfig(claim_id=cid, trials=trials, seed=seed, params=params))
         for cid in CLAIM_ORDER
     ]

@@ -140,31 +140,3 @@ def invert_mce(pi: StochasticPolicy, alpha: float) -> RewardTable:
     _require_positive(pi.probs)
     return RewardTable.from_sa(alpha * np.log(pi.probs))
 
-
-@dataclass(frozen=True)
-class BehaviouralModel:
-    """Serializable description of one reward-to-policy map."""
-
-    kind: str  # "boltzmann" | "mce" | "optimal-set" | "fvariant"
-    beta: float | None = None
-    alpha: float | None = None
-    spec: FVariantSpec | None = None
-
-    def __post_init__(self):
-        if self.kind == "boltzmann" and not (self.beta and self.beta > 0):
-            raise ValueError("boltzmann model requires beta > 0")
-        if self.kind == "mce" and not (self.alpha and self.alpha > 0):
-            raise ValueError("mce model requires alpha > 0")
-        if self.kind == "fvariant" and self.spec is None:
-            raise ValueError("fvariant model requires a spec")
-        if self.kind not in ("boltzmann", "mce", "optimal-set", "fvariant"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-
-    def policy(self, mdp: Mdp, r: RewardTable):
-        if self.kind == "boltzmann":
-            return boltzmann_policy(mdp, r, self.beta)
-        if self.kind == "mce":
-            return mce_policy(mdp, r, self.alpha)
-        if self.kind == "optimal-set":
-            return optimal_set_policy(mdp, r)
-        return fvariant_policy(mdp, r, self.spec)

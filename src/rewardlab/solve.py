@@ -38,17 +38,6 @@ CONTROL_SAMPLES = 512     # random policies used beyond the cap
 
 
 @dataclass(frozen=True)
-class RewardVector:
-    """Expected immediate reward per (s, a): r[s,a] = E_{S'~tau(s,a)}[R(s,a,S')]."""
-
-    r: np.ndarray  # (S, A)
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.r.reshape(-1)
-
-
-@dataclass(frozen=True)
 class ValueBundle:
     v: np.ndarray   # (S,)
     q: np.ndarray   # (S, A)
@@ -78,14 +67,6 @@ class OccupancyVector:
 
     d: np.ndarray  # (S, A)
 
-    @property
-    def state_marginal(self) -> np.ndarray:
-        return self.d.sum(axis=1)
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.d.reshape(-1)
-
 
 @dataclass(frozen=True)
 class ControllableStates:
@@ -107,9 +88,9 @@ class ControllableStates:
         return bool(self.states)
 
 
-def reward_vector(r: RewardTable, mdp: Mdp) -> RewardVector:
-    """Collapse R(s,a,s') to its tau-expectation per (s,a)."""
-    return RewardVector(np.einsum("sap,sap->sa", mdp.transition, r.values))
+def reward_vector(r: RewardTable, mdp: Mdp) -> np.ndarray:
+    """Expected immediate reward per (s, a): r[s,a] = E_{S'~tau(s,a)}[R(s,a,S')], shape (S, A)."""
+    return np.einsum("sap,sap->sa", mdp.transition, r.values)
 
 
 def _policy_values(mdp: Mdp, probs: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
@@ -125,7 +106,7 @@ def _policy_values(mdp: Mdp, probs: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
 
 def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBundle:
     """Exact V^pi, Q^pi, and J via the (I - gamma*T^pi) linear system."""
-    rsa = reward_vector(r, mdp).r
+    rsa = reward_vector(r, mdp)
     v = _policy_values(mdp, pi.probs, (pi.probs * rsa).sum(axis=1))
     q = rsa + mdp.discount * (mdp.transition @ v)
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
@@ -158,7 +139,6 @@ def optimal_values(
     mdp: Mdp,
     r: RewardTable,
     tol: float = DEFAULT_TOL,
-    tie_tol: float = TIE_TOL,
     max_iter: int = MAX_ITER,
 ) -> OptimalBundle:
     """Howard policy iteration from the greedy policy on r, with tie-tolerant argmax sets.
@@ -169,7 +149,7 @@ def optimal_values(
     exceeds ``tol`` after settling (see _settle).
     """
     gamma = mdp.discount
-    rsa = reward_vector(r, mdp).r
+    rsa = reward_vector(r, mdp)
     states = np.arange(mdp.n_states)
     one_hot = np.eye(mdp.n_actions)
     act = rsa.argmax(axis=1)
@@ -198,7 +178,7 @@ def optimal_values(
         q_star, v_star, residual = _settle(bellman, v, residual, gamma, tol)
     a_star = q_star - v_star[:, None]
     opt_sets = ActionSetPolicy(
-        tuple(frozenset(np.flatnonzero(a_star[s] >= -tie_tol).tolist()) for s in range(mdp.n_states))
+        tuple(frozenset(np.flatnonzero(a_star[s] >= -TIE_TOL).tolist()) for s in range(mdp.n_states))
     )
     return OptimalBundle(q_star=q_star, v_star=v_star, a_star=a_star, opt_sets=opt_sets, residual=residual)
 
@@ -222,7 +202,7 @@ def soft_optimal_values(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     gamma = mdp.discount
-    rsa = reward_vector(r, mdp).r
+    rsa = reward_vector(r, mdp)
 
     def soft_bellman(u):
         q = rsa + gamma * (mdp.transition @ u)
@@ -261,7 +241,7 @@ def occupancy(mdp: Mdp, pi: StochasticPolicy) -> OccupancyVector:
 def occupancies(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
     """d[n, s, a] for an (N, S, A) batch of policies, from one batched flow solve.
 
-    J(pi_n) = d[n].ravel() @ reward_vector(r, mdp).flat, so one batch serves
+    J(pi_n) = d[n].ravel() @ reward_vector(r, mdp).ravel(), so one batch serves
     every reward on the same MDP.
     """
     gamma = mdp.discount
@@ -284,38 +264,28 @@ def deterministic_policies(mdp: Mdp, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     return np.eye(mdp.n_actions)[actions]
 
 
-def entry_spread(
-    mdp: Mdp,
-    cap: int = CONTROL_ENUM_CAP,
-    n_samples: int = CONTROL_SAMPLES,
-    seed: int = 0,
-) -> tuple[np.ndarray, bool]:
+def entry_spread(mdp: Mdp, seed: int = 0) -> tuple[np.ndarray, bool]:
     """Per-state spread of the discounted entry measure (the t>=1 part of w) across policies.
 
-    Enumerates all deterministic policies when A^S fits under ``cap``;
-    otherwise uses seeded random policies, and the returned flag says so.
+    Enumerates all deterministic policies when A^S fits under CONTROL_ENUM_CAP;
+    otherwise uses CONTROL_SAMPLES seeded random policies, and the returned
+    flag says so.
     """
-    if mdp.n_actions**mdp.n_states <= cap:
-        batch = deterministic_policies(mdp, cap=cap)
+    if mdp.n_actions**mdp.n_states <= CONTROL_ENUM_CAP:
+        batch = deterministic_policies(mdp, cap=CONTROL_ENUM_CAP)
         sampled = False
     else:
         rng = np.random.default_rng(seed)
-        batch = rng.dirichlet(np.ones(mdp.n_actions), size=(n_samples, mdp.n_states))
+        batch = rng.dirichlet(np.ones(mdp.n_actions), size=(CONTROL_SAMPLES, mdp.n_states))
         sampled = True
     entry = occupancies(mdp, batch).sum(axis=2) - mdp.initial[None, :]
     return entry.max(axis=0) - entry.min(axis=0), sampled
 
 
-def controllable_states(
-    mdp: Mdp,
-    cap: int = CONTROL_ENUM_CAP,
-    n_samples: int = CONTROL_SAMPLES,
-    seed: int = 0,
-    atol: float = CONTROL_ATOL,
-) -> ControllableStates:
+def controllable_states(mdp: Mdp) -> ControllableStates:
     """States whose discounted entry measure varies with the policy (see entry_spread)."""
-    spread, sampled = entry_spread(mdp, cap=cap, n_samples=n_samples, seed=seed)
-    states = frozenset(np.flatnonzero(spread > atol).tolist())
+    spread, sampled = entry_spread(mdp)
+    states = frozenset(np.flatnonzero(spread > CONTROL_ATOL).tolist())
     return ControllableStates(states=states, sampled=sampled)
 
 

@@ -51,13 +51,10 @@ class PotentialFn:
 class TransformSpec:
     """Base tag for the transformation union; see the concrete kinds below."""
 
-    kind = "base"
-
 
 @dataclass(frozen=True)
 class PotentialShaping(TransformSpec):
     potential: PotentialFn
-    kind = "ps"
 
 
 @dataclass(frozen=True)
@@ -65,13 +62,11 @@ class SuccessorRedistribution(TransformSpec):
     """Carries the full replacement table; apply() checks it preserves expectations."""
 
     replacement: RewardTable
-    kind = "sr"
 
 
 @dataclass(frozen=True)
 class LinearScaling(TransformSpec):
     c: float
-    kind = "ls"
 
     def __post_init__(self):
         if not self.c > 0:
@@ -81,7 +76,6 @@ class LinearScaling(TransformSpec):
 @dataclass(frozen=True)
 class ConstantShift(TransformSpec):
     k: float
-    kind = "cs"
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,6 @@ class OptimalityPreserving(TransformSpec):
 
     psi: np.ndarray
     slack: np.ndarray
-    kind = "op"
 
     def __post_init__(self):
         psi = np.array(self.psi, dtype=float)
@@ -114,7 +107,6 @@ class Chain(TransformSpec):
     """Transformations applied left-to-right: steps[0] first."""
 
     steps: tuple[TransformSpec, ...]
-    kind = "seq"
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -143,7 +135,7 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
         vals = r.values + gamma * phi[None, None, :] - phi[:, None, None]
         return RewardTable(vals, domain="sas")
     if isinstance(t, SuccessorRedistribution):
-        gap = np.abs(reward_vector(t.replacement, mdp).r - reward_vector(r, mdp).r).max()
+        gap = np.abs(reward_vector(t.replacement, mdp) - reward_vector(r, mdp)).max()
         if gap > SR_CHECK_ATOL:
             raise ValueError(
                 f"replacement changes expected rewards by {gap:.3e} (> {SR_CHECK_ATOL})"
@@ -239,9 +231,7 @@ def _lstsq_residual(a: np.ndarray, b: np.ndarray):
     return x, float(np.abs(a @ x - b).max(initial=0.0))
 
 
-def decompose_ord(
-    r1: RewardTable, r2: RewardTable, mdp: Mdp, tol: float = DECOMP_TOL
-) -> Decomposition | None:
+def decompose_ord(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> Decomposition | None:
     """Fit r2's expected rewards as c*r1 + shaping; certificate for same policy order.
 
     Returns None when no fit with positive c exists. When r1's expected-reward
@@ -249,20 +239,20 @@ def decompose_ord(
     so c is unidentifiable) the fit degenerates: r2 is accepted iff it lies in
     the same span, with c reported as 1 and the degenerate flag set.
     """
-    rv1 = reward_vector(r1, mdp).flat
-    rv2 = reward_vector(r2, mdp).flat
+    rv1 = reward_vector(r1, mdp).ravel()
+    rv2 = reward_vector(r2, mdp).ravel()
     m = shaping_matrix(mdp)
 
     _, deg_res = _lstsq_residual(m, rv1)
-    if deg_res <= tol:
+    if deg_res <= DECOMP_TOL:
         phi, residual = _lstsq_residual(m, rv2 - rv1)
-        if residual <= tol:
+        if residual <= DECOMP_TOL:
             return Decomposition(c=1.0, phi=PotentialFn(phi), residual=residual, degenerate=True)
         return None
 
     design = np.hstack([rv1[:, None], m])
     x, residual = _lstsq_residual(design, rv2)
-    if residual > tol:
+    if residual > DECOMP_TOL:
         return None
     c = float(x[0])
     if c <= 0:
@@ -278,19 +268,17 @@ def _initial_nullspace(initial: np.ndarray) -> np.ndarray:
     return vt[1:].T
 
 
-def decompose_j(
-    r1: RewardTable, r2: RewardTable, mdp: Mdp, tol: float = DECOMP_TOL
-) -> Decomposition | None:
+def decompose_j(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> Decomposition | None:
     """Like decompose_ord with c fixed to 1 and phi constrained to mu0-mean zero.
 
     Success certifies that the two rewards give every policy the same J.
     """
-    rv1 = reward_vector(r1, mdp).flat
-    rv2 = reward_vector(r2, mdp).flat
+    rv1 = reward_vector(r1, mdp).ravel()
+    rv2 = reward_vector(r2, mdp).ravel()
     m = shaping_matrix(mdp)
     z = _initial_nullspace(mdp.initial)
     y, residual = _lstsq_residual(m @ z, rv2 - rv1)
-    if residual > tol:
+    if residual > DECOMP_TOL:
         return None
     phi = z @ y if z.shape[1] else np.zeros(mdp.n_states)
     return Decomposition(c=1.0, phi=PotentialFn(phi, zero_initial_expectation=True), residual=residual)
@@ -309,9 +297,7 @@ def shaping_on_sa_domain(phi: PotentialFn, r: RewardTable, mdp: Mdp) -> RewardTa
     return RewardTable.from_sa(out)
 
 
-def decompose_ps_ls(
-    r1: RewardTable, r2: RewardTable, gamma: float, tol: float = DECOMP_TOL
-) -> Decomposition | None:
+def decompose_ps_ls(r1: RewardTable, r2: RewardTable, gamma: float) -> Decomposition | None:
     """Transition-free fit R2 = c*R1 + gamma*phi(s') - phi(s) over full tensors.
 
     Unlike decompose_ord this works pointwise on (s,a,s') with no
@@ -327,6 +313,6 @@ def decompose_ps_ls(
         cols.append(np.broadcast_to(coef, (n, k, n)).reshape(-1, 1))
     design = np.hstack(cols)
     x, residual = _lstsq_residual(design, v2)
-    if residual > tol or x[0] <= 0:
+    if residual > DECOMP_TOL or x[0] <= 0:
         return None
     return Decomposition(c=float(x[0]), phi=PotentialFn(x[1:]), residual=residual)

@@ -22,15 +22,18 @@ def horizon_for(gamma: float, rmax: float, target: float = 1e-12) -> int:
 
 
 def truncated_values(mdp, r, probs, horizon):
-    """V^pi by accumulating the power series sum_t gamma^t (T^pi)^t r^pi."""
-    t_pi = np.einsum("sa,sap->sp", probs, mdp.transition)
+    """V^pi by accumulating the power series sum_t gamma^t (T^pi)^t r^pi.
+
+    ``probs`` is one (S, A) policy or an (N, S, A) stack, summed side by side.
+    """
+    t_pi = np.einsum("...sa,sap->...sp", probs, mdp.transition)
     rsa = np.einsum("sap,sap->sa", mdp.transition, r.values)
-    r_pi = (probs * rsa).sum(axis=1)
-    v = np.zeros(mdp.n_states)
+    r_pi = (probs * rsa).sum(axis=-1)
+    v = np.zeros(r_pi.shape)
     term = r_pi.copy()
     for _ in range(horizon):
         v += term
-        term = mdp.discount * (t_pi @ term)
+        term = mdp.discount * (t_pi @ term[..., None])[..., 0]
     return v
 
 
@@ -96,11 +99,12 @@ def one_hot(actions, n_actions):
 
 
 def brute_force_j_table(mdp, r, horizon=None):
-    """J of every deterministic policy, in s0-major order."""
-    return [
-        truncated_j(mdp, r, one_hot(actions, mdp.n_actions), horizon)
-        for actions in all_deterministic_policies(mdp.n_states, mdp.n_actions)
-    ]
+    """J of every deterministic policy, in s0-major order, from one stacked power series."""
+    if horizon is None:
+        horizon = horizon_for(mdp.discount, float(np.abs(r.values).max()))
+    policies = all_deterministic_policies(mdp.n_states, mdp.n_actions)
+    probs = np.stack([one_hot(actions, mdp.n_actions) for actions in policies])
+    return (truncated_values(mdp, r, probs, horizon) @ mdp.initial).tolist()
 
 
 def brute_force_opt_sets(mdp, r, tol=1e-9):

@@ -134,7 +134,7 @@ def test_criterion_08_occupancy_machinery(capsys):
         gap_sum = abs(d.d.sum() - mass)
         worst_sum = max(worst_sum, gap_sum / max(1.0, mass))
         sum_ok &= gap_sum <= 1e-9 * max(1.0, mass)
-        gap_j = abs(float((d.d * reward_vector(r, mdp).r).sum()) - policy_evaluate(mdp, r, pi).j)
+        gap_j = abs(float((d.d * reward_vector(r, mdp)).sum()) - policy_evaluate(mdp, r, pi).j)
         worst_j = max(worst_j, gap_j)
         j_ok &= gap_j <= 1e-8
 

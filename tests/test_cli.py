@@ -126,6 +126,46 @@ class TestTransform:
         assert result.exit_code == 2
 
 
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "command, broken",
+        [
+            ("validate", "mdp"),
+            ("solve", "mdp"),
+            ("equiv", "mdp"),
+            ("transform", "mdp"),
+            ("validate", "reward"),
+            ("solve", "reward"),
+            ("equiv", "reward"),
+            ("transform", "reward"),
+            ("transform", "spec"),
+        ],
+    )
+    def test_exit_2_with_one_line(self, runner, tmp_path, chain, chain_reward, command, broken):
+        mdp_doc = documents.mdp_to_doc(chain)
+        reward_doc = documents.reward_to_doc(chain_reward)
+        spec_doc = {"kind": "ls", "c": 2.0}
+        if broken == "mdp":
+            del mdp_doc["n_states"]
+        elif broken == "reward":
+            reward_doc = reward_doc["values"]  # a JSON array, not an object
+        else:
+            spec_doc = {"kind": "ls"}  # no scaling constant
+        mdp = _write(tmp_path, "mdp.json", mdp_doc)
+        reward = _write(tmp_path, "reward.json", reward_doc)
+        args = {
+            "validate": [mdp, "--reward", reward],
+            "solve": [mdp, reward],
+            "equiv": [mdp, reward, reward],
+            "transform": [mdp, reward, _write(tmp_path, "spec.json", spec_doc)],
+        }[command]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+        assert "Traceback" not in result.output
+
+
 class TestLab:
     def test_single_claim_passes(self, runner):
         result = runner.invoke(main, ["lab", "--claim", "EX-TRANSFER", "--seed", "1"])
@@ -147,8 +187,24 @@ class TestLab:
             ("{not json", []),
             ({"claim": "OCC-INJ", "seed": 3, "trials": "abc"}, []),
             ({"claim": "OCC-INJ", "seed": 3}, ["--trials", "-3"]),
+            ({"claim": "LEM-GAMMA", "seed": 3, "trials": 1}, ["--gamma1", "0.5"]),
+            ({"claim": "LEM-GAMMA", "seed": 3, "trials": 1}, ["--gamma1", "1.5", "--gamma2", "0.9"]),
+            ({"claim": "OCC-INJ", "seed": 3, "trials": 1, "params": {"gamma": 1.5}}, []),
+            ({"claim": "BOLTZ-OPT", "seed": 3, "trials": 1, "params": {"probe_budget": "abc"}}, []),
+            ({"claim": "OCC-INJ", "seed": 3, "trials": 1, "params": {"gama": 0.5}}, []),
+            ({"claim": "OCC-INJ", "seed": 3, "trials": 1, "params": {"probe_budget": 5}}, []),
         ],
-        ids=["malformed-config", "ill-typed-trials", "negative-trials"],
+        ids=[
+            "malformed-config",
+            "ill-typed-trials",
+            "negative-trials",
+            "gamma1-without-gamma2",
+            "gamma1-out-of-range",
+            "params-gamma-out-of-range",
+            "ill-typed-probe-budget",
+            "mistyped-params-key",
+            "key-of-another-claim",
+        ],
     )
     def test_input_errors_exit_2_with_one_line(self, runner, tmp_path, config, flags):
         path = tmp_path / "cfg.json"

@@ -110,27 +110,6 @@ class TestTransformDocuments:
             documents.transform_from_doc({"kind": "warp"})
 
 
-class TestModelDocuments:
-    def test_round_trips(self):
-        from rewardlab import BehaviouralModel, FVariantSpec
-
-        models = [
-            BehaviouralModel(kind="boltzmann", beta=2.0),
-            BehaviouralModel(kind="mce", alpha=0.3),
-            BehaviouralModel(kind="optimal-set"),
-            BehaviouralModel(
-                kind="fvariant", spec=FVariantSpec(variant="mixture", lam=0.4, beta1=1.0, beta2=2.0)
-            ),
-        ]
-        for model in models:
-            doc = documents.model_to_doc(model)
-            assert documents.model_to_doc(documents.model_from_doc(json.loads(json.dumps(doc)))) == doc
-
-    def test_malformed(self):
-        with pytest.raises(StructuralError):
-            documents.model_from_doc({"kind": "boltzmann"})
-
-
 class TestVerdictDocuments:
     def test_equivalent_with_certificate(self, chain, chain_reward):
         verdict = j_equal(chain_reward, chain_reward, chain)

@@ -17,7 +17,7 @@ from rewardlab import (
 )
 from rewardlab.documents import load_transfer_pair
 from rewardlab.errors import CapacityError, InternalConsistencyError
-from rewardlab.lab import ExperimentConfig, _child_seeds, _draw_env, random_mdp, random_reward
+from rewardlab.lab import BOUNDS, ExperimentConfig, _child_seeds, _draw_env, random_mdp, random_reward
 from rewardlab.mdp import DEFAULT_ENUM_CAP
 from rewardlab.solve import deterministic_policies, occupancies
 
@@ -26,7 +26,7 @@ import oracles
 
 def j_table(r, mdp, cap=DEFAULT_ENUM_CAP):
     probs = deterministic_policies(mdp, cap=cap)
-    return occupancies(mdp, probs).reshape(len(probs), -1) @ reward_vector(r, mdp).flat
+    return occupancies(mdp, probs).reshape(len(probs), -1) @ reward_vector(r, mdp).ravel()
 
 
 def assert_witness_flips(witness, mdp, r1, r2):
@@ -107,8 +107,8 @@ class TestOrdEquivalent:
         config = ExperimentConfig(claim_id="ORD-CHAR", seed=811993661)
         mdp = _draw_env(config, 108)
         seeds = _child_seeds(config.seed, 108, 11, n=4)
-        r1 = random_reward(mdp, bounds=config.bounds, seed=seeds[0])
-        r3 = random_reward(mdp, bounds=config.bounds, seed=seeds[3])
+        r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
+        r3 = random_reward(mdp, bounds=BOUNDS, seed=seeds[3])
         verdict = ord_equivalent(r1, r3, mdp)
         assert not verdict.equivalent
         assert_witness_flips(verdict.witness, mdp, r1, r3)

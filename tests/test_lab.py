@@ -18,7 +18,7 @@ from rewardlab import (
     verify_claim,
 )
 from rewardlab import documents
-from rewardlab.errors import GenerationError, UnknownClaimError
+from rewardlab.errors import GenerationError, StructuralError, UnknownClaimError
 from rewardlab.lab import (
     CLAIM_ORDER,
     CLAIMS,
@@ -152,7 +152,7 @@ class TestTauCounterexample:
         from rewardlab import reward_vector
 
         assert np.array_equal(
-            reward_vector(rec.r1, rec.mdp_model).r, reward_vector(rec.r2, rec.mdp_model).r
+            reward_vector(rec.r1, rec.mdp_model), reward_vector(rec.r2, rec.mdp_model)
         )
         assert not opt_equivalent(rec.r1, rec.r2, rec.mdp_true).equivalent
 
@@ -246,6 +246,12 @@ class TestClaims:
         assert [o["status"] for o in rep.outcomes] == ["pass", "fail", "pass"]
         assert rep.outcomes[1]["error"] == "ValueError: bad draw"
         assert not rep.ok
+
+    def test_registry_checks_params_before_any_trial(self):
+        with pytest.raises(StructuralError):
+            run_registry(seed=1, params={"gama": 0.5})
+        with pytest.raises(StructuralError):
+            run_registry(seed=1, params={"gamma_pairs": [[0.5, 1.0]]})
 
     def test_registry_covers_all_claims(self):
         assert set(CLAIMS) == set(CLAIM_ORDER)

@@ -124,8 +124,8 @@ class TestRewardTable:
 
     def test_lift_preserves_reward_vector_bitwise(self, chain):
         r = RewardTable.from_sa([[0.3, -0.7], [1.1, 0.0]])
-        before = reward_vector(r, chain).r
-        after = reward_vector(lift_reward(r), chain).r
+        before = reward_vector(r, chain)
+        after = reward_vector(lift_reward(r), chain)
         assert np.array_equal(before, after)
 
     def test_domain_tag_enforced(self):

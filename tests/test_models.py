@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rewardlab import (
-    BehaviouralModel,
     FVariantSpec,
     LinearScaling,
     RewardTable,
@@ -74,6 +73,11 @@ class TestMce:
         r = RewardTable.from_sa(0.6 * np.log(pi0.probs))
         pi = mce_policy(mdp, r, alpha=0.6)
         np.testing.assert_allclose(pi.probs, pi0.probs, atol=1e-8)
+
+    def test_alpha_must_be_positive(self, chain, chain_reward):
+        assert mce_policy(chain, chain_reward, alpha=0.5).full_support
+        with pytest.raises(ValueError):
+            mce_policy(chain, chain_reward, alpha=0.0)
 
 
 class TestOptimalSetPolicy:
@@ -251,20 +255,3 @@ class TestModelInvariances:
             same_sets = optimal_set_policy(mdp, r1) == optimal_set_policy(mdp, r2)
             assert same_sets == opt_equivalent(r1, r2, mdp).equivalent
 
-
-class TestBehaviouralModel:
-    def test_dispatch(self, chain, chain_reward):
-        assert BehaviouralModel(kind="boltzmann", beta=1.0).policy(chain, chain_reward).full_support
-        assert BehaviouralModel(kind="mce", alpha=0.5).policy(chain, chain_reward).full_support
-        sets = BehaviouralModel(kind="optimal-set").policy(chain, chain_reward)
-        assert tuple(sets) == ({1}, {0})
-        spec = FVariantSpec(variant="mixture", lam=0.5, beta1=1.0, beta2=2.0)
-        assert BehaviouralModel(kind="fvariant", spec=spec).policy(chain, chain_reward).full_support
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            BehaviouralModel(kind="boltzmann", beta=-1.0)
-        with pytest.raises(ValueError):
-            BehaviouralModel(kind="mce")
-        with pytest.raises(ValueError):
-            BehaviouralModel(kind="banana")

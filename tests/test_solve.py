@@ -52,13 +52,13 @@ def _sup_gap(a, b):
 
 class TestRewardVector:
     def test_chain_values(self, chain, chain_reward):
-        rv = reward_vector(chain_reward, chain).r
+        rv = reward_vector(chain_reward, chain)
         assert rv[0, 1] == 1.0 and rv[0, 0] == 0.0
         assert rv[1, 0] == 1.0 and rv[1, 1] == 0.0
 
     def test_zero_and_constant(self, chain):
-        assert np.all(reward_vector(RewardTable(np.zeros((2, 2, 2))), chain).r == 0.0)
-        rv = reward_vector(RewardTable(np.full((2, 2, 2), 3.25)), chain).r
+        assert np.all(reward_vector(RewardTable(np.zeros((2, 2, 2))), chain) == 0.0)
+        rv = reward_vector(RewardTable(np.full((2, 2, 2), 3.25)), chain)
         np.testing.assert_allclose(rv, 3.25)
 
 
@@ -99,7 +99,7 @@ class TestPolicyEvaluate:
 
     def test_bundle_internal_consistency(self, chain, chain_reward):
         bundle = policy_evaluate(chain, chain_reward, SWITCH_THEN_STAY)
-        rsa = reward_vector(chain_reward, chain).r
+        rsa = reward_vector(chain_reward, chain)
         q_expected = rsa + 0.5 * (chain.transition @ bundle.v)
         np.testing.assert_allclose(bundle.q, q_expected, atol=1e-12)
         assert bundle.j == pytest.approx(float(chain.initial @ bundle.v), abs=1e-12)
@@ -202,6 +202,15 @@ class TestSoftOptimalValues:
 class TestAgainstValueIterationOracle:
     """Policy-iteration solvers against plain value iteration run to 1e-13."""
 
+    def test_stacked_series_matches_one_policy_at_a_time(self):
+        mdp = random_mdp(3, 3, 0.95, seed=2)
+        r = random_reward(mdp, seed=3)
+        one_at_a_time = [
+            oracles.truncated_j(mdp, r, oracles.one_hot(actions, 3))
+            for actions in oracles.all_deterministic_policies(3, 3)
+        ]
+        np.testing.assert_allclose(oracles.brute_force_j_table(mdp, r), one_at_a_time, rtol=0, atol=1e-12)
+
     def test_seeded_instances(self):
         for mdp, r, alpha in _oracle_instances(200):
             hard = optimal_values(mdp, r)
@@ -262,7 +271,7 @@ class TestOccupancy:
             d = occupancy(mdp, pi)
             np.testing.assert_allclose(d.d, oracles.truncated_occupancy(mdp, pi.probs), atol=1e-9)
             j = policy_evaluate(mdp, r, pi).j
-            assert float((d.d * reward_vector(r, mdp).r).sum()) == pytest.approx(j, abs=1e-8)
+            assert float((d.d * reward_vector(r, mdp)).sum()) == pytest.approx(j, abs=1e-8)
 
     def test_injective_on_full_support_policies(self):
         for seed in range(100):
@@ -294,7 +303,7 @@ class TestControllableStates:
 
     def test_sampled_fallback_flag(self):
         mdp = random_mdp(7, 4, 0.8, seed=3)  # 4^7 = 16384 > 4096
-        result = controllable_states(mdp, seed=0)
+        result = controllable_states(mdp)
         assert result.sampled
         assert len(result) > 0
 

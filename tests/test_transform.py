@@ -108,7 +108,7 @@ class TestRedistributionSampler:
         out = apply(spec, chain_reward, chain)
         support = chain.transition > 0
         assert np.array_equal(out.values[support], chain_reward.values[support])
-        assert np.array_equal(reward_vector(out, chain).r, reward_vector(chain_reward, chain).r)
+        assert np.array_equal(reward_vector(out, chain), reward_vector(chain_reward, chain))
 
     def test_two_support_row_preserves_expectation(self):
         tau = np.zeros((2, 1, 2))
@@ -122,20 +122,20 @@ class TestRedistributionSampler:
         out = apply(spec, r, mdp)
         assert not np.array_equal(out.values[0, 0], r.values[0, 0])  # actually redistributed
         np.testing.assert_allclose(
-            reward_vector(out, mdp).r, reward_vector(r, mdp).r, atol=1e-12
+            reward_vector(out, mdp), reward_vector(r, mdp), atol=1e-12
         )
 
     def test_zero_magnitude_changes_nothing(self, chain, chain_reward):
         spec = sample_s_redistribution(chain, chain_reward, 0.0, seed=4)
         out = apply(spec, chain_reward, chain)
-        assert np.array_equal(reward_vector(out, chain).r, reward_vector(chain_reward, chain).r)
+        assert np.array_equal(reward_vector(out, chain), reward_vector(chain_reward, chain))
 
     def test_per_pair_expectation_preservation(self):
         for seed in range(20):
             mdp = random_mdp(4, 3, 0.8, seed=seed)
             r = random_reward(mdp, seed=seed + 30, gap_floor=None)
             out = apply(sample_s_redistribution(mdp, r, 2.0, seed=seed), r, mdp)
-            gap = np.abs(reward_vector(out, mdp).r - reward_vector(r, mdp).r).max()
+            gap = np.abs(reward_vector(out, mdp) - reward_vector(r, mdp)).max()
             assert gap <= 1e-12
 
 
@@ -145,7 +145,7 @@ class TestOptimalityPreserving:
         # pairs and -1 elsewhere.
         spec = OptimalityPreserving(psi=np.zeros(2), slack=-np.ones((2, 2)))
         out = apply(spec, chain_reward, chain)
-        rv = reward_vector(out, chain).r
+        rv = reward_vector(out, chain)
         np.testing.assert_allclose(rv, [[-1.0, 0.0], [0.0, -1.0]], atol=1e-12)
         assert oracles.brute_force_opt_sets(chain, out) == ({1}, {0})
 
