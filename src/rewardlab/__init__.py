@@ -44,7 +44,6 @@ from .solve import (
     SoftBundle,
     ValueBundle,
     controllable_states,
-    mc_return,
     occupancy,
     optimal_values,
     policy_evaluate,

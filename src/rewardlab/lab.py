@@ -1,17 +1,25 @@
 """Randomized verification harness: generators, claim registry, counterexamples.
 
 Every claim in the registry packages one robustness statement as a seeded,
-self-checking experiment. Positive claims must pass every trial; existential
-("not robust") claims must produce at least one verified counterexample within
-their trial budget, and budget exhaustion is a suite failure, never a silent
-pass. Trials draw their randomness from substreams keyed on (seed, trial
-index), so reports are reproducible and trials could run in any order.
+self-checking experiment: a plain trial function ``(config, trial, searching)
+-> outcome`` run by the one trial loop, ``_run_trials``. The loop owns the
+trial budget and keeps the first counterexample any trial returns;
+``searching`` tells a trial whether one is still wanted. It also applies the
+witness rule: an existential ("not robust") claim names a witness message,
+and if none of its trials returned a counterexample its last trial fails
+with that message, so budget exhaustion is a suite failure, never a silent
+pass. Positive claims must pass every trial. BOLTZ-OPT, BM-ORD and MCE-ORD
+share the paper's robustness test, ``_robustness_trial``: observe pi = g(R2),
+fit R1 = f^-1(pi), decide R1 ≡ R2. Trials draw their randomness from
+substreams keyed on (seed, trial index), so reports are reproducible and
+trials could run in any order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,12 +37,13 @@ from .mdp import (
 )
 from .models import (
     FVariantSpec,
+    _softmax_rows,
     boltzmann_policy,
     fvariant_policy,
     invert_boltzmann,
     invert_mce,
-    mce_policy,
     optimal_set_policy,
+    soft_policy,
 )
 from .solve import (
     controllable_states,
@@ -44,6 +53,7 @@ from .solve import (
     occupancy,
     optimal_values,
     reward_vector,
+    soft_optimal_values,
 )
 from .transform import (
     LinearScaling,
@@ -395,22 +405,6 @@ def tau_counterexample(mdp1: Mdp, tau2, seed: int = 0) -> CounterexampleRecord |
 # Claim registry
 # ---------------------------------------------------------------------------
 
-DEFAULT_TRIALS = {
-    "ORD-CHAR": 200,
-    "BOLTZ-OPT": 100,
-    "BM-ORD": 100,
-    "OPT-MODEL": 200,
-    "MCE-ORD": 100,
-    "LEM-GAMMA": 20,
-    "LEM-TAU": 20,
-    "MDP-MISSPEC": 8,
-    "OCC-INJ": 100,
-    "J-AMB": 100,
-    "CONTROL": 200,
-    "EX-SA-SHAPING": 100,
-    "EX-TRANSFER": 10,
-}
-
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -438,16 +432,7 @@ PARAM_TYPES = {
     "probe_budget": ("a non-negative integer", lambda x: _is_number(x) and isinstance(x, int) and x >= 0),
     "beta1": ("a positive number", _is_positive),
     "beta2": ("a positive number", _is_positive),
-    "residual_bound": ("a positive number", _is_positive),
     "gamma_pairs": ("a non-empty list of [gamma1, gamma2] discount pairs", _is_gamma_pairs),
-}
-
-# The params keys each claim reads besides "gamma", which every claim accepts.
-CLAIM_PARAMS = {
-    "BOLTZ-OPT": ("probe_budget",),
-    "BM-ORD": ("beta1", "beta2"),
-    "MCE-ORD": ("residual_bound",),
-    "LEM-GAMMA": ("gamma_pairs",),
 }
 
 
@@ -455,7 +440,7 @@ def _check_params(params: dict, keys, reader: str) -> None:
     """Raise StructuralError on a key outside ``keys`` or a value PARAM_TYPES rejects."""
     for key, value in params.items():
         if key not in keys:
-            accepted = ", ".join(sorted(keys))
+            accepted = ", ".join(sorted(keys)) or "none"
             raise StructuralError(f"params key {key!r} is not read by {reader}; accepted: {accepted}")
         what, accepts = PARAM_TYPES[key]
         if not accepts(value):
@@ -475,16 +460,12 @@ def _config_doc(config: ExperimentConfig, trials: int) -> dict:
     }
 
 
-def _n_trials(config: ExperimentConfig) -> int:
-    return config.trials if config.trials > 0 else DEFAULT_TRIALS[config.claim_id]
-
-
-def _draw_env(config: ExperimentConfig, trial: int, salt: int = 0) -> Mdp:
-    rng = _substream(config.seed, trial, salt)
+def _draw_env(config: ExperimentConfig, trial: int) -> Mdp:
+    rng = _substream(config.seed, trial, 0)
     n = int(rng.integers(STATES[0], STATES[1] + 1))
     k = int(rng.integers(ACTIONS[0], ACTIONS[1] + 1))
     gamma = config.params.get("gamma") or float(rng.uniform(0.4, 0.95))
-    return random_mdp(n, k, gamma, _child_seeds(config.seed, trial, salt, 1)[0])
+    return random_mdp(n, k, gamma, _child_seeds(config.seed, trial, 0, 1)[0])
 
 
 def _loguniform(rng, lo: float, hi: float) -> float:
@@ -507,23 +488,32 @@ def oracle_opt_sets(mdp: Mdp, r: RewardTable) -> tuple:
     return tuple(frozenset(winners[:, s].tolist()) for s in range(mdp.n_states))
 
 
-def _run_trials(config: ExperimentConfig, body) -> TrialReport:
-    """Shared trial loop: body(trial) returns an outcome dict (status + diagnostics)."""
-    trials = _n_trials(config)
+def _run_trials(config: ExperimentConfig, trial, witness: str | None = None) -> TrialReport:
+    """The one trial loop: ``trial(config, i, searching)`` returns an outcome dict.
+
+    ``searching`` stays true until some trial has returned a "counterexample";
+    the first one returned becomes the report's ``first_counterexample``. A
+    claim with a ``witness`` message is existential: if no trial returned a
+    counterexample, its last trial fails with that message. An exception fails
+    only its own trial and keeps its own error.
+    """
+    trials = config.trials if config.trials > 0 else DEFAULT_TRIALS[config.claim_id]
     t0 = time.perf_counter()
     outcomes = []
     counterexample = None
     for i in range(trials):
         try:
-            outcome = body(i)
+            outcome = trial(config, i, counterexample is None)
         except Exception as exc:  # one bad trial fails that trial, not the registry
             outcome = {"status": "fail", "error": f"{type(exc).__name__}: {exc}"}
+        else:
+            found = outcome.pop("counterexample", None)
+            if counterexample is None:
+                counterexample = found
+            if witness is not None and counterexample is None and i == trials - 1:
+                outcome.update(status="fail", error=witness)
         outcome["trial"] = i
         outcomes.append(outcome)
-        if counterexample is None and outcome.get("counterexample") is not None:
-            counterexample = outcome.pop("counterexample")
-        else:
-            outcome.pop("counterexample", None)
     ok = all(o["status"] != "fail" for o in outcomes)
     return TrialReport(
         claim_id=config.claim_id,
@@ -535,407 +525,359 @@ def _run_trials(config: ExperimentConfig, body) -> TrialReport:
     )
 
 
-def _claim_ord_char(config: ExperimentConfig) -> TrialReport:
+def _robustness_trial(config: ExperimentConfig, trial: int, salt: int, g, f_inv, relation):
+    """The paper's robustness test on one drawn pair: does f(R1) = g(R2) give R1 ≡ R2?
+
+    Draws the environment and R2 (the latter from ``salt + 1``), observes
+    ``g(mdp, R2)``, fits ``R1 = f_inv(observed, mdp)`` and decides
+    ``relation(R1, R2, mdp)``. The observation is a policy, or the solved
+    values it is read off. The caller draws the parameters of g and f from
+    ``_substream(seed, trial, salt)``. Returns (mdp, observed, R1, R2, verdict).
+    """
+    mdp = _draw_env(config, trial)
+    r2 = random_reward(mdp, bounds=BOUNDS, seed=_child_seeds(config.seed, trial, salt + 1)[0])
+    observed = g(mdp, r2)
+    r1 = f_inv(observed, mdp)
+    return mdp, observed, r1, r2, relation(r1, r2, mdp)
+
+
+def _ord_char(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Round-trip construct/recover for the scaling+shaping+redistribution class."""
-
-    def body(i):
-        rng = _substream(config.seed, i, 10)
-        mdp = _draw_env(config, i)
-        seeds = _child_seeds(config.seed, i, 11, n=4)
-        r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
-        c = _loguniform(rng, 0.2, 5.0)
-        cur = r1
-        applied_order = [["ls", "ps", "sr"][k] for k in rng.permutation(3)]
-        for step_kind in applied_order:
-            if step_kind == "ls":
-                spec = LinearScaling(c)
-            elif step_kind == "ps":
-                spec = sample_potential_shaping(mdp, BOUNDS, False, seeds[1])
-            else:
-                spec = sample_s_redistribution(mdp, cur, BOUNDS, seeds[2])
-            cur = apply(spec, cur, mdp)
-        verdict = ord_equivalent(r1, cur, mdp)
-        cert = verdict.certificate
-        pos_ok = (
-            verdict.equivalent
-            and cert.residual <= 1e-6
-            and (cert.degenerate or abs(cert.c - c) <= 1e-6 * max(1.0, c))
-        )
-        # Negative control: an independent reward; decider and oracle must agree
-        # (ord_equivalent raises InternalConsistencyError on any disagreement).
-        r3 = random_reward(mdp, bounds=BOUNDS, seed=seeds[3])
-        neg_verdict = ord_equivalent(r1, r3, mdp)
-        status = "pass" if pos_ok else "fail"
-        return {
-            "status": status,
-            "order": applied_order,
-            "c_true": c,
-            "c_fit": cert.c if cert else None,
-            "residual": cert.residual if cert else None,
-            "negative_equivalent": neg_verdict.equivalent,
-        }
-
-    return _run_trials(config, body)
+    rng = _substream(config.seed, trial, 10)
+    mdp = _draw_env(config, trial)
+    seeds = _child_seeds(config.seed, trial, 11, n=4)
+    r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
+    c = _loguniform(rng, 0.2, 5.0)
+    cur = r1
+    applied_order = [["ls", "ps", "sr"][k] for k in rng.permutation(3)]
+    for step_kind in applied_order:
+        if step_kind == "ls":
+            spec = LinearScaling(c)
+        elif step_kind == "ps":
+            spec = sample_potential_shaping(mdp, BOUNDS, False, seeds[1])
+        else:
+            spec = sample_s_redistribution(mdp, cur, BOUNDS, seeds[2])
+        cur = apply(spec, cur, mdp)
+    verdict = ord_equivalent(r1, cur, mdp)
+    cert = verdict.certificate
+    pos_ok = (
+        verdict.equivalent
+        and cert.residual <= 1e-6
+        and (cert.degenerate or abs(cert.c - c) <= 1e-6 * max(1.0, c))
+    )
+    # Negative control: an independent reward; decider and oracle must agree
+    # (ord_equivalent raises InternalConsistencyError on any disagreement).
+    r3 = random_reward(mdp, bounds=BOUNDS, seed=seeds[3])
+    neg_verdict = ord_equivalent(r1, r3, mdp)
+    status = "pass" if pos_ok else "fail"
+    return {
+        "status": status,
+        "order": applied_order,
+        "c_true": c,
+        "c_fit": cert.c if cert else None,
+        "residual": cert.residual if cert else None,
+        "negative_equivalent": neg_verdict.equivalent,
+    }
 
 
-def _claim_boltz_opt(config: ExperimentConfig) -> TrialReport:
+def _boltz_opt(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Softmax-of-Q* model vs argmax-preserving probes, plus the argmax-inverting probe."""
-    from .models import _softmax_rows
+    rng = _substream(config.seed, trial, 20)
+    if trial % 2 == 0:
+        spec = FVariantSpec(
+            variant="mixture",
+            lam=float(rng.uniform(0.2, 0.8)),
+            beta1=_loguniform(rng, 0.5, 5.0),
+            beta2=_loguniform(rng, 0.5, 5.0),
+        )
+    else:
+        spec = FVariantSpec(
+            variant="tempered-rank",
+            beta=_loguniform(rng, 0.5, 5.0),
+            p=float(rng.uniform(0.5, 3.0)),
+        )
+    beta = _loguniform(rng, 0.1, 10.0)
 
-    probe_budget = int(config.params.get("probe_budget", 1000))
-    state = {"violation": None}
+    def f_inv(pi, mdp):
+        return invert_boltzmann(pi, beta, mdp)
 
-    def body(i):
-        rng = _substream(config.seed, i, 20)
-        mdp = _draw_env(config, i)
-        seeds = _child_seeds(config.seed, i, 21, n=2)
-        r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
-        if i % 2 == 0:
-            spec = FVariantSpec(
-                variant="mixture",
-                lam=float(rng.uniform(0.2, 0.8)),
-                beta1=_loguniform(rng, 0.5, 5.0),
-                beta2=_loguniform(rng, 0.5, 5.0),
-            )
-        else:
-            spec = FVariantSpec(
-                variant="tempered-rank",
-                beta=_loguniform(rng, 0.5, 5.0),
-                p=float(rng.uniform(0.5, 3.0)),
-            )
-        pi = fvariant_policy(mdp, r2, spec)
-        beta = _loguniform(rng, 0.1, 10.0)
-        r1 = invert_boltzmann(pi, beta, mdp)
-        verdict = opt_equivalent(r1, r2, mdp)
-        outcome = {"status": "pass" if verdict.equivalent else "fail", "variant": spec.variant}
+    verdict = _robustness_trial(
+        config, trial, 20, lambda mdp, r2: fvariant_policy(mdp, r2, spec), f_inv, opt_equivalent
+    )[-1]
+    outcome = {"status": "pass" if verdict.equivalent else "fail", "variant": spec.variant}
 
-        # Existential side: one argmax-inverting probe per trial until a
-        # verified violation lands; never finding one fails the claim.
-        if state["violation"] is None and i < probe_budget:
-            q2 = optimal_values(mdp, r2).q_star
-            neg_pi = StochasticPolicy(_softmax_rows(-beta * q2))
-            r1_neg = invert_boltzmann(neg_pi, beta, mdp)
-            neg_verdict = opt_equivalent(r1_neg, r2, mdp)
-            if not neg_verdict.equivalent and oracle_opt_sets(mdp, r1_neg) != oracle_opt_sets(mdp, r2):
-                state["violation"] = {
-                    "claim": "BOLTZ-OPT",
-                    "note": "argmax-inverting probe produced an optimality flip",
-                    "witness": neg_verdict.witness,
-                    "mdp": documents.mdp_to_doc(mdp),
-                    "r1": documents.reward_to_doc(r1_neg),
-                    "r2": documents.reward_to_doc(r2),
-                }
-                outcome["counterexample"] = state["violation"]
-        if i == _n_trials(config) - 1 and state["violation"] is None:
-            outcome["status"] = "fail"
-            outcome["error"] = "no verified violation found within the probe budget"
-        return outcome
+    # Existential side: until a verified violation lands, the same pipeline
+    # runs once per trial with the argmax-inverting g = softmax(-beta * Q*).
+    if searching and trial < int(config.params.get("probe_budget", 1000)):
+        def g_inverting(mdp, r2):
+            return StochasticPolicy(_softmax_rows(-beta * optimal_values(mdp, r2).q_star))
 
-    return _run_trials(config, body)
-
-
-def _claim_bm_ord(config: ExperimentConfig) -> TrialReport:
-    """Temperature misspecification preserves the policy ordering."""
-    forced_b1 = config.params.get("beta1")
-    forced_b2 = config.params.get("beta2")
-
-    def body(i):
-        rng = _substream(config.seed, i, 30)
-        if forced_b1 is not None and forced_b2 is not None and forced_b1 == forced_b2:
-            return {"status": "skip", "note": "not misspecified"}
-        mdp = _draw_env(config, i)
-        seeds = _child_seeds(config.seed, i, 31, n=1)
-        r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
-        beta2 = forced_b2 if forced_b2 is not None else _loguniform(rng, 0.1, 10.0)
-        beta1 = forced_b1 if forced_b1 is not None else _loguniform(rng, 0.1, 10.0)
-        while beta1 == beta2:
-            beta1 = _loguniform(rng, 0.1, 10.0)
-        pi = boltzmann_policy(mdp, r2, beta2)
-        r1 = invert_boltzmann(pi, beta1, mdp)
-        verdict = ord_equivalent(r1, r2, mdp)
-        return {
-            "status": "pass" if verdict.equivalent else "fail",
-            "beta1": beta1,
-            "beta2": beta2,
-        }
-
-    return _run_trials(config, body)
-
-
-def _claim_mce_ord(config: ExperimentConfig) -> TrialReport:
-    """Entropy-weight misspecification preserves the policy ordering."""
-    from .solve import soft_optimal_values
-
-    residual_bound = float(config.params.get("residual_bound", 1e-8))
-
-    def body(i):
-        rng = _substream(config.seed, i, 40)
-        mdp = _draw_env(config, i)
-        seeds = _child_seeds(config.seed, i, 41, n=1)
-        r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
-        alpha2 = _loguniform(rng, 0.1, 10.0)
-        alpha1 = _loguniform(rng, 0.1, 10.0)
-        while alpha1 == alpha2:
-            alpha1 = _loguniform(rng, 0.1, 10.0)
-        bundle = soft_optimal_values(mdp, r2, alpha2)
-        if bundle.residual > residual_bound:
-            return {"status": "fail", "error": f"soft residual {bundle.residual:.3e}"}
-        pi = mce_policy(mdp, r2, alpha2)
-        r1 = invert_mce(pi, alpha1)
-        verdict = ord_equivalent(r1, r2, mdp)
-        return {
-            "status": "pass" if verdict.equivalent else "fail",
-            "alpha1": alpha1,
-            "alpha2": alpha2,
-            "soft_residual": bundle.residual,
-        }
-
-    return _run_trials(config, body)
-
-
-def _claim_opt_model(config: ExperimentConfig) -> TrialReport:
-    """Optimal-set model: admissibility biconditional plus the class-swap violation."""
-    state = {"violation": None}
-
-    def body(i):
-        mdp = _draw_env(config, i)
-        seeds = _child_seeds(config.seed, i, 51, n=3)
-        r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
-        related = i % 2 == 0
-        if related:
-            op = sample_optimality_preserving(mdp, r1, BOUNDS, seeds[1])
-            r2 = apply(op, r1, mdp)
-        else:
-            r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[2])
-        decider = opt_equivalent(r1, r2, mdp).equivalent
-        sets_equal = optimal_set_policy(mdp, r1) == optimal_set_policy(mdp, r2)
-        oracle = oracle_opt_sets(mdp, r1) == oracle_opt_sets(mdp, r2)
-        ok = decider == sets_equal == oracle and (decider or not related)
-        outcome = {"status": "pass" if ok else "fail", "related": related, "equivalent": decider}
-
-        # A map swapping two optimality classes witnesses non-robustness: it
-        # sends r1 to the model output of r2 while the two are inequivalent.
-        if state["violation"] is None and not decider:
-            state["violation"] = {
-                "claim": "OPT-MODEL",
-                "note": "swapping the classes of r1 and r2 makes the learner land in the wrong class",
+        mdp, _, r1, r2, neg_verdict = _robustness_trial(
+            config, trial, 20, g_inverting, f_inv, opt_equivalent
+        )
+        if not neg_verdict.equivalent and oracle_opt_sets(mdp, r1) != oracle_opt_sets(mdp, r2):
+            outcome["counterexample"] = {
+                "claim": "BOLTZ-OPT",
+                "note": "argmax-inverting probe produced an optimality flip",
+                "witness": neg_verdict.witness,
                 "mdp": documents.mdp_to_doc(mdp),
                 "r1": documents.reward_to_doc(r1),
                 "r2": documents.reward_to_doc(r2),
-                "opt1": [sorted(s) for s in oracle_opt_sets(mdp, r1)],
-                "opt2": [sorted(s) for s in oracle_opt_sets(mdp, r2)],
             }
-            outcome["counterexample"] = state["violation"]
-        if i == _n_trials(config) - 1 and state["violation"] is None:
-            outcome["status"] = "fail"
-            outcome["error"] = "no class-swap violation found"
-        return outcome
-
-    return _run_trials(config, body)
+    return outcome
 
 
-def _claim_lem_gamma(config: ExperimentConfig) -> TrialReport:
+def _bm_ord(config: ExperimentConfig, trial: int, searching: bool) -> dict:
+    """Temperature misspecification preserves the policy ordering."""
+    forced_b1 = config.params.get("beta1")
+    forced_b2 = config.params.get("beta2")
+    if forced_b1 is not None and forced_b1 == forced_b2:
+        return {"status": "skip", "note": "not misspecified"}
+    rng = _substream(config.seed, trial, 30)
+    beta2 = forced_b2 if forced_b2 is not None else _loguniform(rng, 0.1, 10.0)
+    beta1 = forced_b1 if forced_b1 is not None else _loguniform(rng, 0.1, 10.0)
+    while beta1 == beta2:
+        beta1 = _loguniform(rng, 0.1, 10.0)
+    verdict = _robustness_trial(
+        config, trial, 30, lambda mdp, r2: boltzmann_policy(mdp, r2, beta2),
+        lambda pi, mdp: invert_boltzmann(pi, beta1, mdp), ord_equivalent,
+    )[-1]
+    return {
+        "status": "pass" if verdict.equivalent else "fail",
+        "beta1": beta1,
+        "beta2": beta2,
+    }
+
+
+def _mce_ord(config: ExperimentConfig, trial: int, searching: bool) -> dict:
+    """Entropy-weight misspecification preserves the policy ordering."""
+    rng = _substream(config.seed, trial, 40)
+    alpha2 = _loguniform(rng, 0.1, 10.0)
+    alpha1 = _loguniform(rng, 0.1, 10.0)
+    while alpha1 == alpha2:
+        alpha1 = _loguniform(rng, 0.1, 10.0)
+    # g solves the soft values once: the policy is read off them and their
+    # residual is reported.
+    _, soft, _, _, verdict = _robustness_trial(
+        config, trial, 40, lambda mdp, r2: soft_optimal_values(mdp, r2, alpha2),
+        lambda soft, mdp: invert_mce(soft_policy(soft), alpha1), ord_equivalent,
+    )
+    return {
+        "status": "pass" if verdict.equivalent else "fail",
+        "alpha1": alpha1,
+        "alpha2": alpha2,
+        "soft_residual": soft.residual,
+    }
+
+
+def _opt_model(config: ExperimentConfig, trial: int, searching: bool) -> dict:
+    """Optimal-set model: admissibility biconditional plus the class-swap violation."""
+    mdp = _draw_env(config, trial)
+    seeds = _child_seeds(config.seed, trial, 51, n=3)
+    r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
+    related = trial % 2 == 0
+    if related:
+        op = sample_optimality_preserving(mdp, r1, BOUNDS, seeds[1])
+        r2 = apply(op, r1, mdp)
+    else:
+        r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[2])
+    decider = opt_equivalent(r1, r2, mdp).equivalent
+    sets_equal = optimal_set_policy(mdp, r1) == optimal_set_policy(mdp, r2)
+    oracle = oracle_opt_sets(mdp, r1) == oracle_opt_sets(mdp, r2)
+    ok = decider == sets_equal == oracle and (decider or not related)
+    outcome = {"status": "pass" if ok else "fail", "related": related, "equivalent": decider}
+
+    # A map swapping two optimality classes witnesses non-robustness: it
+    # sends r1 to the model output of r2 while the two are inequivalent.
+    if searching and not decider:
+        outcome["counterexample"] = {
+            "claim": "OPT-MODEL",
+            "note": "swapping the classes of r1 and r2 makes the learner land in the wrong class",
+            "mdp": documents.mdp_to_doc(mdp),
+            "r1": documents.reward_to_doc(r1),
+            "r2": documents.reward_to_doc(r2),
+            "opt1": [sorted(s) for s in oracle_opt_sets(mdp, r1)],
+            "opt2": [sorted(s) for s in oracle_opt_sets(mdp, r2)],
+        }
+    return outcome
+
+
+def _lem_gamma(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Discount misspecification: counterexamples exist exactly when predicted."""
     pairs = [tuple(p) for p in config.params.get("gamma_pairs", [(0.5, 0.9), (0.9, 0.95)])]
-
-    def body(i):
-        mdp = _draw_env(config, i)
-        records = []
-        for pi_idx, (g1, g2) in enumerate(pairs):
-            rec = gamma_counterexample(mdp, g1, g2, seed=_child_seeds(config.seed, i, 60 + pi_idx, 1)[0])
-            if g1 == g2:
-                # The statement's exclusion clause: no counterexample may exist.
-                if rec is not None:
-                    return {"status": "fail", "error": f"equal discounts {g1} produced a counterexample"}
-                continue
-            if rec is None or not rec.verify():
-                return {"status": "fail", "error": f"no verified counterexample for {(g1, g2)}"}
-            records.append(rec)
-        trivial = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
-        if gamma_counterexample(trivial, pairs[0][0], pairs[0][1], seed=config.seed) is not None:
-            return {"status": "fail", "error": "trivial-transition control produced a counterexample"}
-        if gamma_counterexample(mdp, pairs[0][0], pairs[0][0], seed=config.seed) is not None:
-            return {"status": "fail", "error": "equal-discount control produced a counterexample"}
-        outcome = {"status": "pass", "x_values": [r.params["x"] for r in records]}
-        if records:
-            outcome["counterexample"] = records[0].to_doc()
-        return outcome
-
-    return _run_trials(config, body)
+    mdp = _draw_env(config, trial)
+    records = []
+    for pi_idx, (g1, g2) in enumerate(pairs):
+        rec = gamma_counterexample(mdp, g1, g2, seed=_child_seeds(config.seed, trial, 60 + pi_idx, 1)[0])
+        if g1 == g2:
+            # The statement's exclusion clause: no counterexample may exist.
+            if rec is not None:
+                return {"status": "fail", "error": f"equal discounts {g1} produced a counterexample"}
+            continue
+        if rec is None:
+            return {"status": "fail", "error": f"no verified counterexample for {(g1, g2)}"}
+        records.append(rec)
+    trivial = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
+    if gamma_counterexample(trivial, pairs[0][0], pairs[0][1], seed=config.seed) is not None:
+        return {"status": "fail", "error": "trivial-transition control produced a counterexample"}
+    if gamma_counterexample(mdp, pairs[0][0], pairs[0][0], seed=config.seed) is not None:
+        return {"status": "fail", "error": "equal-discount control produced a counterexample"}
+    outcome = {"status": "pass", "x_values": [r.params["x"] for r in records]}
+    if records:
+        outcome["counterexample"] = records[0].to_doc()
+    return outcome
 
 
-def _claim_lem_tau(config: ExperimentConfig) -> TrialReport:
+def _lem_tau(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Transition misspecification: redistribution-invisible rewrites flip optimality."""
-
-    def body(i):
-        rng = _substream(config.seed, i, 70)
-        mdp1 = _draw_env(config, i)
-        tau2 = mdp1.transition.copy()
-        n_rows = int(rng.integers(1, mdp1.n_states * mdp1.n_actions + 1))
-        flat = rng.choice(mdp1.n_states * mdp1.n_actions, size=n_rows, replace=False)
-        for f in flat:
-            s, a = divmod(int(f), mdp1.n_actions)
-            tau2[s, a] = rng.dirichlet(np.ones(mdp1.n_states))
-        rec = tau_counterexample(mdp1, tau2, seed=_child_seeds(config.seed, i, 71, 1)[0])
-        if rec is None or not rec.verify():
-            return {"status": "fail", "error": "no verified counterexample for differing rows"}
-        if tau_counterexample(mdp1, mdp1.transition, seed=config.seed) is not None:
-            return {"status": "fail", "error": "identical-transition control produced a counterexample"}
-        return {"status": "pass", "rows_changed": n_rows, "counterexample": rec.to_doc()}
-
-    return _run_trials(config, body)
+    rng = _substream(config.seed, trial, 70)
+    mdp1 = _draw_env(config, trial)
+    tau2 = mdp1.transition.copy()
+    n_rows = int(rng.integers(1, mdp1.n_states * mdp1.n_actions + 1))
+    flat = rng.choice(mdp1.n_states * mdp1.n_actions, size=n_rows, replace=False)
+    for f in flat:
+        s, a = divmod(int(f), mdp1.n_actions)
+        tau2[s, a] = rng.dirichlet(np.ones(mdp1.n_states))
+    rec = tau_counterexample(mdp1, tau2, seed=_child_seeds(config.seed, trial, 71, 1)[0])
+    if rec is None:
+        return {"status": "fail", "error": "no verified counterexample for differing rows"}
+    if tau_counterexample(mdp1, mdp1.transition, seed=config.seed) is not None:
+        return {"status": "fail", "error": "identical-transition control produced a counterexample"}
+    return {"status": "pass", "rows_changed": n_rows, "counterexample": rec.to_doc()}
 
 
-def _claim_mdp_misspec(config: ExperimentConfig) -> TrialReport:
+def _mdp_misspec(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Combined statement: both generators fire when allowed, never when excluded."""
-
-    def body(i):
-        mdp = _draw_env(config, i)
-        seeds = _child_seeds(config.seed, i, 80, n=3)
-        rng = _substream(config.seed, i, 81)
-        rec_g = gamma_counterexample(mdp, 0.5, 0.9, seed=seeds[0])
-        if rec_g is None or not rec_g.verify():
-            return {"status": "fail", "error": "gamma generator failed on a non-trivial MDP"}
-        tau2 = mdp.transition.copy()
-        tau2[0, 0] = rng.dirichlet(np.ones(mdp.n_states))
-        rec_t = tau_counterexample(mdp, tau2, seed=seeds[1])
-        if rec_t is None or not rec_t.verify():
-            return {"status": "fail", "error": "tau generator failed on differing rows"}
-        trivial = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
-        excluded = (
-            gamma_counterexample(mdp, 0.7, 0.7, seed=seeds[2]) is None
-            and gamma_counterexample(trivial, 0.5, 0.9, seed=seeds[2]) is None
-            and tau_counterexample(mdp, mdp.transition, seed=seeds[2]) is None
-        )
-        if not excluded:
-            return {"status": "fail", "error": "an excluded case produced a counterexample"}
-        return {"status": "pass"}
-
-    return _run_trials(config, body)
+    mdp = _draw_env(config, trial)
+    seeds = _child_seeds(config.seed, trial, 80, n=3)
+    rng = _substream(config.seed, trial, 81)
+    if gamma_counterexample(mdp, 0.5, 0.9, seed=seeds[0]) is None:
+        return {"status": "fail", "error": "gamma generator failed on a non-trivial MDP"}
+    tau2 = mdp.transition.copy()
+    tau2[0, 0] = rng.dirichlet(np.ones(mdp.n_states))
+    if tau_counterexample(mdp, tau2, seed=seeds[1]) is None:
+        return {"status": "fail", "error": "tau generator failed on differing rows"}
+    trivial = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
+    excluded = (
+        gamma_counterexample(mdp, 0.7, 0.7, seed=seeds[2]) is None
+        and gamma_counterexample(trivial, 0.5, 0.9, seed=seeds[2]) is None
+        and tau_counterexample(mdp, mdp.transition, seed=seeds[2]) is None
+    )
+    if not excluded:
+        return {"status": "fail", "error": "an excluded case produced a counterexample"}
+    return {"status": "pass"}
 
 
-def _claim_occ_inj(config: ExperimentConfig) -> TrialReport:
+def _occ_inj(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Distinct full-support policies have distinct occupancy vectors."""
-
-    def body(i):
-        mdp = _draw_env(config, i)
-        seeds = _child_seeds(config.seed, i, 90, n=8)
-        pi1 = random_policy(mdp.n_states, mdp.n_actions, seeds[0])
-        pi2 = random_policy(mdp.n_states, mdp.n_actions, seeds[1])
-        k = 2
-        while np.abs(pi1.probs - pi2.probs).max() < 1e-3:
-            pi2 = random_policy(mdp.n_states, mdp.n_actions, seeds[k])
-            k += 1
-        d1, d2 = occupancy(mdp, pi1), occupancy(mdp, pi2)
-        mass = 1.0 / (1.0 - mdp.discount)
-        sums_ok = (
-            abs(d1.d.sum() - mass) <= 1e-9 * max(1.0, mass)
-            and abs(d2.d.sum() - mass) <= 1e-9 * max(1.0, mass)
-        )
-        gap = float(np.abs(d1.d - d2.d).max())
-        ok = sums_ok and gap > 1e-9
-        return {"status": "pass" if ok else "fail", "occupancy_gap": gap}
-
-    return _run_trials(config, body)
+    mdp = _draw_env(config, trial)
+    seeds = _child_seeds(config.seed, trial, 90, n=8)
+    pi1 = random_policy(mdp.n_states, mdp.n_actions, seeds[0])
+    pi2 = random_policy(mdp.n_states, mdp.n_actions, seeds[1])
+    k = 2
+    while np.abs(pi1.probs - pi2.probs).max() < 1e-3:
+        pi2 = random_policy(mdp.n_states, mdp.n_actions, seeds[k])
+        k += 1
+    d1, d2 = occupancy(mdp, pi1), occupancy(mdp, pi2)
+    mass = 1.0 / (1.0 - mdp.discount)
+    sums_ok = (
+        abs(d1.d.sum() - mass) <= 1e-9 * max(1.0, mass)
+        and abs(d2.d.sum() - mass) <= 1e-9 * max(1.0, mass)
+    )
+    gap = float(np.abs(d1.d - d2.d).max())
+    ok = sums_ok and gap > 1e-9
+    return {"status": "pass" if ok else "fail", "occupancy_gap": gap}
 
 
-def _claim_j_amb(config: ExperimentConfig) -> TrialReport:
+def _j_amb(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """J is blind to zero-mean shaping plus redistribution, and to nothing more."""
-
-    def body(i):
-        rng = _substream(config.seed, i, 100)
-        mdp = _draw_env(config, i)
-        seeds = _child_seeds(config.seed, i, 101, n=3)
-        r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0], j_floor=1e-2)
-        ps = sample_potential_shaping(mdp, BOUNDS, True, seeds[1])
-        shaped = apply(ps, r1, mdp)
-        sr = sample_s_redistribution(mdp, shaped, BOUNDS, seeds[2])
-        r2 = apply(sr, shaped, mdp)
-        if not j_equal(r1, r2, mdp).equivalent:
-            return {"status": "fail", "error": "zero-mean shaping + redistribution changed J"}
+    rng = _substream(config.seed, trial, 100)
+    mdp = _draw_env(config, trial)
+    seeds = _child_seeds(config.seed, trial, 101, n=3)
+    r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0], j_floor=1e-2)
+    ps = sample_potential_shaping(mdp, BOUNDS, True, seeds[1])
+    shaped = apply(ps, r1, mdp)
+    sr = sample_s_redistribution(mdp, shaped, BOUNDS, seeds[2])
+    r2 = apply(sr, shaped, mdp)
+    if not j_equal(r1, r2, mdp).equivalent:
+        return {"status": "fail", "error": "zero-mean shaping + redistribution changed J"}
+    c = _loguniform(rng, 0.2, 5.0)
+    while abs(c - 1.0) < 0.1:
         c = _loguniform(rng, 0.2, 5.0)
-        while abs(c - 1.0) < 0.1:
-            c = _loguniform(rng, 0.2, 5.0)
-        r3 = apply(LinearScaling(c), r1, mdp)
-        if j_equal(r1, r3, mdp).equivalent:
-            return {"status": "fail", "error": f"scaling by {c} left J unchanged"}
-        return {"status": "pass", "c": c}
-
-    return _run_trials(config, body)
+    r3 = apply(LinearScaling(c), r1, mdp)
+    if j_equal(r1, r3, mdp).equivalent:
+        return {"status": "fail", "error": f"scaling by {c} left J unchanged"}
+    return {"status": "pass", "c": c}
 
 
-def _claim_control(config: ExperimentConfig) -> TrialReport:
+def _control(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Controllable states exist exactly when the transition function is non-trivial."""
-
-    def body(i):
-        mdp = _draw_env(config, i)
-        if i % 4 == 3:
-            mdp = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
-        states = controllable_states(mdp)
-        ok = bool(states) == (not is_trivial_transition(mdp))
-        return {
-            "status": "pass" if ok else "fail",
-            "trivial": is_trivial_transition(mdp),
-            "n_controllable": len(states),
-        }
-
-    return _run_trials(config, body)
+    mdp = _draw_env(config, trial)
+    if trial % 4 == 3:
+        mdp = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
+    states = controllable_states(mdp)
+    ok = bool(states) == (not is_trivial_transition(mdp))
+    return {
+        "status": "pass" if ok else "fail",
+        "trivial": is_trivial_transition(mdp),
+        "n_controllable": len(states),
+    }
 
 
-def _claim_ex_sa_shaping(config: ExperimentConfig) -> TrialReport:
+def _ex_sa_shaping(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """The composite shaping that stays inside the S x A domain preserves the ordering."""
-
-    def body(i):
-        rng = _substream(config.seed, i, 110)
-        mdp = _draw_env(config, i)
-        seeds = _child_seeds(config.seed, i, 111, n=1)
-        r = random_reward(mdp, domain="sa", bounds=BOUNDS, seed=seeds[0])
-        phi = PotentialFn(rng.uniform(-BOUNDS, BOUNDS, size=mdp.n_states))
-        shaped = shaping_on_sa_domain(phi, r, mdp)
-        if shaped.domain != "sa":
-            return {"status": "fail", "error": "output left the SA domain"}
-        verdict = ord_equivalent(lift_reward(r), lift_reward(shaped), mdp)
-        ok = verdict.equivalent and abs(verdict.certificate.c - 1.0) <= 1e-6
-        return {"status": "pass" if ok else "fail"}
-
-    return _run_trials(config, body)
+    rng = _substream(config.seed, trial, 110)
+    mdp = _draw_env(config, trial)
+    seeds = _child_seeds(config.seed, trial, 111, n=1)
+    r = random_reward(mdp, domain="sa", bounds=BOUNDS, seed=seeds[0])
+    phi = PotentialFn(rng.uniform(-BOUNDS, BOUNDS, size=mdp.n_states))
+    shaped = shaping_on_sa_domain(phi, r, mdp)
+    if shaped.domain != "sa":
+        return {"status": "fail", "error": "output left the SA domain"}
+    verdict = ord_equivalent(lift_reward(r), lift_reward(shaped), mdp)
+    ok = verdict.equivalent and abs(verdict.certificate.c - 1.0) <= 1e-6
+    return {"status": "pass" if ok else "fail"}
 
 
-def _claim_ex_transfer(config: ExperimentConfig) -> TrialReport:
+def _ex_transfer(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """The committed two-state pair: order-equivalent for every sampled transition
     function, yet inexpressible as scaling plus shaping alone."""
     r1, r2, n_states, n_actions = documents.load_transfer_pair()
-
-    def body(i):
-        rng = _substream(config.seed, i, 120)
-        gamma = float(rng.uniform(0.3, 0.95))
-        mdp = random_mdp(n_states, n_actions, gamma, _child_seeds(config.seed, i, 121, 1)[0])
-        verdict = ord_equivalent(r1, r2, mdp)
-        if not verdict.equivalent:
-            return {"status": "fail", "error": "transfer pair not order-equivalent"}
-        if decompose_ps_ls(r1, r2, gamma) is not None:
-            return {"status": "fail", "error": "scaling+shaping-only fit unexpectedly succeeded"}
-        return {"status": "pass", "gamma": gamma, "c_fit": verdict.certificate.c}
-
-    return _run_trials(config, body)
+    rng = _substream(config.seed, trial, 120)
+    gamma = float(rng.uniform(0.3, 0.95))
+    mdp = random_mdp(n_states, n_actions, gamma, _child_seeds(config.seed, trial, 121, 1)[0])
+    verdict = ord_equivalent(r1, r2, mdp)
+    if not verdict.equivalent:
+        return {"status": "fail", "error": "transfer pair not order-equivalent"}
+    if decompose_ps_ls(r1, r2, gamma) is not None:
+        return {"status": "fail", "error": "scaling+shaping-only fit unexpectedly succeeded"}
+    return {"status": "pass", "gamma": gamma, "c_fit": verdict.certificate.c}
 
 
-CLAIMS = {
-    "ORD-CHAR": _claim_ord_char,
-    "BOLTZ-OPT": _claim_boltz_opt,
-    "BM-ORD": _claim_bm_ord,
-    "OPT-MODEL": _claim_opt_model,
-    "MCE-ORD": _claim_mce_ord,
-    "LEM-GAMMA": _claim_lem_gamma,
-    "LEM-TAU": _claim_lem_tau,
-    "MDP-MISSPEC": _claim_mdp_misspec,
-    "OCC-INJ": _claim_occ_inj,
-    "J-AMB": _claim_j_amb,
-    "CONTROL": _claim_control,
-    "EX-SA-SHAPING": _claim_ex_sa_shaping,
-    "EX-TRANSFER": _claim_ex_transfer,
+# One row per claim, in report order: (trial function, default trials, the
+# params keys it reads, the witness message of an existential claim). "gamma"
+# fixes the discount of the drawn MDPs; LEM-GAMMA replaces that discount and
+# EX-TRANSFER draws its own.
+_REGISTRY = {
+    "ORD-CHAR": (_ord_char, 200, ("gamma",), None),
+    "BOLTZ-OPT": (
+        _boltz_opt, 100, ("gamma", "probe_budget"), "no verified violation found within the probe budget"
+    ),
+    "BM-ORD": (_bm_ord, 100, ("gamma", "beta1", "beta2"), None),
+    "OPT-MODEL": (_opt_model, 200, ("gamma",), "no class-swap violation found"),
+    "MCE-ORD": (_mce_ord, 100, ("gamma",), None),
+    "LEM-GAMMA": (_lem_gamma, 20, ("gamma_pairs",), None),
+    "LEM-TAU": (_lem_tau, 20, ("gamma",), None),
+    "MDP-MISSPEC": (_mdp_misspec, 8, ("gamma",), None),
+    "OCC-INJ": (_occ_inj, 100, ("gamma",), None),
+    "J-AMB": (_j_amb, 100, ("gamma",), None),
+    "CONTROL": (_control, 200, ("gamma",), None),
+    "EX-SA-SHAPING": (_ex_sa_shaping, 100, ("gamma",), None),
+    "EX-TRANSFER": (_ex_transfer, 10, (), None),
 }
-
+DEFAULT_TRIALS = {cid: trials for cid, (_, trials, _, _) in _REGISTRY.items()}
+CLAIM_PARAMS = {cid: keys for cid, (_, _, keys, _) in _REGISTRY.items()}
+CLAIMS = {cid: partial(_run_trials, trial=t, witness=w) for cid, (t, _, _, w) in _REGISTRY.items()}
 CLAIM_ORDER = list(CLAIMS)
 
 
@@ -949,7 +891,7 @@ def verify_claim(config: ExperimentConfig) -> TrialReport:
         raise UnknownClaimError(
             f"unknown claim {config.claim_id!r}; registered: {', '.join(CLAIM_ORDER)}"
         )
-    _check_params(config.params, ("gamma", *CLAIM_PARAMS.get(config.claim_id, ())), config.claim_id)
+    _check_params(config.params, CLAIM_PARAMS[config.claim_id], config.claim_id)
     return CLAIMS[config.claim_id](config)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CertificationError
 from .mdp import ActionSetPolicy, Mdp, RewardTable, StochasticPolicy
-from .solve import optimal_values, soft_optimal_values
+from .solve import SoftBundle, optimal_values, soft_optimal_values
 
 ARGMAX_ATOL = 1e-12  # probability tie tolerance used when certifying argmax sets
 
@@ -35,8 +35,12 @@ def boltzmann_policy(mdp: Mdp, r: RewardTable, beta: float, tol: float = 1e-10) 
 
 def mce_policy(mdp: Mdp, r: RewardTable, alpha: float) -> StochasticPolicy:
     """The unique entropy-regularized optimum: softmax of the soft Q at weight alpha."""
-    bundle = soft_optimal_values(mdp, r, alpha)
-    return StochasticPolicy(_softmax_rows(bundle.q_soft / alpha))
+    return soft_policy(soft_optimal_values(mdp, r, alpha))
+
+
+def soft_policy(soft: SoftBundle) -> StochasticPolicy:
+    """The entropy-regularized optimum read off solved soft values: softmax(q_soft / alpha)."""
+    return StochasticPolicy(_softmax_rows(soft.q_soft / soft.alpha))
 
 
 def optimal_set_policy(mdp: Mdp, r: RewardTable) -> ActionSetPolicy:

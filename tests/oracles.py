@@ -1,8 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately primitive: truncated power series, plain
-value-iteration sweeps and exhaustive enumeration, no linear solves and no
-reuse of library internals.
+value-iteration sweeps, exhaustive enumeration and Monte-Carlo rollouts, no
+linear solves and no reuse of library internals.
 The library's exact solvers are checked against these, never the other way
 round.
 """
@@ -121,3 +121,35 @@ def softmax_by_hand(row):
     exps = [math.exp(z - m) for z in row]
     total = sum(exps)
     return [e / total for e in exps]
+
+
+def truncation_bias(mdp, r, horizon):
+    """Upper bound on |J - E[truncated return]| for a rollout cut at ``horizon``."""
+    rmax = float(np.abs(r.values).max())
+    return mdp.discount**horizon * rmax / (1.0 - mdp.discount)
+
+
+def mc_return(mdp, r, pi, horizon, n, seed):
+    """Monte-Carlo estimate of J from n truncated rollouts; deterministic in seed."""
+    rng = np.random.default_rng(seed)
+    gamma = mdp.discount
+    cdf_pi = np.cumsum(pi.probs, axis=1)
+    cdf_tau = np.cumsum(mdp.transition, axis=2)
+
+    states = np.searchsorted(np.cumsum(mdp.initial), rng.random(n), side="right")
+    states = np.minimum(states, mdp.n_states - 1)
+    totals = np.zeros(n)
+    disc = 1.0
+    for _ in range(horizon):
+        u = rng.random(n)
+        acts = (u[:, None] > cdf_pi[states]).sum(axis=1)
+        acts = np.minimum(acts, mdp.n_actions - 1)
+        u = rng.random(n)
+        nxt = (u[:, None] > cdf_tau[states, acts]).sum(axis=1)
+        nxt = np.minimum(nxt, mdp.n_states - 1)
+        totals += disc * r.values[states, acts, nxt]
+        disc *= gamma
+        states = nxt
+    mean = float(totals.mean())
+    stderr = float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return mean, stderr

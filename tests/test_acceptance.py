@@ -12,7 +12,6 @@ import pytest
 
 from rewardlab import (
     ExperimentConfig,
-    mc_return,
     occupancy,
     policy_evaluate,
     random_mdp,
@@ -22,7 +21,8 @@ from rewardlab import (
     verify_claim,
 )
 from rewardlab import documents
-from rewardlab.solve import truncation_bias
+
+import oracles
 
 
 def _report(capsys, num, desc, ok, detail=""):
@@ -151,11 +151,11 @@ def test_criterion_08_occupancy_machinery(capsys):
         pi = random_policy(mdp.n_states, 2, seed=13500 + i)
         r = random_reward(mdp, seed=14000 + i, gap_floor=None)
         horizon = 1
-        while truncation_bias(mdp, r, horizon) > 1e-3:
+        while oracles.truncation_bias(mdp, r, horizon) > 1e-3:
             horizon += 1
-        mean, stderr = mc_return(mdp, r, pi, horizon=horizon, n=4000, seed=14500 + i)
+        mean, stderr = oracles.mc_return(mdp, r, pi, horizon=horizon, n=4000, seed=14500 + i)
         exact = policy_evaluate(mdp, r, pi).j
-        mc_ok &= abs(mean - exact) <= 3 * stderr + truncation_bias(mdp, r, horizon)
+        mc_ok &= abs(mean - exact) <= 3 * stderr + oracles.truncation_bias(mdp, r, horizon)
 
     ok = sum_ok and j_ok and inj_ok and mc_ok
     _report(

@@ -193,6 +193,9 @@ class TestLab:
             ({"claim": "BOLTZ-OPT", "seed": 3, "trials": 1, "params": {"probe_budget": "abc"}}, []),
             ({"claim": "OCC-INJ", "seed": 3, "trials": 1, "params": {"gama": 0.5}}, []),
             ({"claim": "OCC-INJ", "seed": 3, "trials": 1, "params": {"probe_budget": 5}}, []),
+            ({"claim": "LEM-GAMMA", "seed": 3, "trials": 1, "params": {"gamma": 0.5}}, []),
+            ({"claim": "EX-TRANSFER", "seed": 3, "trials": 1, "params": {"gamma": 0.5}}, []),
+            ({"claim": "MCE-ORD", "seed": 3, "trials": 1, "params": {"residual_bound": 1e-8}}, []),
         ],
         ids=[
             "malformed-config",
@@ -204,6 +207,9 @@ class TestLab:
             "ill-typed-probe-budget",
             "mistyped-params-key",
             "key-of-another-claim",
+            "gamma-replaced-by-lem-gamma",
+            "gamma-drawn-by-ex-transfer",
+            "deleted-residual-bound",
         ],
     )
     def test_input_errors_exit_2_with_one_line(self, runner, tmp_path, config, flags):

@@ -237,15 +237,16 @@ class TestClaims:
         assert documents.dumps(a) == documents.dumps(b)
 
     def test_exception_fails_only_its_trial(self):
-        def body(i):
+        def trial(config, i, searching):
             if i == 1:
                 raise ValueError("bad draw")
             return {"status": "pass"}
 
-        rep = _run_trials(ExperimentConfig(claim_id="OCC-INJ", trials=3, seed=1), body)
+        rep = _run_trials(ExperimentConfig(claim_id="OCC-INJ", trials=3, seed=1), trial)
         assert [o["status"] for o in rep.outcomes] == ["pass", "fail", "pass"]
         assert rep.outcomes[1]["error"] == "ValueError: bad draw"
         assert not rep.ok
+
 
     def test_registry_checks_params_before_any_trial(self):
         with pytest.raises(StructuralError):
@@ -253,10 +254,61 @@ class TestClaims:
         with pytest.raises(StructuralError):
             run_registry(seed=1, params={"gamma_pairs": [[0.5, 1.0]]})
 
+    def test_gamma_accepted_by_the_registry_not_by_claims_that_ignore_it(self):
+        for claim_id in ("LEM-GAMMA", "EX-TRANSFER"):
+            with pytest.raises(StructuralError):
+                verify_claim(
+                    ExperimentConfig(claim_id=claim_id, trials=1, seed=1, params={"gamma": 0.5})
+                )
+        reports = run_registry(seed=1, trials=2, params={"gamma": 0.5})
+        assert all(r.ok for r in reports), [r.claim_id for r in reports if not r.ok]
+
     def test_registry_covers_all_claims(self):
         assert set(CLAIMS) == set(CLAIM_ORDER)
         reports = run_registry(seed=5, trials=2)
         assert [r.claim_id for r in reports] == CLAIM_ORDER
+
+
+class TestTrialHarness:
+    CONFIG = ExperimentConfig(claim_id="OPT-MODEL", trials=4, seed=1)
+
+    def test_existential_claim_without_counterexample_fails_last_trial(self):
+        def trial(config, i, searching):
+            return {"status": "pass"}
+
+        rep = _run_trials(self.CONFIG, trial, witness="none found")
+        assert [o["status"] for o in rep.outcomes] == ["pass", "pass", "pass", "fail"]
+        assert rep.outcomes[-1]["error"] == "none found"
+        assert rep.first_counterexample is None and not rep.ok
+
+    def test_registered_witness_message(self):
+        rep = verify_claim(
+            ExperimentConfig(claim_id="BOLTZ-OPT", trials=2, seed=1, params={"probe_budget": 0})
+        )
+        assert [o["status"] for o in rep.outcomes] == ["pass", "fail"]
+        assert rep.outcomes[-1]["error"] == "no verified violation found within the probe budget"
+
+    def test_only_first_counterexample_kept_and_search_stops(self):
+        seen = []
+
+        def trial(config, i, searching):
+            seen.append(searching)
+            return {"status": "pass", "counterexample": {"trial": i} if i >= 1 else None}
+
+        rep = _run_trials(self.CONFIG, trial, witness="none found")
+        assert seen == [True, True, False, False]
+        assert rep.first_counterexample == {"trial": 1}
+        assert all("counterexample" not in o for o in rep.outcomes)
+        assert rep.ok
+
+    def test_last_trial_that_raised_keeps_its_error(self):
+        def trial(config, i, searching):
+            if i == 3:
+                raise KeyError("x")
+            return {"status": "pass"}
+
+        rep = _run_trials(self.CONFIG, trial, witness="none found")
+        assert rep.outcomes[-1] == {"status": "fail", "error": "KeyError: 'x'", "trial": 3}
 
 
 class TestOracleOptSets:

