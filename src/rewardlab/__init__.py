@@ -61,6 +61,7 @@ from .transform import (
     SuccessorRedistribution,
     TransformSpec,
     apply,
+    canonical_forms,
     decompose_j,
     decompose_ord,
     decompose_ps_ls,

@@ -151,7 +151,6 @@ def verdict_to_doc(verdict) -> dict:
             "c": cert.c,
             "phi": cert.phi.phi.tolist(),
             "residual": cert.residual,
-            "degenerate": cert.degenerate,
         }
     else:
         doc["certificate"] = None

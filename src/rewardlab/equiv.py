@@ -1,28 +1,29 @@
-"""Deciders for reward equivalence relations, with certificates and an exact oracle.
+"""Deciders for reward equivalence relations, with certificates, witnesses and an exact oracle.
 
 Three relations over rewards in a fixed environment:
 
 * ``opt`` - same optimal-action sets in every state;
-* ``ord`` - same ordering of all policies by J (decided by the linear
-  scaling-plus-shaping certificate, which scales past brute force);
+* ``ord`` - same ordering of all policies by J;
 * ``jeq`` - identical J for every policy.
 
-The ord/jeq deciders carry a standing cross-check against an exact vertex
-oracle whenever the A^S deterministic policies fit under the cap. J(pi) =
-<d^pi, r> is linear in the occupancy d^pi, and the vertices of the occupancy
-polytope are the deterministic policies, so one batched occupancy solve gives
-every J table as ``d @ r``. Two rewards order all policies alike iff, relative
-to the chord between the argmin-J1 and argmax-J1 vertices, J2 is a positive
-affine function of J1 on every vertex (or both tables are flat); they give
-every policy the same J iff J1 = J2 on every vertex.
+ord and jeq are decided on the canonical forms of the two rewards (see
+``rewardlab.transform``), so verdicts hold at every reward scale. At any
+size, a negative verdict carries two policies built from the same forms
+(see _policy_pair).
 
-The oracle has two thresholds. It disagrees confidently only beyond the
-deviation an accepted certificate permits: a certificate with residual at
-most DECOMP_TOL moves each J by at most DECOMP_TOL/(1 - gamma), hence a
-vertex off the chord by at most twice that. It agrees confidently only within
-the tie floor TIE_ATOL. In the band between the two it never raises. A
-confident disagreement with the decider raises InternalConsistencyError: it
-means a bug, never bad user input.
+Whenever the A^S deterministic policies fit under the cap, the ord/jeq
+verdicts are cross-checked against an exact vertex oracle. J(pi) = <d^pi, r>
+is linear in the occupancy d^pi, whose polytope has the deterministic
+policies as vertices, so one batched occupancy solve gives every J table.
+Rewards order all policies alike iff J2 is a positive affine function of J1
+on every vertex (measured off the chord through the extreme J1 vertices, or
+both tables flat), and give every policy the same J iff J1 = J2 there. The
+oracle takes J from the reward vectors but measures it on the deciders'
+scales (|C|, or ``j_scale`` for jeq), since |rv| grows with shaping that
+changes no behaviour. It raises InternalConsistencyError, which means a bug,
+only on a confident disagreement: a deviation beyond what an accepted
+certificate permits plus the round-off of J at the size of rv, or agreement
+within ROUNDOFF_RTOL when the decider refused. In between it stays silent.
 """
 
 from __future__ import annotations
@@ -33,10 +34,18 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .mdp import Mdp, RewardTable
-from .solve import deterministic_policies, occupancies, optimal_values, reward_vector
-from .transform import DECOMP_TOL, Decomposition, decompose_j, decompose_ord
+from .solve import deterministic_policies, occupancies, optimal_values
+from .transform import (
+    DIST_TOL,
+    ROUNDOFF_RTOL,
+    CanonicalForms,
+    Decomposition,
+    canonical_forms,
+    decompose_j,
+    decompose_ord,
+    j_scale,
+)
 
-TIE_ATOL = 1e-9          # vertex J deviations within this count as exact agreement
 CROSS_CHECK_CAP = 1024   # the oracle runs when A^S fits under this
 
 
@@ -48,82 +57,56 @@ class EquivVerdict:
     witness: dict | None = None
 
 
-def _vertex_tables(r1: RewardTable, r2: RewardTable, mdp: Mdp):
-    """(policies, occupancies, J1, J2) over every deterministic policy, or None past the cap."""
-    if mdp.n_actions**mdp.n_states > CROSS_CHECK_CAP:
-        return None
-    probs = deterministic_policies(mdp, cap=CROSS_CHECK_CAP)
-    d = occupancies(mdp, probs)
-    flat = d.reshape(len(d), -1)
-    return probs, d, flat @ reward_vector(r1, mdp).ravel(), flat @ reward_vector(r2, mdp).ravel()
+def _occupancies(mdp: Mdp, equivalent: bool):
+    """Flattened occupancies of the uniform policy and of every deterministic policy under the cap.
+
+    Only a refusal's witness needs the uniform policy, so an equivalent
+    verdict skips it, and past the cap then solves nothing.
+    """
+    n, k = mdp.n_states, mdp.n_actions
+    probs = np.full((0 if equivalent else 1, n, k), 1.0 / k)
+    if k**n <= CROSS_CHECK_CAP:
+        probs = np.concatenate([probs, deterministic_policies(mdp, cap=CROSS_CHECK_CAP)])
+    d = occupancies(mdp, probs).reshape(len(probs), -1) if len(probs) else np.zeros((0, n * k))
+    return (None, d) if equivalent else (d[0], d[1:])
 
 
 def _chord(j1: np.ndarray, j2: np.ndarray):
-    """Extreme J1 vertices, each vertex's position along them and its J2 deviation from the chord.
+    """J1's span, each vertex's J2 deviation from the chord through the extreme J1 vertices, and its rise.
 
-    Ties in J1 are broken by J2, so a vertex level with ``lo`` never lies
-    below the chord and one level with ``hi`` never above it.
+    Ties in J1 are broken by J2, so a vertex level with the lowest never lies
+    below the chord and one level with the highest never above it.
     """
     order = np.lexsort((j2, j1))
     lo, hi = order[0], order[-1]
     span = j1[hi] - j1[lo]
     t = (j1 - j1[lo]) / span if span > 0 else np.zeros_like(j1)
     rise = j2[hi] - j2[lo]
-    return lo, hi, t, j2 - j2[lo] - t * rise, rise
+    return span, j2 - j2[lo] - t * rise, rise
 
 
-def _flip_pair(j1: np.ndarray, j2: np.ndarray):
-    """Vertices (i, k) with J1(i) < J1(k) and J2(i) > J2(k), both beyond the tie floor, or None."""
-    order = np.argsort(j1, kind="stable")
-    s1, s2 = j1[order], j2[order]
-    best = np.maximum.accumulate(s2)
-    below = np.searchsorted(s1, s1 - TIE_ATOL, side="left")  # s1[:below[k]] < s1[k] - TIE_ATOL
-    margin = np.where(below > 0, best[below - 1] - s2, -np.inf)
-    k = int(np.argmax(margin))
-    if margin[k] <= TIE_ATOL:
-        return None
-    return int(order[np.argmax(s2[: below[k]])]), int(order[k])
+def _policy_pair(forms: CanonicalForms, w: np.ndarray, d0: np.ndarray, mdp: Mdp) -> dict:
+    """The policies with occupancies d0 + eps*w and d0 - eps*w, and their J under r1 and r2.
 
-
-def _policy_from_occupancy(d: np.ndarray) -> np.ndarray:
-    """pi(a|s) = d(s,a) / sum_a d(s,a); uniform at states d never visits."""
-    w = d.sum(axis=1, keepdims=True)
-    return np.divide(d, w, out=np.full_like(d, 1.0 / d.shape[1]), where=w > 0)
-
-
-def _ord_witness(probs, d, j1, j2, chord) -> dict:
-    """Two policies whose J order differs under r1 and r2.
-
-    A flipping deterministic pair when one exists. Otherwise every vertex is
-    ordered alike, so the vertex ``v`` farthest from the chord is set against
-    the occupancy mixture of the two extreme vertices that sits just past
-    ``v`` in J1 and on the chord in J2, hence on the other side of ``v``. With
-    no vertex off the chord, J2 is flat where J1 is not: the extremes differ.
+    d0 is the uniform policy's occupancy. A combination w of canonical forms
+    has M^T w = 0, so both points satisfy the flow equations M^T d = -mu0, and
+    eps keeps them above d0/2 > 0: each is the occupancy of its per-state
+    normalisation (uniform at a state it never visits). For w = C1^ - C2^,
+    <w, C1^> > 0 >= <w, C2^>, so J1 rises from the second policy to the first
+    while J2 falls (or stays level when C2 is zero); for w = C2 - C1, J2 - J1
+    rises by 2*eps*|w|^2.
     """
-    lo, hi, t, dev, rise = chord
-    v = int(np.argmax(np.abs(dev)))
-    pair = _flip_pair(j1, j2)
-    if pair is None and dev[v] == 0:
-        pair = (lo, hi)
-    if pair is not None:
-        a, b = pair
-        policies = [probs[a], probs[b]]
-        ja, jb = (j1[a], j1[b]), (j2[a], j2[b])
-    else:
-        room = abs(dev[v]) / rise if rise > 0 else np.inf
-        if dev[v] > 0:
-            lam = t[v] + 0.5 * min(1.0 - t[v], room)
-        else:
-            lam = t[v] - 0.5 * min(t[v], room)
-        mix = (1.0 - lam) * d[lo] + lam * d[hi]
-        policies = [probs[v], _policy_from_occupancy(mix)]
-        ja = (j1[v], (1.0 - lam) * j1[lo] + lam * j1[hi])
-        jb = (j2[v], (1.0 - lam) * j2[lo] + lam * j2[hi])
+    n, k = mdp.n_states, mdp.n_actions
+    peak = float(np.abs(w).max())
+    eps = 0.5 * float(d0.min()) / peak if peak > 0 else 0.0
+    d = np.array([d0 + eps * w, d0 - eps * w])
+    mass = d.reshape(2, n, k).sum(axis=2, keepdims=True)
+    policies = np.divide(d.reshape(2, n, k), mass, out=np.full((2, n, k), 1.0 / k), where=mass > 0)
     return {
         "kind": "policy-pair",
-        "policies": [p.tolist() for p in policies],
-        "j1": [float(x) for x in ja],
-        "j2": [float(x) for x in jb],
+        "policies": policies.tolist(),
+        "j1": (d @ forms.v[0]).tolist(),
+        "j2": (d @ forms.v[1]).tolist(),
     }
 
 
@@ -139,49 +122,46 @@ def opt_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
 
 
 def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
-    """Same policy ordering, decided by the decomposition certificate."""
-    cert = decompose_ord(r1, r2, mdp)
+    """Same policy ordering, decided on the canonical forms (see decompose_ord)."""
+    forms = canonical_forms(r1, r2, mdp)
+    cert = decompose_ord(forms)
     equivalent = cert is not None
-    witness = None
-    tables = _vertex_tables(r1, r2, mdp)
-    if tables is not None:
-        probs, d, j1, j2 = tables
-        chord = lo, hi, _, dev, rise = _chord(j1, j2)
+    d0, d = _occupancies(mdp, equivalent)
+    if len(d):
+        unit = np.where(forms.u.any(axis=1), forms.size, forms.v_size)
+        unit = np.where(unit > 0, unit, 1.0)
+        j1, j2 = (d @ forms.v.T * ((1.0 - mdp.discount) / unit)).T
+        span, dev, rise = _chord(j1, j2)
         off_chord = float(np.abs(dev).max())
-        if j1[hi] - j1[lo] <= TIE_ATOL:
-            oracle_agrees = float(np.ptp(j2)) <= TIE_ATOL
+        if span <= ROUNDOFF_RTOL:
+            oracle_agrees = float(np.ptp(j2)) <= ROUNDOFF_RTOL
         else:
-            oracle_agrees = rise > TIE_ATOL and off_chord <= TIE_ATOL
+            oracle_agrees = rise > ROUNDOFF_RTOL and off_chord <= ROUNDOFF_RTOL
         gap = max(off_chord, -float(rise))
-        if equivalent and gap > 2 * DECOMP_TOL / (1.0 - mdp.discount):
+        if equivalent and gap > 4 * DIST_TOL + ROUNDOFF_RTOL * float((forms.v_size / unit).sum()):
             raise InternalConsistencyError(
                 f"ord decider said True but J2 leaves the positive chord through J1 by {gap:.3e}")
         if not equivalent and oracle_agrees:
             raise InternalConsistencyError(
                 "ord decider said False but J2 is a positive affine function of J1 on every vertex")
-        if not equivalent:
-            witness = _ord_witness(probs, d, j1, j2, chord)
-    elif not equivalent:
-        witness = {"kind": "fit-residual", "note": "no scaling+shaping certificate exists"}
+    witness = None if equivalent else _policy_pair(forms, forms.u[0] - forms.u[1], d0, mdp)
     return EquivVerdict(equivalent=equivalent, relation="ord", certificate=cert, witness=witness)
 
 
 def j_equal(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
-    """Identical J for every policy, decided by the constrained shaping fit."""
-    cert = decompose_j(r1, r2, mdp)
+    """Identical J for every policy, decided on the canonical forms (see decompose_j)."""
+    forms = canonical_forms(r1, r2, mdp)
+    cert = decompose_j(forms, mdp)
     equivalent = cert is not None
-    witness = None
-    tables = _vertex_tables(r1, r2, mdp)
-    if tables is not None:
-        _, _, j1, j2 = tables
-        gaps = np.abs(j1 - j2)
-        gap = float(gaps.max())
-        if equivalent and gap > DECOMP_TOL / (1.0 - mdp.discount):
-            raise InternalConsistencyError(f"jeq decider said True but a vertex J differs by {gap:.3e}")
-        if not equivalent and gap <= TIE_ATOL:
+    d0, d = _occupancies(mdp, equivalent)
+    if len(d):
+        scale = j_scale(forms, mdp)
+        roundoff = ROUNDOFF_RTOL * float(forms.v_size.max())
+        gap = (1.0 - mdp.discount) * float(np.abs(d @ (forms.v[0] - forms.v[1])).max())
+        if equivalent and gap > 2 * max(DIST_TOL * scale, roundoff) + roundoff:
+            raise InternalConsistencyError(
+                f"jeq decider said True but (1 - gamma)*J differs by {gap:.3e} at a vertex")
+        if not equivalent and gap <= ROUNDOFF_RTOL * scale:
             raise InternalConsistencyError("jeq decider said False but J1 = J2 on every vertex")
-        if not equivalent:
-            witness = {"kind": "policy", "index": int(np.argmax(gaps)), "j_gap": gap}
-    elif not equivalent:
-        witness = {"kind": "fit-residual", "note": "no zero-mean shaping fit exists"}
+    witness = None if equivalent else _policy_pair(forms, forms.c[1] - forms.c[0], d0, mdp)
     return EquivVerdict(equivalent=equivalent, relation="jeq", certificate=cert, witness=witness)

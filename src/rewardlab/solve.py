@@ -31,7 +31,7 @@ MAX_ITER = 1000           # policy-iteration steps (evaluate, then improve)
 SOLVE_RTOL = 1e-10        # round-off bound on an exact solve's residual, relative to max(1, |v|)
 IMPROVE_RTOL = 1e-12      # strict-improvement margin of Howard's switch, relative to max(1, |v|)
 SETTLE_SWEEPS = 10**6     # cap on the Bellman sweeps that settle a residual left above tol
-TIE_TOL = 1e-8            # membership tolerance for optimal-action sets
+TIE_TOL = 1e-8            # membership tolerance for optimal-action sets, relative to the largest |a*|
 CONTROL_ATOL = 1e-9       # entry-measure spread above which a state counts as controllable
 CONTROL_ENUM_CAP = 4096   # controllability enumerates policies up to here
 CONTROL_SAMPLES = 512     # random policies used beyond the cap
@@ -177,8 +177,10 @@ def optimal_values(
 
         q_star, v_star, residual = _settle(bellman, v, residual, gamma, tol)
     a_star = q_star - v_star[:, None]
+    # Shifts and shaping leave a* unchanged but not q*, whose round-off floors the tie.
+    tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(q_star).max()))
     opt_sets = ActionSetPolicy(
-        tuple(frozenset(np.flatnonzero(a_star[s] >= -TIE_TOL).tolist()) for s in range(mdp.n_states))
+        tuple(frozenset(np.flatnonzero(a_star[s] >= -tie).tolist()) for s in range(mdp.n_states))
     )
     return OptimalBundle(q_star=q_star, v_star=v_star, a_star=a_star, opt_sets=opt_sets, residual=residual)
 

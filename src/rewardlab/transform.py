@@ -9,14 +9,20 @@ Five transformation families are supported, plus left-to-right chains of them:
 * optimality preserving   rewrites keeping the optimal-action sets while
                           retargeting an arbitrary value profile psi
 
-The decomposition solvers run the other way: given two rewards they search for
-a scaling-plus-shaping certificate whose leftover is exactly a successor
-redistribution, which is the linear-algebra test for "same policy ordering".
+The decomposers run the other way. A reward's expected-reward vector rv
+splits into a shaping part M @ phi (M = ``shaping_matrix(mdp)``) and its
+canonical form C = (I - QQ^T) rv, Q an orthonormal basis of M's range (Ng,
+Harada & Russell 1999). Rewards order all policies alike iff their forms are
+positive multiples (or both zero), and give every policy the same J iff
+C1 = C2 and mu0 . (phi2 - phi1) = 0. Both tests are unitless and ignore |rv|,
+whose shaping part changes no behaviour; a form or misfit within
+ROUNDOFF_RTOL of |rv| counts as zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +30,8 @@ from .errors import StructuralError
 from .mdp import Mdp, RewardTable, lift_reward
 from .solve import optimal_values, reward_vector
 
-SR_CHECK_ATOL = 1e-10      # expected-reward preservation demanded of replacements
-DECOMP_TOL = 1e-6          # acceptance residual for decomposition certificates
-ZERO_INITIAL_ATOL = 1e-10  # |mu0 . phi| bound for the zero-initial-expectation flag
+ROUNDOFF_RTOL = 1e-10      # a difference within this fraction of the quantities compared is round-off
+DIST_TOL = 1e-6            # unitless acceptance bound of the canonical-form tests
 SLACK_FLOOR_FRAC = 1e-3    # slack magnitudes stay >= this fraction of bounds
 
 
@@ -45,7 +50,7 @@ class PotentialFn:
         object.__setattr__(self, "phi", phi)
 
     def check_zero_initial(self, initial: np.ndarray) -> bool:
-        return abs(float(initial @ self.phi)) <= ZERO_INITIAL_ATOL
+        return abs(float(initial @ self.phi)) <= ROUNDOFF_RTOL * float(np.abs(self.phi).max(initial=0.0))
 
 
 class TransformSpec:
@@ -114,12 +119,11 @@ class Chain(TransformSpec):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Certificate (c, phi) with the L-infinity residual of the fitted system."""
+    """Certificate (c, phi) with the unitless residual its test compared against DIST_TOL."""
 
     c: float
     phi: PotentialFn
     residual: float
-    degenerate: bool = False
 
 
 def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
@@ -135,11 +139,11 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
         vals = r.values + gamma * phi[None, None, :] - phi[:, None, None]
         return RewardTable(vals, domain="sas")
     if isinstance(t, SuccessorRedistribution):
-        gap = np.abs(reward_vector(t.replacement, mdp) - reward_vector(r, mdp)).max()
-        if gap > SR_CHECK_ATOL:
-            raise ValueError(
-                f"replacement changes expected rewards by {gap:.3e} (> {SR_CHECK_ATOL})"
-            )
+        rv = reward_vector(r, mdp)
+        gap = np.abs(reward_vector(t.replacement, mdp) - rv).max()
+        bound = ROUNDOFF_RTOL * max(np.abs(rv).max(), np.abs(t.replacement.values).max())
+        if gap > bound:
+            raise ValueError(f"replacement changes expected rewards by {gap:.3e} (> {bound:.3e})")
         return RewardTable(t.replacement.values.copy(), domain="sas")
     if isinstance(t, LinearScaling):
         return RewardTable(t.c * r.values, domain="sas")
@@ -215,73 +219,85 @@ def shaping_matrix(mdp: Mdp) -> np.ndarray:
     """(S*A, S) matrix M with M[(s,a), s'] = gamma*tau(s,a,s') - [s'==s].
 
     M @ phi is the change a potential phi induces in the expected-reward
-    vector, so expected-reward fits reduce to least squares against [r1 | M].
+    vector. M has full column rank: M @ phi = 0 forces phi = gamma*T^pi phi.
     """
     n, k = mdp.n_states, mdp.n_actions
-    m = mdp.discount * mdp.transition.reshape(n * k, n).copy()
-    for s in range(n):
-        m[s * k : (s + 1) * k, s] -= 1.0
-    return m
+    return mdp.discount * mdp.transition.reshape(n * k, n) - np.repeat(np.eye(n), k, axis=0)
 
 
-def _lstsq_residual(a: np.ndarray, b: np.ndarray):
-    if a.shape[1] == 0:
-        return np.zeros(0), float(np.abs(b).max(initial=0.0))
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return x, float(np.abs(a @ x - b).max(initial=0.0))
+class CanonicalForms(NamedTuple):
+    """Two vectors split against one QR of a shaping design D: v[i] = c[i] + D @ p[i].
 
-
-def decompose_ord(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> Decomposition | None:
-    """Fit r2's expected rewards as c*r1 + shaping; certificate for same policy order.
-
-    Returns None when no fit with positive c exists. When r1's expected-reward
-    vector already lies in the shaping span (its J is constant across policies,
-    so c is unidentifiable) the fit degenerates: r2 is accepted iff it lies in
-    the same span, with c reported as 1 and the degenerate flag set.
+    u[i] is c[i] normalised, or zero when |c[i]| <= ROUNDOFF_RTOL * |v[i]|;
+    ``size`` holds the |c[i]| and ``v_size`` the |v[i]|.
     """
-    rv1 = reward_vector(r1, mdp).ravel()
-    rv2 = reward_vector(r2, mdp).ravel()
-    m = shaping_matrix(mdp)
 
-    _, deg_res = _lstsq_residual(m, rv1)
-    if deg_res <= DECOMP_TOL:
-        phi, residual = _lstsq_residual(m, rv2 - rv1)
-        if residual <= DECOMP_TOL:
-            return Decomposition(c=1.0, phi=PotentialFn(phi), residual=residual, degenerate=True)
-        return None
-
-    design = np.hstack([rv1[:, None], m])
-    x, residual = _lstsq_residual(design, rv2)
-    if residual > DECOMP_TOL:
-        return None
-    c = float(x[0])
-    if c <= 0:
-        # The fit is unique here, so a non-positive c genuinely means the
-        # policy order is reversed rather than preserved.
-        return None
-    return Decomposition(c=c, phi=PotentialFn(x[1:]), residual=residual)
+    v: np.ndarray
+    c: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
+    size: np.ndarray
+    v_size: np.ndarray
 
 
-def _initial_nullspace(initial: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (S, S-1) of {phi : mu0 . phi = 0}."""
-    _, _, vt = np.linalg.svd(initial[None, :])
-    return vt[1:].T
+def _canonical(design: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> CanonicalForms:
+    q, rr = np.linalg.qr(design)
+    v = np.array([v1, v2]).T
+    shaped = q.T @ v
+    c = v - q @ shaped
+    size, v_size = np.linalg.norm(c, axis=0), np.linalg.norm(v, axis=0)
+    keep = size > ROUNDOFF_RTOL * v_size
+    u = c / np.where(keep, size, np.inf)
+    return CanonicalForms(v.T, c.T, u.T, np.linalg.solve(rr, shaped).T, size, v_size)
 
 
-def decompose_j(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> Decomposition | None:
-    """Like decompose_ord with c fixed to 1 and phi constrained to mu0-mean zero.
+def canonical_forms(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> CanonicalForms:
+    """Canonical forms of both rewards' expected-reward vectors against ``shaping_matrix(mdp)``."""
+    rv1, rv2 = (reward_vector(r, mdp).ravel() for r in (r1, r2))
+    return _canonical(shaping_matrix(mdp), rv1, rv2)
 
-    Success certifies that the two rewards give every policy the same J.
+
+def decompose_ord(forms: CanonicalForms) -> Decomposition | None:
+    """Certificate v2 = c*v1 + M @ phi with c > 0, i.e. the same policy order, or None.
+
+    Accepted iff the normalised forms lie within DIST_TOL of each other (the
+    STARC distance of Skalse et al., arXiv 2309.15257); both zero means J is
+    constant for both rewards. c = |c2| / |c1|, or 1 when both forms are zero.
     """
-    rv1 = reward_vector(r1, mdp).ravel()
-    rv2 = reward_vector(r2, mdp).ravel()
-    m = shaping_matrix(mdp)
-    z = _initial_nullspace(mdp.initial)
-    y, residual = _lstsq_residual(m @ z, rv2 - rv1)
-    if residual > DECOMP_TOL:
+    residual = float(np.linalg.norm(forms.u[0] - forms.u[1]))
+    if residual > DIST_TOL:
         return None
-    phi = z @ y if z.shape[1] else np.zeros(mdp.n_states)
-    return Decomposition(c=1.0, phi=PotentialFn(phi, zero_initial_expectation=True), residual=residual)
+    c = float(forms.size[1] / forms.size[0]) if forms.u[0].any() else 1.0
+    return Decomposition(c=c, phi=PotentialFn(forms.p[1] - c * forms.p[0]), residual=residual)
+
+
+def j_scale(forms: CanonicalForms, mdp: Mdp) -> float:
+    """The larger bound on (1 - gamma)*|J| of the two rewards: |c[i]| + (1 - gamma)*|mu0 . p[i]|.
+
+    J_i(pi) = <d_pi, c[i]> - mu0 . p[i], and (1 - gamma)*d_pi sums to one.
+    Shaping with mu0-mean zero leaves this scale unchanged.
+    """
+    offsets = (1.0 - mdp.discount) * np.abs(forms.p @ mdp.initial)
+    return float((forms.size + offsets).max())
+
+
+def decompose_j(forms: CanonicalForms, mdp: Mdp) -> Decomposition | None:
+    """Certificate v2 = v1 + M @ phi with mu0 . phi = 0, i.e. the same J for every policy, or None.
+
+    The misfit is the larger of |c[1] - c[0]| and (1 - gamma)*|mu0 . phi|; no
+    policy's (1 - gamma)*|J2 - J1| exceeds twice the misfit. The residual is the
+    misfit relative to ``j_scale``, or 0 when the misfit is round-off
+    (within ROUNDOFF_RTOL of the larger reward vector); accepted iff it is at
+    most DIST_TOL.
+    """
+    phi = forms.p[1] - forms.p[0]
+    shift = (1.0 - mdp.discount) * abs(float(mdp.initial @ phi))
+    misfit = max(float(np.linalg.norm(forms.c[1] - forms.c[0])), shift)
+    residual = 0.0 if misfit <= ROUNDOFF_RTOL * forms.v_size.max() else misfit / j_scale(forms, mdp)
+    if residual > DIST_TOL:
+        return None
+    zero_initial = PotentialFn(phi).check_zero_initial(mdp.initial)
+    return Decomposition(c=1.0, phi=PotentialFn(phi, zero_initial), residual=residual)
 
 
 def shaping_on_sa_domain(phi: PotentialFn, r: RewardTable, mdp: Mdp) -> RewardTable:
@@ -300,19 +316,12 @@ def shaping_on_sa_domain(phi: PotentialFn, r: RewardTable, mdp: Mdp) -> RewardTa
 def decompose_ps_ls(r1: RewardTable, r2: RewardTable, gamma: float) -> Decomposition | None:
     """Transition-free fit R2 = c*R1 + gamma*phi(s') - phi(s) over full tensors.
 
-    Unlike decompose_ord this works pointwise on (s,a,s') with no
-    redistribution slack, so it is a strictly stronger requirement.
+    The same canonical-form test as decompose_ord, against the pointwise
+    shaping design on (s,a,s') instead of expected rewards, so it leaves no
+    redistribution slack and is a strictly stronger requirement.
     """
     n, k = r1.n_states, r1.n_actions
-    v1 = r1.values.reshape(-1)
-    v2 = r2.values.reshape(-1)
-    cols = [v1[:, None]]
     eye = np.eye(n)
-    for state in range(n):
-        coef = gamma * eye[state][None, None, :] - eye[state][:, None, None]
-        cols.append(np.broadcast_to(coef, (n, k, n)).reshape(-1, 1))
-    design = np.hstack(cols)
-    x, residual = _lstsq_residual(design, v2)
-    if residual > DECOMP_TOL or x[0] <= 0:
-        return None
-    return Decomposition(c=float(x[0]), phi=PotentialFn(x[1:]), residual=residual)
+    design = gamma * eye[None, None, :, :] - eye[:, None, None, :]
+    design = np.broadcast_to(design, (n, k, n, n)).reshape(-1, n)
+    return decompose_ord(_canonical(design, r1.values.reshape(-1), r2.values.reshape(-1)))

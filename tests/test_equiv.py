@@ -29,12 +29,18 @@ def j_table(r, mdp, cap=DEFAULT_ENUM_CAP):
     return occupancies(mdp, probs).reshape(len(probs), -1) @ reward_vector(r, mdp).ravel()
 
 
-def assert_witness_flips(witness, mdp, r1, r2):
-    """The two witness policies are ordered differently by r1 and r2, per the series oracle."""
+def witness_differences(witness, mdp, r1, r2):
+    """J(first policy) - J(second policy) under r1 and under r2, per the series oracle."""
     assert witness["kind"] == "policy-pair"
     pa, pb = (np.array(p) for p in witness["policies"])
     d1 = oracles.truncated_j(mdp, r1, pa) - oracles.truncated_j(mdp, r1, pb)
     d2 = oracles.truncated_j(mdp, r2, pa) - oracles.truncated_j(mdp, r2, pb)
+    return d1, d2
+
+
+def assert_witness_flips(witness, mdp, r1, r2):
+    """The two witness policies are ordered differently by r1 and r2, per the series oracle."""
+    d1, d2 = witness_differences(witness, mdp, r1, r2)
     assert max(abs(d1), abs(d2)) > 1e-8
     assert np.sign(np.round(d1, 10)) != np.sign(np.round(d2, 10))
 
@@ -115,16 +121,29 @@ class TestOrdEquivalent:
 
     def test_near_equivalent_sweep_never_raises(self):
         # r2 = r1 + noise with log-uniform scale straddles the decider's
-        # tolerance; the oracle must stay silent whichever way it rules.
+        # tolerance; the oracle must stay silent whichever way it rules, and
+        # every refusal, under the cap or above it, must carry a witness that
+        # holds up under the series oracle.
         rng = np.random.default_rng(20221207)
+        refused = {"ord": 0, "jeq": 0}
         for trial in range(300):
-            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            n, k = int(rng.integers(2, 9)), int(rng.integers(2, 4))
             mdp = random_mdp(n, k, float(rng.uniform(0.4, 0.95)), seed=trial)
             r1 = random_reward(mdp, seed=10_000 + trial, gap_floor=None)
             noise = rng.normal(0.0, 10.0 ** rng.uniform(-8, -3), size=r1.values.shape)
             r2 = RewardTable(r1.values + noise)
-            ord_equivalent(r1, r2, mdp)
-            j_equal(r1, r2, mdp)
+            verdict = ord_equivalent(r1, r2, mdp)
+            if not verdict.equivalent:
+                refused["ord"] += 1
+                d1, d2 = witness_differences(verdict.witness, mdp, r1, r2)
+                assert d1 > 0 > d2
+            verdict = j_equal(r1, r2, mdp)
+            if not verdict.equivalent:
+                refused["jeq"] += 1
+                pa, pb = (np.array(p) for p in verdict.witness["policies"])
+                gaps = [oracles.truncated_j(mdp, r1, p) - oracles.truncated_j(mdp, r2, p) for p in (pa, pb)]
+                assert max(abs(g) for g in gaps) > 1e-10
+        assert min(refused.values()) > 50
 
     def test_cross_check_guard_raises_on_rigged_decider(self, chain, chain_reward, monkeypatch):
         import rewardlab.equiv as equiv_mod

@@ -11,6 +11,7 @@ from rewardlab import (
     RewardTable,
     SuccessorRedistribution,
     apply,
+    canonical_forms,
     decompose_j,
     decompose_ord,
     decompose_ps_ls,
@@ -212,8 +213,8 @@ class TestDecomposeOrd:
             cur = apply(LinearScaling(c), r1, mdp)
             cur = apply(sample_potential_shaping(mdp, 1.0, False, seed=seed + 50), cur, mdp)
             cur = apply(sample_s_redistribution(mdp, cur, 1.0, seed=seed + 60), cur, mdp)
-            dec = decompose_ord(r1, cur, mdp)
-            assert dec is not None and not dec.degenerate
+            dec = decompose_ord(canonical_forms(r1, cur, mdp))
+            assert dec is not None
             assert dec.residual <= 1e-6
             assert dec.c == pytest.approx(c, abs=1e-6 * max(1.0, c))
 
@@ -222,10 +223,10 @@ class TestDecomposeOrd:
         assert oracles.brute_force_opt_sets(chain, negated) != oracles.brute_force_opt_sets(
             chain, chain_reward
         )
-        assert decompose_ord(chain_reward, negated, chain) is None
+        assert decompose_ord(canonical_forms(chain_reward, negated, chain)) is None
 
     def test_identity_fit(self, chain, chain_reward):
-        dec = decompose_ord(chain_reward, chain_reward, chain)
+        dec = decompose_ord(canonical_forms(chain_reward, chain_reward, chain))
         assert dec is not None
         assert dec.c == pytest.approx(1.0, abs=1e-9)
         assert dec.residual <= 1e-12
@@ -236,10 +237,10 @@ class TestDecomposeOrd:
         zero = RewardTable(np.zeros((2, 2, 2)))
         r1 = apply(PotentialShaping(PotentialFn(np.array([1.0, -2.0]))), zero, chain)
         r2 = apply(PotentialShaping(PotentialFn(np.array([-0.5, 3.0]))), zero, chain)
-        dec = decompose_ord(r1, r2, chain)
-        assert dec is not None and dec.degenerate and dec.c == 1.0
+        dec = decompose_ord(canonical_forms(r1, r2, chain))
+        assert dec is not None and dec.c == 1.0
         r3 = random_reward(chain, seed=77)
-        assert decompose_ord(r1, r3, chain) is None
+        assert decompose_ord(canonical_forms(r1, r3, chain)) is None
 
 
 class TestDecomposeJ:
@@ -249,16 +250,16 @@ class TestDecomposeJ:
             r1 = random_reward(mdp, seed=seed + 40, gap_floor=None)
             shaped = apply(sample_potential_shaping(mdp, 1.0, True, seed=seed + 50), r1, mdp)
             r2 = apply(sample_s_redistribution(mdp, shaped, 1.0, seed=seed + 60), shaped, mdp)
-            dec = decompose_j(r1, r2, mdp)
+            dec = decompose_j(canonical_forms(r1, r2, mdp), mdp)
             assert dec is not None and dec.residual <= 1e-6
 
     def test_constant_shift_changes_j(self, chain, chain_reward):
         shifted = apply(ConstantShift(1.0), chain_reward, chain)
         # J moves by k/(1-gamma) = 2 for every policy, so no zero-mean fit exists.
-        assert decompose_j(chain_reward, shifted, chain) is None
+        assert decompose_j(canonical_forms(chain_reward, shifted, chain), chain) is None
 
     def test_identity(self, chain, chain_reward):
-        dec = decompose_j(chain_reward, chain_reward, chain)
+        dec = decompose_j(canonical_forms(chain_reward, chain_reward, chain), chain)
         assert dec is not None
         np.testing.assert_allclose(dec.phi.phi, 0.0, atol=1e-9)
 
@@ -282,7 +283,7 @@ class TestSaDomainShaping:
             rng = np.random.default_rng(seed)
             phi = PotentialFn(rng.uniform(-1, 1, size=2))
             out = shaping_on_sa_domain(phi, r, chain)
-            dec = decompose_ord(lift_reward(r), lift_reward(out), chain)
+            dec = decompose_ord(canonical_forms(lift_reward(r), lift_reward(out), chain))
             assert dec is not None and dec.c == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_non_sa_input(self, chain, chain_reward):
