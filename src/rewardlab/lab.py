@@ -48,7 +48,6 @@ from .models import (
 from .solve import (
     controllable_states,
     deterministic_policies,
-    entry_spread,
     occupancies,
     occupancy,
     optimal_values,
@@ -300,11 +299,11 @@ def gamma_counterexample(
 ) -> CounterexampleRecord | None:
     """Shape under gamma1, evaluate under gamma2, and search for an optimality flip.
 
-    The potential puts weight X on one controllable state; the induced J gap
-    X * n(pi) * (gamma1 - gamma2) varies across policies through the entry
-    measure n, so growing |X| eventually reorders them. Returns None when the
-    transition function is trivial, when gamma1 == gamma2, or if no |X| in
-    X_GRID produces a flip.
+    The potential puts weight X on the state whose entry measure n spreads
+    most across deterministic policies; the J gap X * n(pi) * (gamma1 - gamma2)
+    then reorders them once |X| is large. Returns None when the transition
+    function is trivial, when gamma1 == gamma2, or if no |X| in X_GRID produces
+    a flip. Raises CapacityError when A^S exceeds DEFAULT_ENUM_CAP.
     """
     for g in (gamma1, gamma2):
         if not (0.0 < g < 1.0):
@@ -316,7 +315,8 @@ def gamma_counterexample(
 
     mdp1 = mdp.with_discount(gamma1)
     mdp2 = mdp.with_discount(gamma2)
-    spread, _ = entry_spread(mdp2, seed=seed)
+    entry = occupancies(mdp2, deterministic_policies(mdp2)).sum(axis=2) - mdp2.initial
+    spread = entry.max(axis=0) - entry.min(axis=0)
     state = int(np.argmax(spread))
     if spread[state] <= 1e-9:
         return None
@@ -674,7 +674,7 @@ def _opt_model(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     mdp = _draw_env(config, trial)
     seeds = _child_seeds(config.seed, trial, 51, n=3)
     r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
-    related = trial % 2 == 0
+    related = trial % 2 == 1
     if related:
         op = sample_optimality_preserving(mdp, r1, BOUNDS, seeds[1])
         r2 = apply(op, r1, mdp)

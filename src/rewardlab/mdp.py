@@ -215,21 +215,19 @@ class ValidationReport:
         return [v[0] for v in self.violations]
 
 
-def _reachable_states(transition: np.ndarray, initial: np.ndarray) -> set[int]:
-    # Fixed point of support expansion from supp(mu0); action probabilities
-    # are irrelevant, only the support graph matters.
-    support = transition > 0.0
-    frontier = set(np.flatnonzero(initial > 0.0).tolist())
-    reached = set(frontier)
-    while frontier:
-        nxt = set()
-        for s in frontier:
-            for sp in np.flatnonzero(support[s].any(axis=0)):
-                if int(sp) not in reached:
-                    nxt.add(int(sp))
-        reached |= nxt
-        frontier = nxt
-    return reached
+def reachable_states(mdp: Mdp) -> np.ndarray:
+    """Boolean mask of the states some policy reaches from supp(mu0).
+
+    Fixed point of support expansion; action probabilities are irrelevant,
+    only the support graph matters.
+    """
+    support = (mdp.transition > 0.0).any(axis=1)
+    reached = mdp.initial > 0.0
+    while True:
+        grown = reached | support[reached].any(axis=0)
+        if (grown == reached).all():
+            return reached
+        reached = grown
 
 
 def validate_mdp(mdp: Mdp) -> ValidationReport:
@@ -261,10 +259,8 @@ def validate_mdp(mdp: Mdp) -> ValidationReport:
         violations.append(("mu0-sum", "mu0", float(gap)))
 
     if not violations:
-        reached = _reachable_states(tau, mu0)
-        for s in range(mdp.n_states):
-            if s not in reached:
-                violations.append(("unreachable-state", f"s{s}", 1.0))
+        for s in np.flatnonzero(~reachable_states(mdp)):
+            violations.append(("unreachable-state", f"s{s}", 1.0))
 
     return ValidationReport(tuple(violations))
 

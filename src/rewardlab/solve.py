@@ -8,6 +8,10 @@ Howard's algorithm for the hard Bellman equation, and soft policy iteration
 (Newton's method on v = alpha*logsumexp(q/alpha)) for the soft one. Where the
 exact policy value still misses ``tol`` (round-off at large |v|, or a near-tie
 finer than Howard's switch margin), Bellman sweeps settle it.
+
+Controllability needs one factorisation too: a state's entry measure is
+constant over all policies iff the uniform policy's action gaps for the reward
+1[state = s] vanish at every reachable state (see ControllableStates).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .mdp import (
     RewardTable,
     StochasticPolicy,
     enumerate_action_tuples,
+    reachable_states,
 )
 
 DEFAULT_TOL = 1e-10       # Bellman residual the optimisers must reach
@@ -32,9 +37,7 @@ SOLVE_RTOL = 1e-10        # round-off bound on an exact solve's residual, relati
 IMPROVE_RTOL = 1e-12      # strict-improvement margin of Howard's switch, relative to max(1, |v|)
 SETTLE_SWEEPS = 10**6     # cap on the Bellman sweeps that settle a residual left above tol
 TIE_TOL = 1e-8            # membership tolerance for optimal-action sets, relative to the largest |a*|
-CONTROL_ATOL = 1e-9       # entry-measure spread above which a state counts as controllable
-CONTROL_ENUM_CAP = 4096   # controllability enumerates policies up to here
-CONTROL_SAMPLES = 512     # random policies used beyond the cap
+CONTROL_RTOL = 1e-9       # action gap marking a controllable state, relative to 1/(1-gamma)
 
 
 @dataclass(frozen=True)
@@ -70,22 +73,28 @@ class OccupancyVector:
 
 @dataclass(frozen=True)
 class ControllableStates:
-    """Set-like result of controllable_states; ``sampled`` flags the fallback path."""
+    """Set-like result of controllable_states: the states whose entry measure the policy moves.
+
+    The entry measure e_s(pi) = w_pi(s) - mu0(s) is the value of the reward
+    1[state = s] minus a constant. At the uniform policy pi0 that reward's
+    action gaps are Q(t,a) - Q(t,0) = gamma * [M^-1 D(t,a)]_s (M and D as in
+    controllable_states). If every gap is zero at every state some policy
+    reaches, which pi0 reaches too, the performance-difference lemma gives
+    the same e_s under every policy. If some gap at a reachable t is not zero,
+    the derivative w(t) * gap of e_s along pi(a|t) - pi(0|t) is not zero
+    either, since w(t) > 0, so e_s moves. Only the sign of w(t) enters, never
+    its size, which can be as small as (1/A)^depth. The same lemma bounds the
+    spread of e_s by 4 * max|gap| / (1 - gamma), so a state left out by the
+    round-off threshold spreads by less than 4 * gamma * CONTROL_RTOL / (1 - gamma)^2.
+    """
 
     states: frozenset
-    sampled: bool = False
-
-    def __contains__(self, s) -> bool:
-        return int(s) in self.states
 
     def __iter__(self):
         return iter(sorted(self.states))
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def __bool__(self) -> bool:
-        return bool(self.states)
 
 
 def reward_vector(r: RewardTable, mdp: Mdp) -> np.ndarray:
@@ -266,26 +275,16 @@ def deterministic_policies(mdp: Mdp, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     return np.eye(mdp.n_actions)[actions]
 
 
-def entry_spread(mdp: Mdp, seed: int = 0) -> tuple[np.ndarray, bool]:
-    """Per-state spread of the discounted entry measure (the t>=1 part of w) across policies.
-
-    Enumerates all deterministic policies when A^S fits under CONTROL_ENUM_CAP;
-    otherwise uses CONTROL_SAMPLES seeded random policies, and the returned
-    flag says so.
-    """
-    if mdp.n_actions**mdp.n_states <= CONTROL_ENUM_CAP:
-        batch = deterministic_policies(mdp, cap=CONTROL_ENUM_CAP)
-        sampled = False
-    else:
-        rng = np.random.default_rng(seed)
-        batch = rng.dirichlet(np.ones(mdp.n_actions), size=(CONTROL_SAMPLES, mdp.n_states))
-        sampled = True
-    entry = occupancies(mdp, batch).sum(axis=2) - mdp.initial[None, :]
-    return entry.max(axis=0) - entry.min(axis=0), sampled
-
-
 def controllable_states(mdp: Mdp) -> ControllableStates:
-    """States whose discounted entry measure varies with the policy (see entry_spread)."""
-    spread, sampled = entry_spread(mdp)
-    states = frozenset(np.flatnonzero(spread > CONTROL_ATOL).tolist())
-    return ControllableStates(states=states, sampled=sampled)
+    """States whose entry measure varies with the policy, from one factorisation.
+
+    With M = I - gamma*T^pi0' at the uniform policy pi0 and D(t,a) =
+    tau(t,a,.) - tau(t,0,.), state s is controllable iff |[M^-1 D(t,a)]_s|
+    exceeds CONTROL_RTOL / (1 - gamma) for some action a at some reachable state t.
+    """
+    n, gamma, tau = mdp.n_states, mdp.discount, mdp.transition
+    reached = reachable_states(mdp)
+    flow = np.eye(n) - gamma * tau.mean(axis=1).T
+    diffs = (tau[reached, 1:, :] - tau[reached, :1, :]).reshape(-1, n)  # rows D(t,a), t-major
+    gaps = np.abs(np.linalg.solve(flow, diffs.T)).max(axis=1, initial=0.0)
+    return ControllableStates(frozenset(np.flatnonzero(gaps > CONTROL_RTOL / (1.0 - gamma)).tolist()))

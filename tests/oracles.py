@@ -13,11 +13,13 @@ import math
 import numpy as np
 
 
-def horizon_for(gamma: float, rmax: float, target: float = 1e-12) -> int:
-    """Truncation horizon making the geometric tail below ``target``."""
-    if rmax == 0:
-        return 1
-    h = math.log(target * (1.0 - gamma) / rmax) / math.log(gamma)
+def horizon_for(gamma: float, target: float = 1e-12) -> int:
+    """Truncation horizon making the geometric tail below ``target`` times the largest |reward|.
+
+    The tail after h steps is at most gamma^h * rmax / (1 - gamma), so the
+    horizon depends on gamma alone and a series scales with its reward.
+    """
+    h = math.log(target * (1.0 - gamma)) / math.log(gamma)
     return min(max(int(h) + 1, 1), 20000)
 
 
@@ -67,14 +69,14 @@ def soft_value_iteration(mdp, r, alpha, tol=1e-13, max_iter=10**6):
 
 def truncated_j(mdp, r, probs, horizon=None):
     if horizon is None:
-        horizon = horizon_for(mdp.discount, float(np.abs(r.values).max()))
+        horizon = horizon_for(mdp.discount)
     return float(mdp.initial @ truncated_values(mdp, r, probs, horizon))
 
 
 def truncated_occupancy(mdp, probs, horizon=None):
     """d[s,a] = sum_t gamma^t P(S_t = s, A_t = a), by forward accumulation."""
     if horizon is None:
-        horizon = horizon_for(mdp.discount, 1.0)
+        horizon = horizon_for(mdp.discount)
     t_pi = np.einsum("sa,sap->sp", probs, mdp.transition)
     d = np.zeros((mdp.n_states, mdp.n_actions))
     state_dist = mdp.initial.copy()
@@ -98,13 +100,29 @@ def one_hot(actions, n_actions):
     return p
 
 
+def one_hot_batch(mdp):
+    """Every deterministic policy as an (A^S, S, A) one-hot stack, s0-major."""
+    policies = all_deterministic_policies(mdp.n_states, mdp.n_actions)
+    return np.stack([one_hot(actions, mdp.n_actions) for actions in policies])
+
+
 def brute_force_j_table(mdp, r, horizon=None):
     """J of every deterministic policy, in s0-major order, from one stacked power series."""
     if horizon is None:
-        horizon = horizon_for(mdp.discount, float(np.abs(r.values).max()))
-    policies = all_deterministic_policies(mdp.n_states, mdp.n_actions)
-    probs = np.stack([one_hot(actions, mdp.n_actions) for actions in policies])
-    return (truncated_values(mdp, r, probs, horizon) @ mdp.initial).tolist()
+        horizon = horizon_for(mdp.discount)
+    return (truncated_values(mdp, r, one_hot_batch(mdp), horizon) @ mdp.initial).tolist()
+
+
+def vertex_entry_spread(mdp):
+    """Per-state spread of the discounted entry measure sum_{t>=1} gamma^t P(S_t = s) over
+    every deterministic policy, by forward accumulation of each policy's state distribution."""
+    t_pi = np.einsum("nsa,sap->nsp", one_hot_batch(mdp), mdp.transition)
+    dist = np.broadcast_to(mdp.initial, t_pi.shape[:2])
+    entry = np.zeros(dist.shape)
+    for _ in range(horizon_for(mdp.discount)):
+        dist = mdp.discount * (dist[:, None, :] @ t_pi)[:, 0, :]
+        entry += dist
+    return entry.max(axis=0) - entry.min(axis=0)
 
 
 def brute_force_opt_sets(mdp, r, tol=1e-9):

@@ -172,6 +172,12 @@ class TestLab:
         assert result.exit_code == 0
         assert "PASS EX-TRANSFER" in result.output
 
+    def test_opt_model_passes_on_one_trial(self, runner):
+        # The witness rule needs a class swap, which only an unrelated trial can show.
+        for seed in ("1", "2", "3"):
+            result = runner.invoke(main, ["lab", "--claim", "OPT-MODEL", "--seed", seed, "--trials", "1"])
+            assert result.exit_code == 0, result.output
+
     def test_unknown_claim_exits_2(self, runner):
         result = runner.invoke(main, ["lab", "--claim", "NOPE", "--seed", "1"])
         assert result.exit_code == 2

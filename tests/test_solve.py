@@ -81,7 +81,7 @@ class TestPolicyEvaluate:
             r = random_reward(mdp, seed=seed + 100, gap_floor=None)
             pi = random_policy(4, 3, seed=seed + 200)
             bundle = policy_evaluate(mdp, r, pi)
-            horizon = oracles.horizon_for(0.85, float(np.abs(r.values).max()))
+            horizon = oracles.horizon_for(0.85)
             np.testing.assert_allclose(
                 bundle.v, oracles.truncated_values(mdp, r, pi.probs, horizon), atol=1e-9
             )
@@ -209,6 +209,14 @@ class TestAgainstValueIterationOracle:
         ]
         np.testing.assert_allclose(oracles.brute_force_j_table(mdp, r), one_at_a_time, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-11, 1.0, 1e9])
+    def test_truncated_j_scales_with_reward(self, c):
+        mdp = random_mdp(3, 2, 0.95, seed=4)
+        r = random_reward(mdp, seed=5)
+        pi = random_policy(3, 2, seed=6).probs
+        j_scaled = oracles.truncated_j(mdp, RewardTable(c * r.values), pi)
+        assert j_scaled == pytest.approx(c * oracles.truncated_j(mdp, r, pi), rel=1e-10, abs=0)
+
     def test_seeded_instances(self):
         for mdp, r, alpha in _oracle_instances(200):
             hard = optimal_values(mdp, r)
@@ -281,11 +289,19 @@ class TestOccupancy:
             assert gap > 1e-9
 
 
+def _constant_column(mdp, state, mass=0.3):
+    """Every (t, a) enters ``state`` with probability ``mass``: its entry measure is the same
+    gamma*mass/(1-gamma) under every policy, whatever the rest of tau does."""
+    tau = mdp.transition.copy()
+    tau[:, :, (state + 1) % mdp.n_states] += tau[:, :, state]
+    tau *= 1.0 - mass
+    tau[:, :, state] = mass
+    return mdp.with_transition(tau)
+
+
 class TestControllableStates:
     def test_chain_both_states(self, chain):
-        result = controllable_states(chain)
-        assert set(result) == {0, 1}
-        assert not result.sampled
+        assert set(controllable_states(chain)) == {0, 1}
 
     def test_trivial_transition_none(self):
         mdp = Mdp(np.full((3, 2, 3), 1 / 3), np.full(3, 1 / 3), 0.9)
@@ -299,11 +315,49 @@ class TestControllableStates:
         mdp = Mdp(tau, np.array([1.0, 0.0]), 0.9)
         assert len(controllable_states(mdp)) == 0
 
-    def test_sampled_fallback_flag(self):
-        mdp = random_mdp(7, 4, 0.8, seed=3)  # 4^7 = 16384 > 4096
-        result = controllable_states(mdp)
-        assert result.sampled
-        assert len(result) > 0
+    def test_routes_of_equal_length_leave_the_target_uncontrollable(self):
+        # s0 picks s1 or s2; both move on to the absorbing s3, so only s1 and s2 are steered.
+        tau = np.zeros((4, 2, 4))
+        tau[0, 0, 1] = tau[0, 1, 2] = 1.0
+        tau[1:, :, 3] = 1.0
+        mdp = Mdp(tau, np.array([1.0, 0.0, 0.0, 0.0]), 0.9)
+        assert set(controllable_states(mdp)) == {1, 2}
+
+    def test_long_chain_target_is_controllable(self):
+        # Action 1 walks s0 -> s1 -> ... -> s16; every other action drops into the absorbing s19.
+        # The uniform policy reaches s16 with probability 4^-15, but always taking action 1 enters
+        # it with measure 0.9^16 and leaving the chain never does. s17 and s18 are unreachable,
+        # so s17's action gap into s18 must not count.
+        tau = np.zeros((20, 4, 20))
+        tau[:, :, 19] = 1.0
+        tau[:16, 1, 19] = 0.0
+        tau[np.arange(16), 1, np.arange(1, 17)] = 1.0
+        tau[17, 1] = np.eye(20)[18]
+        mdp = Mdp(tau, np.eye(20)[0], 0.9)
+        assert set(controllable_states(mdp)) == set(range(1, 17)) | {19}
+
+    def test_exact_beyond_old_enumeration_cap(self):
+        mdp = _constant_column(random_mdp(7, 4, 0.8, seed=3), state=5)  # 4^7 = 16384 policies
+        assert set(controllable_states(mdp)) == {0, 1, 2, 3, 4, 6}
+        spread = oracles.vertex_entry_spread(mdp)
+        assert spread[5] <= 1e-12 and np.delete(spread, 5).min() > 1e-3
+
+    def test_matches_vertex_oracle_sweep(self):
+        partial = 0
+        for seed in range(120):
+            n, k = int(2 + seed % 4), int(2 + seed % 2)
+            gamma = 0.3 + 0.65 * ((seed * 7) % 11) / 10
+            mdp = random_mdp(n, k, gamma, seed=seed, sparsity=(0.0, 0.5, 0.8)[seed % 3])
+            if seed % 4 == 1:
+                mdp = _constant_column(mdp, state=seed % n)
+            elif seed % 4 == 2:  # one (t, a) row differs from the rest of its state
+                tau = np.repeat(mdp.transition[:, :1], k, axis=1)
+                tau[seed % n, 1] = mdp.transition[seed % n, 1]
+                mdp = mdp.with_transition(tau)
+            expected = set(np.flatnonzero(oracles.vertex_entry_spread(mdp) > 1e-9).tolist())
+            assert set(controllable_states(mdp)) == expected, seed
+            partial += 0 < len(expected) < n
+        assert partial >= 30
 
 
 class TestMcReturn:
