@@ -11,6 +11,7 @@ output surface; the text format is for humans and may change.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -105,6 +106,9 @@ def validate(mdp_path, reward_path, fmt):
 @click.option("--out", type=click.Path(), default=None)
 def solve(mdp_path, reward_path, tol, beta, alpha, fmt, out):
     """Solve for optimal values, advantages, and optimal-action sets."""
+    for name, value in (("tol", tol), ("beta", beta), ("alpha", alpha)):
+        if value is not None and not 0 < value < math.inf:
+            _usage_error(f"--{name} must be positive and finite, got {value}")
     try:
         mdp = documents.load_mdp(mdp_path)
         r = documents.load_reward(reward_path, n_actions=mdp.n_actions)

@@ -14,7 +14,8 @@ size, a negative verdict carries two policies built from the same forms
 Whenever the A^S deterministic policies fit under the cap, the ord/jeq
 verdicts are cross-checked against an exact vertex oracle. J(pi) = <d^pi, r>
 is linear in the occupancy d^pi, whose polytope has the deterministic
-policies as vertices, so one batched occupancy solve gives every J table.
+policies as vertices: vertex_weights solves their state visitations w in one
+batch, and a J table weights w by the reward at each vertex's actions.
 Rewards order all policies alike iff J2 is a positive affine function of J1
 on every vertex (measured off the chord through the extreme J1 vertices, or
 both tables flat), and give every policy the same J iff J1 = J2 there. The
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, StructuralError
 from .mdp import Mdp, RewardTable
-from .solve import deterministic_policies, occupancies, optimal_values
+from .solve import occupancies, optimal_values, vertex_weights
 from .transform import (
     DIST_TOL,
     ROUNDOFF_RTOL,
@@ -57,18 +58,11 @@ class EquivVerdict:
     witness: dict | None = None
 
 
-def _occupancies(mdp: Mdp, equivalent: bool):
-    """Flattened occupancies of the uniform policy and of every deterministic policy under the cap.
-
-    Only a refusal's witness needs the uniform policy, so an equivalent
-    verdict skips it, and past the cap then solves nothing.
-    """
-    n, k = mdp.n_states, mdp.n_actions
-    probs = np.full((0 if equivalent else 1, n, k), 1.0 / k)
-    if k**n <= CROSS_CHECK_CAP:
-        probs = np.concatenate([probs, deterministic_policies(mdp, cap=CROSS_CHECK_CAP)])
-    d = occupancies(mdp, probs).reshape(len(probs), -1) if len(probs) else np.zeros((0, n * k))
-    return (None, d) if equivalent else (d[0], d[1:])
+def _vertex_j(mdp: Mdp, v: np.ndarray) -> np.ndarray:
+    """J at every vertex (see vertex_weights) of each flattened reward vector in ``v``."""
+    n = mdp.n_states
+    actions, w = vertex_weights(mdp, cap=CROSS_CHECK_CAP)
+    return (w * v.reshape(len(v), n, mdp.n_actions)[:, np.arange(n), actions]).sum(axis=2)
 
 
 def _chord(j1: np.ndarray, j2: np.ndarray):
@@ -85,23 +79,27 @@ def _chord(j1: np.ndarray, j2: np.ndarray):
     return span, j2 - j2[lo] - t * rise, rise
 
 
-def _policy_pair(forms: CanonicalForms, w: np.ndarray, d0: np.ndarray, mdp: Mdp) -> dict:
+def _policy_pair(forms: CanonicalForms, w: np.ndarray, mdp: Mdp) -> dict:
     """The policies with occupancies d0 + eps*w and d0 - eps*w, and their J under r1 and r2.
 
-    d0 is the uniform policy's occupancy. A combination w of canonical forms
-    has M^T w = 0, so both points satisfy the flow equations M^T d = -mu0, and
-    eps keeps them above d0/2 > 0: each is the occupancy of its per-state
-    normalisation (uniform at a state it never visits). For w = C1^ - C2^,
-    <w, C1^> > 0 >= <w, C2^>, so J1 rises from the second policy to the first
-    while J2 falls (or stays level when C2 is zero); for w = C2 - C1, J2 - J1
-    rises by 2*eps*|w|^2.
+    d0 is the uniform policy's occupancy; it is zero exactly at the states no
+    policy reaches, which this raises StructuralError for. A combination w of
+    canonical forms has M^T w = 0, so both points satisfy the flow equations
+    M^T d = -mu0, and eps keeps them above d0/2 > 0: each is the occupancy of
+    its per-state normalisation. For w = C1^ - C2^, <w, C1^> > 0 >= <w, C2^>,
+    so J1 rises from the second policy to the first while J2 falls (or stays
+    level when C2 is zero); for w = C2 - C1, J2 - J1 rises by 2*eps*|w|^2.
     """
     n, k = mdp.n_states, mdp.n_actions
+    d0 = occupancies(mdp, np.full((1, n, k), 1.0 / k))[0]
+    unvisited = np.flatnonzero(d0.sum(axis=1) <= 0)
+    if unvisited.size:
+        raise StructuralError(f"states {unvisited.tolist()} are unreachable from mu0")
+    d0 = d0.ravel()
     peak = float(np.abs(w).max())
     eps = 0.5 * float(d0.min()) / peak if peak > 0 else 0.0
     d = np.array([d0 + eps * w, d0 - eps * w])
-    mass = d.reshape(2, n, k).sum(axis=2, keepdims=True)
-    policies = np.divide(d.reshape(2, n, k), mass, out=np.full((2, n, k), 1.0 / k), where=mass > 0)
+    policies = d.reshape(2, n, k) / d.reshape(2, n, k).sum(axis=2, keepdims=True)
     return {
         "kind": "policy-pair",
         "policies": policies.tolist(),
@@ -122,15 +120,19 @@ def opt_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
 
 
 def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
-    """Same policy ordering, decided on the canonical forms (see decompose_ord)."""
+    """Same policy ordering, decided on the canonical forms (see decompose_ord).
+
+    Every state must be reachable from mu0 (validate_mdp): a reward at a state
+    no policy visits moves the forms but no J, so a refusal raises StructuralError.
+    """
     forms = canonical_forms(r1, r2, mdp)
     cert = decompose_ord(forms)
     equivalent = cert is not None
-    d0, d = _occupancies(mdp, equivalent)
-    if len(d):
+    witness = None if equivalent else _policy_pair(forms, forms.u[0] - forms.u[1], mdp)
+    if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
         unit = np.where(forms.u.any(axis=1), forms.size, forms.v_size)
         unit = np.where(unit > 0, unit, 1.0)
-        j1, j2 = (d @ forms.v.T * ((1.0 - mdp.discount) / unit)).T
+        j1, j2 = _vertex_j(mdp, forms.v) * ((1.0 - mdp.discount) / unit)[:, None]
         span, dev, rise = _chord(j1, j2)
         off_chord = float(np.abs(dev).max())
         if span <= ROUNDOFF_RTOL:
@@ -144,24 +146,25 @@ def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
         if not equivalent and oracle_agrees:
             raise InternalConsistencyError(
                 "ord decider said False but J2 is a positive affine function of J1 on every vertex")
-    witness = None if equivalent else _policy_pair(forms, forms.u[0] - forms.u[1], d0, mdp)
     return EquivVerdict(equivalent=equivalent, relation="ord", certificate=cert, witness=witness)
 
 
 def j_equal(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
-    """Identical J for every policy, decided on the canonical forms (see decompose_j)."""
+    """Identical J for every policy, decided on the canonical forms (see decompose_j).
+
+    Every state must be reachable from mu0 (validate_mdp), as for ord_equivalent.
+    """
     forms = canonical_forms(r1, r2, mdp)
     cert = decompose_j(forms, mdp)
     equivalent = cert is not None
-    d0, d = _occupancies(mdp, equivalent)
-    if len(d):
+    witness = None if equivalent else _policy_pair(forms, forms.c[1] - forms.c[0], mdp)
+    if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
         scale = j_scale(forms, mdp)
         roundoff = ROUNDOFF_RTOL * float(forms.v_size.max())
-        gap = (1.0 - mdp.discount) * float(np.abs(d @ (forms.v[0] - forms.v[1])).max())
+        gap = (1.0 - mdp.discount) * float(np.abs(_vertex_j(mdp, forms.v[:1] - forms.v[1:])).max())
         if equivalent and gap > 2 * max(DIST_TOL * scale, roundoff) + roundoff:
             raise InternalConsistencyError(
                 f"jeq decider said True but (1 - gamma)*J differs by {gap:.3e} at a vertex")
         if not equivalent and gap <= ROUNDOFF_RTOL * scale:
             raise InternalConsistencyError("jeq decider said False but J1 = J2 on every vertex")
-    witness = None if equivalent else _policy_pair(forms, forms.c[1] - forms.c[0], d0, mdp)
     return EquivVerdict(equivalent=equivalent, relation="jeq", certificate=cert, witness=witness)

@@ -47,12 +47,11 @@ from .models import (
 )
 from .solve import (
     controllable_states,
-    deterministic_policies,
-    occupancies,
     occupancy,
     optimal_values,
     reward_vector,
     soft_optimal_values,
+    vertex_weights,
 )
 from .transform import (
     LinearScaling,
@@ -120,13 +119,8 @@ def random_policy(n_states: int, n_actions: int, seed: int) -> StochasticPolicy:
 def advantage_gap(mdp: Mdp, r: RewardTable) -> float:
     """Smallest margin by which a non-optimal action loses, over all states."""
     a_star = optimal_values(mdp, r).a_star
-    gaps = []
-    for s in range(mdp.n_states):
-        row = a_star[s]
-        non_opt = row[row < row.max()]
-        if non_opt.size:
-            gaps.append(float(-non_opt.max()))
-    return min(gaps) if gaps else np.inf
+    losing = a_star[a_star < a_star.max(axis=1, keepdims=True)]
+    return float(-losing.max()) if losing.size else np.inf
 
 
 def random_reward(
@@ -147,7 +141,8 @@ def random_reward(
     rng = np.random.default_rng(seed)
     n, k = mdp.n_states, mdp.n_actions
     if j_floor is not None:
-        d = occupancies(mdp, deterministic_policies(mdp)).reshape(-1, n * k)
+        actions, w = vertex_weights(mdp)
+        picked = np.arange(n), actions  # each vertex's (s, a) entries
     for _ in range(max_tries):
         if domain == "sas":
             r = RewardTable(rng.uniform(-bounds, bounds, size=(n, k, n)))
@@ -159,7 +154,7 @@ def random_reward(
             raise ValueError(f"unknown domain {domain!r}")
         if gap_floor is not None and advantage_gap(mdp, r) < gap_floor * bounds:
             continue
-        if j_floor is not None and np.abs(d @ reward_vector(r, mdp).ravel()).max() < j_floor:
+        if j_floor is not None and np.abs((w * reward_vector(r, mdp)[picked]).sum(1)).max() < j_floor:
             continue
         return r
     raise GenerationError(f"no reward met the floors after {max_tries} tries")
@@ -184,10 +179,8 @@ class TrialReport:
 
     @property
     def counts(self) -> dict:
-        counts = {"pass": 0, "fail": 0, "skip": 0}
-        for o in self.outcomes:
-            counts[o["status"]] += 1
-        return counts
+        statuses = [o["status"] for o in self.outcomes]
+        return {k: statuses.count(k) for k in ("pass", "fail", "skip")}
 
     def to_doc(self) -> dict:
         return {
@@ -315,7 +308,7 @@ def gamma_counterexample(
 
     mdp1 = mdp.with_discount(gamma1)
     mdp2 = mdp.with_discount(gamma2)
-    entry = occupancies(mdp2, deterministic_policies(mdp2)).sum(axis=2) - mdp2.initial
+    entry = vertex_weights(mdp2)[1] - mdp2.initial
     spread = entry.max(axis=0) - entry.min(axis=0)
     state = int(np.argmax(spread))
     if spread[state] <= 1e-9:
@@ -480,11 +473,11 @@ def oracle_opt_sets(mdp: Mdp, r: RewardTable) -> tuple:
     sparse transitions a J-optimal policy can behave arbitrarily at states it
     never reaches, which this enumeration cannot distinguish.
     """
-    probs = deterministic_policies(mdp)
-    j = occupancies(mdp, probs).reshape(len(probs), -1) @ reward_vector(r, mdp).ravel()
+    actions, w = vertex_weights(mdp)
+    j = (w * reward_vector(r, mdp)[np.arange(mdp.n_states), actions]).sum(axis=1)
     best = j.max()
     tol = 1e-9 * max(1.0, abs(best))
-    winners = probs[j >= best - tol].argmax(axis=2)
+    winners = actions[j >= best - tol]
     return tuple(frozenset(winners[:, s].tolist()) for s in range(mdp.n_states))
 
 

@@ -242,15 +242,12 @@ def validate_mdp(mdp: Mdp) -> ValidationReport:
         violations.append(("non-finite", "transition", float("nan")))
         return ValidationReport(tuple(violations))
 
-    for s in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            row = tau[s, a]
-            neg = row.min()
-            if neg < 0:
-                violations.append(("negative-entry", f"(s{s},a{a})", float(-neg)))
-            gap = abs(row.sum() - 1.0)
-            if gap > PROB_ATOL:
-                violations.append(("row-sum", f"(s{s},a{a})", float(gap)))
+    neg, gap = -tau.min(axis=2), np.abs(tau.sum(axis=2) - 1.0)
+    for s, a in np.ndindex(*neg.shape):
+        if neg[s, a] > 0:
+            violations.append(("negative-entry", f"(s{s},a{a})", float(neg[s, a])))
+        if gap[s, a] > PROB_ATOL:
+            violations.append(("row-sum", f"(s{s},a{a})", float(gap[s, a])))
 
     if mu0.min() < 0:
         violations.append(("mu0-negative", "mu0", float(-mu0.min())))
@@ -281,9 +278,4 @@ def enumerate_action_tuples(
         raise CapacityError(
             f"{n_actions}^{n_states} = {count} deterministic policies exceeds cap {cap}"
         )
-    idx = np.arange(count)
-    cols = []
-    for s in range(n_states):
-        power = n_actions ** (n_states - 1 - s)
-        cols.append((idx // power) % n_actions)
-    return np.stack(cols, axis=1)
+    return np.indices((n_actions,) * n_states).reshape(n_states, count).T

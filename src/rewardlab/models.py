@@ -27,8 +27,8 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 def boltzmann_policy(mdp: Mdp, r: RewardTable, beta: float, tol: float = 1e-10) -> StochasticPolicy:
     """pi(a|s) proportional to exp(beta * Q*(s,a)); full support for any beta > 0."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
     q_star = optimal_values(mdp, r, tol=tol).q_star
     return StochasticPolicy(_softmax_rows(beta * q_star))
 
@@ -122,8 +122,8 @@ def invert_boltzmann(pi: StochasticPolicy, beta: float, mdp: Mdp) -> RewardTable
     per-state free constant is fixed to zero; any shift gives another valid
     preimage, which is exactly the shaping/redistribution ambiguity.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
     _require_positive(pi.probs)
     q = np.log(pi.probs) / beta
     v = q.max(axis=1)
@@ -139,8 +139,8 @@ def invert_mce(pi: StochasticPolicy, alpha: float) -> RewardTable:
     The output is SA-domain, so the preimage works in any environment sharing
     the state and action sets.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     _require_positive(pi.probs)
     return RewardTable.from_sa(alpha * np.log(pi.probs))
 

@@ -9,8 +9,9 @@ Howard's algorithm for the hard Bellman equation, and soft policy iteration
 exact policy value still misses ``tol`` (round-off at large |v|, or a near-tie
 finer than Howard's switch margin), Bellman sweeps settle it.
 
-Controllability needs one factorisation too: a state's entry measure is
-constant over all policies iff the uniform policy's action gaps for the reward
+All deterministic policies share one batched solve (see vertex_weights).
+Controllability needs one factorisation: a state's entry measure is constant
+over all policies iff the uniform policy's action gaps for the reward
 1[state = s] vanish at every reachable state (see ControllableStates).
 """
 
@@ -210,8 +211,8 @@ def soft_optimal_values(
     the iteration, and soft-Bellman sweeps settle the rest (see _settle).
     Raises ConvergenceError after ``max_iter`` steps, or if settling fails.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
 
@@ -264,15 +265,20 @@ def occupancies(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
     return w * probs
 
 
-def deterministic_policies(mdp: Mdp, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """One-hot (A^S, S, A) batch of every deterministic policy, s0-major.
+def vertex_weights(mdp: Mdp, cap: int = DEFAULT_ENUM_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """(actions, w): every deterministic policy, s0-major, and its state visitation w[n].
 
-    Their occupancies are the vertices of the occupancy polytope, so a linear
-    function of the occupancy is extremal, and affine in another, iff it is so
-    on this batch.
+    Policy n's flow rows e_s - gamma*tau(s, actions[n, s], .) are gathered for
+    one batched solve. Its occupancy, a vertex of the occupancy polytope, is
+    w[n, s] at a = actions[n, s], so J at every vertex is
+    (w * rv[arange(S), actions]).sum(1) for rv = reward_vector(r, mdp). Raises
+    CapacityError when A^S exceeds ``cap``.
     """
-    actions = enumerate_action_tuples(mdp.n_states, mdp.n_actions, cap=cap)
-    return np.eye(mdp.n_actions)[actions]
+    n = mdp.n_states
+    actions = enumerate_action_tuples(n, mdp.n_actions, cap=cap)
+    rows = np.eye(n)[:, None, :] - mdp.discount * mdp.transition
+    lhs = np.swapaxes(rows[np.arange(n), actions], 1, 2)
+    return actions, np.linalg.solve(lhs, mdp.initial[:, None])[:, :, 0]
 
 
 def controllable_states(mdp: Mdp) -> ControllableStates:

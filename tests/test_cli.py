@@ -126,6 +126,27 @@ class TestTransform:
         assert result.exit_code == 2
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alpha", "-1"],
+            ["--alpha", "0"],
+            ["--alpha", "nan"],
+            ["--beta", "-1"],
+            ["--beta", "nan"],
+            ["--tol", "-1"],
+        ],
+        ids=["alpha-negative", "alpha-zero", "alpha-nan", "beta-negative", "beta-nan", "tol-negative"],
+    )
+    def test_bad_value_exits_2_with_one_line(self, runner, chain_docs, flags):
+        mdp_path, reward_path = chain_docs
+        result = runner.invoke(main, ["solve", str(mdp_path), str(reward_path), *flags])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {flags[0]} ")
+        assert result.output.count("\n") == 1
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "command, broken",

@@ -4,6 +4,7 @@ import pytest
 from rewardlab import (
     Chain,
     LinearScaling,
+    Mdp,
     RewardTable,
     apply,
     decompose_ps_ls,
@@ -16,17 +17,17 @@ from rewardlab import (
     sample_s_redistribution,
 )
 from rewardlab.documents import load_transfer_pair
-from rewardlab.errors import CapacityError, InternalConsistencyError
+from rewardlab.errors import CapacityError, InternalConsistencyError, StructuralError
 from rewardlab.lab import BOUNDS, ExperimentConfig, _child_seeds, _draw_env, random_mdp, random_reward
 from rewardlab.mdp import DEFAULT_ENUM_CAP
-from rewardlab.solve import deterministic_policies, occupancies
+from rewardlab.solve import vertex_weights
 
 import oracles
 
 
 def j_table(r, mdp, cap=DEFAULT_ENUM_CAP):
-    probs = deterministic_policies(mdp, cap=cap)
-    return occupancies(mdp, probs).reshape(len(probs), -1) @ reward_vector(r, mdp).ravel()
+    actions, w = vertex_weights(mdp, cap=cap)
+    return (w * reward_vector(r, mdp)[np.arange(mdp.n_states), actions]).sum(axis=1)
 
 
 def witness_differences(witness, mdp, r1, r2):
@@ -201,7 +202,7 @@ class TestJEqual:
 
 
 class TestOrderSignature:
-    """A reward's order signature: its J table over the deterministic-policy battery, d @ r."""
+    """A reward's order signature: its J table over the deterministic policies, from vertex_weights."""
 
     def test_chain_values_match_brute_force_oracle(self, chain, chain_reward):
         j = j_table(chain_reward, chain)
@@ -225,3 +226,33 @@ class TestOrderSignature:
         mdp = random_mdp(4, 3, 0.8, seed=1)
         with pytest.raises(CapacityError):
             j_table(random_reward(mdp, seed=2, gap_floor=None), mdp, cap=10)
+
+
+def _unreachable_last_state(n_states, seed=0):
+    """A dense MDP whose last state no policy reaches, and two rewards differing only there."""
+    rng = np.random.default_rng(seed)
+    tau = rng.dirichlet(np.ones(n_states - 1), size=(n_states, 2))
+    tau = np.concatenate([tau, np.zeros((n_states, 2, 1))], axis=2)
+    mu0 = np.append(rng.dirichlet(np.ones(n_states - 1)), 0.0)
+    r1 = rng.uniform(-1.0, 1.0, size=(n_states, 2, n_states))
+    r2 = r1.copy()
+    r2[-1, 0] += 5.0
+    return Mdp(tau, mu0, 0.9), RewardTable(r1), RewardTable(r2)
+
+
+class TestUnreachableState:
+    """Rewards that differ only at a state no policy visits give every policy the same J,
+    yet their canonical forms differ: a refusal there must name the state, not raise an
+    oracle disagreement (under the cap) or return one policy twice (above it)."""
+
+    @pytest.mark.parametrize("n_states", [4, 12], ids=["under-cap", "above-cap"])
+    @pytest.mark.parametrize("decider", [ord_equivalent, j_equal], ids=["ord", "jeq"])
+    def test_refusal_names_the_unreachable_state(self, decider, n_states):
+        mdp, r1, r2 = _unreachable_last_state(n_states)
+        with pytest.raises(StructuralError, match=rf"\[{n_states - 1}\]"):
+            decider(r1, r2, mdp)
+
+    def test_equivalent_verdict_needs_no_reachability(self):
+        mdp, r1, _ = _unreachable_last_state(4)
+        assert ord_equivalent(r1, apply(LinearScaling(2.0), r1, mdp), mdp).equivalent
+        assert j_equal(r1, r1, mdp).equivalent

@@ -55,6 +55,11 @@ class TestBoltzmann:
         with pytest.raises(ValueError):
             boltzmann_policy(chain, chain_reward, beta=0.0)
 
+    @pytest.mark.parametrize("beta", [-1.0, float("nan"), float("inf")])
+    def test_beta_must_be_positive_and_finite(self, chain, chain_reward, beta):
+        with pytest.raises(ValueError):
+            boltzmann_policy(chain, chain_reward, beta=beta)
+
 
 class TestMce:
     def test_constant_reward_uniform(self, chain):
@@ -78,6 +83,11 @@ class TestMce:
         assert mce_policy(chain, chain_reward, alpha=0.5).full_support
         with pytest.raises(ValueError):
             mce_policy(chain, chain_reward, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_alpha_must_be_positive_and_finite(self, chain, chain_reward, alpha):
+        with pytest.raises(ValueError):
+            mce_policy(chain, chain_reward, alpha=alpha)
 
 
 class TestOptimalSetPolicy:

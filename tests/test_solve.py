@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from rewardlab import (
     reward_vector,
     soft_optimal_values,
 )
-from rewardlab.errors import ConvergenceError
+from rewardlab.errors import CapacityError, ConvergenceError
 from rewardlab.lab import random_mdp, random_policy, random_reward
+from rewardlab.solve import vertex_weights
 
 import oracles
 
@@ -358,6 +361,42 @@ class TestControllableStates:
             assert set(controllable_states(mdp)) == expected, seed
             partial += 0 < len(expected) < n
         assert partial >= 30
+
+
+def _vertex_instances():
+    """Seeded MDPs at the at-cap shapes: dense, sparse (0.5 and 0.8) and one row differing."""
+    for i, (n, k) in enumerate([(10, 2), (5, 4), (4, 5)]):
+        gamma = (0.6, 0.8, 0.9)[i]
+        for j, sparsity in enumerate((0.0, 0.5, 0.8)):
+            yield random_mdp(n, k, gamma, seed=10 * i + j, sparsity=sparsity)
+        mdp = random_mdp(n, k, gamma, seed=10 * i + 3)
+        tau = np.repeat(mdp.transition[:, :1], k, axis=1)
+        tau[i % n, 1] = mdp.transition[i % n, 1]
+        yield mdp.with_transition(tau)
+
+
+class TestVertexWeights:
+    @pytest.mark.parametrize("index", range(12))
+    def test_matches_series_oracles(self, index):
+        mdp = list(_vertex_instances())[index]
+        n = mdp.n_states
+        actions, w = vertex_weights(mdp)
+        r = random_reward(mdp, seed=100 + index, gap_floor=None)
+        j = (w * reward_vector(r, mdp)[np.arange(n), actions]).sum(axis=1)
+        expected = np.array(oracles.brute_force_j_table(mdp, r))
+        np.testing.assert_allclose(j, expected, rtol=0, atol=1e-9 * max(1.0, np.abs(expected).max()))
+        spread = w.max(axis=0) - w.min(axis=0)  # mu0 cancels from the entry measure w - mu0
+        atol = 1e-9 / (1.0 - mdp.discount)
+        np.testing.assert_allclose(spread, oracles.vertex_entry_spread(mdp), rtol=0, atol=atol)
+
+    def test_actions_in_product_order(self):
+        actions, w = vertex_weights(random_mdp(4, 3, 0.8, seed=5))
+        assert actions.tolist() == [list(p) for p in itertools.product(range(3), repeat=4)]
+        assert w.shape == (81, 4)
+
+    def test_above_cap_raises(self):
+        with pytest.raises(CapacityError):
+            vertex_weights(random_mdp(4, 3, 0.8, seed=5), cap=80)
 
 
 class TestMcReturn:
