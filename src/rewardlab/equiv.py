@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, StructuralError
 from .mdp import Mdp, RewardTable
-from .solve import occupancies, optimal_values, vertex_weights
+from .solve import optimal_values, uniform_flow, vertex_weights
 from .transform import (
     DIST_TOL,
     ROUNDOFF_RTOL,
@@ -91,11 +91,10 @@ def _policy_pair(forms: CanonicalForms, w: np.ndarray, mdp: Mdp) -> dict:
     level when C2 is zero); for w = C2 - C1, J2 - J1 rises by 2*eps*|w|^2.
     """
     n, k = mdp.n_states, mdp.n_actions
-    d0 = occupancies(mdp, np.full((1, n, k), 1.0 / k))[0]
-    unvisited = np.flatnonzero(d0.sum(axis=1) <= 0)
-    if unvisited.size:
-        raise StructuralError(f"states {unvisited.tolist()} are unreachable from mu0")
-    d0 = d0.ravel()
+    w0 = np.linalg.solve(uniform_flow(mdp), mdp.initial)
+    if (w0 <= 0).any():
+        raise StructuralError(f"states {np.flatnonzero(w0 <= 0).tolist()} are unreachable from mu0")
+    d0 = np.repeat(w0 * (1.0 / k), k)
     peak = float(np.abs(w).max())
     eps = 0.5 * float(d0.min()) / peak if peak > 0 else 0.0
     d = np.array([d0 + eps * w, d0 - eps * w])

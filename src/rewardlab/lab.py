@@ -33,6 +33,7 @@ from .mdp import (
     StochasticPolicy,
     is_trivial_transition,
     lift_reward,
+    mask_sets,
     validate_mdp,
 )
 from .models import (
@@ -478,7 +479,7 @@ def oracle_opt_sets(mdp: Mdp, r: RewardTable) -> tuple:
     best = j.max()
     tol = 1e-9 * max(1.0, abs(best))
     winners = actions[j >= best - tol]
-    return tuple(frozenset(winners[:, s].tolist()) for s in range(mdp.n_states))
+    return mask_sets((winners[:, :, None] == np.arange(mdp.n_actions)).any(axis=0))
 
 
 def _run_trials(config: ExperimentConfig, trial, witness: str | None = None) -> TrialReport:

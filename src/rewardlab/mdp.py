@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress, count
 
 import numpy as np
 
@@ -186,8 +187,8 @@ class ActionSetPolicy:
     sets: tuple[frozenset, ...]
 
     def __post_init__(self):
-        sets = tuple(frozenset(int(a) for a in s) for s in self.sets)
-        if any(len(s) == 0 for s in sets):
+        sets = tuple(frozenset(map(int, s)) for s in self.sets)
+        if not all(sets):
             raise StructuralError("every per-state action set must be non-empty")
         object.__setattr__(self, "sets", sets)
 
@@ -199,6 +200,14 @@ class ActionSetPolicy:
 
     def __iter__(self):
         return iter(self.sets)
+
+
+def mask_sets(member: np.ndarray) -> tuple[frozenset, ...]:
+    """The columns set in each row of an (S, A) boolean mask; one frozenset per distinct row."""
+    packed = np.packbits(member, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
+    sets = {key: frozenset(compress(count(), row)) for key, row in dict(zip(keys, member.tolist())).items()}
+    return tuple(map(sets.__getitem__, keys))
 
 
 @dataclass(frozen=True)

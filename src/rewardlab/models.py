@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
-from .mdp import ActionSetPolicy, Mdp, RewardTable, StochasticPolicy
+from .mdp import ActionSetPolicy, Mdp, RewardTable, StochasticPolicy, mask_sets
 from .solve import SoftBundle, optimal_values, soft_optimal_values
 
 ARGMAX_ATOL = 1e-12  # probability tie tolerance used when certifying argmax sets
@@ -68,11 +68,11 @@ class FVariantSpec:
         if self.variant == "mixture":
             if not (self.lam is not None and 0 < self.lam < 1):
                 raise ValueError("mixture requires lam in (0, 1)")
-            if not (self.beta1 and self.beta1 > 0 and self.beta2 and self.beta2 > 0):
-                raise ValueError("mixture requires positive beta1, beta2")
+            if not all(x is not None and 0 < x < np.inf for x in (self.beta1, self.beta2)):
+                raise ValueError("mixture requires positive finite beta1, beta2")
         elif self.variant == "tempered-rank":
-            if not (self.beta and self.beta > 0 and self.p and self.p > 0):
-                raise ValueError("tempered-rank requires positive beta and p")
+            if not all(x is not None and 0 < x < np.inf for x in (self.beta, self.p)):
+                raise ValueError("tempered-rank requires positive finite beta and p")
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -80,13 +80,10 @@ class FVariantSpec:
 def _certify_argmax(probs: np.ndarray, opt_sets: ActionSetPolicy) -> None:
     if np.any(probs <= 0):
         raise CertificationError("generated policy is not full support")
-    for s in range(probs.shape[0]):
-        row = probs[s]
-        argmax = frozenset(np.flatnonzero(row >= row.max() - ARGMAX_ATOL).tolist())
-        if argmax != opt_sets[s]:
-            raise CertificationError(
-                f"argmax set at state {s} is {sorted(argmax)}, expected {sorted(opt_sets[s])}"
-            )
+    argmax = mask_sets(probs >= probs.max(axis=1, keepdims=True) - ARGMAX_ATOL)
+    for s, (got, want) in enumerate(zip(argmax, opt_sets)):
+        if got != want:
+            raise CertificationError(f"argmax set at state {s} is {sorted(got)}, expected {sorted(want)}")
 
 
 def fvariant_policy(mdp: Mdp, r: RewardTable, spec: FVariantSpec) -> StochasticPolicy:

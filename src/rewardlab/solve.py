@@ -1,20 +1,20 @@
-"""Exact solvers: values, optimal values, soft values, occupancies, controllability.
+"""Exact solvers: values, optimal values, soft values, occupancy, controllability.
 
 Every value comes from a direct dense solve of (I - gamma*T^pi) v = r^pi (at
 most S unknowns, strictly diagonally dominant for gamma < 1), so policy
-evaluation and occupancies carry no iteration error. The optimal and
-entropy-regularized optima are found by policy iteration on top of that solve:
-Howard's algorithm for the hard Bellman equation, and soft policy iteration
-(Newton's method on v = alpha*logsumexp(q/alpha)) for the soft one. Where the
-exact policy value still misses ``tol`` (round-off at large |v|, or a near-tie
-finer than Howard's switch margin), Bellman sweeps settle it.
+evaluation and occupancy carry no iteration error. The optima come from policy
+iteration on that solve: Howard's algorithm for the hard Bellman equation (its
+deterministic T^pi is a row gather; the optimal-action sets come from one tie
+mask, see mask_sets), and soft policy iteration (Newton's method on v =
+alpha*logsumexp(q/alpha)) for the soft one. Where the exact policy value still
+misses ``tol`` (round-off at large |v|, or a near-tie finer than Howard's
+switch margin), Bellman sweeps settle it.
 
 All deterministic policies share one batched solve (see vertex_weights).
-Controllability needs one factorisation: a state's entry measure is constant
-over all policies iff the uniform policy's action gaps for the reward
-1[state = s] vanish at every reachable state (see ControllableStates).
+Controllability needs one factorisation of uniform_flow: a state's entry measure
+is constant over all policies iff the uniform policy's action gaps for the
+reward 1[state = s] vanish at every reachable state (see ControllableStates).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -29,6 +29,7 @@ from .mdp import (
     RewardTable,
     StochasticPolicy,
     enumerate_action_tuples,
+    mask_sets,
     reachable_states,
 )
 
@@ -103,10 +104,9 @@ def reward_vector(r: RewardTable, mdp: Mdp) -> np.ndarray:
     return np.einsum("sap,sap->sa", mdp.transition, r.values)
 
 
-def _policy_values(mdp: Mdp, probs: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
-    """Exact v = r_pi + gamma*T^pi v for the (S, A) policy ``probs`` by one dense solve."""
+def _policy_values(mdp: Mdp, t_pi: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
+    """Exact v = r_pi + gamma*T^pi v by one dense solve."""
     gamma = mdp.discount
-    t_pi = np.einsum("sa,sap->sp", probs, mdp.transition)
     v = np.linalg.solve(np.eye(mdp.n_states) - gamma * t_pi, r_pi)
     residual = float(np.abs(v - (r_pi + gamma * (t_pi @ v))).max())
     if residual > SOLVE_RTOL * max(1.0, float(np.abs(v).max())):
@@ -117,7 +117,8 @@ def _policy_values(mdp: Mdp, probs: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
 def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBundle:
     """Exact V^pi, Q^pi, and J via the (I - gamma*T^pi) linear system."""
     rsa = reward_vector(r, mdp)
-    v = _policy_values(mdp, pi.probs, (pi.probs * rsa).sum(axis=1))
+    t_pi = np.einsum("sa,sap->sp", pi.probs, mdp.transition)
+    v = _policy_values(mdp, t_pi, (pi.probs * rsa).sum(axis=1))
     q = rsa + mdp.discount * (mdp.transition @ v)
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
 
@@ -145,6 +146,11 @@ def _settle(bellman, v: np.ndarray, residual: float, gamma: float, tol: float):
     )
 
 
+def _check_budget(tol: float, max_iter: int) -> None:
+    if not (0 < tol < np.inf and max_iter >= 1):
+        raise ValueError(f"need 0 < tol < inf and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
+
+
 def optimal_values(
     mdp: Mdp,
     r: RewardTable,
@@ -158,13 +164,13 @@ def optimal_values(
     that takes more than ``max_iter`` steps, or if the Bellman residual still
     exceeds ``tol`` after settling (see _settle).
     """
+    _check_budget(tol, max_iter)
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
     states = np.arange(mdp.n_states)
-    one_hot = np.eye(mdp.n_actions)
     act = rsa.argmax(axis=1)
     for _ in range(max_iter):
-        v = _policy_values(mdp, one_hot[act], rsa[states, act])
+        v = _policy_values(mdp, mdp.transition[states, act], rsa[states, act])
         q_star = rsa + gamma * (mdp.transition @ v)
         v_star = q_star.max(axis=1)
         residual = float(np.abs(v_star - v).max())
@@ -189,9 +195,7 @@ def optimal_values(
     a_star = q_star - v_star[:, None]
     # Shifts and shaping leave a* unchanged but not q*, whose round-off floors the tie.
     tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(q_star).max()))
-    opt_sets = ActionSetPolicy(
-        tuple(frozenset(np.flatnonzero(a_star[s] >= -tie).tolist()) for s in range(mdp.n_states))
-    )
+    opt_sets = ActionSetPolicy(mask_sets(a_star >= -tie))
     return OptimalBundle(q_star=q_star, v_star=v_star, a_star=a_star, opt_sets=opt_sets, residual=residual)
 
 
@@ -213,6 +217,7 @@ def soft_optimal_values(
     """
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
+    _check_budget(tol, max_iter)
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
 
@@ -235,7 +240,8 @@ def soft_optimal_values(
             break
         last = residual
         pi = np.exp(log_pi)
-        v = _policy_values(mdp, pi, (pi * (rsa - alpha * log_pi)).sum(axis=1))
+        t_pi = np.einsum("sa,sap->sp", pi, mdp.transition)
+        v = _policy_values(mdp, t_pi, (pi * (rsa - alpha * log_pi)).sum(axis=1))
     else:
         raise ConvergenceError(
             f"soft policy iteration did not reach tol={tol} within {max_iter} steps",
@@ -247,22 +253,14 @@ def soft_optimal_values(
 
 def occupancy(mdp: Mdp, pi: StochasticPolicy) -> OccupancyVector:
     """Solve w = mu0 + gamma*(T^pi)' w, then d[s,a] = w[s] * pi(a|s)."""
-    return OccupancyVector(occupancies(mdp, pi.probs[None])[0])
+    t_pi = np.einsum("sa,sap->sp", pi.probs, mdp.transition)
+    w = np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * t_pi.T, mdp.initial)
+    return OccupancyVector(w[:, None] * pi.probs)
 
 
-def occupancies(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
-    """d[n, s, a] for an (N, S, A) batch of policies, from one batched flow solve.
-
-    J(pi_n) = d[n].ravel() @ reward_vector(r, mdp).ravel(), so one batch serves
-    every reward on the same MDP.
-    """
-    gamma = mdp.discount
-    n = mdp.n_states
-    t = np.einsum("nsa,sap->nsp", probs, mdp.transition)
-    lhs = np.eye(n)[None, :, :] - gamma * np.swapaxes(t, 1, 2)
-    rhs = np.broadcast_to(mdp.initial, (probs.shape[0], n))
-    w = np.linalg.solve(lhs, rhs[:, :, None])
-    return w * probs
+def uniform_flow(mdp: Mdp) -> np.ndarray:
+    """M = I - gamma*T^pi0' at the uniform policy pi0; M w = mu0 gives pi0's state visitation w."""
+    return np.eye(mdp.n_states) - mdp.discount * mdp.transition.mean(axis=1).T
 
 
 def vertex_weights(mdp: Mdp, cap: int = DEFAULT_ENUM_CAP) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +288,6 @@ def controllable_states(mdp: Mdp) -> ControllableStates:
     """
     n, gamma, tau = mdp.n_states, mdp.discount, mdp.transition
     reached = reachable_states(mdp)
-    flow = np.eye(n) - gamma * tau.mean(axis=1).T
     diffs = (tau[reached, 1:, :] - tau[reached, :1, :]).reshape(-1, n)  # rows D(t,a), t-major
-    gaps = np.abs(np.linalg.solve(flow, diffs.T)).max(axis=1, initial=0.0)
+    gaps = np.abs(np.linalg.solve(uniform_flow(mdp), diffs.T)).max(axis=1, initial=0.0)
     return ControllableStates(frozenset(np.flatnonzero(gaps > CONTROL_RTOL / (1.0 - gamma)).tolist()))

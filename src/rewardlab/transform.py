@@ -151,10 +151,7 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
         return RewardTable(r.values + t.k, domain="sas")
     if isinstance(t, OptimalityPreserving):
         opt = optimal_values(mdp, r).opt_sets
-        non_opt = np.ones((mdp.n_states, mdp.n_actions), dtype=bool)
-        for s in range(mdp.n_states):
-            for a in opt[s]:
-                non_opt[s, a] = False
+        non_opt = np.array([[a not in opt_s for a in range(mdp.n_actions)] for opt_s in opt])
         # E[R2(s,a,.) + gamma*psi(S')] = psi(s), minus slack off the optimal sets.
         rsa2 = t.psi[:, None] - gamma * (mdp.transition @ t.psi) + np.where(non_opt, t.slack, 0.0)
         return lift_reward(RewardTable.from_sa(rsa2))

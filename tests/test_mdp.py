@@ -13,7 +13,7 @@ from rewardlab import (
     validate_mdp,
 )
 from rewardlab.errors import CapacityError, StructuralError
-from rewardlab.mdp import ActionSetPolicy, enumerate_action_tuples
+from rewardlab.mdp import ActionSetPolicy, enumerate_action_tuples, mask_sets
 
 from conftest import make_chain
 
@@ -155,6 +155,22 @@ class TestPolicies:
     def test_action_sets_must_be_nonempty(self):
         with pytest.raises(StructuralError):
             ActionSetPolicy((frozenset({0}), frozenset()))
+        with pytest.raises(StructuralError):
+            ActionSetPolicy(mask_sets(np.array([[True, False], [False, False]])))
+
+    def test_action_sets_normalise_numpy_integers(self):
+        policy = ActionSetPolicy((np.array([1, 0], dtype=np.int64), [np.int32(2)], (np.uint8(0), 0)))
+        assert policy.sets == (frozenset({0, 1}), frozenset({2}), frozenset({0}))
+        assert all(type(a) is int for s in policy for a in s)
+
+
+@pytest.mark.parametrize("n_actions", [1, 2, 8, 9, 70])
+def test_mask_sets_match_per_row_reference(n_actions):
+    rng = np.random.default_rng(n_actions)
+    member = rng.random((200, n_actions)) < rng.uniform(0.0, 1.0, size=(200, 1))
+    sets = mask_sets(member)
+    assert sets == tuple(frozenset(np.flatnonzero(row).tolist()) for row in member)
+    assert all(type(a) is int for s in sets for a in s)
 
 
 @settings(max_examples=25, deadline=None)

@@ -20,7 +20,9 @@ from rewardlab import (
     sample_s_redistribution,
 )
 from rewardlab.lab import random_mdp, random_reward
-from rewardlab.models import _softmax_rows
+from rewardlab.errors import CertificationError
+from rewardlab.mdp import ActionSetPolicy
+from rewardlab.models import _certify_argmax, _softmax_rows
 
 import oracles
 
@@ -127,6 +129,23 @@ class TestFVariant:
         spec = FVariantSpec(variant="mixture", lam=0.3, beta1=1.0, beta2=4.0)
         pi = fvariant_policy(chain, RewardTable(np.zeros((2, 2, 2))), spec)
         np.testing.assert_allclose(pi.probs, 0.5, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "variant, field",
+        [("mixture", "beta1"), ("mixture", "beta2"), ("tempered-rank", "beta"), ("tempered-rank", "p")],
+    )
+    def test_non_finite_parameters_rejected(self, variant, field, bad):
+        params = {"mixture": {"lam": 0.5, "beta1": 1.0, "beta2": 2.0}, "tempered-rank": {"beta": 1.0, "p": 2.0}}
+        with pytest.raises(ValueError, match="positive finite"):
+            FVariantSpec(variant=variant, **{**params[variant], field: bad})
+
+    def test_certificate_names_first_mismatching_state(self):
+        probs = np.array([[0.6, 0.4], [0.5, 0.5], [0.3, 0.7], [0.1, 0.9]])
+        opt_sets = ActionSetPolicy(({0}, {0}, {0}, {1}))
+        with pytest.raises(CertificationError, match=r"state 1 is \[0, 1\], expected \[0\]"):
+            _certify_argmax(probs, opt_sets)
+        _certify_argmax(probs, ActionSetPolicy(({0}, {0, 1}, {1}, {1})))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from rewardlab import (
     reward_vector,
     soft_optimal_values,
 )
+from rewardlab import solve
 from rewardlab.errors import CapacityError, ConvergenceError
 from rewardlab.lab import random_mdp, random_policy, random_reward
-from rewardlab.solve import vertex_weights
+from rewardlab.solve import DEFAULT_TOL, IMPROVE_RTOL, TIE_TOL, vertex_weights
 
 import oracles
 
@@ -45,6 +47,50 @@ def _oracle_instances(count, seed=2024):
         alpha = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
         mdp = random_mdp(n, k, gamma, seed=seed + i)
         yield mdp, random_reward(mdp, seed=10_000 + seed + i), alpha
+
+
+def _tied_instance(n_states, n_actions, scale, seed):
+    """A random MDP whose extra actions copy the transition rows and rewards of earlier ones.
+
+    A copied action has the Q of its original up to round-off far inside the tie
+    tolerance, so every state where the original is optimal gets a multi-member
+    optimal-action set.
+    """
+    rng = np.random.default_rng(seed)
+    base_actions = int(rng.integers(1, n_actions))
+    mdp = random_mdp(n_states, base_actions, float(rng.uniform(0.5, 0.99)), seed=seed)
+    cols = np.concatenate([np.arange(base_actions), rng.integers(0, base_actions, n_actions - base_actions)])
+    r = random_reward(mdp, seed=seed + 1, gap_floor=None)
+    tied = Mdp(mdp.transition[:, cols], mdp.initial, mdp.discount)
+    return tied, RewardTable(scale * r.values[:, cols])
+
+
+def _one_hot_howard(mdp, r):
+    """(q*, v*) by Howard's iteration with T^pi formed as a one-hot einsum, settled as solve does."""
+    gamma, rsa = mdp.discount, reward_vector(r, mdp)
+    states = np.arange(mdp.n_states)
+    act = rsa.argmax(axis=1)
+    while True:
+        t_pi = np.einsum("sa,sap->sp", np.eye(mdp.n_actions)[act], mdp.transition)
+        v = np.linalg.solve(np.eye(mdp.n_states) - gamma * t_pi, rsa[states, act])
+        q = rsa + gamma * (mdp.transition @ v)
+        v_star = q.max(axis=1)
+        residual = float(np.abs(v_star - v).max())
+        improve = q[states, act] < v_star - IMPROVE_RTOL * max(1.0, float(np.abs(v).max()))
+        if not improve.any():
+            break
+        act = np.where(improve, q.argmax(axis=1), act)
+    if residual > DEFAULT_TOL:
+
+        def bellman(u):
+            q = rsa + gamma * (mdp.transition @ u)
+            return q, q.max(axis=1)
+
+        q, v_star, _ = solve._settle(bellman, v, residual, gamma, DEFAULT_TOL)
+    return q, v_star
+
+
+TIED_CASES = [(2, 2, 1e-9), (10, 3, 1.0), (40, 5, 1e3), (150, 8, 1e9), (150, 2, 1e-3), (60, 8, 1e6)]
 
 
 def _sup_gap(a, b):
@@ -144,6 +190,25 @@ class TestOptimalValues:
         np.testing.assert_allclose(bundle.v_star, [18.0, 20.0], atol=1e-12)
 
 
+    @pytest.mark.parametrize("n_states, n_actions, scale", TIED_CASES)
+    def test_opt_sets_match_per_state_reference_on_exact_ties(self, n_states, n_actions, scale):
+        mdp, r = _tied_instance(n_states, n_actions, scale, seed=n_states + n_actions)
+        bundle = optimal_values(mdp, r)
+        a_star = bundle.a_star
+        tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(bundle.q_star).max()))
+        expected = tuple(frozenset(np.flatnonzero(a_star[s] >= -tie).tolist()) for s in range(n_states))
+        assert bundle.opt_sets.sets == expected
+        assert max(len(s) for s in expected) > 1
+        assert all(type(a) is int for s in bundle.opt_sets for a in s)
+
+    @pytest.mark.parametrize("n_states, n_actions, scale", TIED_CASES)
+    def test_values_bit_equal_to_one_hot_howard(self, n_states, n_actions, scale):
+        mdp, r = _tied_instance(n_states, n_actions, scale, seed=n_states + n_actions)
+        bundle = optimal_values(mdp, r)
+        q_ref, v_ref = _one_hot_howard(mdp, r)
+        assert bundle.q_star.tobytes() == q_ref.tobytes()
+        assert bundle.v_star.tobytes() == v_ref.tobytes()
+
     def test_near_tie_below_switch_margin(self):
         """Greedy-on-r keeps a0 at s0, which loses to a1 by 5e-9 in Q at |v| = 1e4."""
         mdp, _ = _detour_instance()
@@ -152,6 +217,28 @@ class TestOptimalValues:
         assert bundle.residual <= 1e-10
         assert bundle.v_star[0] == pytest.approx(9000.0, abs=1e-9)
         assert bundle.q_star[0, 1] > bundle.q_star[0, 0]
+
+
+BAD_BUDGETS = [
+    {"tol": float("nan")},
+    {"tol": -1.0},
+    {"tol": 0.0},
+    {"tol": float("inf")},
+    {"max_iter": 0},
+]
+
+
+@pytest.mark.parametrize("solver", [optimal_values, partial(soft_optimal_values, alpha=0.5)],
+                         ids=["optimal", "soft"])
+@pytest.mark.parametrize("budget", BAD_BUDGETS, ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()))
+def test_bad_budget_rejected_before_any_work(solver, budget, chain, chain_reward, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the solver started work before checking its budget")
+
+    monkeypatch.setattr(solve, "reward_vector", no_work)
+    with pytest.raises(ValueError, match="tol"):
+        solver(chain, chain_reward, **budget)
+
 
 class TestSoftOptimalValues:
     def test_constant_reward_gives_uniform_policy(self, chain):
@@ -290,6 +377,14 @@ class TestOccupancy:
             assert pi1.full_support and pi2.full_support
             gap = np.abs(occupancy(mdp, pi1).d - occupancy(mdp, pi2).d).max()
             assert gap > 1e-9
+
+    @pytest.mark.parametrize("n_actions", [2, 3, 7])
+    def test_uniform_flow_solves_the_uniform_policy_visitation(self, n_actions):
+        for seed in range(5):
+            mdp = random_mdp(6, n_actions, 0.9, seed=seed)
+            w = np.linalg.solve(solve.uniform_flow(mdp), mdp.initial)
+            d = occupancy(mdp, StochasticPolicy(np.full((6, n_actions), 1.0 / n_actions))).d
+            np.testing.assert_allclose(np.repeat(w[:, None] / n_actions, n_actions, axis=1), d, rtol=1e-12)
 
 
 def _constant_column(mdp, state, mass=0.3):
