@@ -98,7 +98,8 @@ def validate(mdp_path, reward_path, fmt):
     type=float,
     default=1e-10,
     show_default=True,
-    help="Bellman residual the result must meet (exit 3 otherwise)",
+    help="Bellman residual the result must meet, in units of max|rv| / (1 - gamma), "
+    "rv the expected reward per (s, a) (exit 3 otherwise)",
 )
 @click.option("--beta", type=float, default=None, help="also report the softmax-of-Q* policy")
 @click.option("--alpha", type=float, default=None, help="also report the entropy-regularized policy")

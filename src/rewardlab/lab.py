@@ -72,7 +72,7 @@ X_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # |X| tried by g
 MDP_TRIES = 100        # rejection-sampling budget of random_mdp
 STATES = (2, 5)        # inclusive range of n_states drawn per trial
 ACTIONS = (2, 3)       # inclusive range of n_actions drawn per trial
-BOUNDS = 1.0           # magnitude of generated rewards and potentials
+BOUNDS = 1.0           # reward unit: size of generated rewards and potentials; model parameters follow it
 
 
 def _substream(seed: int, *path: int) -> np.random.Generator:
@@ -242,15 +242,13 @@ def _model_identity_gap(mdp_model: Mdp, r1: RewardTable, r2: RewardTable, x: flo
     """L-infinity gap between the softmax-of-Q* policies of r1 and r2 under mdp_model.
 
     Shaping with weight x inflates Q* by O(|x|) while leaving advantages
-    untouched, so the comparison temperature shrinks as 1/(1+|x|) and the
-    solver tolerance tracks the reward magnitude; otherwise float rounding at
-    large |x| would swamp an identity that holds exactly in real arithmetic.
+    untouched, so the comparison temperature shrinks as 1/(1+|x|); otherwise
+    float rounding at large |x| would swamp an identity that holds exactly in
+    real arithmetic.
     """
     beta = 1.0 / (1.0 + abs(x))
-    rmax = max(float(np.abs(r1.values).max()), float(np.abs(r2.values).max()), 1.0)
-    tol = max(1e-12, 32 * np.finfo(float).eps * rmax / (1.0 - mdp_model.discount))
-    b1 = boltzmann_policy(mdp_model, r1, beta, tol=tol)
-    b2 = boltzmann_policy(mdp_model, r2, beta, tol=tol)
+    b1 = boltzmann_policy(mdp_model, r1, beta)
+    b2 = boltzmann_policy(mdp_model, r2, beta)
     return float(np.abs(b1.probs - b2.probs).max())
 
 
@@ -476,9 +474,7 @@ def oracle_opt_sets(mdp: Mdp, r: RewardTable) -> tuple:
     """
     actions, w = vertex_weights(mdp)
     j = (w * reward_vector(r, mdp)[np.arange(mdp.n_states), actions]).sum(axis=1)
-    best = j.max()
-    tol = 1e-9 * max(1.0, abs(best))
-    winners = actions[j >= best - tol]
+    winners = actions[j >= j.max() - 1e-9 * np.abs(j).max()]
     return mask_sets((winners[:, :, None] == np.arange(mdp.n_actions)).any(axis=0))
 
 
@@ -580,16 +576,16 @@ def _boltz_opt(config: ExperimentConfig, trial: int, searching: bool) -> dict:
         spec = FVariantSpec(
             variant="mixture",
             lam=float(rng.uniform(0.2, 0.8)),
-            beta1=_loguniform(rng, 0.5, 5.0),
-            beta2=_loguniform(rng, 0.5, 5.0),
+            beta1=_loguniform(rng, 0.5, 5.0) / BOUNDS,
+            beta2=_loguniform(rng, 0.5, 5.0) / BOUNDS,
         )
     else:
         spec = FVariantSpec(
             variant="tempered-rank",
-            beta=_loguniform(rng, 0.5, 5.0),
+            beta=_loguniform(rng, 0.5, 5.0) / BOUNDS,
             p=float(rng.uniform(0.5, 3.0)),
         )
-    beta = _loguniform(rng, 0.1, 10.0)
+    beta = _loguniform(rng, 0.1, 10.0) / BOUNDS
 
     def f_inv(pi, mdp):
         return invert_boltzmann(pi, beta, mdp)
@@ -627,10 +623,10 @@ def _bm_ord(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     if forced_b1 is not None and forced_b1 == forced_b2:
         return {"status": "skip", "note": "not misspecified"}
     rng = _substream(config.seed, trial, 30)
-    beta2 = forced_b2 if forced_b2 is not None else _loguniform(rng, 0.1, 10.0)
-    beta1 = forced_b1 if forced_b1 is not None else _loguniform(rng, 0.1, 10.0)
+    beta2 = forced_b2 if forced_b2 is not None else _loguniform(rng, 0.1, 10.0) / BOUNDS
+    beta1 = forced_b1 if forced_b1 is not None else _loguniform(rng, 0.1, 10.0) / BOUNDS
     while beta1 == beta2:
-        beta1 = _loguniform(rng, 0.1, 10.0)
+        beta1 = _loguniform(rng, 0.1, 10.0) / BOUNDS
     verdict = _robustness_trial(
         config, trial, 30, lambda mdp, r2: boltzmann_policy(mdp, r2, beta2),
         lambda pi, mdp: invert_boltzmann(pi, beta1, mdp), ord_equivalent,
@@ -645,10 +641,10 @@ def _bm_ord(config: ExperimentConfig, trial: int, searching: bool) -> dict:
 def _mce_ord(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Entropy-weight misspecification preserves the policy ordering."""
     rng = _substream(config.seed, trial, 40)
-    alpha2 = _loguniform(rng, 0.1, 10.0)
-    alpha1 = _loguniform(rng, 0.1, 10.0)
+    alpha2 = _loguniform(rng, 0.1, 10.0) * BOUNDS
+    alpha1 = _loguniform(rng, 0.1, 10.0) * BOUNDS
     while alpha1 == alpha2:
-        alpha1 = _loguniform(rng, 0.1, 10.0)
+        alpha1 = _loguniform(rng, 0.1, 10.0) * BOUNDS
     # g solves the soft values once: the policy is read off them and their
     # residual is reported.
     _, soft, _, _, verdict = _robustness_trial(
@@ -787,7 +783,7 @@ def _j_amb(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     rng = _substream(config.seed, trial, 100)
     mdp = _draw_env(config, trial)
     seeds = _child_seeds(config.seed, trial, 101, n=3)
-    r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0], j_floor=1e-2)
+    r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0], j_floor=1e-2 * BOUNDS)
     ps = sample_potential_shaping(mdp, BOUNDS, True, seeds[1])
     shaped = apply(ps, r1, mdp)
     sr = sample_s_redistribution(mdp, shaped, BOUNDS, seeds[2])

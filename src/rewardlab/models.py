@@ -25,11 +25,11 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def boltzmann_policy(mdp: Mdp, r: RewardTable, beta: float, tol: float = 1e-10) -> StochasticPolicy:
+def boltzmann_policy(mdp: Mdp, r: RewardTable, beta: float) -> StochasticPolicy:
     """pi(a|s) proportional to exp(beta * Q*(s,a)); full support for any beta > 0."""
     if not 0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
-    q_star = optimal_values(mdp, r, tol=tol).q_star
+    q_star = optimal_values(mdp, r).q_star
     return StochasticPolicy(_softmax_rows(beta * q_star))
 
 

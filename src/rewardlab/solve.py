@@ -6,9 +6,10 @@ evaluation and occupancy carry no iteration error. The optima come from policy
 iteration on that solve: Howard's algorithm for the hard Bellman equation (its
 deterministic T^pi is a row gather; the optimal-action sets come from one tie
 mask, see mask_sets), and soft policy iteration (Newton's method on v =
-alpha*logsumexp(q/alpha)) for the soft one. Where the exact policy value still
-misses ``tol`` (round-off at large |v|, or a near-tie finer than Howard's
-switch margin), Bellman sweeps settle it.
+alpha*logsumexp(q/alpha)) for the soft one. Every tolerance is relative to the
+value scale, so no result depends on the reward's unit: ``tol`` bounds the
+Bellman residual in units of the largest possible |v| (max|rv| / (1 - gamma),
+plus alpha*log(A) / (1 - gamma) for the soft entropy bonus).
 
 All deterministic policies share one batched solve (see vertex_weights).
 Controllability needs one factorisation of uniform_flow: a state's entry measure
@@ -33,11 +34,10 @@ from .mdp import (
     reachable_states,
 )
 
-DEFAULT_TOL = 1e-10       # Bellman residual the optimisers must reach
+DEFAULT_TOL = 1e-10       # Bellman residual the optimisers must reach, relative to the value scale
 MAX_ITER = 1000           # policy-iteration steps (evaluate, then improve)
-SOLVE_RTOL = 1e-10        # round-off bound on an exact solve's residual, relative to max(1, |v|)
-IMPROVE_RTOL = 1e-12      # strict-improvement margin of Howard's switch, relative to max(1, |v|)
-SETTLE_SWEEPS = 10**6     # cap on the Bellman sweeps that settle a residual left above tol
+SOLVE_RTOL = 1e-10        # round-off bound on an exact solve's residual, relative to max|v|
+IMPROVE_RTOL = 1e-12      # strict-improvement margin of Howard's switch, relative to max|v|
 TIE_TOL = 1e-8            # membership tolerance for optimal-action sets, relative to the largest |a*|
 CONTROL_RTOL = 1e-9       # action gap marking a controllable state, relative to 1/(1-gamma)
 
@@ -109,7 +109,7 @@ def _policy_values(mdp: Mdp, t_pi: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
     gamma = mdp.discount
     v = np.linalg.solve(np.eye(mdp.n_states) - gamma * t_pi, r_pi)
     residual = float(np.abs(v - (r_pi + gamma * (t_pi @ v))).max())
-    if residual > SOLVE_RTOL * max(1.0, float(np.abs(v).max())):
+    if residual > SOLVE_RTOL * float(np.abs(v).max()):
         raise ConvergenceError("policy evaluation residual too large", residual=residual)
     return v
 
@@ -121,29 +121,6 @@ def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBund
     v = _policy_values(mdp, t_pi, (pi.probs * rsa).sum(axis=1))
     q = rsa + mdp.discount * (mdp.transition @ v)
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
-
-
-def _settle(bellman, v: np.ndarray, residual: float, gamma: float, tol: float):
-    """Sweep v <- bellman(v) until one sweep moves v by at most ``tol``; return (q, v, residual).
-
-    ``v`` is a policy's exact value, which lies at or below the fixed point;
-    starting 2*residual/(1-gamma) lower keeps the sweeps below it despite
-    round-off. Both Bellman operators are monotone, so the sweeps rise towards
-    the fixed point and, like value iteration from zero, stop on a
-    floating-point fixed point once round-off dominates.
-    """
-    v = v - 2.0 * residual / (1.0 - gamma)
-    for _ in range(SETTLE_SWEEPS):
-        q, v_new = bellman(v)
-        residual = float(np.abs(v_new - v).max())
-        if residual <= tol:
-            return q, v_new, residual
-        v = v_new
-    raise ConvergenceError(
-        f"Bellman residual {residual:.3e} above tol={tol} after {SETTLE_SWEEPS} sweeps",
-        residual=residual,
-        iterations=SETTLE_SWEEPS,
-    )
 
 
 def _check_budget(tol: float, max_iter: int) -> None:
@@ -161,8 +138,8 @@ def optimal_values(
 
     A state switches action only on a strict improvement, so the iteration
     cannot cycle; it stops when no state improves. Raises ConvergenceError if
-    that takes more than ``max_iter`` steps, or if the Bellman residual still
-    exceeds ``tol`` after settling (see _settle).
+    that takes more than ``max_iter`` steps, or if the final policy's Bellman
+    residual exceeds ``tol * max|rv| / (1 - gamma)``.
     """
     _check_budget(tol, max_iter)
     gamma = mdp.discount
@@ -174,8 +151,7 @@ def optimal_values(
         q_star = rsa + gamma * (mdp.transition @ v)
         v_star = q_star.max(axis=1)
         residual = float(np.abs(v_star - v).max())
-        margin = IMPROVE_RTOL * max(1.0, float(np.abs(v).max()))
-        improve = q_star[states, act] < v_star - margin
+        improve = q_star[states, act] < v_star - IMPROVE_RTOL * float(np.abs(v).max())
         if not improve.any():
             break
         act = np.where(improve, q_star.argmax(axis=1), act)
@@ -185,13 +161,9 @@ def optimal_values(
             residual=residual,
             iterations=max_iter,
         )
-    if residual > tol:
-
-        def bellman(u):
-            q = rsa + gamma * (mdp.transition @ u)
-            return q, q.max(axis=1)
-
-        q_star, v_star, residual = _settle(bellman, v, residual, gamma, tol)
+    bound = tol * float(np.abs(rsa).max()) / (1.0 - gamma)
+    if residual > bound:
+        raise ConvergenceError(f"Bellman residual {residual:.3e} above {bound:.3e} (tol={tol})", residual)
     a_star = q_star - v_star[:, None]
     # Shifts and shaping leave a* unchanged but not q*, whose round-off floors the tie.
     tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(q_star).max()))
@@ -210,41 +182,33 @@ def soft_optimal_values(
 
     Each step evaluates pi = softmax(q/alpha) exactly, with the entropy bonus
     -alpha*log pi in the reward; this is Newton's method on the soft Bellman
-    equation. Far from the fixed point a step can raise the sup-norm residual;
-    one that fails to fall while already at the solve's round-off level ends
-    the iteration, and soft-Bellman sweeps settle the rest (see _settle).
-    Raises ConvergenceError after ``max_iter`` steps, or if settling fails.
+    equation. It stops once the soft-Bellman residual is at most
+    ``tol * (max|rv| + alpha*log A) / (1 - gamma)``, and raises
+    ConvergenceError if that takes more than ``max_iter`` steps.
     """
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
     _check_budget(tol, max_iter)
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
-
-    def soft_bellman(u):
-        q = rsa + gamma * (mdp.transition @ u)
-        m = q.max(axis=1)
-        z = (q - m[:, None]) / alpha
-        log_norm = np.log(np.exp(z).sum(axis=1))
-        return q, m + alpha * log_norm, z - log_norm[:, None]
-
+    bound = tol * (float(np.abs(rsa).max()) + alpha * np.log(mdp.n_actions)) / (1.0 - gamma)
     v = np.zeros(mdp.n_states)
-    last = np.inf
     for _ in range(max_iter):
-        q_soft, v_soft, log_pi = soft_bellman(v)
+        q_soft = rsa + gamma * (mdp.transition @ v)
+        m = q_soft.max(axis=1)
+        z = (q_soft - m[:, None]) / alpha
+        log_norm = np.log(np.exp(z).sum(axis=1))
+        v_soft = m + alpha * log_norm
         residual = float(np.abs(v_soft - v).max())
-        if residual <= tol:
+        if residual <= bound:
             break
-        if residual >= last and residual <= SOLVE_RTOL * max(1.0, float(np.abs(v_soft).max())):
-            q_soft, v_soft, residual = _settle(lambda u: soft_bellman(u)[:2], v, residual, gamma, tol)
-            break
-        last = residual
+        log_pi = z - log_norm[:, None]
         pi = np.exp(log_pi)
         t_pi = np.einsum("sa,sap->sp", pi, mdp.transition)
         v = _policy_values(mdp, t_pi, (pi * (rsa - alpha * log_pi)).sum(axis=1))
     else:
         raise ConvergenceError(
-            f"soft policy iteration did not reach tol={tol} within {max_iter} steps",
+            f"soft policy iteration did not reach residual {bound:.3e} (tol={tol}) within {max_iter} steps",
             residual=residual,
             iterations=max_iter,
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rewardlab import LinearScaling, PotentialFn, PotentialShaping, RewardTable, apply
+from rewardlab import LinearScaling, Mdp, PotentialFn, PotentialShaping, RewardTable, apply
 from rewardlab import documents
 from rewardlab.cli import main
 
@@ -69,6 +69,20 @@ class TestSolve:
         )
         assert result.exit_code == 0
         assert json.loads(out.read_text())["opt_sets"] == [[1], [0]]
+
+
+    def test_tol_is_relative_to_the_value_scale(self, runner, tmp_path):
+        """A near-tie left at residual 5e-9 with max|rv| / (1 - gamma) = 1e4: within tol 1e-10, not 1e-14."""
+        tau = np.zeros((2, 2, 2))
+        tau[0, 0, 0] = tau[0, 1, 1] = tau[1, :, 1] = 1.0
+        mdp_doc = documents.mdp_to_doc(Mdp(tau, np.array([1.0, 0.0]), 0.9))
+        r = RewardTable.from_sa(np.array([[900.0 - 5e-10, 0.0], [1000.0, 1000.0]]))
+        r_path = _write(tmp_path, "r.json", documents.reward_to_doc(r))
+        args = ["solve", _write(tmp_path, "mdp.json", mdp_doc), r_path]
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, [*args, "--tol", "1e-14"])
+        assert result.exit_code == 3
+        assert "did not converge" in result.output
 
 
 class TestEquiv:

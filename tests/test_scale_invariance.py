@@ -17,11 +17,13 @@ from rewardlab import (
     apply,
     j_equal,
     opt_equivalent,
+    optimal_values,
     ord_equivalent,
     sample_potential_shaping,
     sample_s_redistribution,
 )
-from rewardlab.lab import random_mdp, random_reward
+from rewardlab import lab
+from rewardlab.lab import oracle_opt_sets, random_mdp, random_reward
 
 
 def scaled(r, c):
@@ -68,10 +70,25 @@ class TestReproductions:
             r = scaled(random_reward(mdp, seed=seed, gap_floor=None), c)
             apply(sample_s_redistribution(mdp, r, c, seed), r, mdp)
 
+    def test_tiny_reward_oracle_keeps_optimal_sets(self, env):
+        mdp, r = env
+        tiny = scaled(r, 1e-10)
+        expected = tuple(optimal_values(mdp, tiny).opt_sets)
+        assert expected == ({0}, {0}, {0})
+        assert oracle_opt_sets(mdp, tiny) == expected
+
     def test_gap_floor_scales_with_bounds(self, env):
         mdp, _ = env
         r = random_reward(mdp, bounds=1e-7)
         assert np.abs(r.values).max() <= 1e-7
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-6, 1e3, 1e6, 1e9])
+def test_registry_passes_at_every_reward_scale(c, monkeypatch):
+    """Rewards, potentials and model parameters are all drawn in units of BOUNDS."""
+    monkeypatch.setattr(lab, "BOUNDS", c)
+    failed = [(r.claim_id, r.counts) for r in lab.run_registry(seed=1, trials=8) if not r.ok]
+    assert failed == []
 
 
 class TestHeavyShaping:

@@ -66,7 +66,7 @@ def _tied_instance(n_states, n_actions, scale, seed):
 
 
 def _one_hot_howard(mdp, r):
-    """(q*, v*) by Howard's iteration with T^pi formed as a one-hot einsum, settled as solve does."""
+    """(q*, v*) by Howard's iteration with T^pi formed as a one-hot einsum."""
     gamma, rsa = mdp.discount, reward_vector(r, mdp)
     states = np.arange(mdp.n_states)
     act = rsa.argmax(axis=1)
@@ -75,19 +75,10 @@ def _one_hot_howard(mdp, r):
         v = np.linalg.solve(np.eye(mdp.n_states) - gamma * t_pi, rsa[states, act])
         q = rsa + gamma * (mdp.transition @ v)
         v_star = q.max(axis=1)
-        residual = float(np.abs(v_star - v).max())
-        improve = q[states, act] < v_star - IMPROVE_RTOL * max(1.0, float(np.abs(v).max()))
+        improve = q[states, act] < v_star - IMPROVE_RTOL * float(np.abs(v).max())
         if not improve.any():
-            break
+            return q, v_star
         act = np.where(improve, q.argmax(axis=1), act)
-    if residual > DEFAULT_TOL:
-
-        def bellman(u):
-            q = rsa + gamma * (mdp.transition @ u)
-            return q, q.max(axis=1)
-
-        q, v_star, _ = solve._settle(bellman, v, residual, gamma, DEFAULT_TOL)
-    return q, v_star
 
 
 TIED_CASES = [(2, 2, 1e-9), (10, 3, 1.0), (40, 5, 1e3), (150, 8, 1e9), (150, 2, 1e-3), (60, 8, 1e6)]
@@ -95,6 +86,15 @@ TIED_CASES = [(2, 2, 1e-9), (10, 3, 1.0), (40, 5, 1e3), (150, 8, 1e9), (150, 2, 
 
 def _sup_gap(a, b):
     return float(np.abs(a - b).max()) / max(1.0, float(np.abs(b).max()))
+
+
+def _rel_gap(a, b):
+    return float(np.abs(a - b).max()) / float(np.abs(b).max())
+
+
+def _value_scale(mdp, r):
+    """max|rv| / (1 - gamma), the unit of the optimisers' ``tol``."""
+    return float(np.abs(reward_vector(r, mdp)).max()) / (1.0 - mdp.discount)
 
 
 class TestRewardVector:
@@ -210,13 +210,25 @@ class TestOptimalValues:
         assert bundle.v_star.tobytes() == v_ref.tobytes()
 
     def test_near_tie_below_switch_margin(self):
-        """Greedy-on-r keeps a0 at s0, which loses to a1 by 5e-9 in Q at |v| = 1e4."""
+        """Greedy-on-r keeps a0 at s0, which loses to a1 by 5e-9 in Q at |v| = 1e4.
+
+        That gap is below Howard's switch margin, so the residual stays 5e-9: far
+        inside the relative bound (1e-6 here), and both actions tie at s0.
+        """
         mdp, _ = _detour_instance()
         r = RewardTable.from_sa(np.array([[900.0 - 5e-10, 0.0], [1000.0, 1000.0]]))
         bundle = optimal_values(mdp, r)
-        assert bundle.residual <= 1e-10
-        assert bundle.v_star[0] == pytest.approx(9000.0, abs=1e-9)
-        assert bundle.q_star[0, 1] > bundle.q_star[0, 0]
+        assert bundle.residual <= DEFAULT_TOL * _value_scale(mdp, r)
+        assert tuple(bundle.opt_sets) == ({0, 1}, {0, 1})
+        np.testing.assert_allclose(bundle.v_star, [9000.0, 10000.0], rtol=1e-12, atol=0)
+
+    def test_residual_above_relative_bound_raises(self):
+        """The near-tie's residual, 5e-9, misses tol * max|rv| / (1 - gamma) = 1e-10 at tol = 1e-14."""
+        mdp, _ = _detour_instance()
+        r = RewardTable.from_sa(np.array([[900.0 - 5e-10, 0.0], [1000.0, 1000.0]]))
+        with pytest.raises(ConvergenceError) as err:
+            optimal_values(mdp, r, tol=1e-14)
+        assert err.value.residual > 1e-14 * _value_scale(mdp, r)
 
 
 BAD_BUDGETS = [
@@ -327,19 +339,20 @@ class TestAgainstValueIterationOracle:
         assert soft.residual <= 1e-10
         assert _sup_gap(soft.v_soft, oracles.soft_value_iteration(mdp, r, 0.5)) <= 1e-8
 
-    @pytest.mark.parametrize("c", [1e6, 1e9])
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e6, 1e9])
     def test_large_reward_scale_meets_tol(self, c):
-        """Round-off in the exact solves exceeds tol here; Bellman sweeps must settle it."""
+        """Scaling the reward (and alpha) by c scales the residual bound and the values alike."""
         mdp = random_mdp(3, 2, 0.9, seed=0)
         r = random_reward(mdp, seed=1)
         r_c = RewardTable(c * r.values)
         hard = optimal_values(mdp, r_c)
-        assert hard.residual <= 1e-10
-        assert _sup_gap(hard.v_star, c * oracles.value_iteration(mdp, r)) <= 1e-11
+        assert hard.residual <= DEFAULT_TOL * _value_scale(mdp, r_c)
+        assert _rel_gap(hard.v_star, c * oracles.value_iteration(mdp, r)) <= 1e-11
         assert tuple(hard.opt_sets) == oracles.brute_force_opt_sets(mdp, r)
         soft = soft_optimal_values(mdp, r_c, 0.5 * c)
-        assert soft.residual <= 1e-10
-        assert _sup_gap(soft.v_soft, c * oracles.soft_value_iteration(mdp, r, 0.5)) <= 1e-11
+        entropy_scale = 0.5 * c * np.log(mdp.n_actions) / (1.0 - mdp.discount)
+        assert soft.residual <= DEFAULT_TOL * (_value_scale(mdp, r_c) + entropy_scale)
+        assert _rel_gap(soft.v_soft, c * oracles.soft_value_iteration(mdp, r, 0.5)) <= 1e-11
 
 
 class TestOccupancy:
