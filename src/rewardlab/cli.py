@@ -1,16 +1,16 @@
 """Command-line front end: validate, solve, equiv, transform, lab.
 
-Exit codes follow a fixed contract: ``solve``/``validate``/``transform`` exit
-2 on validation failure and 3 on solver non-convergence; ``equiv`` exits 0 for
-equivalent, 1 for not equivalent, 2 and up for errors; ``lab`` exits 0 iff the
-claim (or the whole registry) passes. Randomized subcommands require an
-explicit seed; nothing is ever seeded from the clock. JSON is the stable
-output surface; the text format is for humans and may change.
+Exit codes follow a fixed contract, kept in one table (_EXIT_CODES) that a
+single handler applies to every command: bad input exits 2 and a solver
+failure 3. ``equiv`` exits 0 for equivalent and 1 for not equivalent; ``lab``
+exits 0 iff the claim (or the whole registry) passes and 1 otherwise.
+Randomized subcommands require an explicit seed; nothing is ever seeded from
+the clock. JSON is the stable output surface; the text format is for humans
+and may change.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 
@@ -18,19 +18,35 @@ import click
 
 from . import documents
 from .equiv import j_equal, opt_equivalent, ord_equivalent
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    StructuralError,
-    UnknownClaimError,
-    ValidationFailure,
-)
+from .errors import CapacityError, ConvergenceError, InternalConsistencyError, ValidationFailure
 from .lab import ExperimentConfig, run_registry, verify_claim
 from .models import boltzmann_policy, mce_policy
-from .solve import optimal_values
+from .solve import DEFAULT_TOL, optimal_values
 from .transform import apply as apply_transform
 
-_LOAD_ERRORS = (StructuralError, ValidationFailure, OSError, json.JSONDecodeError)
+# Exception type -> (exit code, message prefix); a raised exception takes the
+# row of the nearest class in its MRO. ValueError covers malformed documents
+# (StructuralError, ValidationFailure, JSON and UTF-8 decoding), bad option
+# values and unknown claims, so no error leaves ``equiv`` with a verdict's code.
+_EXIT_CODES = {
+    ValueError: (2, "error"),
+    OSError: (2, "error"),
+    ConvergenceError: (3, "solver did not converge"),
+    CapacityError: (3, "solver error"),
+    InternalConsistencyError: (3, "solver error"),
+}
+
+
+class _Main(click.Group):
+    """The command group; an exception a command raises leaves through _EXIT_CODES."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            code, prefix = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
+            click.echo(f"{prefix}: {exc}", err=True)
+            ctx.exit(code)
 
 
 def _emit(doc, fmt: str, out, text_renderer) -> None:
@@ -40,11 +56,6 @@ def _emit(doc, fmt: str, out, text_renderer) -> None:
             fh.write(payload)
     else:
         click.echo(payload, nl=False)
-
-
-def _usage_error(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
 
 
 def _is_int(value) -> bool:
@@ -62,7 +73,7 @@ def _solve_text(doc) -> str:
     return "\n".join(lines) + "\n"
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Tabular-MDP solvers, reward-equivalence deciders, and the claim registry."""
 
@@ -74,19 +85,14 @@ def main():
 def validate(mdp_path, reward_path, fmt):
     """Validate an MDP document (and optionally a reward document against it)."""
     try:
-        doc = documents.load_json(mdp_path)
-        mdp = documents.mdp_from_doc(doc)
-        if reward_path:
-            documents.load_reward(reward_path, n_actions=mdp.n_actions)
+        mdp = documents.load_mdp(mdp_path)
     except ValidationFailure as exc:
-        report = exc.report
-        violations = [list(v) for v in report.violations] if report else []
+        violations = [list(v) for v in exc.report.violations]
         _emit({"ok": False, "violations": violations}, fmt, None,
               lambda d: "invalid:\n" + "\n".join(f"  {v}" for v in d["violations"]) + "\n")
         sys.exit(2)
-    except _LOAD_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    if reward_path:
+        mdp.check_reward(documents.load_reward(reward_path, n_actions=mdp.n_actions))
     _emit({"ok": True, "violations": []}, fmt, None, lambda d: "ok\n")
 
 
@@ -96,7 +102,7 @@ def validate(mdp_path, reward_path, fmt):
 @click.option(
     "--tol",
     type=float,
-    default=1e-10,
+    default=DEFAULT_TOL,
     show_default=True,
     help="Bellman residual the result must meet, in units of max|rv| / (1 - gamma), "
     "rv the expected reward per (s, a) (exit 3 otherwise)",
@@ -109,29 +115,21 @@ def solve(mdp_path, reward_path, tol, beta, alpha, fmt, out):
     """Solve for optimal values, advantages, and optimal-action sets."""
     for name, value in (("tol", tol), ("beta", beta), ("alpha", alpha)):
         if value is not None and not 0 < value < math.inf:
-            _usage_error(f"--{name} must be positive and finite, got {value}")
-    try:
-        mdp = documents.load_mdp(mdp_path)
-        r = documents.load_reward(reward_path, n_actions=mdp.n_actions)
-    except _LOAD_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        bundle = optimal_values(mdp, r, tol=tol)
-        doc = {
-            "v_star": bundle.v_star.tolist(),
-            "q_star": bundle.q_star.tolist(),
-            "a_star": bundle.a_star.tolist(),
-            "opt_sets": [sorted(s) for s in bundle.opt_sets],
-            "residual": bundle.residual,
-        }
-        if beta is not None:
-            doc["boltzmann_policy"] = boltzmann_policy(mdp, r, beta).probs.tolist()
-        if alpha is not None:
-            doc["mce_policy"] = mce_policy(mdp, r, alpha).probs.tolist()
-    except ConvergenceError as exc:
-        click.echo(f"solver did not converge: {exc}", err=True)
-        sys.exit(3)
+            raise ValueError(f"--{name} must be positive and finite, got {value}")
+    mdp = documents.load_mdp(mdp_path)
+    r = documents.load_reward(reward_path, n_actions=mdp.n_actions)
+    bundle = optimal_values(mdp, r, tol=tol)
+    doc = {
+        "v_star": bundle.v_star.tolist(),
+        "q_star": bundle.q_star.tolist(),
+        "a_star": bundle.a_star.tolist(),
+        "opt_sets": [sorted(s) for s in bundle.opt_sets],
+        "residual": bundle.residual,
+    }
+    if beta is not None:
+        doc["boltzmann_policy"] = boltzmann_policy(mdp, r, beta).probs.tolist()
+    if alpha is not None:
+        doc["mce_policy"] = mce_policy(mdp, r, alpha).probs.tolist()
     _emit(doc, fmt, out, _solve_text)
 
 
@@ -144,19 +142,11 @@ def solve(mdp_path, reward_path, tol, beta, alpha, fmt, out):
 @click.option("--out", type=click.Path(), default=None)
 def equiv(mdp_path, r1_path, r2_path, relation, fmt, out):
     """Decide whether two rewards are equivalent under the chosen relation."""
-    try:
-        mdp = documents.load_mdp(mdp_path)
-        r1 = documents.load_reward(r1_path, n_actions=mdp.n_actions)
-        r2 = documents.load_reward(r2_path, n_actions=mdp.n_actions)
-    except _LOAD_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        decider = {"opt": opt_equivalent, "ord": ord_equivalent, "jeq": j_equal}[relation]
-        verdict = decider(r1, r2, mdp)
-    except (ConvergenceError, CapacityError) as exc:
-        click.echo(f"solver error: {exc}", err=True)
-        sys.exit(3)
+    mdp = documents.load_mdp(mdp_path)
+    r1 = documents.load_reward(r1_path, n_actions=mdp.n_actions)
+    r2 = documents.load_reward(r2_path, n_actions=mdp.n_actions)
+    decider = {"opt": opt_equivalent, "ord": ord_equivalent, "jeq": j_equal}[relation]
+    verdict = decider(r1, r2, mdp)
 
     def text(doc):
         if doc["equivalent"]:
@@ -177,21 +167,9 @@ def equiv(mdp_path, r1_path, r2_path, relation, fmt, out):
 @click.option("--out", type=click.Path(), default=None)
 def transform(mdp_path, reward_path, spec_path, out):
     """Apply a transformation document to a reward and emit the result."""
-    try:
-        mdp = documents.load_mdp(mdp_path)
-        r = documents.load_reward(reward_path, n_actions=mdp.n_actions)
-        spec = documents.load_transform(spec_path)
-    except _LOAD_ERRORS + (ValueError,) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        result = apply_transform(spec, r, mdp)
-    except ConvergenceError as exc:
-        click.echo(f"solver did not converge: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    mdp = documents.load_mdp(mdp_path)
+    r = documents.load_reward(reward_path, n_actions=mdp.n_actions)
+    result = apply_transform(documents.load_transform(spec_path), r, mdp)
     _emit(documents.reward_to_doc(result), "json", out, lambda d: "")
 
 
@@ -206,12 +184,9 @@ def transform(mdp_path, reward_path, spec_path, out):
 @click.option("--out", type=click.Path(), default=None)
 def lab(claim, seed, trials, gamma1, gamma2, config_path, out):
     """Run registered theorem checks; exit 0 iff everything passes."""
-    try:
-        file_cfg = documents.load_json(config_path) if config_path else {}
-    except (OSError, json.JSONDecodeError) as exc:
-        _usage_error(f"cannot read config file: {exc}")
+    file_cfg = documents.load_json(config_path) if config_path else {}
     if not isinstance(file_cfg, dict):
-        _usage_error("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     claim = claim if claim is not None else file_cfg.get("claim")
     seed = seed if seed is not None else file_cfg.get("seed")
     trials = trials if trials is not None else file_cfg.get("trials")
@@ -219,39 +194,33 @@ def lab(claim, seed, trials, gamma1, gamma2, config_path, out):
     gamma2 = gamma2 if gamma2 is not None else file_cfg.get("gamma2")
     params = file_cfg.get("params", {})
     if claim is None:
-        _usage_error("--claim is required (flag or config file)")
+        raise ValueError("--claim is required (flag or config file)")
     if seed is None:
         # No wall-clock seeding: randomized runs must be reproducible.
-        _usage_error("--seed is required (flag or config file)")
+        raise ValueError("--seed is required (flag or config file)")
     if not _is_int(seed):
-        _usage_error(f"seed must be an integer, got {seed!r}")
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if trials is not None and not (_is_int(trials) and trials > 0):
-        _usage_error(f"trials must be a positive integer, got {trials!r}")
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if (gamma1 is None) != (gamma2 is None):
-        _usage_error("gamma1 and gamma2 must be given together")
+        raise ValueError("gamma1 and gamma2 must be given together")
     if not isinstance(params, dict):
-        _usage_error(f"params must be a JSON object, got {params!r}")
+        raise ValueError(f"params must be a JSON object, got {params!r}")
     trials = trials or 0
     params = dict(params)
     if gamma1 is not None:
         params["gamma_pairs"] = [[gamma1, gamma2]]
-    try:
-        if claim == "all":
-            reports = run_registry(seed=seed, trials=trials, params=params)
-        else:
-            config = ExperimentConfig(claim_id=claim, trials=trials, seed=seed, params=params)
-            reports = [verify_claim(config)]
-    except (UnknownClaimError, StructuralError) as exc:
-        _usage_error(str(exc))
+    if claim == "all":
+        reports = run_registry(seed=seed, trials=trials, params=params)
+    else:
+        reports = [verify_claim(ExperimentConfig(claim_id=claim, trials=trials, seed=seed, params=params))]
     doc = {
         "ok": all(rep.ok for rep in reports),
         "claims": {rep.claim_id: rep.to_doc() for rep in reports},
         "order": [rep.claim_id for rep in reports],
     }
-    payload = documents.dumps(doc)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        documents.save_doc(doc, out)
     for rep in reports:
         counts = rep.counts
         click.echo(

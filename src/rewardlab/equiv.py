@@ -35,10 +35,9 @@ import numpy as np
 
 from .errors import InternalConsistencyError, StructuralError
 from .mdp import Mdp, RewardTable
-from .solve import optimal_values, uniform_flow, vertex_weights
+from .solve import ROUNDOFF_RTOL, optimal_values, uniform_flow, vertex_weights
 from .transform import (
     DIST_TOL,
-    ROUNDOFF_RTOL,
     CanonicalForms,
     Decomposition,
     canonical_forms,

@@ -71,6 +71,11 @@ class Mdp:
     def n_actions(self) -> int:
         return self.transition.shape[1]
 
+    def check_reward(self, r: "RewardTable") -> None:
+        """Raise StructuralError unless ``r`` is defined on this MDP's (S, A, S') grid."""
+        if r.values.shape != self.transition.shape:
+            raise StructuralError(f"reward is {r.values.shape} but the MDP is {self.transition.shape}")
+
     def with_discount(self, gamma: float) -> "Mdp":
         return replace(self, discount=gamma)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, StructuralError
 from .mdp import (
     DEFAULT_ENUM_CAP,
     ActionSetPolicy,
@@ -36,7 +36,7 @@ from .mdp import (
 
 DEFAULT_TOL = 1e-10       # Bellman residual the optimisers must reach, relative to the value scale
 MAX_ITER = 1000           # policy-iteration steps (evaluate, then improve)
-SOLVE_RTOL = 1e-10        # round-off bound on an exact solve's residual, relative to max|v|
+ROUNDOFF_RTOL = 1e-10     # a difference within this fraction of the magnitudes compared is round-off
 IMPROVE_RTOL = 1e-12      # strict-improvement margin of Howard's switch, relative to max|v|
 TIE_TOL = 1e-8            # membership tolerance for optimal-action sets, relative to the largest |a*|
 CONTROL_RTOL = 1e-9       # action gap marking a controllable state, relative to 1/(1-gamma)
@@ -101,7 +101,15 @@ class ControllableStates:
 
 def reward_vector(r: RewardTable, mdp: Mdp) -> np.ndarray:
     """Expected immediate reward per (s, a): r[s,a] = E_{S'~tau(s,a)}[R(s,a,S')], shape (S, A)."""
+    mdp.check_reward(r)
     return np.einsum("sap,sap->sa", mdp.transition, r.values)
+
+
+def _policy_transition(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
+    """T^pi[s, s'] = sum_a pi(a|s) tau(s, a, s'); raises StructuralError unless ``probs`` is (S, A)."""
+    if probs.shape != mdp.transition.shape[:2]:
+        raise StructuralError(f"policy is {probs.shape} but the MDP has (S, A) = {mdp.transition.shape[:2]}")
+    return np.einsum("sa,sap->sp", probs, mdp.transition)
 
 
 def _policy_values(mdp: Mdp, t_pi: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
@@ -109,7 +117,7 @@ def _policy_values(mdp: Mdp, t_pi: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
     gamma = mdp.discount
     v = np.linalg.solve(np.eye(mdp.n_states) - gamma * t_pi, r_pi)
     residual = float(np.abs(v - (r_pi + gamma * (t_pi @ v))).max())
-    if residual > SOLVE_RTOL * float(np.abs(v).max()):
+    if residual > ROUNDOFF_RTOL * float(np.abs(v).max()):
         raise ConvergenceError("policy evaluation residual too large", residual=residual)
     return v
 
@@ -117,8 +125,7 @@ def _policy_values(mdp: Mdp, t_pi: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
 def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBundle:
     """Exact V^pi, Q^pi, and J via the (I - gamma*T^pi) linear system."""
     rsa = reward_vector(r, mdp)
-    t_pi = np.einsum("sa,sap->sp", pi.probs, mdp.transition)
-    v = _policy_values(mdp, t_pi, (pi.probs * rsa).sum(axis=1))
+    v = _policy_values(mdp, _policy_transition(mdp, pi.probs), (pi.probs * rsa).sum(axis=1))
     q = rsa + mdp.discount * (mdp.transition @ v)
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
 
@@ -204,8 +211,7 @@ def soft_optimal_values(
             break
         log_pi = z - log_norm[:, None]
         pi = np.exp(log_pi)
-        t_pi = np.einsum("sa,sap->sp", pi, mdp.transition)
-        v = _policy_values(mdp, t_pi, (pi * (rsa - alpha * log_pi)).sum(axis=1))
+        v = _policy_values(mdp, _policy_transition(mdp, pi), (pi * (rsa - alpha * log_pi)).sum(axis=1))
     else:
         raise ConvergenceError(
             f"soft policy iteration did not reach residual {bound:.3e} (tol={tol}) within {max_iter} steps",
@@ -217,7 +223,7 @@ def soft_optimal_values(
 
 def occupancy(mdp: Mdp, pi: StochasticPolicy) -> OccupancyVector:
     """Solve w = mu0 + gamma*(T^pi)' w, then d[s,a] = w[s] * pi(a|s)."""
-    t_pi = np.einsum("sa,sap->sp", pi.probs, mdp.transition)
+    t_pi = _policy_transition(mdp, pi.probs)
     w = np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * t_pi.T, mdp.initial)
     return OccupancyVector(w[:, None] * pi.probs)
 

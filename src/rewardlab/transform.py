@@ -28,9 +28,8 @@ import numpy as np
 
 from .errors import StructuralError
 from .mdp import Mdp, RewardTable, lift_reward
-from .solve import optimal_values, reward_vector
+from .solve import ROUNDOFF_RTOL, optimal_values, reward_vector
 
-ROUNDOFF_RTOL = 1e-10      # a difference within this fraction of the quantities compared is round-off
 DIST_TOL = 1e-6            # unitless acceptance bound of the canonical-form tests
 SLACK_FLOOR_FRAC = 1e-3    # slack magnitudes stay >= this fraction of bounds
 
@@ -128,6 +127,7 @@ class Decomposition:
 
 def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
     """Apply one transformation (or a chain) to a reward; output is SAS-domain."""
+    mdp.check_reward(r)
     gamma = mdp.discount
     if isinstance(t, Chain):
         out = r

@@ -126,11 +126,16 @@ def vertex_entry_spread(mdp):
 
 
 def brute_force_opt_sets(mdp, r, tol=1e-9):
-    """Per-state optimal-action sets: union of the choices of argmax-J policies."""
+    """Per-state optimal-action sets: union of the choices of argmax-J policies.
+
+    Policies tie with the best within ``tol`` times the largest |J|, so the sets
+    do not depend on the reward's unit.
+    """
     policies = all_deterministic_policies(mdp.n_states, mdp.n_actions)
     js = brute_force_j_table(mdp, r)
     best = max(js)
-    winners = [p for p, j in zip(policies, js) if j >= best - tol * max(1.0, abs(best))]
+    floor = tol * max(abs(j) for j in js)
+    winners = [p for p, j in zip(policies, js) if j >= best - floor]
     return tuple(frozenset(p[s] for p in winners) for s in range(mdp.n_states))
 
 

@@ -174,6 +174,10 @@ class TestMalformedDocuments:
             ("equiv", "reward"),
             ("transform", "reward"),
             ("transform", "spec"),
+            *[(command, broken)
+              for command in ("validate", "solve", "equiv", "transform")
+              for broken in ("not-utf8", "reward-3-states", "reward-1-state")],
+            ("lab", "not-utf8"),
         ],
     )
     def test_exit_2_with_one_line(self, runner, tmp_path, chain, chain_reward, command, broken):
@@ -184,15 +188,22 @@ class TestMalformedDocuments:
             del mdp_doc["n_states"]
         elif broken == "reward":
             reward_doc = reward_doc["values"]  # a JSON array, not an object
-        else:
+        elif broken == "reward-3-states":  # the chain MDP has 2 states
+            reward_doc = {"domain": "sa", "values": [[0.0, 1.0]] * 3}
+        elif broken == "reward-1-state":  # numpy would broadcast it over both states
+            reward_doc = {"domain": "sa", "values": [[0.0, 1.0]]}
+        elif broken == "spec":
             spec_doc = {"kind": "ls"}  # no scaling constant
         mdp = _write(tmp_path, "mdp.json", mdp_doc)
+        if broken == "not-utf8":  # the first document named on the command line
+            (tmp_path / "mdp.json").write_bytes(b'{"n_states": "\xff"}')
         reward = _write(tmp_path, "reward.json", reward_doc)
         args = {
             "validate": [mdp, "--reward", reward],
             "solve": [mdp, reward],
             "equiv": [mdp, reward, reward],
             "transform": [mdp, reward, _write(tmp_path, "spec.json", spec_doc)],
+            "lab": ["--config", mdp],
         }[command]
         result = runner.invoke(main, [command, *args])
         assert result.exit_code == 2

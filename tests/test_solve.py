@@ -17,14 +17,17 @@ from rewardlab import (
     soft_optimal_values,
 )
 from rewardlab import solve
-from rewardlab.errors import CapacityError, ConvergenceError
+from rewardlab.errors import CapacityError, ConvergenceError, StructuralError
 from rewardlab.lab import random_mdp, random_policy, random_reward
 from rewardlab.solve import DEFAULT_TOL, IMPROVE_RTOL, TIE_TOL, vertex_weights
+from rewardlab.transform import ConstantShift, LinearScaling, apply
 
 import oracles
 
 ALWAYS_STAY = StochasticPolicy(np.array([[1.0, 0.0], [1.0, 0.0]]))
 SWITCH_THEN_STAY = StochasticPolicy(np.array([[0.0, 1.0], [1.0, 0.0]]))
+ONE_STATE_REWARD = RewardTable.from_sa(np.array([[0.0, 1.0]]))  # 1 state; the chain has 2
+ONE_STATE_POLICY = StochasticPolicy(np.array([[1.0]]))
 
 
 def _detour_instance():
@@ -108,6 +111,24 @@ class TestRewardVector:
         rv = reward_vector(RewardTable(np.full((2, 2, 2), 3.25)), chain)
         np.testing.assert_allclose(rv, 3.25)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mdp, r: reward_vector(ONE_STATE_REWARD, mdp),
+            lambda mdp, r: optimal_values(mdp, ONE_STATE_REWARD),
+            lambda mdp, r: soft_optimal_values(mdp, ONE_STATE_REWARD, 1.0),
+            lambda mdp, r: apply(LinearScaling(2.0), ONE_STATE_REWARD, mdp),
+            lambda mdp, r: apply(ConstantShift(1.0), ONE_STATE_REWARD, mdp),
+            lambda mdp, r: policy_evaluate(mdp, r, ONE_STATE_POLICY),
+            lambda mdp, r: occupancy(mdp, ONE_STATE_POLICY),
+        ],
+        ids=["reward_vector", "optimal_values", "soft_optimal_values", "apply-scaling", "apply-shift",
+             "policy_evaluate", "occupancy"],
+    )
+    def test_one_state_input_is_not_broadcast(self, chain, chain_reward, call):
+        with pytest.raises(StructuralError, match="the MDP"):
+            call(chain, chain_reward)
+
 
 class TestPolicyEvaluate:
     def test_chain_switch_then_stay(self, chain, chain_reward):
@@ -174,10 +195,11 @@ class TestOptimalValues:
         np.testing.assert_allclose(bundle.q_star, 3.0 * base.q_star, atol=1e-8)
         assert tuple(bundle.opt_sets) == oracles.brute_force_opt_sets(chain, scaled)
 
-    def test_agrees_with_enumeration_oracle(self):
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    def test_agrees_with_enumeration_oracle(self, scale):
         for seed in range(12):
             mdp = random_mdp(3, 3, 0.8, seed=seed)
-            r = random_reward(mdp, seed=seed + 50)
+            r = RewardTable(scale * random_reward(mdp, seed=seed + 50).values)
             assert tuple(optimal_values(mdp, r).opt_sets) == oracles.brute_force_opt_sets(mdp, r)
 
     def test_exhausted_cap_reports_nonconvergence(self):
