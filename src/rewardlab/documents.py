@@ -2,6 +2,8 @@
 
 All loaders re-validate what they read; a file that parses but violates the
 model invariants raises ValidationFailure rather than producing a bad object.
+The file loaders (``load_*``) prefix the document's path to a decoding error
+or a malformed document, both raised as StructuralError.
 Doubles go through Python's shortest round-trip repr, so dump/load cycles are
 lossless.
 """
@@ -138,7 +140,7 @@ def transform_from_doc(doc: dict) -> TransformSpec:
             )
         if kind == "seq":
             return Chain(tuple(transform_from_doc(s) for s in doc["steps"]))
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _malformed("transformation", exc) from exc
     raise StructuralError(f"unknown transformation kind {kind!r}")
 
@@ -158,21 +160,29 @@ def verdict_to_doc(verdict) -> dict:
     return doc
 
 
+def _load(path, from_doc):
+    """``from_doc`` of the JSON document at ``path``; a decoding or structural error names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return from_doc(json.load(fh))
+    except (UnicodeDecodeError, json.JSONDecodeError, StructuralError) as exc:
+        raise StructuralError(f"{path}: {exc}") from exc
+
+
 def load_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return _load(path, lambda doc: doc)
 
 
 def load_mdp(path) -> Mdp:
-    return mdp_from_doc(load_json(path))
+    return _load(path, mdp_from_doc)
 
 
 def load_reward(path, n_actions: int | None = None) -> RewardTable:
-    return reward_from_doc(load_json(path), n_actions=n_actions)
+    return _load(path, lambda doc: reward_from_doc(doc, n_actions=n_actions))
 
 
 def load_transform(path) -> TransformSpec:
-    return transform_from_doc(load_json(path))
+    return _load(path, transform_from_doc)
 
 
 def save_doc(doc, path) -> None:

@@ -46,6 +46,7 @@ from .models import (
     soft_policy,
 )
 from .solve import (
+    ROUNDOFF_RTOL,
     controllable_states,
     occupancy,
     optimal_values,
@@ -58,6 +59,7 @@ from .transform import (
     PotentialFn,
     PotentialShaping,
     apply,
+    canonical_forms,
     decompose_ps_ls,
     sample_optimality_preserving,
     sample_potential_shaping,
@@ -66,8 +68,7 @@ from .transform import (
 )
 
 GAP_FLOOR = 1e-4       # minimum optimal-advantage gap of generated rewards, relative to bounds
-BOLTZ_MATCH_ATOL = 1e-10
-X_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # |X| tried by gamma_counterexample
+X_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # |X| tried by gamma_counterexample, in BOUNDS
 MDP_TRIES = 100        # rejection-sampling budget of random_mdp
 STATES = (2, 5)        # inclusive range of n_states drawn per trial
 ACTIONS = (2, 3)       # inclusive range of n_actions drawn per trial
@@ -212,18 +213,15 @@ class CounterexampleRecord:
     params: dict
 
     def verify(self) -> bool:
-        verdict = opt_equivalent(self.r1, self.r2, self.mdp_true)
-        if verdict.equivalent:
-            return False
-        kind = self.params.get("kind")
-        if kind == "gamma":
-            gap = _model_identity_gap(self.mdp_model, self.r1, self.r2, self.params["x"])
-            return bool(gap <= BOLTZ_MATCH_ATOL)
-        if kind == "tau":
-            rv1 = reward_vector(self.r1, self.mdp_model)
-            rv2 = reward_vector(self.r2, self.mdp_model)
-            return bool(np.array_equal(rv1, rv2))
-        return True
+        """r1 and r2 look alike to every behavioural model in ``mdp_model`` but not in ``mdp_true``.
+
+        Alike means equal canonical forms up to round-off (r2 = r1 + shaping +
+        S'-redistribution under ``mdp_model``) at any reward unit; unlike means
+        opt_equivalent refuses. ``params`` only describes the search.
+        """
+        forms = canonical_forms(self.r1, self.r2, self.mdp_model)
+        alike = np.linalg.norm(forms.c[1] - forms.c[0]) <= ROUNDOFF_RTOL * forms.v_size.max()
+        return bool(alike) and not opt_equivalent(self.r1, self.r2, self.mdp_true).equivalent
 
     def to_doc(self) -> dict:
         return {
@@ -237,46 +235,17 @@ class CounterexampleRecord:
         }
 
 
-def _model_identity_gap(mdp_model: Mdp, r1: RewardTable, r2: RewardTable, x: float) -> float:
-    """L-infinity gap between the softmax-of-Q* policies of r1 and r2 under mdp_model.
-
-    Shaping with weight x inflates Q* by O(|x|) while leaving advantages
-    untouched, so the comparison temperature shrinks as 1/(1+|x|); otherwise
-    float rounding at large |x| would swamp an identity that holds exactly in
-    real arithmetic.
-    """
-    beta = 1.0 / (1.0 + abs(x))
-    b1 = boltzmann_policy(mdp_model, r1, beta)
-    b2 = boltzmann_policy(mdp_model, r2, beta)
-    return float(np.abs(b1.probs - b2.probs).max())
-
-
 def _flip_search(
     mdp_model: Mdp, mdp_true: Mdp, r1: RewardTable, candidates
 ) -> CounterexampleRecord | None:
-    """First candidate r2 whose optimal-action sets under ``mdp_true`` differ from r1's and verify.
+    """First candidate r2 not opt-equivalent to r1 under ``mdp_true`` whose record verifies.
 
-    ``candidates`` yields (r2, params) pairs in search order; r1's sets are
-    solved once for the whole search.
+    ``candidates`` yields (r2, params) pairs in search order.
     """
-    opt1 = optimal_values(mdp_true, r1).opt_sets
     for r2, params in candidates:
-        opt2 = optimal_values(mdp_true, r2).opt_sets
-        differing = [s for s in range(mdp_true.n_states) if opt1[s] != opt2[s]]
-        if differing:
-            record = CounterexampleRecord(
-                mdp_model=mdp_model,
-                mdp_true=mdp_true,
-                r1=r1,
-                r2=r2,
-                relation="opt",
-                evidence={
-                    "state": differing[0],
-                    "opt1": sorted(opt1[differing[0]]),
-                    "opt2": sorted(opt2[differing[0]]),
-                },
-                params=params,
-            )
+        verdict = opt_equivalent(r1, r2, mdp_true)
+        if not verdict.equivalent:
+            record = CounterexampleRecord(mdp_model, mdp_true, r1, r2, "opt", verdict.witness, params)
             if record.verify():
                 return record
     return None
@@ -293,30 +262,25 @@ def gamma_counterexample(
     The potential puts weight X on the state whose entry measure n spreads
     most across deterministic policies; the J gap X * n(pi) * (gamma1 - gamma2)
     then reorders them once |X| is large. Returns None when the transition
-    function is trivial, when gamma1 == gamma2, or if no |X| in X_GRID produces
-    a flip. Raises CapacityError when A^S exceeds DEFAULT_ENUM_CAP.
+    function is trivial, when gamma1 == gamma2, or if no |X| in BOUNDS * X_GRID
+    produces a flip. Raises StructuralError for a discount outside (0, 1) and
+    CapacityError when A^S exceeds DEFAULT_ENUM_CAP.
     """
-    for g in (gamma1, gamma2):
-        if not (0.0 < g < 1.0):
-            raise ValueError(f"discounts must lie in (0, 1), got {g}")
-    if gamma1 == gamma2:
-        return None
-    if is_trivial_transition(mdp):
-        return None
-
     mdp1 = mdp.with_discount(gamma1)
     mdp2 = mdp.with_discount(gamma2)
+    if gamma1 == gamma2 or is_trivial_transition(mdp):
+        return None
     entry = vertex_weights(mdp2)[1] - mdp2.initial
     spread = entry.max(axis=0) - entry.min(axis=0)
     state = int(np.argmax(spread))
     if spread[state] <= 1e-9:
         return None
 
-    r1 = random_reward(mdp2, bounds=1.0, seed=_child_seeds(seed, 1)[0])
+    r1 = random_reward(mdp2, bounds=BOUNDS, seed=_child_seeds(seed, 1)[0])
 
     def shaped():
         for x_abs in X_GRID:
-            for x in (x_abs, -x_abs):
+            for x in (BOUNDS * x_abs, -BOUNDS * x_abs):
                 phi = np.zeros(mdp.n_states)
                 phi[state] = x
                 r2 = apply(PotentialShaping(PotentialFn(phi)), r1, mdp1)
@@ -337,9 +301,10 @@ def tau_counterexample(mdp1: Mdp, tau2, seed: int = 0) -> CounterexampleRecord |
 
     Search directions lie in the kernel of the tau1-expectation: support pairs
     (p_j, -p_i) and entries where tau1 is zero but tau2 is not. Magnitudes are
-    powers of two and the perturbed row of the base reward is zeroed first, so
-    the tau1-expected rewards of r1 and r2 match bitwise. Returns None iff no
-    kernel direction changes tau2-expectations (i.e. the rows coincide).
+    BOUNDS times powers of two and the perturbed row of the base reward is
+    zeroed first, so the tau1-expected rewards of r1 and r2 match up to
+    round-off. Returns None iff no kernel direction changes tau2-expectations
+    (i.e. the rows coincide).
     """
     tau2 = np.array(tau2, dtype=float)
     if tau2.shape != mdp1.transition.shape:
@@ -373,8 +338,8 @@ def tau_counterexample(mdp1: Mdp, tau2, seed: int = 0) -> CounterexampleRecord |
     if not candidates:
         return None
 
-    base = random_reward(mdp2, bounds=1.0, seed=_child_seeds(seed, 2)[0])
-    magnitudes = [float(2**k) for k in range(0, 31, 2)]
+    base = random_reward(mdp2, bounds=BOUNDS, seed=_child_seeds(seed, 2)[0])
+    magnitudes = [BOUNDS * 2.0**k for k in range(0, 31, 2)]
 
     def rewrites(vals1, s, a, delta):
         for m in magnitudes:

@@ -125,8 +125,17 @@ class Decomposition:
     residual: float
 
 
+def _check_shape(name: str, a: np.ndarray, shape: tuple) -> None:
+    if a.shape != shape:
+        raise StructuralError(f"{name} is {a.shape} but the MDP needs {shape}")
+
+
 def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
-    """Apply one transformation (or a chain) to a reward; output is SAS-domain."""
+    """Apply one transformation (or a chain) to a reward; output is SAS-domain.
+
+    Raises StructuralError when the reward, a potential, psi or slack does not
+    fit the MDP's states and actions.
+    """
     mdp.check_reward(r)
     gamma = mdp.discount
     if isinstance(t, Chain):
@@ -136,6 +145,7 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
         return lift_reward(out)
     if isinstance(t, PotentialShaping):
         phi = t.potential.phi
+        _check_shape("potential", phi, (mdp.n_states,))
         vals = r.values + gamma * phi[None, None, :] - phi[:, None, None]
         return RewardTable(vals, domain="sas")
     if isinstance(t, SuccessorRedistribution):
@@ -150,6 +160,8 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
     if isinstance(t, ConstantShift):
         return RewardTable(r.values + t.k, domain="sas")
     if isinstance(t, OptimalityPreserving):
+        _check_shape("psi", t.psi, (mdp.n_states,))
+        _check_shape("slack", t.slack, (mdp.n_states, mdp.n_actions))
         opt = optimal_values(mdp, r).opt_sets
         non_opt = np.array([[a not in opt_s for a in range(mdp.n_actions)] for opt_s in opt])
         # E[R2(s,a,.) + gamma*psi(S')] = psi(s), minus slack off the optimal sets.

@@ -174,6 +174,9 @@ class TestMalformedDocuments:
             ("equiv", "reward"),
             ("transform", "reward"),
             ("transform", "spec"),
+            ("transform", "spec-phi-1-state"),
+            ("transform", "spec-psi-1-state"),
+            ("transform", "spec-slack-1-action"),
             *[(command, broken)
               for command in ("validate", "solve", "equiv", "transform")
               for broken in ("not-utf8", "reward-3-states", "reward-1-state")],
@@ -194,6 +197,12 @@ class TestMalformedDocuments:
             reward_doc = {"domain": "sa", "values": [[0.0, 1.0]]}
         elif broken == "spec":
             spec_doc = {"kind": "ls"}  # no scaling constant
+        elif broken == "spec-phi-1-state":  # numpy would broadcast phi, psi or slack over the MDP
+            spec_doc = {"kind": "ps", "phi": [3.0]}
+        elif broken == "spec-psi-1-state":
+            spec_doc = {"kind": "op", "psi": [1.0], "slack": [[-1.0]]}
+        elif broken == "spec-slack-1-action":
+            spec_doc = {"kind": "op", "psi": [1.0, 2.0], "slack": [[-1.0], [-1.0]]}
         mdp = _write(tmp_path, "mdp.json", mdp_doc)
         if broken == "not-utf8":  # the first document named on the command line
             (tmp_path / "mdp.json").write_bytes(b'{"n_states": "\xff"}')
@@ -210,6 +219,21 @@ class TestMalformedDocuments:
         assert result.output.startswith("error: ")
         assert result.output.count("\n") == 1
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("equiv", '{"domain": "sa", "val'), ("transform", '{"kind": "ls", "c": "abc"}')],
+        ids=["truncated-reward", "ill-typed-spec"],
+    )
+    def test_broken_document_is_named(self, runner, tmp_path, chain_docs, command, text):
+        mdp_path, reward_path = chain_docs
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        result = runner.invoke(main, [command, str(mdp_path), str(reward_path), str(bad)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+        assert "bad.json" in result.output
 
 
 class TestLab:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from rewardlab import (
     Mdp,
     PotentialFn,
     PotentialShaping,
+    RewardTable,
     apply,
+    boltzmann_policy,
     gamma_counterexample,
     opt_equivalent,
     optimal_values,
@@ -86,11 +90,20 @@ class TestGammaCounterexample:
         assert rec.params["gamma1"] == 0.5 and rec.params["gamma2"] == 0.9
 
     def test_model_cannot_distinguish_the_pair(self, chain):
-        from rewardlab.lab import _model_identity_gap
-
+        # shaping by x inflates Q* by O(|x|), so compare at temperature 1 / (1 + |x|)
         rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)
-        gap = _model_identity_gap(rec.mdp_model, rec.r1, rec.r2, rec.params["x"])
-        assert gap <= 1e-10
+        beta = 1.0 / (1.0 + abs(rec.params["x"]))
+        b1 = boltzmann_policy(rec.mdp_model, rec.r1, beta)
+        b2 = boltzmann_policy(rec.mdp_model, rec.r2, beta)
+        assert np.abs(b1.probs - b2.probs).max() <= 1e-10
+
+    def test_visible_rewrite_does_not_verify(self, chain):
+        # 2*r2 still flips optimality under the true discount, but the model
+        # sees the doubling; verify must not lean on params to notice.
+        rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)
+        doubled = replace(rec, r2=RewardTable(2.0 * rec.r2.values), params={})
+        assert not opt_equivalent(doubled.r1, doubled.r2, doubled.mdp_true).equivalent
+        assert not doubled.verify()
 
     def test_true_environment_flips_opt_sets(self, chain):
         rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)

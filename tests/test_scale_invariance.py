@@ -91,6 +91,15 @@ def test_registry_passes_at_every_reward_scale(c, monkeypatch):
     assert failed == []
 
 
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+@pytest.mark.parametrize("claim_id", ["LEM-GAMMA", "LEM-TAU"])
+def test_misspecification_counterexamples_are_drawn_in_bounds(c, claim_id, monkeypatch):
+    monkeypatch.setattr(lab, "BOUNDS", c)
+    rep = lab.verify_claim(lab.ExperimentConfig(claim_id=claim_id, trials=1, seed=1))
+    assert rep.ok, rep.outcomes
+    assert np.abs(rep.first_counterexample["r1"]["values"]).max() <= c
+
+
 class TestHeavyShaping:
     """Shaping far larger than the reward changes no behaviour, so it must not move a verdict."""
 

@@ -75,6 +75,21 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(bad, chain_reward, chain)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PotentialShaping(PotentialFn([3.0])),
+            OptimalityPreserving(psi=[1.0], slack=[[-1.0]]),
+            OptimalityPreserving(psi=[1.0, 2.0], slack=[[-1.0], [-1.0]]),
+            Chain((LinearScaling(2.0), PotentialShaping(PotentialFn([1.0, 2.0, 3.0])))),
+        ],
+        ids=["phi-1-state", "psi-1-state", "slack-1-action", "phi-3-states-in-chain"],
+    )
+    def test_spec_shapes_checked_against_the_mdp(self, chain, chain_reward, spec):
+        # numpy would broadcast a 1-entry phi or an (S, 1) slack over the whole MDP
+        with pytest.raises(StructuralError):
+            apply(spec, chain_reward, chain)
+
     def test_output_is_sas_domain(self, chain):
         r_sa = RewardTable.from_sa([[1.0, 0.0], [0.0, 1.0]])
         assert apply(LinearScaling(2.0), r_sa, chain).domain == "sas"
