@@ -92,7 +92,7 @@ def validate(mdp_path, reward_path, fmt):
               lambda d: "invalid:\n" + "\n".join(f"  {v}" for v in d["violations"]) + "\n")
         sys.exit(2)
     if reward_path:
-        mdp.check_reward(documents.load_reward(reward_path, n_actions=mdp.n_actions))
+        documents.load_reward(reward_path, mdp)
     _emit({"ok": True, "violations": []}, fmt, None, lambda d: "ok\n")
 
 
@@ -117,7 +117,7 @@ def solve(mdp_path, reward_path, tol, beta, alpha, fmt, out):
         if value is not None and not 0 < value < math.inf:
             raise ValueError(f"--{name} must be positive and finite, got {value}")
     mdp = documents.load_mdp(mdp_path)
-    r = documents.load_reward(reward_path, n_actions=mdp.n_actions)
+    r = documents.load_reward(reward_path, mdp)
     bundle = optimal_values(mdp, r, tol=tol)
     doc = {
         "v_star": bundle.v_star.tolist(),
@@ -143,8 +143,8 @@ def solve(mdp_path, reward_path, tol, beta, alpha, fmt, out):
 def equiv(mdp_path, r1_path, r2_path, relation, fmt, out):
     """Decide whether two rewards are equivalent under the chosen relation."""
     mdp = documents.load_mdp(mdp_path)
-    r1 = documents.load_reward(r1_path, n_actions=mdp.n_actions)
-    r2 = documents.load_reward(r2_path, n_actions=mdp.n_actions)
+    r1 = documents.load_reward(r1_path, mdp)
+    r2 = documents.load_reward(r2_path, mdp)
     decider = {"opt": opt_equivalent, "ord": ord_equivalent, "jeq": j_equal}[relation]
     verdict = decider(r1, r2, mdp)
 
@@ -168,7 +168,7 @@ def equiv(mdp_path, r1_path, r2_path, relation, fmt, out):
 def transform(mdp_path, reward_path, spec_path, out):
     """Apply a transformation document to a reward and emit the result."""
     mdp = documents.load_mdp(mdp_path)
-    r = documents.load_reward(reward_path, n_actions=mdp.n_actions)
+    r = documents.load_reward(reward_path, mdp)
     result = apply_transform(documents.load_transform(spec_path), r, mdp)
     _emit(documents.reward_to_doc(result), "json", out, lambda d: "")
 

@@ -2,8 +2,8 @@
 
 All loaders re-validate what they read; a file that parses but violates the
 model invariants raises ValidationFailure rather than producing a bad object.
-The file loaders (``load_*``) prefix the document's path to a decoding error
-or a malformed document, both raised as StructuralError.
+The file loaders (``load_*``) prefix the document's path to a decoding error,
+a malformed document or a reward off its MDP's grid, all raised as StructuralError.
 Doubles go through Python's shortest round-trip repr, so dump/load cycles are
 lossless.
 """
@@ -177,8 +177,12 @@ def load_mdp(path) -> Mdp:
     return _load(path, mdp_from_doc)
 
 
-def load_reward(path, n_actions: int | None = None) -> RewardTable:
-    return _load(path, lambda doc: reward_from_doc(doc, n_actions=n_actions))
+def load_reward(path, mdp: Mdp) -> RewardTable:
+    def from_doc(doc):
+        r = reward_from_doc(doc, n_actions=mdp.n_actions)
+        mdp.check_reward(r)
+        return r
+    return _load(path, from_doc)
 
 
 def load_transform(path) -> TransformSpec:

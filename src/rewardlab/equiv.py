@@ -14,8 +14,10 @@ size, a negative verdict carries two policies built from the same forms
 Whenever the A^S deterministic policies fit under the cap, the ord/jeq
 verdicts are cross-checked against an exact vertex oracle. J(pi) = <d^pi, r>
 is linear in the occupancy d^pi, whose polytope has the deterministic
-policies as vertices: vertex_weights solves their state visitations w in one
-batch, and a J table weights w by the reward at each vertex's actions.
+policies as vertices. solve.vertex_j gives J at every vertex by eliminating
+the states one at a time, branching on each state's action, so vertices that
+agree on a prefix of actions share that work; I - gamma*T^pi is strictly
+diagonally dominant, so every pivot is at least 1 - gamma and none is swapped.
 Rewards order all policies alike iff J2 is a positive affine function of J1
 on every vertex (measured off the chord through the extreme J1 vertices, or
 both tables flat), and give every policy the same J iff J1 = J2 there. The
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, StructuralError
 from .mdp import Mdp, RewardTable
-from .solve import ROUNDOFF_RTOL, optimal_values, uniform_flow, vertex_weights
+from .solve import ROUNDOFF_RTOL, optimal_values, uniform_flow, vertex_j
 from .transform import (
     DIST_TOL,
     CanonicalForms,
@@ -55,13 +57,6 @@ class EquivVerdict:
     relation: str  # "opt" | "ord" | "jeq"
     certificate: Decomposition | None = None
     witness: dict | None = None
-
-
-def _vertex_j(mdp: Mdp, v: np.ndarray) -> np.ndarray:
-    """J at every vertex (see vertex_weights) of each flattened reward vector in ``v``."""
-    n = mdp.n_states
-    actions, w = vertex_weights(mdp, cap=CROSS_CHECK_CAP)
-    return (w * v.reshape(len(v), n, mdp.n_actions)[:, np.arange(n), actions]).sum(axis=2)
 
 
 def _chord(j1: np.ndarray, j2: np.ndarray):
@@ -130,7 +125,7 @@ def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
         unit = np.where(forms.u.any(axis=1), forms.size, forms.v_size)
         unit = np.where(unit > 0, unit, 1.0)
-        j1, j2 = _vertex_j(mdp, forms.v) * ((1.0 - mdp.discount) / unit)[:, None]
+        j1, j2 = (vertex_j(mdp, forms.v, cap=CROSS_CHECK_CAP) * ((1.0 - mdp.discount) / unit)).T
         span, dev, rise = _chord(j1, j2)
         off_chord = float(np.abs(dev).max())
         if span <= ROUNDOFF_RTOL:
@@ -159,7 +154,8 @@ def j_equal(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
         scale = j_scale(forms, mdp)
         roundoff = ROUNDOFF_RTOL * float(forms.v_size.max())
-        gap = (1.0 - mdp.discount) * float(np.abs(_vertex_j(mdp, forms.v[:1] - forms.v[1:])).max())
+        j_diff = vertex_j(mdp, forms.v[:1] - forms.v[1:], cap=CROSS_CHECK_CAP)
+        gap = (1.0 - mdp.discount) * float(np.abs(j_diff).max())
         if equivalent and gap > 2 * max(DIST_TOL * scale, roundoff) + roundoff:
             raise InternalConsistencyError(
                 f"jeq decider said True but (1 - gamma)*J differs by {gap:.3e} at a vertex")

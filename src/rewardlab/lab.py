@@ -31,6 +31,7 @@ from .mdp import (
     Mdp,
     RewardTable,
     StochasticPolicy,
+    enumerate_action_tuples,
     is_trivial_transition,
     lift_reward,
     mask_sets,
@@ -52,7 +53,7 @@ from .solve import (
     optimal_values,
     reward_vector,
     soft_optimal_values,
-    vertex_weights,
+    vertex_j,
 )
 from .transform import (
     LinearScaling,
@@ -141,9 +142,6 @@ def random_reward(
     """
     rng = np.random.default_rng(seed)
     n, k = mdp.n_states, mdp.n_actions
-    if j_floor is not None:
-        actions, w = vertex_weights(mdp)
-        picked = np.arange(n), actions  # each vertex's (s, a) entries
     for _ in range(max_tries):
         if domain == "sas":
             r = RewardTable(rng.uniform(-bounds, bounds, size=(n, k, n)))
@@ -155,7 +153,7 @@ def random_reward(
             raise ValueError(f"unknown domain {domain!r}")
         if gap_floor is not None and advantage_gap(mdp, r) < gap_floor * bounds:
             continue
-        if j_floor is not None and np.abs((w * reward_vector(r, mdp)[picked]).sum(1)).max() < j_floor:
+        if j_floor is not None and np.abs(vertex_j(mdp, reward_vector(r, mdp)[None])).max() < j_floor:
             continue
         return r
     raise GenerationError(f"no reward met the floors after {max_tries} tries")
@@ -260,8 +258,9 @@ def gamma_counterexample(
     """Shape under gamma1, evaluate under gamma2, and search for an optimality flip.
 
     The potential puts weight X on the state whose entry measure n spreads
-    most across deterministic policies; the J gap X * n(pi) * (gamma1 - gamma2)
-    then reorders them once |X| is large. Returns None when the transition
+    most across deterministic policies (the first, if several tie up to
+    round-off); the J gap X * n(pi) * (gamma1 - gamma2) then reorders them
+    once |X| is large. Returns None when the transition
     function is trivial, when gamma1 == gamma2, or if no |X| in BOUNDS * X_GRID
     produces a flip. Raises StructuralError for a discount outside (0, 1) and
     CapacityError when A^S exceeds DEFAULT_ENUM_CAP.
@@ -270,9 +269,10 @@ def gamma_counterexample(
     mdp2 = mdp.with_discount(gamma2)
     if gamma1 == gamma2 or is_trivial_transition(mdp):
         return None
-    entry = vertex_weights(mdp2)[1] - mdp2.initial
+    indicators = np.eye(mdp.n_states)[:, :, None].repeat(mdp.n_actions, axis=2)  # rewards 1[state = s]
+    entry = vertex_j(mdp2, indicators) - mdp2.initial
     spread = entry.max(axis=0) - entry.min(axis=0)
-    state = int(np.argmax(spread))
+    state = int(np.flatnonzero(spread >= (1.0 - ROUNDOFF_RTOL) * spread.max())[0])
     if spread[state] <= 1e-9:
         return None
 
@@ -428,18 +428,17 @@ def _loguniform(rng, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def oracle_opt_sets(mdp: Mdp, r: RewardTable) -> tuple:
-    """Optimal-action sets by brute force: union of argmax-J deterministic policies.
+def oracle_opt_sets(mdp: Mdp, *rewards: RewardTable) -> list[tuple]:
+    """Optimal-action sets of each reward by brute force: union of argmax-J deterministic policies.
 
     Matches the argmax-of-Q* sets whenever every state is visited under every
     policy (full-support transition rows, as the generators here produce). On
     sparse transitions a J-optimal policy can behave arbitrarily at states it
     never reaches, which this enumeration cannot distinguish.
     """
-    actions, w = vertex_weights(mdp)
-    j = (w * reward_vector(r, mdp)[np.arange(mdp.n_states), actions]).sum(axis=1)
-    winners = actions[j >= j.max() - 1e-9 * np.abs(j).max()]
-    return mask_sets((winners[:, :, None] == np.arange(mdp.n_actions)).any(axis=0))
+    chosen = enumerate_action_tuples(mdp.n_states, mdp.n_actions)[:, :, None] == np.arange(mdp.n_actions)
+    j = vertex_j(mdp, np.stack([reward_vector(r, mdp) for r in rewards]))
+    return [mask_sets(chosen[col >= col.max() - 1e-9 * np.abs(col).max()].any(axis=0)) for col in j.T]
 
 
 def _run_trials(config: ExperimentConfig, trial, witness: str | None = None) -> TrialReport:
@@ -568,7 +567,7 @@ def _boltz_opt(config: ExperimentConfig, trial: int, searching: bool) -> dict:
         mdp, _, r1, r2, neg_verdict = _robustness_trial(
             config, trial, 20, g_inverting, f_inv, opt_equivalent
         )
-        if not neg_verdict.equivalent and oracle_opt_sets(mdp, r1) != oracle_opt_sets(mdp, r2):
+        if not neg_verdict.equivalent and len(set(oracle_opt_sets(mdp, r1, r2))) == 2:
             outcome["counterexample"] = {
                 "claim": "BOLTZ-OPT",
                 "note": "argmax-inverting probe produced an optimality flip",
@@ -635,7 +634,7 @@ def _opt_model(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     else:
         r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[2])
     decider = opt_equivalent(r1, r2, mdp).equivalent
-    opt1, opt2 = oracle_opt_sets(mdp, r1), oracle_opt_sets(mdp, r2)
+    opt1, opt2 = oracle_opt_sets(mdp, r1, r2)
     ok = decider == (opt1 == opt2) and (decider or not related)
     outcome = {"status": "pass" if ok else "fail", "related": related, "equivalent": decider}
 

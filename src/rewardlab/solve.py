@@ -11,10 +11,11 @@ value scale, so no result depends on the reward's unit: ``tol`` bounds the
 Bellman residual in units of the largest possible |v| (max|rv| / (1 - gamma),
 plus alpha*log(A) / (1 - gamma) for the soft entropy bonus).
 
-All deterministic policies share one batched solve (see vertex_weights).
-Controllability needs one factorisation of uniform_flow: a state's entry measure
-is constant over all policies iff the uniform policy's action gaps for the
-reward 1[state = s] vanish at every reachable state (see ControllableStates).
+J at all A^S deterministic policies comes from one prefix-shared elimination
+that needs no row exchanges (see vertex_j). Controllability needs one
+factorisation of uniform_flow: a state's entry measure is constant over all
+policies iff the uniform policy's action gaps for the reward 1[state = s]
+vanish at every reachable state (see ControllableStates).
 """
 from __future__ import annotations
 
@@ -22,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, StructuralError
+from .errors import CapacityError, ConvergenceError, StructuralError
 from .mdp import (
     DEFAULT_ENUM_CAP,
     ActionSetPolicy,
     Mdp,
     RewardTable,
     StochasticPolicy,
-    enumerate_action_tuples,
     mask_sets,
     reachable_states,
 )
@@ -233,20 +233,31 @@ def uniform_flow(mdp: Mdp) -> np.ndarray:
     return np.eye(mdp.n_states) - mdp.discount * mdp.transition.mean(axis=1).T
 
 
-def vertex_weights(mdp: Mdp, cap: int = DEFAULT_ENUM_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """(actions, w): every deterministic policy, s0-major, and its state visitation w[n].
+def vertex_j(mdp: Mdp, rv: np.ndarray, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """J at every deterministic policy (s0-major rows) of each of the K reward vectors rv (K, S, A).
 
-    Policy n's flow rows e_s - gamma*tau(s, actions[n, s], .) are gathered for
-    one batched solve. Its occupancy, a vertex of the occupancy polytope, is
-    w[n, s] at a = actions[n, s], so J at every vertex is
-    (w * rv[arange(S), actions]).sum(1) for rv = reward_vector(r, mdp). Raises
-    CapacityError when A^S exceeds ``cap``.
+    Eliminates v_0, ..., v_{S-1} in turn from v = rv^pi + gamma*T^pi v, with
+    J - mu0.v = 0 as an extra row and the K reward columns on the right. Each
+    state keeps a row per action until its pivot branches on the action, so
+    policies agreeing on actions 0..s-1 share all work before state s.
+    I - gamma*T^pi and its Schur complements are strictly row-diagonally
+    dominant: every pivot is >= 1 - gamma, with no row exchange. Raises
+    CapacityError, before allocating, when A^S exceeds ``cap``.
     """
-    n = mdp.n_states
-    actions = enumerate_action_tuples(n, mdp.n_actions, cap=cap)
-    rows = np.eye(n)[:, None, :] - mdp.discount * mdp.transition
-    lhs = np.swapaxes(rows[np.arange(n), actions], 1, 2)
-    return actions, np.linalg.solve(lhs, mdp.initial[:, None])[:, :, 0]
+    n, k = mdp.n_states, mdp.n_actions
+    if k**n > cap:
+        raise CapacityError(f"{k}^{n} = {k**n} deterministic policies exceeds cap {cap}")
+    m = len(rv)
+    g = np.zeros((1, n * k + 1, n + m))  # (shared action prefixes, (state, action) rows + J row, v | rv)
+    g[0, :-1, :n] = np.repeat(np.eye(n), k, axis=0) - mdp.discount * mdp.transition.reshape(n * k, n)
+    g[0, :-1, n:] = rv.reshape(m, n * k).T
+    g[0, -1, :n] = -mdp.initial
+    for _ in range(n):
+        piv = g[:, :k, 1:] / g[:, :k, :1]  # the eliminated state's row per action, pivot scaled to 1
+        rest = g[:, None, k:]
+        new = rest[..., :1] * piv[:, :, None]
+        g = np.subtract(rest[..., 1:], new, out=new).reshape(-1, new.shape[2], new.shape[3])
+    return g[:, 0]
 
 
 def controllable_states(mdp: Mdp) -> ControllableStates:

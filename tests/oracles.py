@@ -24,18 +24,19 @@ def horizon_for(gamma: float, target: float = 1e-12) -> int:
 
 
 def truncated_values(mdp, r, probs, horizon):
-    """V^pi by accumulating the power series sum_t gamma^t (T^pi)^t r^pi.
+    """V^pi by the power series sum_{t < h} P^t r^pi, P = gamma*T^pi, for h = ``horizon``
+    rounded up to a power of two.
 
-    ``probs`` is one (S, A) policy or an (N, S, A) stack, summed side by side.
+    The series is summed by doubling, sum_{t < 2h} P^t r = (I + P^h) sum_{t < h} P^t r,
+    so a horizon of 2^m costs m steps. ``probs`` is one (S, A) policy or an
+    (N, S, A) stack, summed side by side.
     """
-    t_pi = np.einsum("...sa,sap->...sp", probs, mdp.transition)
+    power = mdp.discount * np.einsum("...sa,sap->...sp", probs, mdp.transition)
     rsa = np.einsum("sap,sap->sa", mdp.transition, r.values)
-    r_pi = (probs * rsa).sum(axis=-1)
-    v = np.zeros(r_pi.shape)
-    term = r_pi.copy()
-    for _ in range(horizon):
-        v += term
-        term = mdp.discount * (t_pi @ term[..., None])[..., 0]
+    v = (probs * rsa).sum(axis=-1)
+    for _ in range(math.ceil(math.log2(horizon))):
+        v = v + (power @ v[..., None])[..., 0]
+        power = power @ power
     return v
 
 

@@ -222,8 +222,12 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize(
         "command, text",
-        [("equiv", '{"domain": "sa", "val'), ("transform", '{"kind": "ls", "c": "abc"}')],
-        ids=["truncated-reward", "ill-typed-spec"],
+        [
+            ("equiv", '{"domain": "sa", "val'),
+            ("equiv", '{"domain": "sa", "values": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]}'),
+            ("transform", '{"kind": "ls", "c": "abc"}'),
+        ],
+        ids=["truncated-reward", "3-state-reward", "ill-typed-spec"],
     )
     def test_broken_document_is_named(self, runner, tmp_path, chain_docs, command, text):
         mdp_path, reward_path = chain_docs

@@ -20,14 +20,13 @@ from rewardlab.documents import load_transfer_pair
 from rewardlab.errors import CapacityError, InternalConsistencyError, StructuralError
 from rewardlab.lab import BOUNDS, ExperimentConfig, _child_seeds, _draw_env, random_mdp, random_reward
 from rewardlab.mdp import DEFAULT_ENUM_CAP
-from rewardlab.solve import vertex_weights
+from rewardlab.solve import vertex_j
 
 import oracles
 
 
 def j_table(r, mdp, cap=DEFAULT_ENUM_CAP):
-    actions, w = vertex_weights(mdp, cap=cap)
-    return (w * reward_vector(r, mdp)[np.arange(mdp.n_states), actions]).sum(axis=1)
+    return vertex_j(mdp, reward_vector(r, mdp)[None], cap=cap)[:, 0]
 
 
 def witness_differences(witness, mdp, r1, r2):
@@ -202,7 +201,7 @@ class TestJEqual:
 
 
 class TestOrderSignature:
-    """A reward's order signature: its J table over the deterministic policies, from vertex_weights."""
+    """A reward's order signature: its J table over the deterministic policies, from vertex_j."""
 
     def test_chain_values_match_brute_force_oracle(self, chain, chain_reward):
         j = j_table(chain_reward, chain)

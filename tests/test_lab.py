@@ -119,6 +119,12 @@ class TestGammaCounterexample:
                 oracles.brute_force_opt_sets(rec.mdp_true, rec.r1)
             )
 
+    def test_tied_spreads_pick_the_first_state(self):
+        # On two states w(0) + w(1) = 1/(1 - gamma) at every vertex, so both spreads tie exactly.
+        for seed in range(30):
+            rec = gamma_counterexample(random_mdp(2, 2, 0.7, seed=seed), 0.7, 0.9, seed=seed)
+            assert rec.params["shaped_state"] == 0
+
     def test_success_monotone_in_x(self, chain):
         # once a shaping weight flips optimality, doubling it keeps the flip
         rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)
@@ -329,5 +335,8 @@ class TestOracleOptSets:
         for seed in range(10):
             mdp = random_mdp(3, 2, 0.8, seed=seed)
             r = random_reward(mdp, seed=seed + 20)
-            assert oracle_opt_sets(mdp, r) == tuple(optimal_values(mdp, r).opt_sets)
-            assert oracle_opt_sets(mdp, r) == oracles.brute_force_opt_sets(mdp, r)
+            r_neg = RewardTable(-r.values)
+            # stacked rewards are solved side by side
+            for reward, opt in zip((r, r_neg), oracle_opt_sets(mdp, r, r_neg)):
+                assert opt == tuple(optimal_values(mdp, reward).opt_sets)
+                assert opt == oracles.brute_force_opt_sets(mdp, reward)

@@ -75,7 +75,7 @@ class TestReproductions:
         tiny = scaled(r, 1e-10)
         expected = tuple(optimal_values(mdp, tiny).opt_sets)
         assert expected == ({0}, {0}, {0})
-        assert oracle_opt_sets(mdp, tiny) == expected
+        assert oracle_opt_sets(mdp, tiny) == [expected]
 
     def test_gap_floor_scales_with_bounds(self, env):
         mdp, _ = env

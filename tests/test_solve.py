@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -19,7 +20,8 @@ from rewardlab import (
 from rewardlab import solve
 from rewardlab.errors import CapacityError, ConvergenceError, StructuralError
 from rewardlab.lab import random_mdp, random_policy, random_reward
-from rewardlab.solve import DEFAULT_TOL, IMPROVE_RTOL, TIE_TOL, vertex_weights
+from rewardlab.mdp import DEFAULT_ENUM_CAP, enumerate_action_tuples
+from rewardlab.solve import DEFAULT_TOL, IMPROVE_RTOL, TIE_TOL, vertex_j
 from rewardlab.transform import ConstantShift, LinearScaling, apply
 
 import oracles
@@ -505,28 +507,98 @@ def _vertex_instances():
         yield mdp.with_transition(tau)
 
 
+def _indicators(mdp):
+    """The S rewards 1[state = s], stacked (S, S, A): their J at a vertex is its state visitation w."""
+    n = mdp.n_states
+    return np.broadcast_to(np.eye(n)[:, :, None], (n, n, mdp.n_actions))
+
+
+def _one_hot_transitions(mdp, seed):
+    """``mdp`` with every (s, a) moved to one successor drawn at random."""
+    rng = np.random.default_rng(seed)
+    successors = rng.integers(mdp.n_states, size=mdp.transition.shape[:2])
+    return mdp.with_transition(np.eye(mdp.n_states)[successors])
+
+
 class TestVertexWeights:
+    """J at every vertex (vertex_j), and the state visitation w as J of the indicator rewards."""
+
     @pytest.mark.parametrize("index", range(12))
     def test_matches_series_oracles(self, index):
         mdp = list(_vertex_instances())[index]
-        n = mdp.n_states
-        actions, w = vertex_weights(mdp)
         r = random_reward(mdp, seed=100 + index, gap_floor=None)
-        j = (w * reward_vector(r, mdp)[np.arange(n), actions]).sum(axis=1)
+        j = vertex_j(mdp, reward_vector(r, mdp)[None])[:, 0]
         expected = np.array(oracles.brute_force_j_table(mdp, r))
         np.testing.assert_allclose(j, expected, rtol=0, atol=1e-9 * max(1.0, np.abs(expected).max()))
+        w = vertex_j(mdp, _indicators(mdp))
         spread = w.max(axis=0) - w.min(axis=0)  # mu0 cancels from the entry measure w - mu0
         atol = 1e-9 / (1.0 - mdp.discount)
         np.testing.assert_allclose(spread, oracles.vertex_entry_spread(mdp), rtol=0, atol=atol)
 
     def test_actions_in_product_order(self):
-        actions, w = vertex_weights(random_mdp(4, 3, 0.8, seed=5))
-        assert actions.tolist() == [list(p) for p in itertools.product(range(3), repeat=4)]
-        assert w.shape == (81, 4)
+        mdp = random_mdp(4, 3, 0.8, seed=5)
+        rewards = [random_reward(mdp, seed=s, gap_floor=None) for s in (6, 7)]
+        j = vertex_j(mdp, np.stack([reward_vector(r, mdp) for r in rewards]))
+        assert j.shape == (81, 2)
+        for row, actions in zip(j, itertools.product(range(3), repeat=4)):
+            pi = StochasticPolicy(oracles.one_hot(actions, 3))
+            expected = [policy_evaluate(mdp, r, pi).j for r in rewards]
+            np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0)
 
     def test_above_cap_raises(self):
-        with pytest.raises(CapacityError):
-            vertex_weights(random_mdp(4, 3, 0.8, seed=5), cap=80)
+        mdp = random_mdp(4, 3, 0.8, seed=5)
+        rv = np.zeros((1000, 4, 3))  # its augmented array would take ~100 kB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                vertex_j(mdp, rv, cap=80)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000  # raised before allocating anything of that size
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.99, 0.9999])
+    @pytest.mark.parametrize("one_hot", [False, True])
+    def test_matches_brute_force_at_every_scale(self, gamma, one_hot):
+        mdp = random_mdp(3, 2, gamma, seed=11)
+        if one_hot:
+            mdp = _one_hot_transitions(mdp, seed=12)
+        rewards = [RewardTable(c * random_reward(mdp, seed=20 + i, gap_floor=None).values)
+                   for i, c in enumerate((1e-10, 1.0, 1e10))]
+        stacked = vertex_j(mdp, np.stack([reward_vector(r, mdp) for r in rewards]))
+        for col, r in zip(stacked.T, rewards):
+            expected = np.array(oracles.brute_force_j_table(mdp, r, horizon=2**24))
+            atol = 1e-9 * np.abs(expected).max()
+            alone = vertex_j(mdp, reward_vector(r, mdp)[None])[:, 0]
+            np.testing.assert_allclose(col, expected, rtol=0, atol=atol)
+            np.testing.assert_allclose(alone, expected, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("gamma", [0.9, 0.99999])
+    @pytest.mark.parametrize("one_hot", [False, True])
+    def test_indicator_rewards_meet_flow_equations(self, gamma, one_hot):
+        mdp = random_mdp(4, 3, gamma, seed=13)
+        if one_hot:
+            mdp = _one_hot_transitions(mdp, seed=14)
+        n = mdp.n_states
+        w = vertex_j(mdp, _indicators(mdp))
+        t_pi = mdp.transition[np.arange(n), enumerate_action_tuples(n, mdp.n_actions)]  # (A^S, S, S')
+        residual = w - mdp.discount * np.einsum("ns,nsp->np", w, t_pi) - mdp.initial  # M w - mu0
+        assert np.abs(residual).max() <= 1e-12 * np.abs(w).max()
+
+    def test_enumeration_cap_completes(self):
+        mdp = random_mdp(16, 2, 0.9, seed=15)
+        r = random_reward(mdp, seed=16, gap_floor=None)
+        tracemalloc.start()
+        try:
+            j = vertex_j(mdp, reward_vector(r, mdp)[None], cap=DEFAULT_ENUM_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert j.shape == (DEFAULT_ENUM_CAP, 1)
+        assert peak < 32e6  # one (A^S, S, S) batch of flow matrices alone would take 134 MB
+        for index in (0, 12345, DEFAULT_ENUM_CAP - 1):
+            pi = StochasticPolicy(oracles.one_hot(np.unravel_index(index, (2,) * 16), 2))
+            assert j[index, 0] == pytest.approx(policy_evaluate(mdp, r, pi).j, rel=1e-12, abs=0)
 
 
 class TestMcReturn:
