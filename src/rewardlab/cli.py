@@ -169,7 +169,7 @@ def transform(mdp_path, reward_path, spec_path, out):
     """Apply a transformation document to a reward and emit the result."""
     mdp = documents.load_mdp(mdp_path)
     r = documents.load_reward(reward_path, mdp)
-    result = apply_transform(documents.load_transform(spec_path), r, mdp)
+    result = apply_transform(documents.load_transform(spec_path, mdp), r, mdp)
     _emit(documents.reward_to_doc(result), "json", out, lambda d: "")
 
 

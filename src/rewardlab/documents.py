@@ -30,7 +30,8 @@ from .transform import (
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The document as JSON; raises ValueError rather than print NaN or Infinity, which are not JSON."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def mdp_to_doc(mdp: Mdp) -> dict:
@@ -121,7 +122,8 @@ def transform_to_doc(t: TransformSpec) -> dict:
     raise StructuralError(f"unknown transformation {t!r}")
 
 
-def transform_from_doc(doc: dict) -> TransformSpec:
+def transform_from_doc(doc: dict, n_actions: int | None = None) -> TransformSpec:
+    """The spec ``doc`` describes; ``n_actions`` is needed to read an S-domain replacement reward."""
     try:
         kind = doc.get("kind")
         if kind == "ps":
@@ -129,7 +131,7 @@ def transform_from_doc(doc: dict) -> TransformSpec:
                 PotentialFn(np.array(doc["phi"], dtype=float), bool(doc.get("zero_initial", False)))
             )
         if kind == "sr":
-            return SuccessorRedistribution(reward_from_doc(doc["replacement"]))
+            return SuccessorRedistribution(reward_from_doc(doc["replacement"], n_actions))
         if kind == "ls":
             return LinearScaling(float(doc["c"]))
         if kind == "cs":
@@ -139,7 +141,7 @@ def transform_from_doc(doc: dict) -> TransformSpec:
                 psi=np.array(doc["psi"], dtype=float), slack=np.array(doc["slack"], dtype=float)
             )
         if kind == "seq":
-            return Chain(tuple(transform_from_doc(s) for s in doc["steps"]))
+            return Chain(tuple(transform_from_doc(s, n_actions) for s in doc["steps"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _malformed("transformation", exc) from exc
     raise StructuralError(f"unknown transformation kind {kind!r}")
@@ -185,8 +187,8 @@ def load_reward(path, mdp: Mdp) -> RewardTable:
     return _load(path, from_doc)
 
 
-def load_transform(path) -> TransformSpec:
-    return _load(path, transform_from_doc)
+def load_transform(path, mdp: Mdp) -> TransformSpec:
+    return _load(path, lambda doc: transform_from_doc(doc, mdp.n_actions))
 
 
 def save_doc(doc, path) -> None:

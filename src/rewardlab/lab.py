@@ -68,9 +68,9 @@ from .transform import (
     shaping_on_sa_domain,
 )
 
-GAP_FLOOR = 1e-4       # minimum optimal-advantage gap of generated rewards, relative to bounds
+GAP_FLOOR = 1e-4       # minimum optimal-advantage gap of generated rewards, in BOUNDS
 X_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # |X| tried by gamma_counterexample, in BOUNDS
-MDP_TRIES = 100        # rejection-sampling budget of random_mdp
+REWARD_TRIES = 200     # rejection-sampling budget of random_reward
 STATES = (2, 5)        # inclusive range of n_states drawn per trial
 ACTIONS = (2, 3)       # inclusive range of n_actions drawn per trial
 BOUNDS = 1.0           # reward unit: size of generated rewards and potentials; model parameters follow it
@@ -85,32 +85,11 @@ def _child_seeds(seed: int, *path: int, n: int = 1) -> list[int]:
     return [int(x) for x in ss.generate_state(n, dtype=np.uint64)]
 
 
-def random_mdp(
-    n_states: int,
-    n_actions: int,
-    gamma: float,
-    seed: int,
-    sparsity: float = 0.0,
-) -> Mdp:
-    """Dirichlet-sampled MDP; reachability enforced by rejection."""
+def random_mdp(n_states: int, n_actions: int, gamma: float, seed: int) -> Mdp:
+    """Dirichlet-sampled MDP. Every transition row and mu0 has full support, so every state is reachable."""
     rng = np.random.default_rng(seed)
-    for _ in range(MDP_TRIES):
-        tau = np.zeros((n_states, n_actions, n_states))
-        for s in range(n_states):
-            for a in range(n_actions):
-                if sparsity > 0:
-                    keep = rng.random(n_states) >= sparsity
-                    if not keep.any():
-                        keep[rng.integers(n_states)] = True
-                    support = np.flatnonzero(keep)
-                else:
-                    support = np.arange(n_states)
-                tau[s, a, support] = rng.dirichlet(np.ones(support.size))
-        mu0 = rng.dirichlet(np.ones(n_states))
-        mdp = Mdp(transition=tau, initial=mu0, discount=gamma)
-        if validate_mdp(mdp).ok:
-            return mdp
-    raise GenerationError(f"no valid MDP after {MDP_TRIES} tries (sparsity={sparsity})")
+    tau = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+    return Mdp(transition=tau, initial=rng.dirichlet(np.ones(n_states)), discount=gamma)
 
 
 def random_policy(n_states: int, n_actions: int, seed: int) -> StochasticPolicy:
@@ -125,38 +104,32 @@ def advantage_gap(mdp: Mdp, r: RewardTable) -> float:
     return float(-losing.max()) if losing.size else np.inf
 
 
-def random_reward(
-    mdp: Mdp,
-    domain: str = "sas",
-    bounds: float = 1.0,
-    seed: int = 0,
-    gap_floor: float | None = GAP_FLOOR,
-    j_floor: float | None = None,
-    max_tries: int = 200,
-) -> RewardTable:
-    """Uniform reward in [-bounds, bounds] with rejection floors.
+def random_reward(mdp: Mdp, domain: str = "sas", seed: int = 0, j_floor: float | None = None) -> RewardTable:
+    """Uniform reward in [-BOUNDS, BOUNDS], redrawn until it meets the floors.
 
-    ``gap_floor`` (relative to ``bounds``) keeps optimal-action decisions far
-    from the solver tie tolerance; ``j_floor`` additionally demands that some
-    deterministic policy has |J| above the floor (rules out J-degenerate draws).
+    A draw is kept only if every non-optimal action loses by at least
+    GAP_FLOOR * BOUNDS, which keeps optimal-action decisions far from the
+    solver tie tolerance; ``j_floor`` additionally demands that some
+    deterministic policy has |J| above the floor (rules out J-degenerate
+    draws). Raises GenerationError after REWARD_TRIES draws.
     """
     rng = np.random.default_rng(seed)
     n, k = mdp.n_states, mdp.n_actions
-    for _ in range(max_tries):
+    for _ in range(REWARD_TRIES):
         if domain == "sas":
-            r = RewardTable(rng.uniform(-bounds, bounds, size=(n, k, n)))
+            r = RewardTable(rng.uniform(-BOUNDS, BOUNDS, size=(n, k, n)))
         elif domain == "sa":
-            r = RewardTable.from_sa(rng.uniform(-bounds, bounds, size=(n, k)))
+            r = RewardTable.from_sa(rng.uniform(-BOUNDS, BOUNDS, size=(n, k)))
         elif domain == "s":
-            r = RewardTable.from_state(rng.uniform(-bounds, bounds, size=n), n_actions=k)
+            r = RewardTable.from_state(rng.uniform(-BOUNDS, BOUNDS, size=n), n_actions=k)
         else:
             raise ValueError(f"unknown domain {domain!r}")
-        if gap_floor is not None and advantage_gap(mdp, r) < gap_floor * bounds:
+        if advantage_gap(mdp, r) < GAP_FLOOR * BOUNDS:
             continue
         if j_floor is not None and np.abs(vertex_j(mdp, reward_vector(r, mdp)[None])).max() < j_floor:
             continue
         return r
-    raise GenerationError(f"no reward met the floors after {max_tries} tries")
+    raise GenerationError(f"no reward met the floors after {REWARD_TRIES} tries")
 
 
 @dataclass(frozen=True)
@@ -276,7 +249,7 @@ def gamma_counterexample(
     if spread[state] <= 1e-9:
         return None
 
-    r1 = random_reward(mdp2, bounds=BOUNDS, seed=_child_seeds(seed, 1)[0])
+    r1 = random_reward(mdp2, seed=_child_seeds(seed, 1)[0])
 
     def shaped():
         for x_abs in X_GRID:
@@ -338,7 +311,7 @@ def tau_counterexample(mdp1: Mdp, tau2, seed: int = 0) -> CounterexampleRecord |
     if not candidates:
         return None
 
-    base = random_reward(mdp2, bounds=BOUNDS, seed=_child_seeds(seed, 2)[0])
+    base = random_reward(mdp2, seed=_child_seeds(seed, 2)[0])
     magnitudes = [BOUNDS * 2.0**k for k in range(0, 31, 2)]
 
     def rewrites(vals1, s, a, delta):
@@ -488,7 +461,7 @@ def _robustness_trial(config: ExperimentConfig, trial: int, salt: int, g, f_inv,
     ``_substream(seed, trial, salt)``. Returns (mdp, observed, R1, R2, verdict).
     """
     mdp = _draw_env(config, trial)
-    r2 = random_reward(mdp, bounds=BOUNDS, seed=_child_seeds(config.seed, trial, salt + 1)[0])
+    r2 = random_reward(mdp, seed=_child_seeds(config.seed, trial, salt + 1)[0])
     observed = g(mdp, r2)
     r1 = f_inv(observed, mdp)
     return mdp, observed, r1, r2, relation(r1, r2, mdp)
@@ -499,7 +472,7 @@ def _ord_char(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     rng = _substream(config.seed, trial, 10)
     mdp = _draw_env(config, trial)
     seeds = _child_seeds(config.seed, trial, 11, n=4)
-    r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
+    r1 = random_reward(mdp, seed=seeds[0])
     c = _loguniform(rng, 0.2, 5.0)
     cur = r1
     applied_order = [["ls", "ps", "sr"][k] for k in rng.permutation(3)]
@@ -519,7 +492,7 @@ def _ord_char(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     )
     # Negative control: an independent reward; decider and oracle must agree
     # (ord_equivalent raises InternalConsistencyError on any disagreement).
-    r3 = random_reward(mdp, bounds=BOUNDS, seed=seeds[3])
+    r3 = random_reward(mdp, seed=seeds[3])
     neg_verdict = ord_equivalent(r1, r3, mdp)
     status = "pass" if pos_ok else "fail"
     return {
@@ -626,13 +599,13 @@ def _opt_model(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Optimal-set model: admissibility biconditional plus the class-swap violation."""
     mdp = _draw_env(config, trial)
     seeds = _child_seeds(config.seed, trial, 51, n=3)
-    r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
+    r1 = random_reward(mdp, seed=seeds[0])
     related = trial % 2 == 1
     if related:
         op = sample_optimality_preserving(mdp, r1, BOUNDS, seeds[1])
         r2 = apply(op, r1, mdp)
     else:
-        r2 = random_reward(mdp, bounds=BOUNDS, seed=seeds[2])
+        r2 = random_reward(mdp, seed=seeds[2])
     decider = opt_equivalent(r1, r2, mdp).equivalent
     opt1, opt2 = oracle_opt_sets(mdp, r1, r2)
     ok = decider == (opt1 == opt2) and (decider or not related)
@@ -745,7 +718,7 @@ def _j_amb(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     rng = _substream(config.seed, trial, 100)
     mdp = _draw_env(config, trial)
     seeds = _child_seeds(config.seed, trial, 101, n=3)
-    r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0], j_floor=1e-2 * BOUNDS)
+    r1 = random_reward(mdp, seed=seeds[0], j_floor=1e-2 * BOUNDS)
     ps = sample_potential_shaping(mdp, BOUNDS, True, seeds[1])
     shaped = apply(ps, r1, mdp)
     sr = sample_s_redistribution(mdp, shaped, BOUNDS, seeds[2])
@@ -780,7 +753,7 @@ def _ex_sa_shaping(config: ExperimentConfig, trial: int, searching: bool) -> dic
     rng = _substream(config.seed, trial, 110)
     mdp = _draw_env(config, trial)
     seeds = _child_seeds(config.seed, trial, 111, n=1)
-    r = random_reward(mdp, domain="sa", bounds=BOUNDS, seed=seeds[0])
+    r = random_reward(mdp, domain="sa", seed=seeds[0])
     phi = PotentialFn(rng.uniform(-BOUNDS, BOUNDS, size=mdp.n_states))
     shaped = shaping_on_sa_domain(phi, r, mdp)
     if shaped.domain != "sa":

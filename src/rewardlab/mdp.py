@@ -247,17 +247,22 @@ def reachable_states(mdp: Mdp) -> np.ndarray:
 def validate_mdp(mdp: Mdp) -> ValidationReport:
     """Check probability invariants and reachability, reporting every violation.
 
-    Violations are (rule-id, location, magnitude) triples. Shape problems are
-    structural and already raise at construction time.
+    Violations are (rule-id, location, magnitude) triples, with a finite
+    magnitude: a non-finite transition or mu0 reports its count of non-finite
+    entries, and no other rule is checked then. Shape problems are structural
+    and already raise at construction time.
     """
-    violations = []
     tau, mu0 = mdp.transition, mdp.initial
-    if not np.all(np.isfinite(tau)):
-        violations.append(("non-finite", "transition", float("nan")))
+    violations = []
+    for name, arr in (("transition", tau), ("mu0", mu0)):
+        bad = np.count_nonzero(~np.isfinite(arr))
+        if bad:
+            violations.append(("non-finite", name, float(bad)))
+    if violations:
         return ValidationReport(tuple(violations))
 
     neg, gap = -tau.min(axis=2), np.abs(tau.sum(axis=2) - 1.0)
-    for s, a in np.ndindex(*neg.shape):
+    for s, a in zip(*np.nonzero((neg > 0) | (gap > PROB_ATOL))):
         if neg[s, a] > 0:
             violations.append(("negative-entry", f"(s{s},a{a})", float(neg[s, a])))
         if gap[s, a] > PROB_ATOL:
@@ -283,13 +288,11 @@ def is_trivial_transition(mdp: Mdp) -> bool:
     return bool(diff <= TRIVIAL_ATOL)
 
 
-def enumerate_action_tuples(
-    n_states: int, n_actions: int, cap: int = DEFAULT_ENUM_CAP
-) -> np.ndarray:
-    """All deterministic action assignments as an (A^S, S) int array, s0-major."""
+def enumerate_action_tuples(n_states: int, n_actions: int) -> np.ndarray:
+    """All deterministic action assignments as an (A^S, S) int array, s0-major; at most DEFAULT_ENUM_CAP."""
     count = n_actions**n_states
-    if count > cap:
+    if count > DEFAULT_ENUM_CAP:
         raise CapacityError(
-            f"{n_actions}^{n_states} = {count} deterministic policies exceeds cap {cap}"
+            f"{n_actions}^{n_states} = {count} deterministic policies exceeds cap {DEFAULT_ENUM_CAP}"
         )
     return np.indices((n_actions,) * n_states).reshape(n_states, count).T

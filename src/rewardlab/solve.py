@@ -130,30 +130,25 @@ def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBund
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
 
 
-def _check_budget(tol: float, max_iter: int) -> None:
-    if not (0 < tol < np.inf and max_iter >= 1):
-        raise ValueError(f"need 0 < tol < inf and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < np.inf:
+        raise ValueError(f"need 0 < tol < inf, got tol={tol}")
 
 
-def optimal_values(
-    mdp: Mdp,
-    r: RewardTable,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-) -> OptimalBundle:
+def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> OptimalBundle:
     """Howard policy iteration from the greedy policy on r, with tie-tolerant argmax sets.
 
     A state switches action only on a strict improvement, so the iteration
     cannot cycle; it stops when no state improves. Raises ConvergenceError if
-    that takes more than ``max_iter`` steps, or if the final policy's Bellman
+    that takes more than MAX_ITER steps, or if the final policy's Bellman
     residual exceeds ``tol * max|rv| / (1 - gamma)``.
     """
-    _check_budget(tol, max_iter)
+    _check_tol(tol)
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
     states = np.arange(mdp.n_states)
     act = rsa.argmax(axis=1)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         v = _policy_values(mdp, mdp.transition[states, act], rsa[states, act])
         q_star = rsa + gamma * (mdp.transition @ v)
         v_star = q_star.max(axis=1)
@@ -164,9 +159,9 @@ def optimal_values(
         act = np.where(improve, q_star.argmax(axis=1), act)
     else:
         raise ConvergenceError(
-            f"policy iteration still improving after {max_iter} steps",
+            f"policy iteration still improving after {MAX_ITER} steps",
             residual=residual,
-            iterations=max_iter,
+            iterations=MAX_ITER,
         )
     bound = tol * float(np.abs(rsa).max()) / (1.0 - gamma)
     if residual > bound:
@@ -178,29 +173,23 @@ def optimal_values(
     return OptimalBundle(q_star=q_star, v_star=v_star, a_star=a_star, opt_sets=opt_sets, residual=residual)
 
 
-def soft_optimal_values(
-    mdp: Mdp,
-    r: RewardTable,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-) -> SoftBundle:
+def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float, tol: float = DEFAULT_TOL) -> SoftBundle:
     """Soft policy iteration for v(s) = alpha*log sum_a exp(q(s,a)/alpha).
 
     Each step evaluates pi = softmax(q/alpha) exactly, with the entropy bonus
     -alpha*log pi in the reward; this is Newton's method on the soft Bellman
     equation. It stops once the soft-Bellman residual is at most
     ``tol * (max|rv| + alpha*log A) / (1 - gamma)``, and raises
-    ConvergenceError if that takes more than ``max_iter`` steps.
+    ConvergenceError if that takes more than MAX_ITER steps.
     """
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
-    _check_budget(tol, max_iter)
+    _check_tol(tol)
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
     bound = tol * (float(np.abs(rsa).max()) + alpha * np.log(mdp.n_actions)) / (1.0 - gamma)
     v = np.zeros(mdp.n_states)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         q_soft = rsa + gamma * (mdp.transition @ v)
         m = q_soft.max(axis=1)
         z = (q_soft - m[:, None]) / alpha
@@ -214,9 +203,9 @@ def soft_optimal_values(
         v = _policy_values(mdp, _policy_transition(mdp, pi), (pi * (rsa - alpha * log_pi)).sum(axis=1))
     else:
         raise ConvergenceError(
-            f"soft policy iteration did not reach residual {bound:.3e} (tol={tol}) within {max_iter} steps",
+            f"soft policy iteration did not reach residual {bound:.3e} (tol={tol}) within {MAX_ITER} steps",
             residual=residual,
-            iterations=max_iter,
+            iterations=MAX_ITER,
         )
     return SoftBundle(q_soft=q_soft, v_soft=v_soft, alpha=float(alpha), residual=residual)
 

@@ -1,16 +1,54 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and input generators for the test suite.
 
 Everything here is deliberately primitive: truncated power series, plain
 value-iteration sweeps, exhaustive enumeration and Monte-Carlo rollouts, no
 linear solves and no reuse of library internals.
 The library's exact solvers are checked against these, never the other way
-round.
+round. The generators draw what the library's own do not: sparse MDPs and
+rewards without the advantage-gap floor.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from rewardlab import Mdp, RewardTable, validate_mdp
+from rewardlab.errors import GenerationError
+
+SPARSE_TRIES = 100  # rejection-sampling budget of sparse_mdp
+
+
+def sparse_mdp(n_states, n_actions, gamma, seed, sparsity):
+    """Dirichlet-sampled MDP whose (s, a) rows keep each successor with probability
+    1 - ``sparsity`` (at least one), redrawn until every state is reachable.
+
+    At ``sparsity`` 0 this is lab.random_mdp, draw for draw.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(SPARSE_TRIES):
+        tau = np.zeros((n_states, n_actions, n_states))
+        for s in range(n_states):
+            for a in range(n_actions):
+                if sparsity > 0:
+                    keep = rng.random(n_states) >= sparsity
+                    if not keep.any():
+                        keep[rng.integers(n_states)] = True
+                    support = np.flatnonzero(keep)
+                else:
+                    support = np.arange(n_states)
+                tau[s, a, support] = rng.dirichlet(np.ones(support.size))
+        mu0 = rng.dirichlet(np.ones(n_states))
+        mdp = Mdp(transition=tau, initial=mu0, discount=gamma)
+        if validate_mdp(mdp).ok:
+            return mdp
+    raise GenerationError(f"no valid MDP after {SPARSE_TRIES} tries (sparsity={sparsity})")
+
+
+def uniform_reward(mdp, seed):
+    """(S, A, S) reward uniform in [-1, 1], with no floor: lab.random_reward's first draw."""
+    rng = np.random.default_rng(seed)
+    return RewardTable(rng.uniform(-1.0, 1.0, size=mdp.transition.shape))
 
 
 def horizon_for(gamma: float, target: float = 1e-12) -> int:
@@ -20,7 +58,7 @@ def horizon_for(gamma: float, target: float = 1e-12) -> int:
     horizon depends on gamma alone and a series scales with its reward.
     """
     h = math.log(target * (1.0 - gamma)) / math.log(gamma)
-    return min(max(int(h) + 1, 1), 20000)
+    return max(int(h) + 1, 1)
 
 
 def truncated_values(mdp, r, probs, horizon):
@@ -74,19 +112,22 @@ def truncated_j(mdp, r, probs, horizon=None):
     return float(mdp.initial @ truncated_values(mdp, r, probs, horizon))
 
 
+def _state_visitation(mdp, probs, horizon):
+    """sum_{t < h} mu0 P^t, P = gamma*T^pi, for h = ``horizon`` rounded up to a power of two,
+    summed by doubling as in truncated_values. ``probs`` is one (S, A) policy or an (N, S, A) stack."""
+    power = mdp.discount * np.einsum("...sa,sap->...sp", probs, mdp.transition)
+    w = np.broadcast_to(mdp.initial, probs.shape[:-1])
+    for _ in range(math.ceil(math.log2(horizon))):
+        w = w + (w[..., None, :] @ power)[..., 0, :]
+        power = power @ power
+    return w
+
+
 def truncated_occupancy(mdp, probs, horizon=None):
-    """d[s,a] = sum_t gamma^t P(S_t = s, A_t = a), by forward accumulation."""
+    """d[s,a] = sum_t gamma^t P(S_t = s, A_t = a), from the truncated state visitation."""
     if horizon is None:
         horizon = horizon_for(mdp.discount)
-    t_pi = np.einsum("sa,sap->sp", probs, mdp.transition)
-    d = np.zeros((mdp.n_states, mdp.n_actions))
-    state_dist = mdp.initial.copy()
-    disc = 1.0
-    for _ in range(horizon):
-        d += disc * state_dist[:, None] * probs
-        state_dist = t_pi.T @ state_dist
-        disc *= mdp.discount
-    return d
+    return _state_visitation(mdp, probs, horizon)[:, None] * probs
 
 
 def all_deterministic_policies(n_states, n_actions):
@@ -116,13 +157,8 @@ def brute_force_j_table(mdp, r, horizon=None):
 
 def vertex_entry_spread(mdp):
     """Per-state spread of the discounted entry measure sum_{t>=1} gamma^t P(S_t = s) over
-    every deterministic policy, by forward accumulation of each policy's state distribution."""
-    t_pi = np.einsum("nsa,sap->nsp", one_hot_batch(mdp), mdp.transition)
-    dist = np.broadcast_to(mdp.initial, t_pi.shape[:2])
-    entry = np.zeros(dist.shape)
-    for _ in range(horizon_for(mdp.discount)):
-        dist = mdp.discount * (dist[:, None, :] @ t_pi)[:, 0, :]
-        entry += dist
+    every deterministic policy, from each policy's truncated state visitation."""
+    entry = _state_visitation(mdp, one_hot_batch(mdp), horizon_for(mdp.discount)) - mdp.initial
     return entry.max(axis=0) - entry.min(axis=0)
 
 

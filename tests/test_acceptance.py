@@ -16,7 +16,6 @@ from rewardlab import (
     policy_evaluate,
     random_mdp,
     random_policy,
-    random_reward,
     reward_vector,
     verify_claim,
 )
@@ -128,7 +127,7 @@ def test_criterion_08_occupancy_machinery(capsys):
     for i in range(500):
         mdp = random_mdp(2 + i % 4, 2 + i % 2, 0.5 + 0.09 * (i % 5), seed=9000 + i)
         pi = random_policy(mdp.n_states, mdp.n_actions, seed=9500 + i)
-        r = random_reward(mdp, seed=10000 + i, gap_floor=None)
+        r = oracles.uniform_reward(mdp, seed=10000 + i)
         d = occupancy(mdp, pi)
         mass = 1.0 / (1.0 - mdp.discount)
         gap_sum = abs(d.d.sum() - mass)
@@ -149,7 +148,7 @@ def test_criterion_08_occupancy_machinery(capsys):
     for i in range(20):
         mdp = random_mdp(2 + i % 3, 2, 0.5 + 0.02 * i, seed=13000 + i)
         pi = random_policy(mdp.n_states, 2, seed=13500 + i)
-        r = random_reward(mdp, seed=14000 + i, gap_floor=None)
+        r = oracles.uniform_reward(mdp, seed=14000 + i)
         horizon = 1
         while oracles.truncation_bias(mdp, r, horizon) > 1e-3:
             horizon += 1

@@ -36,6 +36,50 @@ class TestValidate:
         assert "row-sum" in result.output
 
 
+    def test_violations_in_row_major_order(self, runner, tmp_path):
+        """Two (s, a) rows break two rules each way, and mu0 breaks both of its rules."""
+        doc = {"n_states": 3, "n_actions": 2, "gamma": 0.9, "mu0": [1.5, -0.25, 0.0],
+               "transition": [[[0.5, 0.5, 0.0], [1.2, -0.3, 0.0]],
+                              [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                              [[0.2, 0.2, 0.2], [0.0, -0.5, 1.5]]]}
+        result = runner.invoke(main, ["validate", _write(tmp_path, "bad.json", doc), "--format", "json"])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["violations"] == [
+            ["negative-entry", "(s0,a1)", 0.3],
+            ["row-sum", "(s0,a1)", 0.10000000000000009],
+            ["row-sum", "(s2,a0)", 0.3999999999999999],
+            ["negative-entry", "(s2,a1)", 0.5],
+            ["mu0-negative", "mu0", 0.25],
+            ["mu0-sum", "mu0", 0.25],
+        ]
+
+    def test_non_finite_mu0_exits_2_for_every_reader(self, runner, tmp_path, chain, chain_docs):
+        doc = documents.mdp_to_doc(chain)
+        doc["mu0"] = [float("nan"), 1.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # json.dumps, unlike documents.dumps, writes NaN
+        reward = str(chain_docs[1])
+        for args in (["validate", str(path)], ["solve", str(path), reward],
+                     ["equiv", str(path), reward, reward, "--relation", "jeq"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, args
+        assert "non-finite" in runner.invoke(main, ["validate", str(path)]).output
+
+    def test_non_finite_transition_report_is_json(self, runner, tmp_path, chain):
+        doc = documents.mdp_to_doc(chain)
+        doc["transition"][1][0] = [float("nan"), float("inf")]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(path), "--format", "json"])
+        assert result.exit_code == 2
+
+        def not_json(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        report = json.loads(result.output, parse_constant=not_json)
+        assert report["violations"] == [["non-finite", "transition", 2.0]]
+
+
 class TestSolve:
     def test_chain_with_beta(self, runner, chain_docs):
         mdp_path, reward_path = chain_docs
@@ -132,6 +176,16 @@ class TestTransform:
         doc = json.loads(out.read_text())
         # R'(s0,a1,s1) = 2*1 + 0.5*1 - 0
         assert doc["values"][0][1][1] == pytest.approx(2.5)
+
+    def test_s_domain_redistribution_spec(self, runner, tmp_path, chain):
+        # Each chain row is deterministic, so only R(s, a, successor) is seen: 1 at s0 and 2 at s1.
+        reward = RewardTable(np.array([[[1.0, 5.0], [7.0, 1.0]], [[9.0, 2.0], [2.0, 4.0]]]))
+        spec = {"kind": "sr", "replacement": {"domain": "s", "values": [1.0, 2.0]}}
+        args = ["transform", _write(tmp_path, "m.json", documents.mdp_to_doc(chain)),
+                _write(tmp_path, "r.json", documents.reward_to_doc(reward)), _write(tmp_path, "spec.json", spec)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["values"] == [[[1.0, 1.0], [1.0, 1.0]], [[2.0, 2.0], [2.0, 2.0]]]
 
     def test_bad_spec_exits_2(self, runner, tmp_path, chain_docs):
         mdp_path, reward_path = chain_docs

@@ -105,6 +105,20 @@ class TestTransformDocuments:
             back = documents.transform_from_doc(json.loads(json.dumps(doc)))
             assert documents.transform_to_doc(back) == doc
 
+    def test_s_domain_redistribution_round_trip(self):
+        spec = SuccessorRedistribution(RewardTable.from_state([1.0, 2.0], n_actions=2))
+        doc = json.loads(json.dumps(documents.transform_to_doc(spec)))
+        back = documents.transform_from_doc(doc, n_actions=2)
+        assert back.replacement.domain == "s"
+        assert np.array_equal(back.replacement.values, spec.replacement.values)
+
+    def test_load_transform_reads_s_domain_replacement(self, tmp_path, chain):
+        spec = SuccessorRedistribution(RewardTable.from_state([1.0, 2.0], n_actions=2))
+        path = tmp_path / "spec.json"
+        documents.save_doc(documents.transform_to_doc(spec), path)
+        back = documents.load_transform(path, chain)
+        assert np.array_equal(back.replacement.values, spec.replacement.values)
+
     def test_unknown_kind(self):
         with pytest.raises(StructuralError):
             documents.transform_from_doc({"kind": "warp"})
@@ -141,6 +155,12 @@ def test_dumps_is_lossless_for_doubles():
     assert again["b"] == awkward["b"]
     assert again["c"] == awkward["c"]
     assert again["d"][0] == awkward["d"][0]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_refuses_non_finite(value):
+    with pytest.raises(ValueError):
+        documents.dumps({"x": [1.0, value]})
 
 
 def test_dumps_stable_key_order():

@@ -18,7 +18,7 @@ from rewardlab import (
 )
 from rewardlab.documents import load_transfer_pair
 from rewardlab.errors import CapacityError, InternalConsistencyError, StructuralError
-from rewardlab.lab import BOUNDS, ExperimentConfig, _child_seeds, _draw_env, random_mdp, random_reward
+from rewardlab.lab import ExperimentConfig, _child_seeds, _draw_env, random_mdp, random_reward
 from rewardlab.mdp import DEFAULT_ENUM_CAP
 from rewardlab.solve import vertex_j
 
@@ -113,8 +113,8 @@ class TestOrdEquivalent:
         config = ExperimentConfig(claim_id="ORD-CHAR", seed=811993661)
         mdp = _draw_env(config, 108)
         seeds = _child_seeds(config.seed, 108, 11, n=4)
-        r1 = random_reward(mdp, bounds=BOUNDS, seed=seeds[0])
-        r3 = random_reward(mdp, bounds=BOUNDS, seed=seeds[3])
+        r1 = random_reward(mdp, seed=seeds[0])
+        r3 = random_reward(mdp, seed=seeds[3])
         verdict = ord_equivalent(r1, r3, mdp)
         assert not verdict.equivalent
         assert_witness_flips(verdict.witness, mdp, r1, r3)
@@ -129,7 +129,7 @@ class TestOrdEquivalent:
         for trial in range(300):
             n, k = int(rng.integers(2, 9)), int(rng.integers(2, 4))
             mdp = random_mdp(n, k, float(rng.uniform(0.4, 0.95)), seed=trial)
-            r1 = random_reward(mdp, seed=10_000 + trial, gap_floor=None)
+            r1 = oracles.uniform_reward(mdp, seed=10_000 + trial)
             noise = rng.normal(0.0, 10.0 ** rng.uniform(-8, -3), size=r1.values.shape)
             r2 = RewardTable(r1.values + noise)
             verdict = ord_equivalent(r1, r2, mdp)
@@ -193,7 +193,7 @@ class TestJEqual:
     def test_j_equal_implies_ord(self):
         for seed in range(8):
             mdp = random_mdp(3, 2, 0.8, seed=seed)
-            r1 = random_reward(mdp, seed=seed + 30, gap_floor=None)
+            r1 = oracles.uniform_reward(mdp, seed=seed + 30)
             shaped = apply(sample_potential_shaping(mdp, 1.0, True, seed=seed + 40), r1, mdp)
             r2 = apply(sample_s_redistribution(mdp, shaped, 1.0, seed=seed + 50), shaped, mdp)
             assert j_equal(r1, r2, mdp).equivalent
@@ -224,7 +224,7 @@ class TestOrderSignature:
     def test_cap(self):
         mdp = random_mdp(4, 3, 0.8, seed=1)
         with pytest.raises(CapacityError):
-            j_table(random_reward(mdp, seed=2, gap_floor=None), mdp, cap=10)
+            j_table(oracles.uniform_reward(mdp, seed=2), mdp, cap=10)
 
 
 def _unreachable_last_state(n_states, seed=0):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -46,8 +47,17 @@ class TestGenerators:
         c = random_mdp(3, 2, 0.8, seed=8)
         assert not np.array_equal(a.transition, c.transition)
 
+    def test_random_mdp_is_the_dense_rejection_loop(self):
+        """The one dense draw equals the per-(s, a) rejection loop at sparsity 0, bit for bit,
+        so registry reports do not depend on how the Dirichlet draws are batched."""
+        for n, k, seed in itertools.product(range(2, 8), range(2, 5), range(12)):  # 216 draws
+            dense = random_mdp(n, k, 0.9, seed=seed)
+            looped = oracles.sparse_mdp(n, k, 0.9, seed=seed, sparsity=0.0)
+            assert dense.transition.tobytes() == looped.transition.tobytes(), (n, k, seed)
+            assert dense.initial.tobytes() == looped.initial.tobytes(), (n, k, seed)
+
     def test_random_mdp_sparsity(self):
-        mdp = random_mdp(4, 2, 0.8, seed=11, sparsity=0.5)
+        mdp = oracles.sparse_mdp(4, 2, 0.8, seed=11, sparsity=0.5)
         assert validate_mdp(mdp).ok
         assert (mdp.transition == 0.0).any()
 
@@ -60,8 +70,8 @@ class TestGenerators:
     def test_random_reward_domains_and_determinism(self):
         mdp = random_mdp(3, 2, 0.8, seed=4)
         for domain in ("sas", "sa", "s"):
-            a = random_reward(mdp, domain=domain, seed=5, gap_floor=None)
-            b = random_reward(mdp, domain=domain, seed=5, gap_floor=None)
+            a = random_reward(mdp, domain=domain, seed=5)
+            b = random_reward(mdp, domain=domain, seed=5)
             assert a.domain == domain
             assert np.array_equal(a.values, b.values)
 
@@ -73,8 +83,8 @@ class TestGenerators:
 
     def test_generation_error_when_impossible(self):
         mdp = random_mdp(2, 2, 0.8, seed=1)
-        with pytest.raises(GenerationError):
-            random_reward(mdp, seed=1, bounds=1e-9, j_floor=10.0, max_tries=5)
+        with pytest.raises(GenerationError):  # |J| <= BOUNDS / (1 - gamma) = 5 < 10
+            random_reward(mdp, seed=1, j_floor=10.0)
 
     def test_random_policy_full_support(self):
         pi = random_policy(4, 3, seed=9)

@@ -48,6 +48,12 @@ class TestValidateMdp:
         assert "negative-entry" in report.rule_ids()
         assert "mu0-sum" in report.rule_ids()
 
+    def test_non_finite_entries_counted(self, chain):
+        tau = chain.transition.copy()
+        tau[0, 1] = [np.nan, np.inf]
+        report = validate_mdp(Mdp(transition=tau, initial=np.array([np.nan, 1.0]), discount=0.5))
+        assert report.violations == (("non-finite", "transition", 2.0), ("non-finite", "mu0", 1.0))
+
     def test_shape_mismatch_is_structural(self):
         with pytest.raises(StructuralError):
             Mdp(transition=np.ones((2, 2)), initial=np.array([1.0, 0.0]), discount=0.5)

@@ -25,6 +25,8 @@ from rewardlab import (
 from rewardlab import lab
 from rewardlab.lab import oracle_opt_sets, random_mdp, random_reward
 
+import oracles
+
 
 def scaled(r, c):
     return RewardTable(c * r.values)
@@ -67,7 +69,7 @@ class TestReproductions:
     def test_redistribution_of_huge_reward_applies(self, env, c):
         mdp, _ = env
         for seed in range(200):
-            r = scaled(random_reward(mdp, seed=seed, gap_floor=None), c)
+            r = scaled(oracles.uniform_reward(mdp, seed=seed), c)
             apply(sample_s_redistribution(mdp, r, c, seed), r, mdp)
 
     def test_tiny_reward_oracle_keeps_optimal_sets(self, env):
@@ -77,9 +79,10 @@ class TestReproductions:
         assert expected == ({0}, {0}, {0})
         assert oracle_opt_sets(mdp, tiny) == [expected]
 
-    def test_gap_floor_scales_with_bounds(self, env):
+    def test_gap_floor_scales_with_bounds(self, env, monkeypatch):
         mdp, _ = env
-        r = random_reward(mdp, bounds=1e-7)
+        monkeypatch.setattr(lab, "BOUNDS", 1e-7)
+        r = random_reward(mdp)
         assert np.abs(r.values).max() <= 1e-7
 
 

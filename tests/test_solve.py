@@ -65,7 +65,7 @@ def _tied_instance(n_states, n_actions, scale, seed):
     base_actions = int(rng.integers(1, n_actions))
     mdp = random_mdp(n_states, base_actions, float(rng.uniform(0.5, 0.99)), seed=seed)
     cols = np.concatenate([np.arange(base_actions), rng.integers(0, base_actions, n_actions - base_actions)])
-    r = random_reward(mdp, seed=seed + 1, gap_floor=None)
+    r = oracles.uniform_reward(mdp, seed=seed + 1)
     tied = Mdp(mdp.transition[:, cols], mdp.initial, mdp.discount)
     return tied, RewardTable(scale * r.values[:, cols])
 
@@ -150,7 +150,7 @@ class TestPolicyEvaluate:
     def test_matches_truncated_series_oracle(self):
         for seed in range(8):
             mdp = random_mdp(4, 3, 0.85, seed=seed)
-            r = random_reward(mdp, seed=seed + 100, gap_floor=None)
+            r = oracles.uniform_reward(mdp, seed=seed + 100)
             pi = random_policy(4, 3, seed=seed + 200)
             bundle = policy_evaluate(mdp, r, pi)
             horizon = oracles.horizon_for(0.85)
@@ -204,12 +204,14 @@ class TestOptimalValues:
             r = RewardTable(scale * random_reward(mdp, seed=seed + 50).values)
             assert tuple(optimal_values(mdp, r).opt_sets) == oracles.brute_force_opt_sets(mdp, r)
 
-    def test_exhausted_cap_reports_nonconvergence(self):
+    def test_exhausted_cap_reports_nonconvergence(self, monkeypatch):
         mdp, r = _detour_instance()
+        monkeypatch.setattr(solve, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            optimal_values(mdp, r, max_iter=1)
+            optimal_values(mdp, r)
         assert err.value.residual is not None
-        bundle = optimal_values(mdp, r, max_iter=2)
+        monkeypatch.setattr(solve, "MAX_ITER", 2)
+        bundle = optimal_values(mdp, r)
         assert tuple(bundle.opt_sets) == ({1}, {0, 1})
         np.testing.assert_allclose(bundle.v_star, [18.0, 20.0], atol=1e-12)
 
@@ -260,7 +262,6 @@ BAD_BUDGETS = [
     {"tol": -1.0},
     {"tol": 0.0},
     {"tol": float("inf")},
-    {"max_iter": 0},
 ]
 
 
@@ -302,7 +303,7 @@ class TestSoftOptimalValues:
 
     def test_residual_and_row_sums(self):
         mdp = random_mdp(4, 3, 0.9, seed=9)
-        r = random_reward(mdp, seed=10, gap_floor=None)
+        r = oracles.uniform_reward(mdp, seed=10)
         bundle = soft_optimal_values(mdp, r, alpha=0.5, tol=1e-10)
         assert bundle.residual <= 1e-10
         probs = np.exp((bundle.q_soft - bundle.q_soft.max(axis=1, keepdims=True)) / 0.5)
@@ -311,16 +312,17 @@ class TestSoftOptimalValues:
 
     def test_small_alpha_does_not_overflow(self):
         mdp = random_mdp(5, 3, 0.8, seed=11)
-        r = random_reward(mdp, seed=12, gap_floor=None)
+        r = oracles.uniform_reward(mdp, seed=12)
         bundle = soft_optimal_values(mdp, r, alpha=1e-6)
         assert bundle.residual <= 1e-10
         assert np.all(np.isfinite(bundle.v_soft)) and np.all(np.isfinite(bundle.q_soft))
 
 
-    def test_exhausted_cap_reports_nonconvergence(self):
+    def test_exhausted_cap_reports_nonconvergence(self, monkeypatch):
         mdp, r = _detour_instance()
+        monkeypatch.setattr(solve, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            soft_optimal_values(mdp, r, alpha=0.5, max_iter=1)
+            soft_optimal_values(mdp, r, alpha=0.5)
         assert err.value.residual > 1e-10
 
 class TestAgainstValueIterationOracle:
@@ -400,11 +402,18 @@ class TestOccupancy:
         for seed in range(10):
             mdp = random_mdp(4, 2, 0.8, seed=seed)
             pi = random_policy(4, 2, seed=seed + 1)
-            r = random_reward(mdp, seed=seed + 2, gap_floor=None)
+            r = oracles.uniform_reward(mdp, seed=seed + 2)
             d = occupancy(mdp, pi)
             np.testing.assert_allclose(d.d, oracles.truncated_occupancy(mdp, pi.probs), atol=1e-9)
             j = policy_evaluate(mdp, r, pi).j
             assert float((d.d * reward_vector(r, mdp)).sum()) == pytest.approx(j, abs=1e-8)
+
+    def test_matches_truncated_oracle_near_gamma_one(self):
+        """At gamma = 0.9999 the series needs ~4e5 steps to reach its 1e-12 tail."""
+        mdp = random_mdp(4, 2, 0.9999, seed=3)
+        pi = random_policy(4, 2, seed=4)
+        np.testing.assert_allclose(occupancy(mdp, pi).d, oracles.truncated_occupancy(mdp, pi.probs),
+                                   rtol=1e-9, atol=0)
 
     def test_injective_on_full_support_policies(self):
         for seed in range(100):
@@ -482,7 +491,7 @@ class TestControllableStates:
         for seed in range(120):
             n, k = int(2 + seed % 4), int(2 + seed % 2)
             gamma = 0.3 + 0.65 * ((seed * 7) % 11) / 10
-            mdp = random_mdp(n, k, gamma, seed=seed, sparsity=(0.0, 0.5, 0.8)[seed % 3])
+            mdp = oracles.sparse_mdp(n, k, gamma, seed=seed, sparsity=(0.0, 0.5, 0.8)[seed % 3])
             if seed % 4 == 1:
                 mdp = _constant_column(mdp, state=seed % n)
             elif seed % 4 == 2:  # one (t, a) row differs from the rest of its state
@@ -500,7 +509,7 @@ def _vertex_instances():
     for i, (n, k) in enumerate([(10, 2), (5, 4), (4, 5)]):
         gamma = (0.6, 0.8, 0.9)[i]
         for j, sparsity in enumerate((0.0, 0.5, 0.8)):
-            yield random_mdp(n, k, gamma, seed=10 * i + j, sparsity=sparsity)
+            yield oracles.sparse_mdp(n, k, gamma, seed=10 * i + j, sparsity=sparsity)
         mdp = random_mdp(n, k, gamma, seed=10 * i + 3)
         tau = np.repeat(mdp.transition[:, :1], k, axis=1)
         tau[i % n, 1] = mdp.transition[i % n, 1]
@@ -526,7 +535,7 @@ class TestVertexWeights:
     @pytest.mark.parametrize("index", range(12))
     def test_matches_series_oracles(self, index):
         mdp = list(_vertex_instances())[index]
-        r = random_reward(mdp, seed=100 + index, gap_floor=None)
+        r = oracles.uniform_reward(mdp, seed=100 + index)
         j = vertex_j(mdp, reward_vector(r, mdp)[None])[:, 0]
         expected = np.array(oracles.brute_force_j_table(mdp, r))
         np.testing.assert_allclose(j, expected, rtol=0, atol=1e-9 * max(1.0, np.abs(expected).max()))
@@ -537,7 +546,7 @@ class TestVertexWeights:
 
     def test_actions_in_product_order(self):
         mdp = random_mdp(4, 3, 0.8, seed=5)
-        rewards = [random_reward(mdp, seed=s, gap_floor=None) for s in (6, 7)]
+        rewards = [oracles.uniform_reward(mdp, seed=s) for s in (6, 7)]
         j = vertex_j(mdp, np.stack([reward_vector(r, mdp) for r in rewards]))
         assert j.shape == (81, 2)
         for row, actions in zip(j, itertools.product(range(3), repeat=4)):
@@ -563,7 +572,7 @@ class TestVertexWeights:
         mdp = random_mdp(3, 2, gamma, seed=11)
         if one_hot:
             mdp = _one_hot_transitions(mdp, seed=12)
-        rewards = [RewardTable(c * random_reward(mdp, seed=20 + i, gap_floor=None).values)
+        rewards = [RewardTable(c * oracles.uniform_reward(mdp, seed=20 + i).values)
                    for i, c in enumerate((1e-10, 1.0, 1e10))]
         stacked = vertex_j(mdp, np.stack([reward_vector(r, mdp) for r in rewards]))
         for col, r in zip(stacked.T, rewards):
@@ -587,7 +596,7 @@ class TestVertexWeights:
 
     def test_enumeration_cap_completes(self):
         mdp = random_mdp(16, 2, 0.9, seed=15)
-        r = random_reward(mdp, seed=16, gap_floor=None)
+        r = oracles.uniform_reward(mdp, seed=16)
         tracemalloc.start()
         try:
             j = vertex_j(mdp, reward_vector(r, mdp)[None], cap=DEFAULT_ENUM_CAP)

@@ -149,7 +149,7 @@ class TestRedistributionSampler:
     def test_per_pair_expectation_preservation(self):
         for seed in range(20):
             mdp = random_mdp(4, 3, 0.8, seed=seed)
-            r = random_reward(mdp, seed=seed + 30, gap_floor=None)
+            r = oracles.uniform_reward(mdp, seed=seed + 30)
             out = apply(sample_s_redistribution(mdp, r, 2.0, seed=seed), r, mdp)
             gap = np.abs(reward_vector(out, mdp) - reward_vector(r, mdp)).max()
             assert gap <= 1e-12
@@ -191,7 +191,7 @@ class TestShapingValueIdentities:
     def test_shaping_shifts_values_by_potential(self):
         for seed in range(10):
             mdp = random_mdp(4, 2, 0.85, seed=seed)
-            r = random_reward(mdp, seed=seed + 11, gap_floor=None)
+            r = oracles.uniform_reward(mdp, seed=seed + 11)
             spec = sample_potential_shaping(mdp, 1.0, False, seed=seed + 22)
             shaped = apply(spec, r, mdp)
             pi = random_policy(4, 2, seed=seed + 33)
@@ -204,7 +204,7 @@ class TestShapingValueIdentities:
 
     def test_redistribution_preserves_j_for_every_policy(self):
         mdp = random_mdp(3, 3, 0.8, seed=2)
-        r = random_reward(mdp, seed=3, gap_floor=None)
+        r = oracles.uniform_reward(mdp, seed=3)
         out = apply(sample_s_redistribution(mdp, r, 1.0, seed=4), r, mdp)
         for seed in range(6):
             pi = random_policy(3, 3, seed=seed)
@@ -262,7 +262,7 @@ class TestDecomposeJ:
     def test_round_trip(self):
         for seed in range(15):
             mdp = random_mdp(3, 2, 0.8, seed=seed)
-            r1 = random_reward(mdp, seed=seed + 40, gap_floor=None)
+            r1 = oracles.uniform_reward(mdp, seed=seed + 40)
             shaped = apply(sample_potential_shaping(mdp, 1.0, True, seed=seed + 50), r1, mdp)
             r2 = apply(sample_s_redistribution(mdp, shaped, 1.0, seed=seed + 60), shaped, mdp)
             dec = decompose_j(canonical_forms(r1, r2, mdp), mdp)
