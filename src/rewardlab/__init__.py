@@ -10,12 +10,11 @@ from .lab import (
     CounterexampleRecord,
     ExperimentConfig,
     TrialReport,
-    gamma_counterexample,
+    misspec_counterexample,
     random_mdp,
     random_policy,
     random_reward,
     run_registry,
-    tau_counterexample,
     verify_claim,
 )
 from .mdp import (

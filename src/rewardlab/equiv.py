@@ -96,8 +96,8 @@ def _policy_pair(forms: CanonicalForms, w: np.ndarray, mdp: Mdp) -> dict:
     return {
         "kind": "policy-pair",
         "policies": policies.tolist(),
-        "j1": (d @ forms.v[0]).tolist(),
-        "j2": (d @ forms.v[1]).tolist(),
+        "j1": np.ldexp(d @ forms.v[0], forms.exp).tolist(),
+        "j2": np.ldexp(d @ forms.v[1], forms.exp).tolist(),
     }
 
 
@@ -125,7 +125,7 @@ def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
         unit = np.where(forms.u.any(axis=1), forms.size, forms.v_size)
         unit = np.where(unit > 0, unit, 1.0)
-        j1, j2 = (vertex_j(mdp, forms.v, cap=CROSS_CHECK_CAP) * ((1.0 - mdp.discount) / unit)).T
+        j1, j2 = (vertex_j(mdp, forms.v) * ((1.0 - mdp.discount) / unit)).T
         span, dev, rise = _chord(j1, j2)
         off_chord = float(np.abs(dev).max())
         if span <= ROUNDOFF_RTOL:
@@ -154,7 +154,7 @@ def j_equal(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
         scale = j_scale(forms, mdp)
         roundoff = ROUNDOFF_RTOL * float(forms.v_size.max())
-        j_diff = vertex_j(mdp, forms.v[:1] - forms.v[1:], cap=CROSS_CHECK_CAP)
+        j_diff = vertex_j(mdp, forms.v[:1] - forms.v[1:])
         gap = (1.0 - mdp.discount) * float(np.abs(j_diff).max())
         if equivalent and gap > 2 * max(DIST_TOL * scale, roundoff) + roundoff:
             raise InternalConsistencyError(

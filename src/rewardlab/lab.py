@@ -10,7 +10,10 @@ and if none of its trials returned a counterexample its last trial fails
 with that message, so budget exhaustion is a suite failure, never a silent
 pass. Positive claims must pass every trial. BOLTZ-OPT, BM-ORD and MCE-ORD
 share the paper's robustness test, ``_robustness_trial``: observe pi = g(R2),
-fit R1 = f^-1(pi), decide R1 ≡ R2. Trials draw their randomness from
+fit R1 = f^-1(pi), decide R1 ≡ R2. LEM-GAMMA, LEM-TAU and MDP-MISSPEC
+share one generator, ``misspec_counterexample``: a reward difference that is
+shaping or S'-redistribution in the model's MDP but visible in the true one,
+grown until optimal actions flip. Trials draw their randomness from
 substreams keyed on (seed, trial index), so reports are reproducible and
 trials could run in any order.
 """
@@ -58,18 +61,18 @@ from .solve import (
 from .transform import (
     LinearScaling,
     PotentialFn,
-    PotentialShaping,
+    _canonical,
     apply,
     canonical_forms,
     decompose_ps_ls,
     sample_optimality_preserving,
     sample_potential_shaping,
     sample_s_redistribution,
+    shaping_matrix,
     shaping_on_sa_domain,
 )
 
 GAP_FLOOR = 1e-4       # minimum optimal-advantage gap of generated rewards, in BOUNDS
-X_GRID = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)  # |X| tried by gamma_counterexample, in BOUNDS
 REWARD_TRIES = 200     # rejection-sampling budget of random_reward
 STATES = (2, 5)        # inclusive range of n_states drawn per trial
 ACTIONS = (2, 3)       # inclusive range of n_actions drawn per trial
@@ -206,127 +209,76 @@ class CounterexampleRecord:
         }
 
 
-def _flip_search(
-    mdp_model: Mdp, mdp_true: Mdp, r1: RewardTable, candidates
-) -> CounterexampleRecord | None:
-    """First candidate r2 not opt-equivalent to r1 under ``mdp_true`` whose record verifies.
+def _invisible_directions(mdp_model: Mdp, mdp_true: Mdp):
+    """Yield (delta, params) for each SAS direction ``mdp_model`` cannot see and ``mdp_true`` can.
 
-    ``candidates`` yields (r2, params) pairs in search order.
+    Shaping by the potential 1[state = s] comes first, one s at a time; then,
+    row by row, each (s, a) row's redistributions under ``mdp_model``'s
+    successor probabilities p: e_i on each successor i it never takes, and
+    p_j*e_i - p_i*e_j for each pair of successors it takes. Shaping is seen by
+    ``mdp_true`` when its canonical form there is not round-off; a row
+    direction when its expectation under the true row is not round-off and the
+    reward e_(s,a) is seen.
     """
-    for r2, params in candidates:
-        verdict = opt_equivalent(r1, r2, mdp_true)
-        if not verdict.equivalent:
-            record = CounterexampleRecord(mdp_model, mdp_true, r1, r2, "opt", verdict.witness, params)
-            if record.verify():
-                return record
-    return None
+    n, k = mdp_model.n_states, mdp_model.n_actions
+    gamma, eye = mdp_model.discount, np.eye(n)
+    shaping = np.broadcast_to(gamma * eye[:, None, None, :] - eye[:, :, None, None], (n, n, k, n))
+    rv_shaping = shaping_matrix(mdp_true.with_discount(gamma)).T  # each shaping's true expected rewards
+    seen = _canonical(shaping_matrix(mdp_true), np.vstack([rv_shaping, np.eye(n * k)])).u.any(axis=1)
+    for s in np.flatnonzero(seen[:n]):
+        yield shaping[s], {"kind": "shaping", "state": int(s)}
+
+    # Row direction d puts weight w1 on successor first[d] and w2 on second[d]: e_i, then the pairs.
+    p, q = (m.transition.reshape(n * k, n) for m in (mdp_model, mdp_true))
+    iu, ju = np.triu_indices(n, 1)
+    first, second = np.concatenate([np.arange(n), iu]), np.concatenate([np.arange(n), ju])
+    w1 = np.hstack([np.ones_like(p), p[:, ju]])
+    w2 = np.hstack([np.zeros_like(p), -p[:, iu]])
+    takes = p > 0
+    distinct = np.hstack([~takes, takes[:, iu] & takes[:, ju]])
+    terms = (q[:, first] * w1, q[:, second] * w2)  # the two terms of each direction's true expectation
+    moved = np.abs(terms[0] + terms[1]) > ROUNDOFF_RTOL * (np.abs(terms[0]) + np.abs(terms[1]))
+    for row, d in np.argwhere(distinct & moved & seen[n:, None]):
+        delta = np.zeros((n * k, n))
+        delta[row, first[d]] += w1[row, d]
+        delta[row, second[d]] += w2[row, d]
+        params = {"kind": "redistribution", "row": list(divmod(int(row), k))}
+        yield delta.reshape(n, k, n), {**params, "successors": np.flatnonzero(delta[row]).tolist()}
 
 
-def gamma_counterexample(
-    mdp: Mdp,
-    gamma1: float,
-    gamma2: float,
-    seed: int = 0,
-) -> CounterexampleRecord | None:
-    """Shape under gamma1, evaluate under gamma2, and search for an optimality flip.
+def misspec_counterexample(mdp_model: Mdp, mdp_true: Mdp, seed: int) -> CounterexampleRecord | None:
+    """Rewards alike to every behavioural model in ``mdp_model`` whose optimal actions differ in ``mdp_true``.
 
-    The potential puts weight X on the state whose entry measure n spreads
-    most across deterministic policies (the first, if several tie up to
-    round-off); the J gap X * n(pi) * (gamma1 - gamma2) then reorders them
-    once |X| is large. Returns None when the transition
-    function is trivial, when gamma1 == gamma2, or if no |X| in BOUNDS * X_GRID
-    produces a flip. Raises StructuralError for a discount outside (0, 1) and
-    CapacityError when A^S exceeds DEFAULT_ENUM_CAP.
+    Tries r2 = r1 + x*delta along each direction delta of
+    ``_invisible_directions`` in turn, with x = +-BOUNDS * 2^m for
+    m = 0, 2, ..., 30, and returns the first record that verifies, or None.
+    r1 is drawn under ``mdp_true`` and zeroed on the rows where delta is
+    non-zero but has zero ``mdp_model`` expectation, so those expectations of
+    r1 and r2 match bitwise. A wrong discount, a wrong transition function or
+    both give directions; equal MDPs, a trivial transition function under a
+    wrong discount and identical rows give none. Raises ValueError unless both
+    MDPs have the same (S, A) and pass validate_mdp.
     """
-    mdp1 = mdp.with_discount(gamma1)
-    mdp2 = mdp.with_discount(gamma2)
-    if gamma1 == gamma2 or is_trivial_transition(mdp):
-        return None
-    indicators = np.eye(mdp.n_states)[:, :, None].repeat(mdp.n_actions, axis=2)  # rewards 1[state = s]
-    entry = vertex_j(mdp2, indicators) - mdp2.initial
-    spread = entry.max(axis=0) - entry.min(axis=0)
-    state = int(np.flatnonzero(spread >= (1.0 - ROUNDOFF_RTOL) * spread.max())[0])
-    if spread[state] <= 1e-9:
-        return None
-
-    r1 = random_reward(mdp2, seed=_child_seeds(seed, 1)[0])
-
-    def shaped():
-        for x_abs in X_GRID:
-            for x in (BOUNDS * x_abs, -BOUNDS * x_abs):
-                phi = np.zeros(mdp.n_states)
-                phi[state] = x
-                r2 = apply(PotentialShaping(PotentialFn(phi)), r1, mdp1)
-                yield r2, {
-                    "kind": "gamma",
-                    "x": x,
-                    "shaped_state": state,
-                    "gamma1": gamma1,
-                    "gamma2": gamma2,
-                    "p": float(mdp.initial[state]),
-                }
-
-    return _flip_search(mdp1, mdp2, r1, shaped())
-
-
-def tau_counterexample(mdp1: Mdp, tau2, seed: int = 0) -> CounterexampleRecord | None:
-    """Redistribute rewards invisibly under tau1 so that optimality flips under tau2.
-
-    Search directions lie in the kernel of the tau1-expectation: support pairs
-    (p_j, -p_i) and entries where tau1 is zero but tau2 is not. Magnitudes are
-    BOUNDS times powers of two and the perturbed row of the base reward is
-    zeroed first, so the tau1-expected rewards of r1 and r2 match up to
-    round-off. Returns None iff no kernel direction changes tau2-expectations
-    (i.e. the rows coincide).
-    """
-    tau2 = np.array(tau2, dtype=float)
-    if tau2.shape != mdp1.transition.shape:
-        raise ValueError("tau2 must match the shape of mdp1's transition tensor")
-    mdp2 = mdp1.with_transition(tau2)
-    report = validate_mdp(mdp2)
-    if not report.ok:
-        raise ValueError(f"tau2 is not a valid transition function: {report.rule_ids()}")
-
-    candidates = []  # (s, a, delta, |tau2-effect|)
-    tau1 = mdp1.transition
-    for s in range(mdp1.n_states):
-        for a in range(mdp1.n_actions):
-            p, q = tau1[s, a], tau2[s, a]
-            if np.abs(p - q).max() <= 1e-12:
-                continue
-            for k in np.flatnonzero((p == 0.0) & (q > 0.0)):
-                delta = np.zeros(mdp1.n_states)
-                delta[k] = 1.0
-                candidates.append((s, a, delta, float(q[k])))
-            support = np.flatnonzero(p > 0.0)
-            for ii in range(support.size):
-                for jj in range(ii + 1, support.size):
-                    i, j = int(support[ii]), int(support[jj])
-                    effect = q[i] * p[j] - q[j] * p[i]
-                    if abs(effect) > 1e-12:
-                        delta = np.zeros(mdp1.n_states)
-                        delta[i] = p[j]
-                        delta[j] = -p[i]
-                        candidates.append((s, a, delta, abs(effect)))
-    if not candidates:
-        return None
-
-    base = random_reward(mdp2, seed=_child_seeds(seed, 2)[0])
-    magnitudes = [BOUNDS * 2.0**k for k in range(0, 31, 2)]
-
-    def rewrites(vals1, s, a, delta):
-        for m in magnitudes:
-            for sign in (1.0, -1.0):
-                vals2 = vals1.copy()
-                vals2[s, a, :] = sign * m * delta
-                yield RewardTable(vals2), {"kind": "tau", "row": [s, a], "magnitude": sign * m}
-
-    for s, a, delta, _ in candidates:
-        vals1 = base.values.copy()
-        vals1[s, a, :] = 0.0
-        record = _flip_search(mdp1, mdp2, RewardTable(vals1), rewrites(vals1, s, a, delta))
-        if record is not None:
-            return record
+    if mdp_model.transition.shape != mdp_true.transition.shape:
+        raise ValueError(f"MDPs of shapes {mdp_model.transition.shape} and {mdp_true.transition.shape}")
+    for mdp in (mdp_model, mdp_true):
+        report = validate_mdp(mdp)
+        if not report.ok:
+            raise ValueError(f"not a valid MDP: {report.rule_ids()}")
+    base = None
+    for delta, params in _invisible_directions(mdp_model, mdp_true):
+        if base is None:
+            base = random_reward(mdp_true, seed=_child_seeds(seed, 1)[0])
+        unseen = (delta != 0).any(axis=2) & (reward_vector(RewardTable(delta), mdp_model) == 0)
+        r1 = RewardTable(np.where(unseen[:, :, None], 0.0, base.values))
+        opt1 = optimal_values(mdp_true, r1).opt_sets
+        for x in (sign * BOUNDS * 2.0**m for m in range(0, 31, 2) for sign in (1.0, -1.0)):
+            r2 = RewardTable(r1.values + x * delta)
+            if optimal_values(mdp_true, r2).opt_sets != opt1:
+                witness = opt_equivalent(r1, r2, mdp_true).witness
+                record = CounterexampleRecord(mdp_model, mdp_true, r1, r2, "opt", witness, {**params, "x": x})
+                if record.verify():
+                    return record
     return None
 
 
@@ -632,7 +584,8 @@ def _lem_gamma(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     mdp = _draw_env(config, trial)
     records = []
     for pi_idx, (g1, g2) in enumerate(pairs):
-        rec = gamma_counterexample(mdp, g1, g2, seed=_child_seeds(config.seed, trial, 60 + pi_idx, 1)[0])
+        seed = _child_seeds(config.seed, trial, 60 + pi_idx, 1)[0]
+        rec = misspec_counterexample(mdp.with_discount(g1), mdp.with_discount(g2), seed)
         if g1 == g2:
             # The statement's exclusion clause: no counterexample may exist.
             if rec is not None:
@@ -641,10 +594,11 @@ def _lem_gamma(config: ExperimentConfig, trial: int, searching: bool) -> dict:
         if rec is None:
             return {"status": "fail", "error": f"no verified counterexample for {(g1, g2)}"}
         records.append(rec)
+    g1, g2 = pairs[0]
     trivial = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
-    if gamma_counterexample(trivial, pairs[0][0], pairs[0][1], seed=config.seed) is not None:
+    if misspec_counterexample(trivial.with_discount(g1), trivial.with_discount(g2), config.seed) is not None:
         return {"status": "fail", "error": "trivial-transition control produced a counterexample"}
-    if gamma_counterexample(mdp, pairs[0][0], pairs[0][0], seed=config.seed) is not None:
+    if misspec_counterexample(mdp.with_discount(g1), mdp.with_discount(g1), config.seed) is not None:
         return {"status": "fail", "error": "equal-discount control produced a counterexample"}
     outcome = {"status": "pass", "x_values": [r.params["x"] for r in records]}
     if records:
@@ -662,30 +616,35 @@ def _lem_tau(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     for f in flat:
         s, a = divmod(int(f), mdp1.n_actions)
         tau2[s, a] = rng.dirichlet(np.ones(mdp1.n_states))
-    rec = tau_counterexample(mdp1, tau2, seed=_child_seeds(config.seed, trial, 71, 1)[0])
+    rec = misspec_counterexample(mdp1, mdp1.with_transition(tau2), _child_seeds(config.seed, trial, 71, 1)[0])
     if rec is None:
         return {"status": "fail", "error": "no verified counterexample for differing rows"}
-    if tau_counterexample(mdp1, mdp1.transition, seed=config.seed) is not None:
+    if misspec_counterexample(mdp1, mdp1, config.seed) is not None:
         return {"status": "fail", "error": "identical-transition control produced a counterexample"}
     return {"status": "pass", "rows_changed": n_rows, "counterexample": rec.to_doc()}
 
 
 def _mdp_misspec(config: ExperimentConfig, trial: int, searching: bool) -> dict:
-    """Combined statement: both generators fire when allowed, never when excluded."""
+    """Combined statement: the generator fires for a wrong discount, a wrong transition
+    function or both, and never in the excluded cases."""
     mdp = _draw_env(config, trial)
     seeds = _child_seeds(config.seed, trial, 80, n=3)
     rng = _substream(config.seed, trial, 81)
-    if gamma_counterexample(mdp, 0.5, 0.9, seed=seeds[0]) is None:
-        return {"status": "fail", "error": "gamma generator failed on a non-trivial MDP"}
     tau2 = mdp.transition.copy()
     tau2[0, 0] = rng.dirichlet(np.ones(mdp.n_states))
-    if tau_counterexample(mdp, tau2, seed=seeds[1]) is None:
-        return {"status": "fail", "error": "tau generator failed on differing rows"}
+    true_tau = mdp.with_transition(tau2)
+    for what, model, true, seed in (
+        ("discount", mdp.with_discount(0.5), mdp.with_discount(0.9), seeds[0]),
+        ("transition function", mdp, true_tau, seeds[1]),
+        ("discount and transition function", mdp.with_discount(0.5), true_tau.with_discount(0.9), seeds[1]),
+    ):
+        if misspec_counterexample(model, true, seed) is None:
+            return {"status": "fail", "error": f"no counterexample for a wrong {what}"}
     trivial = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
     excluded = (
-        gamma_counterexample(mdp, 0.7, 0.7, seed=seeds[2]) is None
-        and gamma_counterexample(trivial, 0.5, 0.9, seed=seeds[2]) is None
-        and tau_counterexample(mdp, mdp.transition, seed=seeds[2]) is None
+        misspec_counterexample(mdp.with_discount(0.7), mdp.with_discount(0.7), seeds[2]) is None
+        and misspec_counterexample(trivial.with_discount(0.5), trivial.with_discount(0.9), seeds[2]) is None
+        and misspec_counterexample(mdp, mdp, seeds[2]) is None
     )
     if not excluded:
         return {"status": "fail", "error": "an excluded case produced a counterexample"}

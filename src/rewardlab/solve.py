@@ -222,7 +222,7 @@ def uniform_flow(mdp: Mdp) -> np.ndarray:
     return np.eye(mdp.n_states) - mdp.discount * mdp.transition.mean(axis=1).T
 
 
-def vertex_j(mdp: Mdp, rv: np.ndarray, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def vertex_j(mdp: Mdp, rv: np.ndarray) -> np.ndarray:
     """J at every deterministic policy (s0-major rows) of each of the K reward vectors rv (K, S, A).
 
     Eliminates v_0, ..., v_{S-1} in turn from v = rv^pi + gamma*T^pi v, with
@@ -231,11 +231,11 @@ def vertex_j(mdp: Mdp, rv: np.ndarray, cap: int = DEFAULT_ENUM_CAP) -> np.ndarra
     policies agreeing on actions 0..s-1 share all work before state s.
     I - gamma*T^pi and its Schur complements are strictly row-diagonally
     dominant: every pivot is >= 1 - gamma, with no row exchange. Raises
-    CapacityError, before allocating, when A^S exceeds ``cap``.
+    CapacityError, before allocating, when A^S exceeds DEFAULT_ENUM_CAP.
     """
     n, k = mdp.n_states, mdp.n_actions
-    if k**n > cap:
-        raise CapacityError(f"{k}^{n} = {k**n} deterministic policies exceeds cap {cap}")
+    if k**n > DEFAULT_ENUM_CAP:
+        raise CapacityError(f"{k}^{n} = {k**n} deterministic policies exceeds cap {DEFAULT_ENUM_CAP}")
     m = len(rv)
     g = np.zeros((1, n * k + 1, n + m))  # (shared action prefixes, (state, action) rows + J row, v | rv)
     g[0, :-1, :n] = np.repeat(np.eye(n), k, axis=0) - mdp.discount * mdp.transition.reshape(n * k, n)

@@ -235,8 +235,12 @@ def shaping_matrix(mdp: Mdp) -> np.ndarray:
 
 
 class CanonicalForms(NamedTuple):
-    """Two vectors split against one QR of a shaping design D: v[i] = c[i] + D @ p[i].
+    """A stack of vectors split against one QR of a shaping design D: v[i] = c[i] + D @ p[i].
 
+    All of v, c, p and the sizes are in units of 2^exp, one power of two that
+    brings the largest input entry into [0.5, 1), so no norm overflows, and
+    none underflows unless the vectors differ in size by more than ~2^500;
+    certificates and witnesses scale back.
     u[i] is c[i] normalised, or zero when |c[i]| <= ROUNDOFF_RTOL * |v[i]|;
     ``size`` holds the |c[i]| and ``v_size`` the |v[i]|.
     """
@@ -247,23 +251,25 @@ class CanonicalForms(NamedTuple):
     p: np.ndarray
     size: np.ndarray
     v_size: np.ndarray
+    exp: int
 
 
-def _canonical(design: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> CanonicalForms:
+def _canonical(design: np.ndarray, vectors: np.ndarray) -> CanonicalForms:
+    """Canonical forms of the rows of ``vectors`` (K, rows of ``design``)."""
+    exp = int(np.frexp(np.abs(vectors).max(initial=0.0))[1])
     q, rr = np.linalg.qr(design)
-    v = np.array([v1, v2]).T
+    v = np.ldexp(vectors, -exp).T
     shaped = q.T @ v
     c = v - q @ shaped
     size, v_size = np.linalg.norm(c, axis=0), np.linalg.norm(v, axis=0)
     keep = size > ROUNDOFF_RTOL * v_size
     u = c / np.where(keep, size, np.inf)
-    return CanonicalForms(v.T, c.T, u.T, np.linalg.solve(rr, shaped).T, size, v_size)
+    return CanonicalForms(v.T, c.T, u.T, np.linalg.solve(rr, shaped).T, size, v_size, exp)
 
 
 def canonical_forms(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> CanonicalForms:
     """Canonical forms of both rewards' expected-reward vectors against ``shaping_matrix(mdp)``."""
-    rv1, rv2 = (reward_vector(r, mdp).ravel() for r in (r1, r2))
-    return _canonical(shaping_matrix(mdp), rv1, rv2)
+    return _canonical(shaping_matrix(mdp), np.array([reward_vector(r, mdp).ravel() for r in (r1, r2)]))
 
 
 def decompose_ord(forms: CanonicalForms) -> Decomposition | None:
@@ -277,7 +283,8 @@ def decompose_ord(forms: CanonicalForms) -> Decomposition | None:
     if residual > DIST_TOL:
         return None
     c = float(forms.size[1] / forms.size[0]) if forms.u[0].any() else 1.0
-    return Decomposition(c=c, phi=PotentialFn(forms.p[1] - c * forms.p[0]), residual=residual)
+    phi = np.ldexp(forms.p[1] - c * forms.p[0], forms.exp)
+    return Decomposition(c=c, phi=PotentialFn(phi), residual=residual)
 
 
 def j_scale(forms: CanonicalForms, mdp: Mdp) -> float:
@@ -305,6 +312,7 @@ def decompose_j(forms: CanonicalForms, mdp: Mdp) -> Decomposition | None:
     residual = 0.0 if misfit <= ROUNDOFF_RTOL * forms.v_size.max() else misfit / j_scale(forms, mdp)
     if residual > DIST_TOL:
         return None
+    phi = np.ldexp(phi, forms.exp)
     zero_initial = PotentialFn(phi).check_zero_initial(mdp.initial)
     return Decomposition(c=1.0, phi=PotentialFn(phi, zero_initial), residual=residual)
 
@@ -333,4 +341,4 @@ def decompose_ps_ls(r1: RewardTable, r2: RewardTable, gamma: float) -> Decomposi
     eye = np.eye(n)
     design = gamma * eye[None, None, :, :] - eye[:, None, None, :]
     design = np.broadcast_to(design, (n, k, n, n)).reshape(-1, n)
-    return decompose_ord(_canonical(design, r1.values.reshape(-1), r2.values.reshape(-1)))
+    return decompose_ord(_canonical(design, np.array([r1.values.reshape(-1), r2.values.reshape(-1)])))

@@ -19,14 +19,13 @@ from rewardlab import (
 from rewardlab.documents import load_transfer_pair
 from rewardlab.errors import CapacityError, InternalConsistencyError, StructuralError
 from rewardlab.lab import ExperimentConfig, _child_seeds, _draw_env, random_mdp, random_reward
-from rewardlab.mdp import DEFAULT_ENUM_CAP
 from rewardlab.solve import vertex_j
 
 import oracles
 
 
-def j_table(r, mdp, cap=DEFAULT_ENUM_CAP):
-    return vertex_j(mdp, reward_vector(r, mdp)[None], cap=cap)[:, 0]
+def j_table(r, mdp):
+    return vertex_j(mdp, reward_vector(r, mdp)[None])[:, 0]
 
 
 def witness_differences(witness, mdp, r1, r2):
@@ -222,9 +221,9 @@ class TestOrderSignature:
         np.testing.assert_allclose(scaled, 3.0 * base, atol=1e-9)
 
     def test_cap(self):
-        mdp = random_mdp(4, 3, 0.8, seed=1)
+        mdp = random_mdp(17, 2, 0.8, seed=1)  # 2^17 > DEFAULT_ENUM_CAP
         with pytest.raises(CapacityError):
-            j_table(oracles.uniform_reward(mdp, seed=2), mdp, cap=10)
+            j_table(oracles.uniform_reward(mdp, seed=2), mdp)
 
 
 def _unreachable_last_state(n_states, seed=0):

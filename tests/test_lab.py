@@ -12,22 +12,24 @@ from rewardlab import (
     RewardTable,
     apply,
     boltzmann_policy,
-    gamma_counterexample,
+    misspec_counterexample,
     opt_equivalent,
     optimal_values,
     random_mdp,
     random_policy,
     random_reward,
-    tau_counterexample,
+    reward_vector,
     validate_mdp,
     verify_claim,
 )
 from rewardlab import documents
 from rewardlab.errors import GenerationError, StructuralError, UnknownClaimError
+from rewardlab.mdp import DEFAULT_ENUM_CAP
 from rewardlab.lab import (
     CLAIM_ORDER,
     CLAIMS,
     CounterexampleRecord,
+    _invisible_directions,
     _run_trials,
     advantage_gap,
     oracle_opt_sets,
@@ -91,17 +93,28 @@ class TestGenerators:
         assert pi.full_support
 
 
+def gamma_pair(mdp, gamma1, gamma2, seed):
+    """The counterexample for a model that assumes gamma1 where the truth is gamma2."""
+    return misspec_counterexample(mdp.with_discount(gamma1), mdp.with_discount(gamma2), seed)
+
+
+def tau_pair(mdp, tau2, seed):
+    """The counterexample for a model that assumes mdp's transitions where the truth is tau2."""
+    return misspec_counterexample(mdp, mdp.with_transition(tau2), seed)
+
+
 class TestGammaCounterexample:
     def test_chain_pair_found_and_verified(self, chain):
-        rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)
+        rec = gamma_pair(chain, 0.5, 0.9, seed=4)
         assert rec is not None
         assert rec.verify()
         assert rec.relation == "opt"
-        assert rec.params["gamma1"] == 0.5 and rec.params["gamma2"] == 0.9
+        assert rec.params["kind"] == "shaping"
+        assert rec.mdp_model.discount == 0.5 and rec.mdp_true.discount == 0.9
 
     def test_model_cannot_distinguish_the_pair(self, chain):
         # shaping by x inflates Q* by O(|x|), so compare at temperature 1 / (1 + |x|)
-        rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)
+        rec = gamma_pair(chain, 0.5, 0.9, seed=4)
         beta = 1.0 / (1.0 + abs(rec.params["x"]))
         b1 = boltzmann_policy(rec.mdp_model, rec.r1, beta)
         b2 = boltzmann_policy(rec.mdp_model, rec.r2, beta)
@@ -110,53 +123,60 @@ class TestGammaCounterexample:
     def test_visible_rewrite_does_not_verify(self, chain):
         # 2*r2 still flips optimality under the true discount, but the model
         # sees the doubling; verify must not lean on params to notice.
-        rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)
+        rec = gamma_pair(chain, 0.5, 0.9, seed=4)
         doubled = replace(rec, r2=RewardTable(2.0 * rec.r2.values), params={})
         assert not opt_equivalent(doubled.r1, doubled.r2, doubled.mdp_true).equivalent
         assert not doubled.verify()
 
     def test_true_environment_flips_opt_sets(self, chain):
-        rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)
+        rec = gamma_pair(chain, 0.5, 0.9, seed=4)
         assert not opt_equivalent(rec.r1, rec.r2, rec.mdp_true).equivalent
 
     def test_found_on_dense_random_mdps(self):
         for seed in range(5):
             mdp = random_mdp(4, 3, 0.5, seed=seed)
-            rec = gamma_counterexample(mdp, 0.5, 0.9, seed=seed + 100)
+            rec = gamma_pair(mdp, 0.5, 0.9, seed=seed + 100)
             assert rec is not None and rec.verify()
             # on full-support rows the J-based oracle matches the argmax sets
             assert tuple(optimal_values(rec.mdp_true, rec.r1).opt_sets) == (
                 oracles.brute_force_opt_sets(rec.mdp_true, rec.r1)
             )
 
+    def test_found_past_the_enumeration_cap(self):
+        mdp = random_mdp(12, 3, 0.5, seed=3)  # 3^12 deterministic policies > DEFAULT_ENUM_CAP
+        assert mdp.n_actions**mdp.n_states > DEFAULT_ENUM_CAP
+        rec = gamma_pair(mdp, 0.5, 0.9, seed=5)
+        assert rec is not None and rec.verify()
+        assert rec.params["kind"] == "shaping"
+
     def test_tied_spreads_pick_the_first_state(self):
-        # On two states w(0) + w(1) = 1/(1 - gamma) at every vertex, so both spreads tie exactly.
+        # On two states w(0) + w(1) = 1/(1 - gamma) at every vertex, so both states are seen alike.
         for seed in range(30):
-            rec = gamma_counterexample(random_mdp(2, 2, 0.7, seed=seed), 0.7, 0.9, seed=seed)
-            assert rec.params["shaped_state"] == 0
+            rec = gamma_pair(random_mdp(2, 2, 0.7, seed=seed), 0.7, 0.9, seed=seed)
+            assert rec.params["state"] == 0
 
     def test_success_monotone_in_x(self, chain):
         # once a shaping weight flips optimality, doubling it keeps the flip
-        rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)
-        x, state = rec.params["x"], rec.params["shaped_state"]
+        rec = gamma_pair(chain, 0.5, 0.9, seed=4)
+        x, state = rec.params["x"], rec.params["state"]
         phi = np.zeros(chain.n_states)
         phi[state] = 2 * x
         r2 = apply(PotentialShaping(PotentialFn(phi)), rec.r1, rec.mdp_model)
         assert not opt_equivalent(rec.r1, r2, rec.mdp_true).equivalent
 
     def test_equal_discounts_return_none(self, chain):
-        assert gamma_counterexample(chain, 0.7, 0.7, seed=4) is None
+        assert gamma_pair(chain, 0.7, 0.7, seed=4) is None
 
     def test_trivial_transition_returns_none(self):
         mdp = Mdp(np.full((3, 2, 3), 1 / 3), np.full(3, 1 / 3), 0.5)
-        assert gamma_counterexample(mdp, 0.5, 0.9, seed=4) is None
+        assert gamma_pair(mdp, 0.5, 0.9, seed=4) is None
 
     def test_out_of_range_discount_rejected(self, chain):
         with pytest.raises(ValueError):
-            gamma_counterexample(chain, 0.5, 1.0, seed=4)
+            gamma_pair(chain, 0.5, 1.0, seed=4)
 
     def test_record_replays_from_documents(self, chain):
-        rec = gamma_counterexample(chain, 0.5, 0.9, seed=4)
+        rec = gamma_pair(chain, 0.5, 0.9, seed=4)
         doc = rec.to_doc()
         rebuilt = CounterexampleRecord(
             mdp_model=documents.mdp_from_doc(doc["mdp_model"]),
@@ -175,11 +195,10 @@ class TestTauCounterexample:
         mdp1 = random_mdp(3, 2, 0.8, seed=5)
         tau2 = mdp1.transition.copy()
         tau2[0, 0] = np.random.default_rng(6).dirichlet(np.ones(3))
-        rec = tau_counterexample(mdp1, tau2, seed=8)
+        rec = tau_pair(mdp1, tau2, seed=8)
         assert rec is not None and rec.verify()
+        assert rec.params["kind"] == "redistribution"
         # invisible under tau1: expected rewards match bitwise
-        from rewardlab import reward_vector
-
         assert np.array_equal(
             reward_vector(rec.r1, rec.mdp_model), reward_vector(rec.r2, rec.mdp_model)
         )
@@ -187,7 +206,7 @@ class TestTauCounterexample:
 
     def test_identical_transitions_return_none(self):
         mdp1 = random_mdp(3, 2, 0.8, seed=5)
-        assert tau_counterexample(mdp1, mdp1.transition, seed=8) is None
+        assert tau_pair(mdp1, mdp1.transition, seed=8) is None
 
     def test_uniform_two_support_row_tilted(self):
         # tau1 splits (s0, a0) evenly over two successors; tau2 tilts that row.
@@ -201,7 +220,7 @@ class TestTauCounterexample:
         mdp1 = Mdp(tau1, np.array([1.0, 0.0, 0.0]), 0.8)
         tau2 = tau1.copy()
         tau2[0, 0] = [0.7, 0.3, 0.0]
-        rec = tau_counterexample(mdp1, tau2, seed=11)
+        rec = tau_pair(mdp1, tau2, seed=11)
         assert rec is not None and rec.verify()
         assert tuple(rec.params["row"]) == (0, 0)
 
@@ -209,20 +228,56 @@ class TestTauCounterexample:
         # tau1 is deterministic; tau2 moves mass onto entries tau1 never takes.
         tau2 = chain.transition.copy()
         tau2[0, 0] = [0.6, 0.4]
-        rec = tau_counterexample(chain, tau2, seed=3)
+        rec = tau_pair(chain, tau2, seed=3)
         assert rec is not None and rec.verify()
+        assert rec.params["row"] == [0, 0] and rec.params["successors"] == [1]
 
     def test_shared_deterministic_support_returns_none(self, chain):
         # same supports and deterministic rows: no usable kernel direction
-        assert tau_counterexample(chain, chain.transition.copy(), seed=3) is None
+        assert tau_pair(chain, chain.transition.copy(), seed=3) is None
 
     def test_invalid_tau2_rejected(self, chain):
         bad = chain.transition.copy()
         bad[0, 0] = [0.5, 0.4]
         with pytest.raises(ValueError):
-            tau_counterexample(chain, bad, seed=1)
+            tau_pair(chain, bad, seed=1)
         with pytest.raises(ValueError):
-            tau_counterexample(chain, np.ones((2, 2)), seed=1)
+            tau_pair(chain, np.ones((2, 2)), seed=1)
+
+
+class TestMisspecCounterexample:
+    @pytest.mark.parametrize("n_states, n_actions", [(4, 2), (12, 3)])
+    def test_wrong_discount_and_transition(self, n_states, n_actions):
+        mdp = random_mdp(n_states, n_actions, 0.5, seed=7)
+        tau2 = mdp.transition.copy()
+        tau2[1, 1] = np.random.default_rng(8).dirichlet(np.ones(n_states))
+        rec = misspec_counterexample(mdp, mdp.with_discount(0.9).with_transition(tau2), seed=9)
+        assert rec is not None and rec.verify()
+        assert not opt_equivalent(rec.r1, rec.r2, rec.mdp_true).equivalent
+
+    def test_each_kind_of_direction_needs_its_misspecification(self):
+        # Shaping is invisible to a wrong transition function alone, and
+        # redistribution to a wrong discount alone; both are seen when both are wrong.
+        mdp = random_mdp(3, 2, 0.5, seed=2)
+        tau2 = mdp.transition.copy()
+        tau2[0, 1] = np.random.default_rng(3).dirichlet(np.ones(3))
+        kinds = {
+            name: {params["kind"] for _, params in _invisible_directions(mdp, true)}
+            for name, true in (
+                ("gamma", mdp.with_discount(0.9)),
+                ("tau", mdp.with_transition(tau2)),
+                ("both", mdp.with_discount(0.9).with_transition(tau2)),
+            )
+        }
+        assert kinds == {
+            "gamma": {"shaping"},
+            "tau": {"redistribution"},
+            "both": {"shaping", "redistribution"},
+        }
+
+    def test_mismatched_shapes_rejected(self, chain):
+        with pytest.raises(ValueError):
+            misspec_counterexample(chain, random_mdp(3, 2, 0.5, seed=1), seed=1)
 
 
 class TestClaims:

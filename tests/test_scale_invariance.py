@@ -2,7 +2,10 @@
 
 Positive scaling, potential shaping and S'-redistribution change no behaviour
 (the paper's equivalence classes), so every verdict, and the recovered scaling
-constant, must hold whatever the magnitude of the rewards: from 1e-12 to 1e12.
+constant, must hold whatever the magnitude of the rewards: from 2^-1000 up to
+where max|rv| / (1 - gamma) overflows, near 2^1024. This module turns every
+RuntimeWarning into an error (see pyproject.toml), so no overflow or
+underflow along the way goes unseen.
 """
 
 import numpy as np
@@ -84,6 +87,27 @@ class TestReproductions:
         monkeypatch.setattr(lab, "BOUNDS", 1e-7)
         r = random_reward(mdp)
         assert np.abs(r.values).max() <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "n_states, n_actions, gamma, seed", [(3, 2, 0.9, 0), (4, 3, 0.5, 1), (2, 2, 0.99, 2)]
+)
+def test_verdicts_across_the_float64_range(n_states, n_actions, gamma, seed):
+    """r against -r and against 2r at every scale 2^k whose values stay finite: the unit-scale verdicts."""
+    mdp = random_mdp(n_states, n_actions, gamma, seed)
+    r = random_reward(mdp, seed=seed + 1)
+    top = 1024 - np.log2(2.0 * np.abs(r.values).max() / (1.0 - gamma))  # 2r's |v| bound overflows at 2^top
+    for k in range(-1000, 1021, 3):
+        if k >= top:
+            break
+        c = 2.0**k
+        assert not ord_equivalent(scaled(r, c), scaled(r, -c), mdp).equivalent, k
+        assert not j_equal(scaled(r, c), scaled(r, -c), mdp).equivalent, k
+        verdict = ord_equivalent(scaled(r, c), scaled(r, 2 * c), mdp)
+        assert verdict.equivalent and verdict.certificate.c == pytest.approx(2.0, rel=1e-9), k
+        witness = j_equal(scaled(r, c), scaled(r, 2 * c), mdp).witness
+        assert witness is not None and np.isfinite(witness["j1"] + witness["j2"]).all(), k
+        np.testing.assert_allclose(witness["j2"], 2 * np.array(witness["j1"]), rtol=1e-9)
 
 
 @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e3, 1e6, 1e9])

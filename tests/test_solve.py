@@ -555,12 +555,12 @@ class TestVertexWeights:
             np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0)
 
     def test_above_cap_raises(self):
-        mdp = random_mdp(4, 3, 0.8, seed=5)
-        rv = np.zeros((1000, 4, 3))  # its augmented array would take ~100 kB
+        mdp = random_mdp(17, 2, 0.8, seed=5)  # 2^17 > DEFAULT_ENUM_CAP
+        rv = np.zeros((1000, 17, 2))  # its augmented array would take ~300 kB
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):
-                vertex_j(mdp, rv, cap=80)
+                vertex_j(mdp, rv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -599,7 +599,7 @@ class TestVertexWeights:
         r = oracles.uniform_reward(mdp, seed=16)
         tracemalloc.start()
         try:
-            j = vertex_j(mdp, reward_vector(r, mdp)[None], cap=DEFAULT_ENUM_CAP)
+            j = vertex_j(mdp, reward_vector(r, mdp)[None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
