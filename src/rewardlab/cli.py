@@ -50,7 +50,8 @@ class _Main(click.Group):
 
 
 def _emit(doc, fmt: str, out, text_renderer) -> None:
-    payload = documents.dumps(doc) if fmt == "json" else text_renderer(doc)
+    payload = documents.dumps(doc)  # raises ValueError on NaN or +-inf, whatever the format
+    payload = payload if fmt == "json" else text_renderer(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -31,7 +31,10 @@ from .transform import (
 
 def dumps(doc) -> str:
     """The document as JSON; raises ValueError rather than print NaN or Infinity, which are not JSON."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("a result is NaN or beyond float64's range, which JSON cannot hold") from None
 
 
 def mdp_to_doc(mdp: Mdp) -> dict:

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, StructuralError
-from .mdp import Mdp, RewardTable
-from .solve import ROUNDOFF_RTOL, optimal_values, uniform_flow, vertex_j
+from .mdp import Mdp, RewardTable, StochasticPolicy
+from .solve import ROUNDOFF_RTOL, occupancy, optimal_values, vertex_j
 from .transform import (
     DIST_TOL,
     CanonicalForms,
@@ -83,33 +83,30 @@ def _policy_pair(forms: CanonicalForms, w: np.ndarray, mdp: Mdp) -> dict:
     its per-state normalisation. For w = C1^ - C2^, <w, C1^> > 0 >= <w, C2^>,
     so J1 rises from the second policy to the first while J2 falls (or stays
     level when C2 is zero); for w = C2 - C1, J2 - J1 rises by 2*eps*|w|^2.
+    Each J scales back from its own reward's unit; one that overflows is inf.
     """
     n, k = mdp.n_states, mdp.n_actions
-    w0 = np.linalg.solve(uniform_flow(mdp), mdp.initial)
-    if (w0 <= 0).any():
-        raise StructuralError(f"states {np.flatnonzero(w0 <= 0).tolist()} are unreachable from mu0")
-    d0 = np.repeat(w0 * (1.0 / k), k)
+    d0 = occupancy(mdp, StochasticPolicy(np.full((n, k), 1.0 / k))).d.ravel()
+    if (d0 <= 0).any():
+        raise StructuralError(f"states {np.flatnonzero(d0[::k] <= 0).tolist()} are unreachable from mu0")
     peak = float(np.abs(w).max())
     eps = 0.5 * float(d0.min()) / peak if peak > 0 else 0.0
     d = np.array([d0 + eps * w, d0 - eps * w])
     policies = d.reshape(2, n, k) / d.reshape(2, n, k).sum(axis=2, keepdims=True)
-    return {
-        "kind": "policy-pair",
-        "policies": policies.tolist(),
-        "j1": np.ldexp(d @ forms.v[0], forms.exp).tolist(),
-        "j2": np.ldexp(d @ forms.v[1], forms.exp).tolist(),
-    }
+    with np.errstate(over="ignore"):
+        j1, j2 = (np.ldexp(d @ v, e).tolist() for v, e in zip(forms.v, forms.exp))
+    return {"kind": "policy-pair", "policies": policies.tolist(), "j1": j1, "j2": j2}
 
 
 def opt_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     """Same optimal-action sets per state; witness is the first differing state."""
     opt1 = optimal_values(mdp, r1).opt_sets
     opt2 = optimal_values(mdp, r2).opt_sets
-    for s in range(mdp.n_states):
-        if opt1[s] != opt2[s]:
-            witness = {"state": s, "opt1": sorted(opt1[s]), "opt2": sorted(opt2[s])}
-            return EquivVerdict(equivalent=False, relation="opt", witness=witness)
-    return EquivVerdict(equivalent=True, relation="opt")
+    if opt1 == opt2:
+        return EquivVerdict(equivalent=True, relation="opt")
+    s = int((opt1.mask != opt2.mask).any(axis=1).argmax())
+    witness = {"state": s, "opt1": sorted(opt1[s]), "opt2": sorted(opt2[s])}
+    return EquivVerdict(equivalent=False, relation="opt", witness=witness)
 
 
 def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
@@ -150,11 +147,11 @@ def j_equal(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     forms = canonical_forms(r1, r2, mdp)
     cert = decompose_j(forms, mdp)
     equivalent = cert is not None
-    witness = None if equivalent else _policy_pair(forms, forms.c[1] - forms.c[0], mdp)
+    witness = None if equivalent else _policy_pair(forms, np.diff(forms.common(forms.c), axis=0)[0], mdp)
     if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
-        scale = j_scale(forms, mdp)
-        roundoff = ROUNDOFF_RTOL * float(forms.v_size.max())
-        j_diff = vertex_j(mdp, forms.v[:1] - forms.v[1:])
+        v, scale = forms.common(forms.v), j_scale(forms, mdp)
+        roundoff = ROUNDOFF_RTOL * float(forms.common(forms.v_size).max())
+        j_diff = vertex_j(mdp, v[:1] - v[1:])
         gap = (1.0 - mdp.discount) * float(np.abs(j_diff).max())
         if equivalent and gap > 2 * max(DIST_TOL * scale, roundoff) + roundoff:
             raise InternalConsistencyError(

@@ -20,6 +20,7 @@ trials could run in any order.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -31,13 +32,13 @@ from .equiv import j_equal, opt_equivalent, ord_equivalent
 from .errors import GenerationError, StructuralError, UnknownClaimError
 from .mdp import (
     DEFAULT_ENUM_CAP,
+    ActionSetPolicy,
     Mdp,
     RewardTable,
     StochasticPolicy,
     enumerate_action_tuples,
     is_trivial_transition,
     lift_reward,
-    mask_sets,
     validate_mdp,
 )
 from .models import (
@@ -107,14 +108,12 @@ def advantage_gap(mdp: Mdp, r: RewardTable) -> float:
     return float(-losing.max()) if losing.size else np.inf
 
 
-def random_reward(mdp: Mdp, domain: str = "sas", seed: int = 0, j_floor: float | None = None) -> RewardTable:
-    """Uniform reward in [-BOUNDS, BOUNDS], redrawn until it meets the floors.
+def random_reward(mdp: Mdp, domain: str = "sas", seed: int = 0) -> RewardTable:
+    """Uniform reward in [-BOUNDS, BOUNDS], redrawn until it meets the gap floor.
 
     A draw is kept only if every non-optimal action loses by at least
     GAP_FLOOR * BOUNDS, which keeps optimal-action decisions far from the
-    solver tie tolerance; ``j_floor`` additionally demands that some
-    deterministic policy has |J| above the floor (rules out J-degenerate
-    draws). Raises GenerationError after REWARD_TRIES draws.
+    solver tie tolerance. Raises GenerationError after REWARD_TRIES draws.
     """
     rng = np.random.default_rng(seed)
     n, k = mdp.n_states, mdp.n_actions
@@ -127,12 +126,9 @@ def random_reward(mdp: Mdp, domain: str = "sas", seed: int = 0, j_floor: float |
             r = RewardTable.from_state(rng.uniform(-BOUNDS, BOUNDS, size=n), n_actions=k)
         else:
             raise ValueError(f"unknown domain {domain!r}")
-        if advantage_gap(mdp, r) < GAP_FLOOR * BOUNDS:
-            continue
-        if j_floor is not None and np.abs(vertex_j(mdp, reward_vector(r, mdp)[None])).max() < j_floor:
-            continue
-        return r
-    raise GenerationError(f"no reward met the floors after {REWARD_TRIES} tries")
+        if advantage_gap(mdp, r) >= GAP_FLOOR * BOUNDS:
+            return r
+    raise GenerationError(f"no reward met the gap floor after {REWARD_TRIES} tries")
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,8 @@ class CounterexampleRecord:
         opt_equivalent refuses. ``params`` only describes the search.
         """
         forms = canonical_forms(self.r1, self.r2, self.mdp_model)
-        alike = np.linalg.norm(forms.c[1] - forms.c[0]) <= ROUNDOFF_RTOL * forms.v_size.max()
+        c = forms.common(forms.c)
+        alike = np.linalg.norm(c[1] - c[0]) <= ROUNDOFF_RTOL * forms.common(forms.v_size).max()
         return bool(alike) and not opt_equivalent(self.r1, self.r2, self.mdp_true).equivalent
 
     def to_doc(self) -> dict:
@@ -353,7 +350,7 @@ def _loguniform(rng, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def oracle_opt_sets(mdp: Mdp, *rewards: RewardTable) -> list[tuple]:
+def oracle_opt_sets(mdp: Mdp, *rewards: RewardTable) -> list[ActionSetPolicy]:
     """Optimal-action sets of each reward by brute force: union of argmax-J deterministic policies.
 
     Matches the argmax-of-Q* sets whenever every state is visited under every
@@ -363,7 +360,7 @@ def oracle_opt_sets(mdp: Mdp, *rewards: RewardTable) -> list[tuple]:
     """
     chosen = enumerate_action_tuples(mdp.n_states, mdp.n_actions)[:, :, None] == np.arange(mdp.n_actions)
     j = vertex_j(mdp, np.stack([reward_vector(r, mdp) for r in rewards]))
-    return [mask_sets(chosen[col >= col.max() - 1e-9 * np.abs(col).max()].any(axis=0)) for col in j.T]
+    return [ActionSetPolicy(chosen[col >= col.max() - 1e-9 * np.abs(col).max()].any(axis=0)) for col in j.T]
 
 
 def _run_trials(config: ExperimentConfig, trial, witness: str | None = None) -> TrialReport:
@@ -492,7 +489,7 @@ def _boltz_opt(config: ExperimentConfig, trial: int, searching: bool) -> dict:
         mdp, _, r1, r2, neg_verdict = _robustness_trial(
             config, trial, 20, g_inverting, f_inv, opt_equivalent
         )
-        if not neg_verdict.equivalent and len(set(oracle_opt_sets(mdp, r1, r2))) == 2:
+        if not neg_verdict.equivalent and operator.ne(*oracle_opt_sets(mdp, r1, r2)):
             outcome["counterexample"] = {
                 "claim": "BOLTZ-OPT",
                 "note": "argmax-inverting probe produced an optimality flip",
@@ -677,7 +674,7 @@ def _j_amb(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     rng = _substream(config.seed, trial, 100)
     mdp = _draw_env(config, trial)
     seeds = _child_seeds(config.seed, trial, 101, n=3)
-    r1 = random_reward(mdp, seed=seeds[0], j_floor=1e-2 * BOUNDS)
+    r1 = random_reward(mdp, seed=seeds[0])
     ps = sample_potential_shaping(mdp, BOUNDS, True, seeds[1])
     shaped = apply(ps, r1, mdp)
     sr = sample_s_redistribution(mdp, shaped, BOUNDS, seeds[2])

@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress, count
 
 import numpy as np
 
@@ -185,34 +184,30 @@ class StochasticPolicy:
         return cls(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionSetPolicy:
-    """Per-state non-empty set of actions (the codomain of set-valued optimal policies)."""
+    """Per-state non-empty action sets as one read-only (S, A) mask; ``policy[s]`` is a frozenset of ints."""
 
-    sets: tuple[frozenset, ...]
+    mask: np.ndarray
 
     def __post_init__(self):
-        sets = tuple(frozenset(map(int, s)) for s in self.sets)
-        if not all(sets):
-            raise StructuralError("every per-state action set must be non-empty")
-        object.__setattr__(self, "sets", sets)
+        mask = np.array(self.mask, dtype=bool)
+        if mask.ndim != 2 or not mask.any(axis=1).all():
+            raise StructuralError(f"need an (S, A) mask with no empty action set, got shape {mask.shape}")
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
     def __getitem__(self, s: int) -> frozenset:
-        return self.sets[s]
+        return frozenset(np.flatnonzero(self.mask[s]).tolist())
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.mask)
 
     def __iter__(self):
-        return iter(self.sets)
+        return map(self.__getitem__, range(len(self)))
 
-
-def mask_sets(member: np.ndarray) -> tuple[frozenset, ...]:
-    """The columns set in each row of an (S, A) boolean mask; one frozenset per distinct row."""
-    packed = np.packbits(member, axis=1)
-    keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
-    sets = {key: frozenset(compress(count(), row)) for key, row in dict(zip(keys, member.tolist())).items()}
-    return tuple(map(sets.__getitem__, keys))
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ActionSetPolicy) and np.array_equal(self.mask, other.mask)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
-from .mdp import ActionSetPolicy, Mdp, RewardTable, StochasticPolicy, mask_sets
+from .mdp import ActionSetPolicy, Mdp, RewardTable, StochasticPolicy
 from .solve import SoftBundle, optimal_values, soft_optimal_values
 
 ARGMAX_ATOL = 1e-12  # probability tie tolerance used when certifying argmax sets
@@ -80,10 +80,10 @@ class FVariantSpec:
 def _certify_argmax(probs: np.ndarray, opt_sets: ActionSetPolicy) -> None:
     if np.any(probs <= 0):
         raise CertificationError("generated policy is not full support")
-    argmax = mask_sets(probs >= probs.max(axis=1, keepdims=True) - ARGMAX_ATOL)
-    for s, (got, want) in enumerate(zip(argmax, opt_sets)):
-        if got != want:
-            raise CertificationError(f"argmax set at state {s} is {sorted(got)}, expected {sorted(want)}")
+    got = ActionSetPolicy(probs >= probs.max(axis=1, keepdims=True) - ARGMAX_ATOL)
+    if got != opt_sets:
+        s = int((got.mask != opt_sets.mask).any(axis=1).argmax())
+        raise CertificationError(f"argmax set at state {s} is {sorted(got[s])}, expected {sorted(opt_sets[s])}")
 
 
 def fvariant_policy(mdp: Mdp, r: RewardTable, spec: FVariantSpec) -> StochasticPolicy:

@@ -1,21 +1,23 @@
 """Exact solvers: values, optimal values, soft values, occupancy, controllability.
 
-Every value comes from a direct dense solve of (I - gamma*T^pi) v = r^pi (at
-most S unknowns, strictly diagonally dominant for gamma < 1), so policy
-evaluation and occupancy carry no iteration error. The optima come from policy
-iteration on that solve: Howard's algorithm for the hard Bellman equation (its
-deterministic T^pi is a row gather; the optimal-action sets come from one tie
-mask, see mask_sets), and soft policy iteration (Newton's method on v =
-alpha*logsumexp(q/alpha)) for the soft one. Every tolerance is relative to the
-value scale, so no result depends on the reward's unit: ``tol`` bounds the
-Bellman residual in units of the largest possible |v| (max|rv| / (1 - gamma),
-plus alpha*log(A) / (1 - gamma) for the soft entropy bonus).
+Values and occupancies come from one dense solve of a flow system, (I -
+gamma*T^pi) v = r^pi or (I - gamma*T^pi') w = mu0 (at most S unknowns,
+strictly diagonally dominant for gamma < 1), checked to a residual of
+ROUNDOFF_RTOL * max|x|, so they carry no iteration error. The optima come
+from policy iteration on that solve: Howard's algorithm for the hard Bellman
+equation (its T^pi is a row gather; the optimal-action sets are one tie mask
+of a*), and soft policy iteration (Newton's method on v =
+alpha*logsumexp(q/alpha)) for the soft one. ``tol`` bounds the Bellman
+residual in units of the largest possible |v|, (max|rv| + alpha*log A) /
+(1 - gamma) (alpha = 0 for the hard one), so no result depends on the
+reward's unit; a reward whose value scale overflows float64 raises
+StructuralError before any solve.
 
 J at all A^S deterministic policies comes from one prefix-shared elimination
 that needs no row exchanges (see vertex_j). Controllability needs one
-factorisation of uniform_flow: a state's entry measure is constant over all
-policies iff the uniform policy's action gaps for the reward 1[state = s]
-vanish at every reachable state (see ControllableStates).
+factorisation of the uniform policy's flow matrix: a state's entry measure is
+constant over all policies iff the uniform policy's action gaps for the reward
+1[state = s] vanish at every reachable state (see ControllableStates).
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .mdp import (
     Mdp,
     RewardTable,
     StochasticPolicy,
-    mask_sets,
     reachable_states,
 )
 
@@ -112,20 +113,29 @@ def _policy_transition(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
     return np.einsum("sa,sap->sp", probs, mdp.transition)
 
 
-def _policy_values(mdp: Mdp, t_pi: np.ndarray, r_pi: np.ndarray) -> np.ndarray:
-    """Exact v = r_pi + gamma*T^pi v by one dense solve."""
-    gamma = mdp.discount
-    v = np.linalg.solve(np.eye(mdp.n_states) - gamma * t_pi, r_pi)
-    residual = float(np.abs(v - (r_pi + gamma * (t_pi @ v))).max())
-    if residual > ROUNDOFF_RTOL * float(np.abs(v).max()):
-        raise ConvergenceError("policy evaluation residual too large", residual=residual)
-    return v
+def _solve_flow(flow: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with flow @ x = b by one dense solve; ConvergenceError if the residual exceeds ROUNDOFF_RTOL*max|x|."""
+    x = np.linalg.solve(flow, b)
+    residual = float(np.abs(flow @ x - b).max())
+    if not residual <= ROUNDOFF_RTOL * float(np.abs(x).max()):
+        raise ConvergenceError("flow solve residual too large", residual=residual)
+    return x
+
+
+def _value_scale(mdp: Mdp, rsa: np.ndarray, bonus: float = 0.0) -> float:
+    """(max|rv| + bonus) / (1 - gamma), the largest possible |v|; StructuralError if it overflows float64."""
+    scale = float(np.abs(rsa).max() + bonus) / (1.0 - mdp.discount)
+    if not scale < np.inf:
+        raise StructuralError(f"reward too large: values up to max|rv| / (1 - {mdp.discount}) overflow float64")
+    return scale
 
 
 def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBundle:
     """Exact V^pi, Q^pi, and J via the (I - gamma*T^pi) linear system."""
     rsa = reward_vector(r, mdp)
-    v = _policy_values(mdp, _policy_transition(mdp, pi.probs), (pi.probs * rsa).sum(axis=1))
+    _value_scale(mdp, rsa)
+    flow = np.eye(mdp.n_states) - mdp.discount * _policy_transition(mdp, pi.probs)
+    v = _solve_flow(flow, (pi.probs * rsa).sum(axis=1))
     q = rsa + mdp.discount * (mdp.transition @ v)
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
 
@@ -146,10 +156,11 @@ def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> Optima
     _check_tol(tol)
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
-    states = np.arange(mdp.n_states)
+    bound = tol * _value_scale(mdp, rsa)
+    states, eye = np.arange(mdp.n_states), np.eye(mdp.n_states)
     act = rsa.argmax(axis=1)
     for _ in range(MAX_ITER):
-        v = _policy_values(mdp, mdp.transition[states, act], rsa[states, act])
+        v = _solve_flow(eye - gamma * mdp.transition[states, act], rsa[states, act])
         q_star = rsa + gamma * (mdp.transition @ v)
         v_star = q_star.max(axis=1)
         residual = float(np.abs(v_star - v).max())
@@ -163,13 +174,12 @@ def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> Optima
             residual=residual,
             iterations=MAX_ITER,
         )
-    bound = tol * float(np.abs(rsa).max()) / (1.0 - gamma)
     if residual > bound:
         raise ConvergenceError(f"Bellman residual {residual:.3e} above {bound:.3e} (tol={tol})", residual)
     a_star = q_star - v_star[:, None]
     # Shifts and shaping leave a* unchanged but not q*, whose round-off floors the tie.
     tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(q_star).max()))
-    opt_sets = ActionSetPolicy(mask_sets(a_star >= -tie))
+    opt_sets = ActionSetPolicy(a_star >= -tie)
     return OptimalBundle(q_star=q_star, v_star=v_star, a_star=a_star, opt_sets=opt_sets, residual=residual)
 
 
@@ -187,7 +197,8 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float, tol: float = DEF
     _check_tol(tol)
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
-    bound = tol * (float(np.abs(rsa).max()) + alpha * np.log(mdp.n_actions)) / (1.0 - gamma)
+    bound = tol * _value_scale(mdp, rsa, alpha * np.log(mdp.n_actions))
+    eye = np.eye(mdp.n_states)
     v = np.zeros(mdp.n_states)
     for _ in range(MAX_ITER):
         q_soft = rsa + gamma * (mdp.transition @ v)
@@ -200,7 +211,7 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float, tol: float = DEF
             break
         log_pi = z - log_norm[:, None]
         pi = np.exp(log_pi)
-        v = _policy_values(mdp, _policy_transition(mdp, pi), (pi * (rsa - alpha * log_pi)).sum(axis=1))
+        v = _solve_flow(eye - gamma * _policy_transition(mdp, pi), (pi * (rsa - alpha * log_pi)).sum(axis=1))
     else:
         raise ConvergenceError(
             f"soft policy iteration did not reach residual {bound:.3e} (tol={tol}) within {MAX_ITER} steps",
@@ -213,13 +224,8 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float, tol: float = DEF
 def occupancy(mdp: Mdp, pi: StochasticPolicy) -> OccupancyVector:
     """Solve w = mu0 + gamma*(T^pi)' w, then d[s,a] = w[s] * pi(a|s)."""
     t_pi = _policy_transition(mdp, pi.probs)
-    w = np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * t_pi.T, mdp.initial)
+    w = _solve_flow(np.eye(mdp.n_states) - mdp.discount * t_pi.T, mdp.initial)
     return OccupancyVector(w[:, None] * pi.probs)
-
-
-def uniform_flow(mdp: Mdp) -> np.ndarray:
-    """M = I - gamma*T^pi0' at the uniform policy pi0; M w = mu0 gives pi0's state visitation w."""
-    return np.eye(mdp.n_states) - mdp.discount * mdp.transition.mean(axis=1).T
 
 
 def vertex_j(mdp: Mdp, rv: np.ndarray) -> np.ndarray:
@@ -259,5 +265,6 @@ def controllable_states(mdp: Mdp) -> ControllableStates:
     n, gamma, tau = mdp.n_states, mdp.discount, mdp.transition
     reached = reachable_states(mdp)
     diffs = (tau[reached, 1:, :] - tau[reached, :1, :]).reshape(-1, n)  # rows D(t,a), t-major
-    gaps = np.abs(np.linalg.solve(uniform_flow(mdp), diffs.T)).max(axis=1, initial=0.0)
+    flow = np.eye(n) - gamma * tau.mean(axis=1).T
+    gaps = np.abs(np.linalg.solve(flow, diffs.T)).max(axis=1, initial=0.0)
     return ControllableStates(frozenset(np.flatnonzero(gaps > CONTROL_RTOL / (1.0 - gamma)).tolist()))

@@ -162,8 +162,7 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
     if isinstance(t, OptimalityPreserving):
         _check_shape("psi", t.psi, (mdp.n_states,))
         _check_shape("slack", t.slack, (mdp.n_states, mdp.n_actions))
-        opt = optimal_values(mdp, r).opt_sets
-        non_opt = np.array([[a not in opt_s for a in range(mdp.n_actions)] for opt_s in opt])
+        non_opt = ~optimal_values(mdp, r).opt_sets.mask
         # E[R2(s,a,.) + gamma*psi(S')] = psi(s), minus slack off the optimal sets.
         rsa2 = t.psi[:, None] - gamma * (mdp.transition @ t.psi) + np.where(non_opt, t.slack, 0.0)
         return lift_reward(RewardTable.from_sa(rsa2))
@@ -188,27 +187,18 @@ def sample_s_redistribution(
 ) -> SuccessorRedistribution:
     """Perturb rewards without moving any tau-conditional expectation.
 
-    On each support row the perturbation is recentred to zero weighted mean;
-    zero-probability transitions are perturbed freely (10x the magnitude).
-    On deterministic rows only the zero-probability entries can change.
+    One uniform draw in [-magnitude, magnitude] per (s, a, s'): on each
+    row's support it is recentred to zero tau-weighted mean, and
+    zero-probability transitions take it at 10x the size. On deterministic
+    rows only the zero-probability entries change.
     """
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative")
-    rng = np.random.default_rng(seed)
-    vals = lift_reward(r).values.copy()
     tau = mdp.transition
-    for s in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            row = tau[s, a]
-            support = row > 0.0
-            off = ~support
-            if off.any():
-                vals[s, a, off] += rng.uniform(-10 * magnitude, 10 * magnitude, size=off.sum())
-            if support.sum() >= 2:
-                u = rng.uniform(-magnitude, magnitude, size=int(support.sum()))
-                p = row[support]
-                u -= (p @ u) / p.sum()
-                vals[s, a, support] += u
+    u = np.random.default_rng(seed).uniform(-magnitude, magnitude, size=tau.shape)
+    # The batched matmul is each row's p @ u, bit for bit; einsum sums in another order.
+    mean = (tau[:, :, None, :] @ u[..., None])[..., 0] / tau.sum(axis=2, keepdims=True)
+    vals = lift_reward(r).values + np.where(tau > 0.0, u - mean, 10 * u)
     return SuccessorRedistribution(RewardTable(vals, domain="sas"))
 
 
@@ -237,12 +227,12 @@ def shaping_matrix(mdp: Mdp) -> np.ndarray:
 class CanonicalForms(NamedTuple):
     """A stack of vectors split against one QR of a shaping design D: v[i] = c[i] + D @ p[i].
 
-    All of v, c, p and the sizes are in units of 2^exp, one power of two that
-    brings the largest input entry into [0.5, 1), so no norm overflows, and
-    none underflows unless the vectors differ in size by more than ~2^500;
-    certificates and witnesses scale back.
-    u[i] is c[i] normalised, or zero when |c[i]| <= ROUNDOFF_RTOL * |v[i]|;
-    ``size`` holds the |c[i]| and ``v_size`` the |v[i]|.
+    Row i of v, c, p, size and v_size is in units of 2^exp[i], the power of
+    two that brings that input's largest entry into [0.5, 1), so no norm
+    overflows or underflows at any input size; ``common`` restates rows in
+    one unit for comparisons across them, and certificates and witnesses
+    scale back. u[i] is c[i] normalised, or zero when |c[i]| <=
+    ROUNDOFF_RTOL * |v[i]|; ``size`` holds the |c[i]| and ``v_size`` the |v[i]|.
     """
 
     v: np.ndarray
@@ -251,14 +241,18 @@ class CanonicalForms(NamedTuple):
     p: np.ndarray
     size: np.ndarray
     v_size: np.ndarray
-    exp: int
+    exp: np.ndarray  # (K,)
+
+    def common(self, x: np.ndarray) -> np.ndarray:
+        """Rows of ``x`` (one per vector) restated from their own units in the unit of the largest row."""
+        return np.ldexp(x.T, self.exp - self.exp.max()).T
 
 
 def _canonical(design: np.ndarray, vectors: np.ndarray) -> CanonicalForms:
     """Canonical forms of the rows of ``vectors`` (K, rows of ``design``)."""
-    exp = int(np.frexp(np.abs(vectors).max(initial=0.0))[1])
+    exp = np.frexp(np.abs(vectors).max(axis=1, initial=0.0))[1]
     q, rr = np.linalg.qr(design)
-    v = np.ldexp(vectors, -exp).T
+    v = np.ldexp(vectors, -exp[:, None]).T
     shaped = q.T @ v
     c = v - q @ shaped
     size, v_size = np.linalg.norm(c, axis=0), np.linalg.norm(v, axis=0)
@@ -277,13 +271,14 @@ def decompose_ord(forms: CanonicalForms) -> Decomposition | None:
 
     Accepted iff the normalised forms lie within DIST_TOL of each other (the
     STARC distance of Skalse et al., arXiv 2309.15257); both zero means J is
-    constant for both rewards. c = |c2| / |c1|, or 1 when both forms are zero.
+    constant for both rewards. c = |c2| / |c1| in true units, or 1 when both are zero.
     """
     residual = float(np.linalg.norm(forms.u[0] - forms.u[1]))
     if residual > DIST_TOL:
         return None
-    c = float(forms.size[1] / forms.size[0]) if forms.u[0].any() else 1.0
-    phi = np.ldexp(forms.p[1] - c * forms.p[0], forms.exp)
+    e1, e2 = forms.exp
+    c = float(np.ldexp(forms.size[1] / forms.size[0], e2 - e1)) if forms.u[0].any() else 1.0
+    phi = np.ldexp(forms.p[1], e2) - c * np.ldexp(forms.p[0], e1)
     return Decomposition(c=c, phi=PotentialFn(phi), residual=residual)
 
 
@@ -291,10 +286,9 @@ def j_scale(forms: CanonicalForms, mdp: Mdp) -> float:
     """The larger bound on (1 - gamma)*|J| of the two rewards: |c[i]| + (1 - gamma)*|mu0 . p[i]|.
 
     J_i(pi) = <d_pi, c[i]> - mu0 . p[i], and (1 - gamma)*d_pi sums to one.
-    Shaping with mu0-mean zero leaves this scale unchanged.
+    Shaping with mu0-mean zero leaves this scale unchanged; it is in ``forms.common``'s unit.
     """
-    offsets = (1.0 - mdp.discount) * np.abs(forms.p @ mdp.initial)
-    return float((forms.size + offsets).max())
+    return float(forms.common(forms.size + (1.0 - mdp.discount) * np.abs(forms.p @ mdp.initial)).max())
 
 
 def decompose_j(forms: CanonicalForms, mdp: Mdp) -> Decomposition | None:
@@ -306,13 +300,15 @@ def decompose_j(forms: CanonicalForms, mdp: Mdp) -> Decomposition | None:
     (within ROUNDOFF_RTOL of the larger reward vector); accepted iff it is at
     most DIST_TOL.
     """
-    phi = forms.p[1] - forms.p[0]
+    c, p = forms.common(forms.c), forms.common(forms.p)
+    phi = p[1] - p[0]
     shift = (1.0 - mdp.discount) * abs(float(mdp.initial @ phi))
-    misfit = max(float(np.linalg.norm(forms.c[1] - forms.c[0])), shift)
-    residual = 0.0 if misfit <= ROUNDOFF_RTOL * forms.v_size.max() else misfit / j_scale(forms, mdp)
+    misfit = max(float(np.linalg.norm(c[1] - c[0])), shift)
+    roundoff = ROUNDOFF_RTOL * forms.common(forms.v_size).max()
+    residual = 0.0 if misfit <= roundoff else misfit / j_scale(forms, mdp)
     if residual > DIST_TOL:
         return None
-    phi = np.ldexp(phi, forms.exp)
+    phi = np.ldexp(phi, forms.exp.max())
     zero_initial = PotentialFn(phi).check_zero_initial(mdp.initial)
     return Decomposition(c=1.0, phi=PotentialFn(phi, zero_initial), residual=residual)
 

@@ -275,6 +275,27 @@ class TestMalformedDocuments:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
+        "args",
+        [["solve"], ["equiv", "--relation", "opt"], ["equiv", "--relation", "jeq"],
+         ["equiv", "--relation", "ord", "--format", "json"]],
+        ids=["solve", "opt", "jeq-text", "ord-json"],
+    )
+    def test_values_beyond_float64_exit_2_with_one_line(self, runner, tmp_path, args):
+        """At gamma = 0.99, rewards of size 1e308 have values and J beyond float64's range."""
+        mdp = _write(tmp_path, "mdp.json", {
+            "n_states": 2, "n_actions": 2, "gamma": 0.99, "mu0": [0.5, 0.5],
+            "transition": [[[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4], [0.3, 0.7]]]})
+        values = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        huge = _write(tmp_path, "huge.json", {"domain": "sa", "values": values.tolist()})
+        negated = _write(tmp_path, "negated.json", {"domain": "sa", "values": (-values).tolist()})
+        paths = [mdp, huge] if args[0] == "solve" else [mdp, huge, negated]
+        result = runner.invoke(main, [args[0], *paths, *args[1:]])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+        assert "inf" not in result.output.lower()
+
+    @pytest.mark.parametrize(
         "command, text",
         [
             ("equiv", '{"domain": "sa", "val'),

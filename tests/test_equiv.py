@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,14 @@ from rewardlab import (
     sample_potential_shaping,
     sample_s_redistribution,
 )
+from rewardlab import documents
 from rewardlab.documents import load_transfer_pair
 from rewardlab.errors import CapacityError, InternalConsistencyError, StructuralError
 from rewardlab.lab import ExperimentConfig, _child_seeds, _draw_env, random_mdp, random_reward
-from rewardlab.solve import vertex_j
+from rewardlab.solve import IMPROVE_RTOL, TIE_TOL, optimal_values, vertex_j
 
 import oracles
+from test_solve import TIED_CASES, _tied_instance
 
 
 def j_table(r, mdp):
@@ -73,6 +77,31 @@ class TestOptEquivalent:
                 for k in range(len(rewards)):
                     if verdicts[i, j] and verdicts[j, k]:
                         assert verdicts[i, k]
+
+
+    @pytest.mark.parametrize("n_states, n_actions, scale", TIED_CASES)
+    def test_witness_is_first_differing_state_on_ties(self, n_states, n_actions, scale):
+        """Raising the last (copied) action's reward in the second half breaks its ties there."""
+        mdp, r1 = _tied_instance(n_states, n_actions, scale, seed=n_states + n_actions)
+        values = r1.values.copy()
+        values[n_states // 2:, -1] += 1e-3 * np.abs(values).max()
+        r2 = RewardTable(values)
+
+        def per_state_sets(r):
+            a_star = (bundle := optimal_values(mdp, r)).a_star
+            tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(bundle.q_star).max()))
+            assert np.array_equal(bundle.opt_sets.mask, a_star >= -tie)
+            return [frozenset(np.flatnonzero(a_star[s] >= -tie).tolist()) for s in range(n_states)]
+
+        sets1, sets2 = per_state_sets(r1), per_state_sets(r2)
+        first = next(s for s in range(n_states) if sets1[s] != sets2[s])
+        verdict = opt_equivalent(r1, r2, mdp)
+        assert not verdict.equivalent
+        assert verdict.witness == {"state": first, "opt1": sorted(sets1[first]), "opt2": sorted(sets2[first])}
+        assert type(verdict.witness["state"]) is int
+        doc = json.loads(documents.dumps(documents.verdict_to_doc(verdict)))
+        assert doc["witness"] == verdict.witness
+        assert opt_equivalent(r1, RewardTable(2.0 * r1.values), mdp).witness is None
 
 
 class TestOrdEquivalent:

@@ -22,7 +22,7 @@ from rewardlab import (
     validate_mdp,
     verify_claim,
 )
-from rewardlab import documents
+from rewardlab import documents, lab
 from rewardlab.errors import GenerationError, StructuralError, UnknownClaimError
 from rewardlab.mdp import DEFAULT_ENUM_CAP
 from rewardlab.lab import (
@@ -77,16 +77,12 @@ class TestGenerators:
             assert a.domain == domain
             assert np.array_equal(a.values, b.values)
 
-    def test_random_reward_j_floor(self):
-        mdp = random_mdp(3, 2, 0.8, seed=6)
-        r = random_reward(mdp, seed=7, j_floor=1e-2)
-        js = oracles.brute_force_j_table(mdp, r)
-        assert max(abs(j) for j in js) >= 1e-2
-
-    def test_generation_error_when_impossible(self):
+    def test_generation_error_when_impossible(self, monkeypatch):
         mdp = random_mdp(2, 2, 0.8, seed=1)
-        with pytest.raises(GenerationError):  # |J| <= BOUNDS / (1 - gamma) = 5 < 10
-            random_reward(mdp, seed=1, j_floor=10.0)
+        # A gap is at most 2 * BOUNDS / (1 - gamma) = 10 in BOUNDS, far below the floor.
+        monkeypatch.setattr(lab, "GAP_FLOOR", 1e3)
+        with pytest.raises(GenerationError, match="gap floor"):
+            random_reward(mdp, seed=1)
 
     def test_random_policy_full_support(self):
         pi = random_policy(4, 3, seed=9)
@@ -403,5 +399,5 @@ class TestOracleOptSets:
             r_neg = RewardTable(-r.values)
             # stacked rewards are solved side by side
             for reward, opt in zip((r, r_neg), oracle_opt_sets(mdp, r, r_neg)):
-                assert opt == tuple(optimal_values(mdp, reward).opt_sets)
-                assert opt == oracles.brute_force_opt_sets(mdp, reward)
+                assert opt == optimal_values(mdp, reward).opt_sets
+                assert tuple(opt) == oracles.brute_force_opt_sets(mdp, reward)

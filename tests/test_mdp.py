@@ -13,7 +13,7 @@ from rewardlab import (
     validate_mdp,
 )
 from rewardlab.errors import CapacityError, StructuralError
-from rewardlab.mdp import ActionSetPolicy, enumerate_action_tuples, mask_sets
+from rewardlab.mdp import ActionSetPolicy, enumerate_action_tuples
 
 from conftest import make_chain
 
@@ -159,24 +159,40 @@ class TestPolicies:
         assert not StochasticPolicy(np.array([[1.0, 0.0]])).full_support
 
     def test_action_sets_must_be_nonempty(self):
-        with pytest.raises(StructuralError):
-            ActionSetPolicy((frozenset({0}), frozenset()))
-        with pytest.raises(StructuralError):
-            ActionSetPolicy(mask_sets(np.array([[True, False], [False, False]])))
+        with pytest.raises(StructuralError, match="empty"):
+            ActionSetPolicy(np.array([[True, False], [False, False]]))
+        with pytest.raises(StructuralError, match="empty"):
+            ActionSetPolicy(np.zeros((2, 0), dtype=bool))
+        for not_2d in (np.array([True, False]), np.ones((2, 2, 2), dtype=bool), True):
+            with pytest.raises(StructuralError, match="shape"):
+                ActionSetPolicy(not_2d)
 
     def test_action_sets_normalise_numpy_integers(self):
-        policy = ActionSetPolicy((np.array([1, 0], dtype=np.int64), [np.int32(2)], (np.uint8(0), 0)))
-        assert policy.sets == (frozenset({0, 1}), frozenset({2}), frozenset({0}))
-        assert all(type(a) is int for s in policy for a in s)
+        policy = ActionSetPolicy(np.array([[1, 1, 0], [0, 0, 3], [1, 0, 0]], dtype=np.int64))
+        assert policy.mask.dtype == bool and not policy.mask.flags.writeable
+        assert tuple(policy) == (frozenset({0, 1}), frozenset({2}), frozenset({0}))
+        assert all(type(s) is frozenset and all(type(a) is int for a in s) for s in policy)
+
+    def test_action_sets_compare_by_mask(self):
+        policy = ActionSetPolicy([[True, False], [True, True]])
+        assert tuple(policy) == ({0}, {0, 1})
+        assert policy == ActionSetPolicy(np.array([[1, 0], [1, 1]]))
+        assert not policy != ActionSetPolicy(np.array([[1, 0], [1, 1]]))
+        assert policy != ActionSetPolicy([[True, False], [False, True]])
+        assert policy != ActionSetPolicy([[True, False]])
+        assert policy != (frozenset({0}), frozenset({0, 1}))
 
 
 @pytest.mark.parametrize("n_actions", [1, 2, 8, 9, 70])
 def test_mask_sets_match_per_row_reference(n_actions):
+    """The mask round-trips unchanged, and policy[s] is row s's columns as a frozenset of ints."""
     rng = np.random.default_rng(n_actions)
     member = rng.random((200, n_actions)) < rng.uniform(0.0, 1.0, size=(200, 1))
-    sets = mask_sets(member)
-    assert sets == tuple(frozenset(np.flatnonzero(row).tolist()) for row in member)
-    assert all(type(a) is int for s in sets for a in s)
+    member[np.arange(200), rng.integers(0, n_actions, size=200)] = True  # no empty row
+    policy = ActionSetPolicy(member)
+    assert np.array_equal(policy.mask, member) and len(policy) == 200
+    assert tuple(policy) == tuple(frozenset(np.flatnonzero(row).tolist()) for row in member)
+    assert all(type(policy[s]) is frozenset and all(type(a) is int for a in policy[s]) for s in range(200))
 
 
 @settings(max_examples=25, deadline=None)

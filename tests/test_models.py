@@ -142,10 +142,10 @@ class TestFVariant:
 
     def test_certificate_names_first_mismatching_state(self):
         probs = np.array([[0.6, 0.4], [0.5, 0.5], [0.3, 0.7], [0.1, 0.9]])
-        opt_sets = ActionSetPolicy(({0}, {0}, {0}, {1}))
+        opt_sets = ActionSetPolicy([[True, False], [True, False], [True, False], [False, True]])
         with pytest.raises(CertificationError, match=r"state 1 is \[0, 1\], expected \[0\]"):
             _certify_argmax(probs, opt_sets)
-        _certify_argmax(probs, ActionSetPolicy(({0}, {0, 1}, {1}, {1})))
+        _certify_argmax(probs, ActionSetPolicy([[True, False], [True, True], [False, True], [False, True]]))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):

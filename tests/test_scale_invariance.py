@@ -78,8 +78,8 @@ class TestReproductions:
     def test_tiny_reward_oracle_keeps_optimal_sets(self, env):
         mdp, r = env
         tiny = scaled(r, 1e-10)
-        expected = tuple(optimal_values(mdp, tiny).opt_sets)
-        assert expected == ({0}, {0}, {0})
+        expected = optimal_values(mdp, tiny).opt_sets
+        assert tuple(expected) == ({0}, {0}, {0})
         assert oracle_opt_sets(mdp, tiny) == [expected]
 
     def test_gap_floor_scales_with_bounds(self, env, monkeypatch):
@@ -93,7 +93,10 @@ class TestReproductions:
     "n_states, n_actions, gamma, seed", [(3, 2, 0.9, 0), (4, 3, 0.5, 1), (2, 2, 0.99, 2)]
 )
 def test_verdicts_across_the_float64_range(n_states, n_actions, gamma, seed):
-    """r against -r and against 2r at every scale 2^k whose values stay finite: the unit-scale verdicts."""
+    """r against -r and against 2r at every scale 2^k whose values stay finite: the unit-scale verdicts.
+
+    Then r at 2^k1 against r at 2^k2 for exponents drawn independently.
+    """
     mdp = random_mdp(n_states, n_actions, gamma, seed)
     r = random_reward(mdp, seed=seed + 1)
     top = 1024 - np.log2(2.0 * np.abs(r.values).max() / (1.0 - gamma))  # 2r's |v| bound overflows at 2^top
@@ -108,6 +111,17 @@ def test_verdicts_across_the_float64_range(n_states, n_actions, gamma, seed):
         witness = j_equal(scaled(r, c), scaled(r, 2 * c), mdp).witness
         assert witness is not None and np.isfinite(witness["j1"] + witness["j2"]).all(), k
         np.testing.assert_allclose(witness["j2"], 2 * np.array(witness["j1"]), rtol=1e-9)
+
+    # Independent exponents: the two rewards differ in size by up to 2^1000.
+    rng = np.random.default_rng(seed)
+    pairs = [(500, -500), (600, -450), (300, -300), (-1000, 0), *rng.integers(-1000, 1001, size=(80, 2))]
+    for k1, k2 in pairs:
+        if max(k1, k2) >= top or abs(k2 - k1) > 1000:
+            continue
+        r1, r2 = scaled(r, 2.0**k1), scaled(r, 2.0**k2)
+        verdict = ord_equivalent(r1, r2, mdp)
+        assert verdict.equivalent and verdict.certificate.c == 2.0 ** (k2 - k1), (k1, k2)
+        assert not ord_equivalent(r1, scaled(r2, -1.0), mdp).equivalent, (k1, k2)
 
 
 @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e3, 1e6, 1e9])

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -223,7 +224,8 @@ class TestOptimalValues:
         a_star = bundle.a_star
         tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(bundle.q_star).max()))
         expected = tuple(frozenset(np.flatnonzero(a_star[s] >= -tie).tolist()) for s in range(n_states))
-        assert bundle.opt_sets.sets == expected
+        assert tuple(bundle.opt_sets) == expected
+        assert np.array_equal(bundle.opt_sets.mask, a_star >= -tie)
         assert max(len(s) for s in expected) > 1
         assert all(type(a) is int for s in bundle.opt_sets for a in s)
 
@@ -275,6 +277,22 @@ def test_bad_budget_rejected_before_any_work(solver, budget, chain, chain_reward
     monkeypatch.setattr(solve, "reward_vector", no_work)
     with pytest.raises(ValueError, match="tol"):
         solver(chain, chain_reward, **budget)
+
+
+@pytest.mark.parametrize("solver", [
+    optimal_values,
+    partial(soft_optimal_values, alpha=0.5),
+    partial(policy_evaluate, pi=StochasticPolicy(np.full((2, 2), 0.5))),
+], ids=["optimal", "soft", "evaluate"])
+def test_values_beyond_float64_raise_structural_error(solver):
+    """max|rv| / (1 - gamma) = 1e310 overflows, so no solve may start."""
+    mdp = Mdp(np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4], [0.3, 0.7]]]), np.array([0.5, 0.5]), 0.99)
+    r = RewardTable.from_sa(np.array([[1e308, -1e308], [-1e308, 1e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match="overflow float64"):
+            solver(mdp, r)
+        solver(mdp, RewardTable(r.values * 1e-3))  # 1e307 / (1 - gamma) stays finite
 
 
 class TestSoftOptimalValues:
@@ -428,9 +446,17 @@ class TestOccupancy:
     def test_uniform_flow_solves_the_uniform_policy_visitation(self, n_actions):
         for seed in range(5):
             mdp = random_mdp(6, n_actions, 0.9, seed=seed)
-            w = np.linalg.solve(solve.uniform_flow(mdp), mdp.initial)
+            w = np.linalg.solve(np.eye(6) - 0.9 * mdp.transition.mean(axis=1).T, mdp.initial)
             d = occupancy(mdp, StochasticPolicy(np.full((6, n_actions), 1.0 / n_actions))).d
             np.testing.assert_allclose(np.repeat(w[:, None] / n_actions, n_actions, axis=1), d, rtol=1e-12)
+
+    def test_flow_solve_residual_is_checked(self, monkeypatch):
+        mdp, pi = random_mdp(4, 2, 0.9, seed=0), random_policy(4, 2, seed=2)
+        occupancy(mdp, pi)
+        exact = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: exact(a, b) * (1.0 + 1e-6))
+        with pytest.raises(ConvergenceError, match="residual"):
+            occupancy(mdp, pi)
 
 
 def _constant_column(mdp, state, mass=0.3):

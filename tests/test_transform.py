@@ -153,6 +153,12 @@ class TestRedistributionSampler:
             out = apply(sample_s_redistribution(mdp, r, 2.0, seed=seed), r, mdp)
             gap = np.abs(reward_vector(out, mdp) - reward_vector(r, mdp)).max()
             assert gap <= 1e-12
+            # On full-support rows the sampler is the per-row loop, bit for bit.
+            rng, expected = np.random.default_rng(seed), r.values.copy()
+            for s, a in np.ndindex(4, 3):
+                p, u = mdp.transition[s, a], rng.uniform(-2.0, 2.0, size=4)
+                expected[s, a] += u - (p @ u) / p.sum()
+            assert np.array_equal(out.values, expected)
 
 
 class TestOptimalityPreserving:
