@@ -7,7 +7,9 @@ ROUNDOFF_RTOL * max|x|, so they carry no iteration error. The optima come
 from policy iteration on that solve: Howard's algorithm for the hard Bellman
 equation (its T^pi is a row gather; the optimal-action sets are one tie mask
 of a*), and soft policy iteration (Newton's method on v =
-alpha*logsumexp(q/alpha)) for the soft one. ``tol`` bounds the Bellman
+alpha*logsumexp(q/alpha)) for the soft one. Both start after WARM_SWEEPS
+(soft) Bellman sweeps from v = 0 (modified policy iteration, Puterman & Shin
+1978), whose greedy policy is often optimal already. ``tol`` bounds the Bellman
 residual in units of the largest possible |v|, (max|rv| + alpha*log A) /
 (1 - gamma) (alpha = 0 for the hard one), so no result depends on the
 reward's unit; a reward whose value scale overflows float64 raises
@@ -37,6 +39,7 @@ from .mdp import (
 
 DEFAULT_TOL = 1e-10       # Bellman residual the optimisers must reach, relative to the value scale
 MAX_ITER = 1000           # policy-iteration steps (evaluate, then improve)
+WARM_SWEEPS = 3           # Bellman sweeps before the first step; each costs S^2*A against ~S^3 for a solve
 ROUNDOFF_RTOL = 1e-10     # a difference within this fraction of the magnitudes compared is round-off
 IMPROVE_RTOL = 1e-12      # strict-improvement margin of Howard's switch, relative to max|v|
 TIE_TOL = 1e-8            # membership tolerance for optimal-action sets, relative to the largest |a*|
@@ -146,7 +149,7 @@ def _check_tol(tol: float) -> None:
 
 
 def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> OptimalBundle:
-    """Howard policy iteration from the greedy policy on r, with tie-tolerant argmax sets.
+    """Howard policy iteration from the greedy policy after WARM_SWEEPS sweeps, with tie-tolerant argmax sets.
 
     A state switches action only on a strict improvement, so the iteration
     cannot cycle; it stops when no state improves. Raises ConvergenceError if
@@ -157,8 +160,10 @@ def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> Optima
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
     bound = tol * _value_scale(mdp, rsa)
-    states, eye = np.arange(mdp.n_states), np.eye(mdp.n_states)
-    act = rsa.argmax(axis=1)
+    states, eye, q = np.arange(mdp.n_states), np.eye(mdp.n_states), rsa  # q = rv + gamma*tau v at v = 0
+    for _ in range(WARM_SWEEPS):
+        q = rsa + gamma * (mdp.transition @ q.max(axis=1))
+    act = q.argmax(axis=1)
     for _ in range(MAX_ITER):
         v = _solve_flow(eye - gamma * mdp.transition[states, act], rsa[states, act])
         q_star = rsa + gamma * (mdp.transition @ v)
@@ -184,7 +189,7 @@ def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> Optima
 
 
 def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float, tol: float = DEFAULT_TOL) -> SoftBundle:
-    """Soft policy iteration for v(s) = alpha*log sum_a exp(q(s,a)/alpha).
+    """Soft policy iteration for v(s) = alpha*log sum_a exp(q(s,a)/alpha), after WARM_SWEEPS soft sweeps.
 
     Each step evaluates pi = softmax(q/alpha) exactly, with the entropy bonus
     -alpha*log pi in the reward; this is Newton's method on the soft Bellman
@@ -198,10 +203,12 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float, tol: float = DEF
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
     bound = tol * _value_scale(mdp, rsa, alpha * np.log(mdp.n_actions))
-    eye = np.eye(mdp.n_states)
-    v = np.zeros(mdp.n_states)
-    for _ in range(MAX_ITER):
+    eye, q_soft = np.eye(mdp.n_states), rsa  # q_soft = rv + gamma*tau v at v = 0
+    for _ in range(WARM_SWEEPS):
+        m = q_soft.max(axis=1)
+        v = m + alpha * np.log(np.exp((q_soft - m[:, None]) / alpha).sum(axis=1))
         q_soft = rsa + gamma * (mdp.transition @ v)
+    for _ in range(MAX_ITER):
         m = q_soft.max(axis=1)
         z = (q_soft - m[:, None]) / alpha
         log_norm = np.log(np.exp(z).sum(axis=1))
@@ -212,6 +219,7 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float, tol: float = DEF
         log_pi = z - log_norm[:, None]
         pi = np.exp(log_pi)
         v = _solve_flow(eye - gamma * _policy_transition(mdp, pi), (pi * (rsa - alpha * log_pi)).sum(axis=1))
+        q_soft = rsa + gamma * (mdp.transition @ v)
     else:
         raise ConvergenceError(
             f"soft policy iteration did not reach residual {bound:.3e} (tol={tol}) within {MAX_ITER} steps",

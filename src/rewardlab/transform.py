@@ -272,13 +272,17 @@ def decompose_ord(forms: CanonicalForms) -> Decomposition | None:
     Accepted iff the normalised forms lie within DIST_TOL of each other (the
     STARC distance of Skalse et al., arXiv 2309.15257); both zero means J is
     constant for both rewards. c = |c2| / |c1| in true units, or 1 when both are zero.
+    Raises StructuralError when c or phi is outside float64 (c = 0 or inf, phi not finite).
     """
     residual = float(np.linalg.norm(forms.u[0] - forms.u[1]))
     if residual > DIST_TOL:
         return None
     e1, e2 = forms.exp
-    c = float(np.ldexp(forms.size[1] / forms.size[0], e2 - e1)) if forms.u[0].any() else 1.0
-    phi = np.ldexp(forms.p[1], e2) - c * np.ldexp(forms.p[0], e1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        c = float(np.ldexp(forms.size[1] / forms.size[0], e2 - e1)) if forms.u[0].any() else 1.0
+        phi = np.ldexp(forms.p[1], e2) - c * np.ldexp(forms.p[0], e1)
+    if not (0.0 < c < np.inf and np.isfinite(phi).all()):
+        raise StructuralError(f"ord certificate outside float64: the rewards differ in size by ~2^{e2 - e1}")
     return Decomposition(c=c, phi=PotentialFn(phi), residual=residual)
 
 

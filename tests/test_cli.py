@@ -141,6 +141,16 @@ class TestEquiv:
         assert result.exit_code == 0
         assert "c=2" in result.output
 
+    @pytest.mark.parametrize("k1, k2", [(-1000, 1000), (1000, -1000)])
+    def test_ord_certificate_outside_float64_exits_2(self, runner, tmp_path, chain_reward, chain_docs, k1, k2):
+        mdp_path = str(chain_docs[0])
+        r1, r2 = (_write(tmp_path, f"r{i}.json", documents.reward_to_doc(RewardTable(2.0**k * chain_reward.values)))
+                  for i, k in enumerate((k1, k2)))
+        result = runner.invoke(main, ["equiv", mdp_path, r1, r2, "--relation", "ord"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+
     def test_negated_pair_exits_1_with_witness(self, runner, tmp_path, chain_reward, chain_docs):
         mdp_path, reward_path = chain_docs
         neg = _write(tmp_path, "neg.json", documents.reward_to_doc(RewardTable(-chain_reward.values)))

@@ -8,6 +8,8 @@ RuntimeWarning into an error (see pyproject.toml), so no overflow or
 underflow along the way goes unseen.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from rewardlab import (
     sample_s_redistribution,
 )
 from rewardlab import lab
+from rewardlab.errors import StructuralError
 from rewardlab.lab import oracle_opt_sets, random_mdp, random_reward
 
 import oracles
@@ -122,6 +125,17 @@ def test_verdicts_across_the_float64_range(n_states, n_actions, gamma, seed):
         verdict = ord_equivalent(r1, r2, mdp)
         assert verdict.equivalent and verdict.certificate.c == 2.0 ** (k2 - k1), (k1, k2)
         assert not ord_equivalent(r1, scaled(r2, -1.0), mdp).equivalent, (k1, k2)
+
+
+@pytest.mark.parametrize("k1, k2", [(-1000, 1000), (1000, -1000)], ids=["c-overflows", "c-underflows"])
+def test_ord_certificate_outside_float64_raises(k1, k2):
+    """Sizes 2^2000 apart: c = 2^(k2 - k1) is no positive finite float64, so no certificate is returned."""
+    mdp = random_mdp(3, 2, 0.9, 0)
+    r = random_reward(mdp, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StructuralError, match="outside float64"):
+            ord_equivalent(scaled(r, 2.0**k1), scaled(r, 2.0**k2), mdp)
 
 
 @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e3, 1e6, 1e9])

@@ -44,6 +44,21 @@ def _detour_instance():
     return mdp, RewardTable.from_sa(np.array([[1.0, 0.0], [2.0, 2.0]]))
 
 
+def _deep_detour_instance():
+    """s0: a0 earns 1 and stays, a1 enters the zero-reward chain s1 -> ... -> s5, and s5 pays 2 forever.
+
+    At gamma = 0.95, a1 at s0 is worth 40 * 0.95^5 = 30.95 against a0's 20. The
+    detour is five zero-reward steps deep, deeper than solve.WARM_SWEEPS sweeps
+    from v = 0 can see, so Howard starts from a0 at s0 and needs a second step.
+    """
+    tau = np.zeros((6, 2, 6))
+    tau[np.arange(6), :, [1, 2, 3, 4, 5, 5]] = 1.0
+    tau[0, 0] = np.eye(6)[0]
+    r = np.zeros((6, 2))
+    r[0, 0], r[5] = 1.0, 2.0
+    return Mdp(tau, np.eye(6)[0], 0.95), RewardTable.from_sa(r)
+
+
 def _oracle_instances(count, seed=2024):
     """Seeded (mdp, r, alpha): S 2-6, A 2-4, gamma 0.5-0.99, alpha log-uniform in [1e-3, 10]."""
     rng = np.random.default_rng(seed)
@@ -206,15 +221,15 @@ class TestOptimalValues:
             assert tuple(optimal_values(mdp, r).opt_sets) == oracles.brute_force_opt_sets(mdp, r)
 
     def test_exhausted_cap_reports_nonconvergence(self, monkeypatch):
-        mdp, r = _detour_instance()
+        mdp, r = _deep_detour_instance()
         monkeypatch.setattr(solve, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
             optimal_values(mdp, r)
         assert err.value.residual is not None
         monkeypatch.setattr(solve, "MAX_ITER", 2)
         bundle = optimal_values(mdp, r)
-        assert tuple(bundle.opt_sets) == ({1}, {0, 1})
-        np.testing.assert_allclose(bundle.v_star, [18.0, 20.0], atol=1e-12)
+        assert tuple(bundle.opt_sets) == ({1},) + ({0, 1},) * 5
+        np.testing.assert_allclose(bundle.v_star, 40.0 * 0.95 ** np.arange(5, -1, -1), atol=1e-12)
 
 
     @pytest.mark.parametrize("n_states, n_actions, scale", TIED_CASES)
@@ -279,6 +294,27 @@ def test_bad_budget_rejected_before_any_work(solver, budget, chain, chain_reward
         solver(chain, chain_reward, **budget)
 
 
+@pytest.mark.parametrize("solver", [optimal_values, partial(soft_optimal_values, alpha=0.5)],
+                         ids=["optimal", "soft"])
+def test_warm_start_needs_one_flow_solve(solver, monkeypatch):
+    """The Bellman sweeps before policy iteration leave the optimal policy on this dense MDP.
+
+    Starting from v = 0 (greedy on r for Howard), each solver needs two flow solves here.
+    """
+    mdp = random_mdp(60, 4, 0.98, seed=0)
+    r = random_reward(mdp, seed=0)
+    calls = []
+    checked_solve = solve._solve_flow
+
+    def counted_solve(flow, b):
+        calls.append(len(b))
+        return checked_solve(flow, b)
+
+    monkeypatch.setattr(solve, "_solve_flow", counted_solve)
+    solver(mdp, r)
+    assert calls == [60]
+
+
 @pytest.mark.parametrize("solver", [
     optimal_values,
     partial(soft_optimal_values, alpha=0.5),
@@ -337,7 +373,7 @@ class TestSoftOptimalValues:
 
 
     def test_exhausted_cap_reports_nonconvergence(self, monkeypatch):
-        mdp, r = _detour_instance()
+        mdp, r = _deep_detour_instance()
         monkeypatch.setattr(solve, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
             soft_optimal_values(mdp, r, alpha=0.5)
