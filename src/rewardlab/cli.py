@@ -59,10 +59,6 @@ def _emit(doc, fmt: str, out, text_renderer) -> None:
         click.echo(payload, nl=False)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _solve_text(doc) -> str:
     lines = ["optimal values"]
     lines.append(f"  v_star: {doc['v_star']}")
@@ -176,45 +172,20 @@ def transform(mdp_path, reward_path, spec_path, out):
 
 @main.command()
 @click.option("--claim", default=None, help="claim id, or 'all' for the whole registry")
-@click.option("--seed", type=int, default=None, help="required here or in the config file")
-@click.option("--trials", type=int, default=None, help="override the claim's default trial count")
-@click.option("--gamma1", type=float, default=None, help="with --gamma2, the discount pair LEM-GAMMA tests")
-@click.option("--gamma2", type=float, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON file with the same keys; explicit flags override it")
+@click.option("--seed", type=int, default=None, help="non-negative; required")
+@click.option("--trials", type=int, default=0, help="override the claim's default trial count (0 keeps it)")
 @click.option("--out", type=click.Path(), default=None)
-def lab(claim, seed, trials, gamma1, gamma2, config_path, out):
+def lab(claim, seed, trials, out):
     """Run registered theorem checks; exit 0 iff everything passes."""
-    file_cfg = documents.load_json(config_path) if config_path else {}
-    if not isinstance(file_cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    claim = claim if claim is not None else file_cfg.get("claim")
-    seed = seed if seed is not None else file_cfg.get("seed")
-    trials = trials if trials is not None else file_cfg.get("trials")
-    gamma1 = gamma1 if gamma1 is not None else file_cfg.get("gamma1")
-    gamma2 = gamma2 if gamma2 is not None else file_cfg.get("gamma2")
-    params = file_cfg.get("params", {})
     if claim is None:
-        raise ValueError("--claim is required (flag or config file)")
+        raise ValueError("--claim is required")
     if seed is None:
         # No wall-clock seeding: randomized runs must be reproducible.
-        raise ValueError("--seed is required (flag or config file)")
-    if not _is_int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if trials is not None and not (_is_int(trials) and trials > 0):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if (gamma1 is None) != (gamma2 is None):
-        raise ValueError("gamma1 and gamma2 must be given together")
-    if not isinstance(params, dict):
-        raise ValueError(f"params must be a JSON object, got {params!r}")
-    trials = trials or 0
-    params = dict(params)
-    if gamma1 is not None:
-        params["gamma_pairs"] = [[gamma1, gamma2]]
+        raise ValueError("--seed is required")
     if claim == "all":
-        reports = run_registry(seed=seed, trials=trials, params=params)
+        reports = run_registry(seed=seed, trials=trials)
     else:
-        reports = [verify_claim(ExperimentConfig(claim_id=claim, trials=trials, seed=seed, params=params))]
+        reports = [verify_claim(ExperimentConfig(claim_id=claim, trials=trials, seed=seed))]
     doc = {
         "ok": all(rep.ok for rep in reports),
         "claims": {rep.claim_id: rep.to_doc() for rep in reports},

@@ -61,7 +61,7 @@ def mdp_from_doc(doc: dict) -> Mdp:
             transition=np.array(doc["transition"], dtype=float),
             initial=np.array(doc["mu0"], dtype=float),
             discount=float(doc["gamma"]),
-            labels=tuple(doc["labels"]) if "labels" in doc else None,
+            labels=doc.get("labels"),
         )
         declared = int(doc["n_states"]), int(doc["n_actions"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -172,10 +172,6 @@ def _load(path, from_doc):
             return from_doc(json.load(fh))
     except (UnicodeDecodeError, json.JSONDecodeError, StructuralError) as exc:
         raise StructuralError(f"{path}: {exc}") from exc
-
-
-def load_json(path) -> dict:
-    return _load(path, lambda doc: doc)
 
 
 def load_mdp(path) -> Mdp:

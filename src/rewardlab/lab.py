@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import documents
 from .equiv import j_equal, opt_equivalent, ord_equivalent
-from .errors import GenerationError, StructuralError, UnknownClaimError
+from .errors import GenerationError, UnknownClaimError
 from .mdp import (
     DEFAULT_ENUM_CAP,
     ActionSetPolicy,
@@ -78,6 +78,7 @@ REWARD_TRIES = 200     # rejection-sampling budget of random_reward
 STATES = (2, 5)        # inclusive range of n_states drawn per trial
 ACTIONS = (2, 3)       # inclusive range of n_actions drawn per trial
 BOUNDS = 1.0           # reward unit: size of generated rewards and potentials; model parameters follow it
+GAMMA_PAIRS = ((0.5, 0.9), (0.9, 0.95))  # (model, true) discounts LEM-GAMMA searches on every drawn MDP
 
 
 def _substream(seed: int, *path: int) -> np.random.Generator:
@@ -136,7 +137,12 @@ class ExperimentConfig:
     claim_id: str
     trials: int = 0  # 0 means "use the claim's default"
     seed: int = 0
-    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("seed", "trials"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass
@@ -284,47 +290,6 @@ def misspec_counterexample(mdp_model: Mdp, mdp_true: Mdp, seed: int) -> Countere
 # ---------------------------------------------------------------------------
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_discount(x) -> bool:
-    return _is_number(x) and 0.0 < x < 1.0
-
-
-def _is_positive(x) -> bool:
-    return _is_number(x) and x > 0
-
-
-def _is_gamma_pairs(x) -> bool:
-    return (
-        isinstance(x, (list, tuple))
-        and len(x) > 0
-        and all(isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_discount, p)) for p in x)
-    )
-
-
-# Every key a claim reads from ``params``, with the values it accepts.
-PARAM_TYPES = {
-    "gamma": ("a discount in (0, 1)", _is_discount),
-    "probe_budget": ("a non-negative integer", lambda x: _is_number(x) and isinstance(x, int) and x >= 0),
-    "beta1": ("a positive number", _is_positive),
-    "beta2": ("a positive number", _is_positive),
-    "gamma_pairs": ("a non-empty list of [gamma1, gamma2] discount pairs", _is_gamma_pairs),
-}
-
-
-def _check_params(params: dict, keys, reader: str) -> None:
-    """Raise StructuralError on a key outside ``keys`` or a value PARAM_TYPES rejects."""
-    for key, value in params.items():
-        if key not in keys:
-            accepted = ", ".join(sorted(keys)) or "none"
-            raise StructuralError(f"params key {key!r} is not read by {reader}; accepted: {accepted}")
-        what, accepts = PARAM_TYPES[key]
-        if not accepts(value):
-            raise StructuralError(f"params[{key!r}] must be {what}, got {value!r}")
-
-
 def _config_doc(config: ExperimentConfig, trials: int) -> dict:
     return {
         "claim_id": config.claim_id,
@@ -334,7 +299,6 @@ def _config_doc(config: ExperimentConfig, trials: int) -> dict:
         "actions": list(ACTIONS),
         "bounds": BOUNDS,
         "enum_cap": DEFAULT_ENUM_CAP,
-        "params": config.params,
     }
 
 
@@ -342,8 +306,7 @@ def _draw_env(config: ExperimentConfig, trial: int) -> Mdp:
     rng = _substream(config.seed, trial, 0)
     n = int(rng.integers(STATES[0], STATES[1] + 1))
     k = int(rng.integers(ACTIONS[0], ACTIONS[1] + 1))
-    gamma = config.params.get("gamma") or float(rng.uniform(0.4, 0.95))
-    return random_mdp(n, k, gamma, _child_seeds(config.seed, trial, 0, 1)[0])
+    return random_mdp(n, k, float(rng.uniform(0.4, 0.95)), _child_seeds(config.seed, trial, 0, 1)[0])
 
 
 def _loguniform(rng, lo: float, hi: float) -> float:
@@ -482,7 +445,7 @@ def _boltz_opt(config: ExperimentConfig, trial: int, searching: bool) -> dict:
 
     # Existential side: until a verified violation lands, the same pipeline
     # runs once per trial with the argmax-inverting g = softmax(-beta * Q*).
-    if searching and trial < int(config.params.get("probe_budget", 1000)):
+    if searching:
         def g_inverting(mdp, r2):
             return StochasticPolicy(_softmax_rows(-beta * optimal_values(mdp, r2).q_star))
 
@@ -503,13 +466,9 @@ def _boltz_opt(config: ExperimentConfig, trial: int, searching: bool) -> dict:
 
 def _bm_ord(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Temperature misspecification preserves the policy ordering."""
-    forced_b1 = config.params.get("beta1")
-    forced_b2 = config.params.get("beta2")
-    if forced_b1 is not None and forced_b1 == forced_b2:
-        return {"status": "skip", "note": "not misspecified"}
     rng = _substream(config.seed, trial, 30)
-    beta2 = forced_b2 if forced_b2 is not None else _loguniform(rng, 0.1, 10.0) / BOUNDS
-    beta1 = forced_b1 if forced_b1 is not None else _loguniform(rng, 0.1, 10.0) / BOUNDS
+    beta2 = _loguniform(rng, 0.1, 10.0) / BOUNDS
+    beta1 = _loguniform(rng, 0.1, 10.0) / BOUNDS
     while beta1 == beta2:
         beta1 = _loguniform(rng, 0.1, 10.0) / BOUNDS
     verdict = _robustness_trial(
@@ -577,30 +536,22 @@ def _opt_model(config: ExperimentConfig, trial: int, searching: bool) -> dict:
 
 def _lem_gamma(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Discount misspecification: counterexamples exist exactly when predicted."""
-    pairs = [tuple(p) for p in config.params.get("gamma_pairs", [(0.5, 0.9), (0.9, 0.95)])]
     mdp = _draw_env(config, trial)
     records = []
-    for pi_idx, (g1, g2) in enumerate(pairs):
+    for pi_idx, (g1, g2) in enumerate(GAMMA_PAIRS):
         seed = _child_seeds(config.seed, trial, 60 + pi_idx, 1)[0]
         rec = misspec_counterexample(mdp.with_discount(g1), mdp.with_discount(g2), seed)
-        if g1 == g2:
-            # The statement's exclusion clause: no counterexample may exist.
-            if rec is not None:
-                return {"status": "fail", "error": f"equal discounts {g1} produced a counterexample"}
-            continue
         if rec is None:
             return {"status": "fail", "error": f"no verified counterexample for {(g1, g2)}"}
         records.append(rec)
-    g1, g2 = pairs[0]
+    g1, g2 = GAMMA_PAIRS[0]
     trivial = mdp.with_transition(np.full_like(mdp.transition, 1.0 / mdp.n_states))
     if misspec_counterexample(trivial.with_discount(g1), trivial.with_discount(g2), config.seed) is not None:
         return {"status": "fail", "error": "trivial-transition control produced a counterexample"}
     if misspec_counterexample(mdp.with_discount(g1), mdp.with_discount(g1), config.seed) is not None:
         return {"status": "fail", "error": "equal-discount control produced a counterexample"}
-    outcome = {"status": "pass", "x_values": [r.params["x"] for r in records]}
-    if records:
-        outcome["counterexample"] = records[0].to_doc()
-    return outcome
+    x_values = [r.params["x"] for r in records]
+    return {"status": "pass", "x_values": x_values, "counterexample": records[0].to_doc()}
 
 
 def _lem_tau(config: ExperimentConfig, trial: int, searching: bool) -> dict:
@@ -735,55 +686,40 @@ def _ex_transfer(config: ExperimentConfig, trial: int, searching: bool) -> dict:
 
 
 # One row per claim, in report order: (trial function, default trials, the
-# params keys it reads, the witness message of an existential claim). "gamma"
-# fixes the discount of the drawn MDPs; LEM-GAMMA replaces that discount and
-# EX-TRANSFER draws its own.
+# witness message of an existential claim).
 _REGISTRY = {
-    "ORD-CHAR": (_ord_char, 200, ("gamma",), None),
-    "BOLTZ-OPT": (
-        _boltz_opt, 100, ("gamma", "probe_budget"), "no verified violation found within the probe budget"
-    ),
-    "BM-ORD": (_bm_ord, 100, ("gamma", "beta1", "beta2"), None),
-    "OPT-MODEL": (_opt_model, 200, ("gamma",), "no class-swap violation found"),
-    "MCE-ORD": (_mce_ord, 100, ("gamma",), None),
-    "LEM-GAMMA": (_lem_gamma, 20, ("gamma_pairs",), None),
-    "LEM-TAU": (_lem_tau, 20, ("gamma",), None),
-    "MDP-MISSPEC": (_mdp_misspec, 8, ("gamma",), None),
-    "OCC-INJ": (_occ_inj, 100, ("gamma",), None),
-    "J-AMB": (_j_amb, 100, ("gamma",), None),
-    "CONTROL": (_control, 200, ("gamma",), None),
-    "EX-SA-SHAPING": (_ex_sa_shaping, 100, ("gamma",), None),
-    "EX-TRANSFER": (_ex_transfer, 10, (), None),
+    "ORD-CHAR": (_ord_char, 200, None),
+    "BOLTZ-OPT": (_boltz_opt, 100, "no verified violation found"),
+    "BM-ORD": (_bm_ord, 100, None),
+    "OPT-MODEL": (_opt_model, 200, "no class-swap violation found"),
+    "MCE-ORD": (_mce_ord, 100, None),
+    "LEM-GAMMA": (_lem_gamma, 20, None),
+    "LEM-TAU": (_lem_tau, 20, None),
+    "MDP-MISSPEC": (_mdp_misspec, 8, None),
+    "OCC-INJ": (_occ_inj, 100, None),
+    "J-AMB": (_j_amb, 100, None),
+    "CONTROL": (_control, 200, None),
+    "EX-SA-SHAPING": (_ex_sa_shaping, 100, None),
+    "EX-TRANSFER": (_ex_transfer, 10, None),
 }
-DEFAULT_TRIALS = {cid: trials for cid, (_, trials, _, _) in _REGISTRY.items()}
-CLAIM_PARAMS = {cid: keys for cid, (_, _, keys, _) in _REGISTRY.items()}
-CLAIMS = {cid: partial(_run_trials, trial=t, witness=w) for cid, (t, _, _, w) in _REGISTRY.items()}
+DEFAULT_TRIALS = {cid: trials for cid, (_, trials, _) in _REGISTRY.items()}
+CLAIMS = {cid: partial(_run_trials, trial=t, witness=w) for cid, (t, _, w) in _REGISTRY.items()}
 CLAIM_ORDER = list(CLAIMS)
 
 
 def verify_claim(config: ExperimentConfig) -> TrialReport:
-    """Run one registered claim.
-
-    Unknown ids raise UnknownClaimError; a params key the claim does not read,
-    or an ill-typed value, raises StructuralError.
-    """
+    """Run one registered claim; an unknown id raises UnknownClaimError."""
     if config.claim_id not in CLAIMS:
         raise UnknownClaimError(
             f"unknown claim {config.claim_id!r}; registered: {', '.join(CLAIM_ORDER)}"
         )
-    _check_params(config.params, CLAIM_PARAMS[config.claim_id], config.claim_id)
     return CLAIMS[config.claim_id](config)
 
 
-def run_registry(seed: int, trials: int = 0, params: dict | None = None) -> list[TrialReport]:
-    """Run every registered claim at its default size with the given seed.
+def run_registry(seed: int, trials: int = 0) -> list[TrialReport]:
+    """Run every registered claim with the given seed, at its default size unless ``trials`` > 0.
 
-    Every claim sees the same ``params``; each key must be one that some
-    claim reads (see CLAIM_PARAMS), or StructuralError is raised.
+    A negative seed or trial count raises ValueError before any trial runs.
     """
-    params = dict(params or {})
-    _check_params(params, PARAM_TYPES, "any claim")
-    return [
-        CLAIMS[cid](ExperimentConfig(claim_id=cid, trials=trials, seed=seed, params=params))
-        for cid in CLAIM_ORDER
-    ]
+    configs = [ExperimentConfig(claim_id=cid, trials=trials, seed=seed) for cid in CLAIM_ORDER]
+    return [CLAIMS[c.claim_id](c) for c in configs]

@@ -60,7 +60,10 @@ class Mdp:
         object.__setattr__(self, "initial", mu0)
         object.__setattr__(self, "discount", float(self.discount))
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+            labels = tuple(self.labels) if isinstance(self.labels, (list, tuple)) else ()
+            if len(labels) != tau.shape[0] or not all(isinstance(x, str) for x in labels):
+                raise StructuralError(f"labels must be one string per state, got {self.labels!r}")
+            object.__setattr__(self, "labels", labels)
 
     @property
     def n_states(self) -> int:
@@ -156,7 +159,7 @@ class StochasticPolicy:
         p = np.array(self.probs, dtype=float)
         if p.ndim != 2:
             raise StructuralError(f"policy must be (S, A), got shape {p.shape}")
-        if np.any(p < 0):
+        if not np.all(p >= 0):  # also rejects NaN; +-inf fails the row-sum test
             raise StructuralError("policy probabilities must be non-negative")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > PROB_ATOL:
             raise StructuralError("policy rows must sum to 1")

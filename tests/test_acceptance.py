@@ -95,14 +95,7 @@ def test_criterion_05_optimality_model_fragility(capsys):
 
 
 def test_criterion_06_misspecified_gamma(capsys):
-    rep = verify_claim(
-        ExperimentConfig(
-            claim_id="LEM-GAMMA",
-            trials=20,
-            seed=6,
-            params={"gamma_pairs": [[0.5, 0.9], [0.9, 0.95]]},
-        )
-    )
+    rep = verify_claim(ExperimentConfig(claim_id="LEM-GAMMA", trials=20, seed=6))
     ok = rep.ok and rep.counts["pass"] == 20
     _report(
         capsys, 6,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -244,7 +245,6 @@ class TestMalformedDocuments:
             *[(command, broken)
               for command in ("validate", "solve", "equiv", "transform")
               for broken in ("not-utf8", "reward-3-states", "reward-1-state")],
-            ("lab", "not-utf8"),
         ],
     )
     def test_exit_2_with_one_line(self, runner, tmp_path, chain, chain_reward, command, broken):
@@ -276,7 +276,6 @@ class TestMalformedDocuments:
             "solve": [mdp, reward],
             "equiv": [mdp, reward, reward],
             "transform": [mdp, reward, _write(tmp_path, "spec.json", spec_doc)],
-            "lab": ["--config", mdp],
         }[command]
         result = runner.invoke(main, [command, *args])
         assert result.exit_code == 2
@@ -347,69 +346,30 @@ class TestLab:
         assert "seed" in result.output
 
     @pytest.mark.parametrize(
-        "config, flags",
+        "flags",
         [
-            ("{not json", []),
-            ({"claim": "OCC-INJ", "seed": 3, "trials": "abc"}, []),
-            ({"claim": "OCC-INJ", "seed": 3}, ["--trials", "-3"]),
-            ({"claim": "LEM-GAMMA", "seed": 3, "trials": 1}, ["--gamma1", "0.5"]),
-            ({"claim": "LEM-GAMMA", "seed": 3, "trials": 1}, ["--gamma1", "1.5", "--gamma2", "0.9"]),
-            ({"claim": "OCC-INJ", "seed": 3, "trials": 1, "params": {"gamma": 1.5}}, []),
-            ({"claim": "BOLTZ-OPT", "seed": 3, "trials": 1, "params": {"probe_budget": "abc"}}, []),
-            ({"claim": "OCC-INJ", "seed": 3, "trials": 1, "params": {"gama": 0.5}}, []),
-            ({"claim": "OCC-INJ", "seed": 3, "trials": 1, "params": {"probe_budget": 5}}, []),
-            ({"claim": "LEM-GAMMA", "seed": 3, "trials": 1, "params": {"gamma": 0.5}}, []),
-            ({"claim": "EX-TRANSFER", "seed": 3, "trials": 1, "params": {"gamma": 0.5}}, []),
-            ({"claim": "MCE-ORD", "seed": 3, "trials": 1, "params": {"residual_bound": 1e-8}}, []),
+            ["--claim", "OCC-INJ", "--seed", "3", "--trials", "-3"],
+            ["--claim", "OCC-INJ", "--seed", "-1", "--trials", "2"],
+            ["--claim", "all", "--seed", "-1"],
+            ["--seed", "3"],
         ],
-        ids=[
-            "malformed-config",
-            "ill-typed-trials",
-            "negative-trials",
-            "gamma1-without-gamma2",
-            "gamma1-out-of-range",
-            "params-gamma-out-of-range",
-            "ill-typed-probe-budget",
-            "mistyped-params-key",
-            "key-of-another-claim",
-            "gamma-replaced-by-lem-gamma",
-            "gamma-drawn-by-ex-transfer",
-            "deleted-residual-bound",
-        ],
+        ids=["negative-trials", "negative-seed", "negative-seed-all", "no-claim"],
     )
-    def test_input_errors_exit_2_with_one_line(self, runner, tmp_path, config, flags):
-        path = tmp_path / "cfg.json"
-        if isinstance(config, str):
-            path.write_text(config)
-        else:
-            documents.save_doc(config, path)
-        result = runner.invoke(main, ["lab", "--config", str(path), *flags])
+    def test_input_errors_exit_2_with_one_line(self, runner, flags):
+        result = runner.invoke(main, ["lab", *flags])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
         assert result.output.count("\n") == 1
 
-    def test_config_file_supplies_defaults(self, runner, tmp_path):
-        cfg = _write(tmp_path, "cfg.json", {"claim": "OCC-INJ", "seed": 3, "trials": 4})
-        result = runner.invoke(main, ["lab", "--config", cfg])
+    def test_trials_flag_sets_the_count(self, runner):
+        result = runner.invoke(main, ["lab", "--claim", "OCC-INJ", "--seed", "3", "--trials", "2"])
         assert result.exit_code == 0
-        assert "PASS OCC-INJ: 4 pass" in result.output
+        assert "PASS OCC-INJ: 2 pass" in result.output
 
-    def test_flags_override_config(self, runner, tmp_path):
-        cfg = _write(tmp_path, "cfg.json", {"claim": "OCC-INJ", "seed": 3, "trials": 4})
-        result = runner.invoke(main, ["lab", "--config", cfg, "--trials", "2"])
-        assert result.exit_code == 0
-        assert "2 pass" in result.output
-
-    def test_gamma_flags_route_to_lem_gamma(self, runner, tmp_path):
-        out = tmp_path / "rep.json"
-        result = runner.invoke(
-            main,
-            ["lab", "--claim", "LEM-GAMMA", "--seed", "2", "--trials", "2",
-             "--gamma1", "0.5", "--gamma2", "0.9", "--out", str(out)],
-        )
-        assert result.exit_code == 0
-        doc = json.loads(out.read_text())
-        assert doc["claims"]["LEM-GAMMA"]["config"]["params"]["gamma_pairs"] == [[0.5, 0.9]]
+    def test_help_lists_only_the_run_options(self, runner):
+        result = runner.invoke(main, ["lab", "--help"])
+        options = sorted(set(re.findall(r"^  (--[a-z]+)", result.output, flags=re.M)))
+        assert options == ["--claim", "--help", "--out", "--seed", "--trials"]
 
     def test_report_bytes_stable_modulo_wall_clock(self, runner, tmp_path):
         def run(name):

@@ -35,6 +35,17 @@ class TestMdpDocuments:
         )
         assert documents.mdp_from_doc(doc).labels == ("a", "b", "c")
 
+    @pytest.mark.parametrize(
+        "labels", [("a",), "abc", [1, None, {}]], ids=["one-for-three-states", "string", "not-strings"]
+    )
+    def test_labels_must_be_one_string_per_state(self, labels):
+        mdp = random_mdp(3, 2, 0.8, seed=1)
+        with pytest.raises(StructuralError, match="labels"):
+            type(mdp)(mdp.transition, mdp.initial, mdp.discount, labels=labels)
+        doc = {**documents.mdp_to_doc(mdp), "labels": labels}
+        with pytest.raises(StructuralError, match="labels"):
+            documents.mdp_from_doc(doc)
+
     def test_loader_revalidates(self, chain):
         doc = documents.mdp_to_doc(chain)
         doc["transition"][0][0] = [0.5, 0.4]

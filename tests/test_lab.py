@@ -23,7 +23,7 @@ from rewardlab import (
     verify_claim,
 )
 from rewardlab import documents, lab
-from rewardlab.errors import GenerationError, StructuralError, UnknownClaimError
+from rewardlab.errors import GenerationError, UnknownClaimError
 from rewardlab.mdp import DEFAULT_ENUM_CAP
 from rewardlab.lab import (
     CLAIM_ORDER,
@@ -289,26 +289,6 @@ class TestClaims:
         counts = rep.counts
         assert counts["pass"] + counts["fail"] + counts["skip"] == 4
 
-    def test_lem_gamma_equal_pair_passes_with_no_counterexamples(self):
-        rep = verify_claim(
-            ExperimentConfig(
-                claim_id="LEM-GAMMA", trials=3, seed=2, params={"gamma_pairs": [[0.5, 0.5]]}
-            )
-        )
-        assert rep.ok
-        assert rep.first_counterexample is None
-        assert all(o["x_values"] == [] for o in rep.outcomes)
-
-    def test_bm_ord_equal_betas_skip(self):
-        rep = verify_claim(
-            ExperimentConfig(
-                claim_id="BM-ORD", trials=3, seed=1, params={"beta1": 2.0, "beta2": 2.0}
-            )
-        )
-        assert rep.ok
-        assert rep.counts["skip"] == 3
-        assert all(o.get("note") == "not misspecified" for o in rep.outcomes)
-
     def test_report_deterministic_modulo_wall_clock(self):
         cfg = ExperimentConfig(claim_id="J-AMB", trials=5, seed=77)
         a = verify_claim(cfg).to_doc()
@@ -327,21 +307,12 @@ class TestClaims:
         assert rep.outcomes[1]["error"] == "ValueError: bad draw"
         assert not rep.ok
 
-
-    def test_registry_checks_params_before_any_trial(self):
-        with pytest.raises(StructuralError):
-            run_registry(seed=1, params={"gama": 0.5})
-        with pytest.raises(StructuralError):
-            run_registry(seed=1, params={"gamma_pairs": [[0.5, 1.0]]})
-
-    def test_gamma_accepted_by_the_registry_not_by_claims_that_ignore_it(self):
-        for claim_id in ("LEM-GAMMA", "EX-TRANSFER"):
-            with pytest.raises(StructuralError):
-                verify_claim(
-                    ExperimentConfig(claim_id=claim_id, trials=1, seed=1, params={"gamma": 0.5})
-                )
-        reports = run_registry(seed=1, trials=2, params={"gamma": 0.5})
-        assert all(r.ok for r in reports), [r.claim_id for r in reports if not r.ok]
+    @pytest.mark.parametrize("seed, trials", [(-1, 2), (1, -3), (1.5, 2), (1, 2.5)])
+    def test_seed_or_trials_not_a_non_negative_integer_is_bad_input(self, seed, trials):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ExperimentConfig(claim_id="OCC-INJ", trials=trials, seed=seed)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            run_registry(seed=seed, trials=trials)
 
     def test_registry_covers_all_claims(self):
         assert set(CLAIMS) == set(CLAIM_ORDER)
@@ -361,12 +332,12 @@ class TestTrialHarness:
         assert rep.outcomes[-1]["error"] == "none found"
         assert rep.first_counterexample is None and not rep.ok
 
-    def test_registered_witness_message(self):
-        rep = verify_claim(
-            ExperimentConfig(claim_id="BOLTZ-OPT", trials=2, seed=1, params={"probe_budget": 0})
-        )
+    def test_registered_witness_message(self, monkeypatch):
+        # Equal oracle sets: no inverted probe can verify as a violation.
+        monkeypatch.setattr(lab, "oracle_opt_sets", lambda mdp, *rewards: [0] * len(rewards))
+        rep = verify_claim(ExperimentConfig(claim_id="BOLTZ-OPT", trials=2, seed=1))
         assert [o["status"] for o in rep.outcomes] == ["pass", "fail"]
-        assert rep.outcomes[-1]["error"] == "no verified violation found within the probe budget"
+        assert rep.outcomes[-1]["error"] == "no verified violation found"
 
     def test_only_first_counterexample_kept_and_search_stops(self):
         seen = []

@@ -154,6 +154,11 @@ class TestPolicies:
         with pytest.raises(StructuralError):
             StochasticPolicy(np.array([[1.2, -0.2], [1.0, 0.0]]))
 
+    def test_nan_probabilities_refused(self):
+        # NaN passes both "p < 0" and the row-sum test; the sign test must reject it.
+        with pytest.raises(StructuralError, match="non-negative"):
+            StochasticPolicy(np.array([[np.nan, np.nan], [0.5, 0.5]]))
+
     def test_full_support_flag(self):
         assert StochasticPolicy(np.array([[0.5, 0.5]])).full_support
         assert not StochasticPolicy(np.array([[1.0, 0.0]])).full_support
