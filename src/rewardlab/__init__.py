@@ -24,7 +24,6 @@ from .mdp import (
     StochasticPolicy,
     ValidationReport,
     is_trivial_transition,
-    lift_reward,
     validate_mdp,
 )
 from .models import (

@@ -3,7 +3,9 @@
 All loaders re-validate what they read; a file that parses but violates the
 model invariants raises ValidationFailure rather than producing a bad object.
 The file loaders (``load_*``) prefix the document's path to a decoding error,
-a malformed document or a reward off its MDP's grid, all raised as StructuralError.
+a document nested too deeply, a malformed document or a reward off its MDP's
+grid, all raised as StructuralError. Rewards are read in the compact "sa" and
+"s" formats too, and always written as full "sas" tensors.
 Doubles go through Python's shortest round-trip repr, so dump/load cycles are
 lossless.
 """
@@ -79,23 +81,18 @@ def mdp_from_doc(doc: dict) -> Mdp:
 
 
 def reward_to_doc(r: RewardTable) -> dict:
-    if r.domain == "sas":
-        values = r.values.tolist()
-    elif r.domain == "sa":
-        values = r.values[:, :, 0].tolist()
-    else:
-        values = r.values[:, 0, 0].tolist()
-    return {"domain": r.domain, "values": values}
+    return {"domain": "sas", "values": r.values.tolist()}
 
 
 def reward_from_doc(doc: dict, n_actions: int | None = None) -> RewardTable:
+    """The reward ``doc`` describes: a full "sas" tensor, an (S, A) "sa" table or an (S,) "s" vector."""
     try:
         domain = doc.get("domain")
         values = np.array(doc.get("values"), dtype=float)
     except (AttributeError, TypeError, ValueError) as exc:
         raise _malformed("reward", exc) from exc
     if domain == "sas":
-        return RewardTable(values, domain="sas")
+        return RewardTable(values)
     if domain == "sa":
         return RewardTable.from_sa(values)
     if domain == "s":
@@ -107,11 +104,7 @@ def reward_from_doc(doc: dict, n_actions: int | None = None) -> RewardTable:
 
 def transform_to_doc(t: TransformSpec) -> dict:
     if isinstance(t, PotentialShaping):
-        return {
-            "kind": "ps",
-            "phi": t.potential.phi.tolist(),
-            "zero_initial": t.potential.zero_initial_expectation,
-        }
+        return {"kind": "ps", "phi": t.potential.phi.tolist()}
     if isinstance(t, SuccessorRedistribution):
         return {"kind": "sr", "replacement": reward_to_doc(t.replacement)}
     if isinstance(t, LinearScaling):
@@ -126,13 +119,14 @@ def transform_to_doc(t: TransformSpec) -> dict:
 
 
 def transform_from_doc(doc: dict, n_actions: int | None = None) -> TransformSpec:
-    """The spec ``doc`` describes; ``n_actions`` is needed to read an S-domain replacement reward."""
+    """The spec ``doc`` describes; ``n_actions`` is needed to read an S-domain replacement reward.
+
+    A ``ps`` step may carry a ``zero_initial`` key, which is ignored.
+    """
     try:
         kind = doc.get("kind")
         if kind == "ps":
-            return PotentialShaping(
-                PotentialFn(np.array(doc["phi"], dtype=float), bool(doc.get("zero_initial", False)))
-            )
+            return PotentialShaping(PotentialFn(np.array(doc["phi"], dtype=float)))
         if kind == "sr":
             return SuccessorRedistribution(reward_from_doc(doc["replacement"], n_actions))
         if kind == "ls":
@@ -172,6 +166,8 @@ def _load(path, from_doc):
             return from_doc(json.load(fh))
     except (UnicodeDecodeError, json.JSONDecodeError, StructuralError) as exc:
         raise StructuralError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise StructuralError(f"{path}: document nested too deeply") from None
 
 
 def load_mdp(path) -> Mdp:

@@ -4,9 +4,9 @@ Conventions used throughout the package:
 
 * transition tensors are indexed ``[s, a, s']`` and each ``[s, a, :]`` row is a
   probability vector;
-* rewards are always stored as a full ``(S, A, S)`` tensor, with a ``domain``
-  tag recording whether the function actually depends on ``s'`` or ``(a, s')``
-  (restricted domains are kept as tags so transformations can check closure);
+* rewards are always stored as a full ``(S, A, S)`` tensor; a reward on the
+  restricted domain ``S x A`` or ``S`` is built broadcast over the rest
+  (``RewardTable.from_sa``, ``RewardTable.from_state``);
 * all values are immutable after construction and all operations are pure.
 """
 
@@ -20,10 +20,7 @@ from .errors import CapacityError, StructuralError
 
 PROB_ATOL = 1e-9            # validation tolerance for probability vectors
 TRIVIAL_ATOL = 1e-12        # tolerance for "all actions share a successor row"
-FULL_SUPPORT_ATOL = 1e-12   # minimum entry for membership in the full-support set
 DEFAULT_ENUM_CAP = 65536    # deterministic-policy enumeration cap
-
-DOMAINS = ("sas", "sa", "s")
 
 
 def _frozen_array(values, shape=None, name="array"):
@@ -87,15 +84,9 @@ class Mdp:
 
 @dataclass(frozen=True)
 class RewardTable:
-    """An (S, A, S') reward tensor plus a domain-restriction tag.
-
-    ``domain="sa"`` asserts the entries do not depend on s', ``domain="s"``
-    that they depend on neither a nor s'. The tensor is stored fully broadcast
-    either way, so solvers never need to branch on the tag.
-    """
+    """An (S, A, S') reward tensor; a restricted-domain reward is stored fully broadcast."""
 
     values: np.ndarray
-    domain: str = "sas"
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -103,31 +94,25 @@ class RewardTable:
             raise StructuralError(f"reward values must be (S, A, S), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise StructuralError("reward values must be finite")
-        if self.domain not in DOMAINS:
-            raise StructuralError(f"domain must be one of {DOMAINS}, got {self.domain!r}")
-        if self.domain == "sa" and not np.all(vals == vals[:, :, :1]):
-            raise StructuralError("domain 'sa' requires values constant over s'")
-        if self.domain == "s" and not np.all(vals == vals[:, :1, :1]):
-            raise StructuralError("domain 's' requires values constant over (a, s')")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_sa(cls, table) -> "RewardTable":
-        """Build an SA-domain reward from an (S, A) table."""
+        """The reward of an (S, A) table, broadcast over s'."""
         arr = np.array(table, dtype=float)
         if arr.ndim != 2:
             raise StructuralError(f"expected (S, A) table, got shape {arr.shape}")
-        return cls(np.repeat(arr[:, :, None], arr.shape[0], axis=2), domain="sa")
+        return cls(np.repeat(arr[:, :, None], arr.shape[0], axis=2))
 
     @classmethod
     def from_state(cls, vec, n_actions: int) -> "RewardTable":
-        """Build an S-domain reward from a per-state vector."""
+        """The reward of a per-state vector, broadcast over (a, s')."""
         arr = np.array(vec, dtype=float)
         if arr.ndim != 1:
             raise StructuralError(f"expected (S,) vector, got shape {arr.shape}")
         n = arr.shape[0]
-        return cls(np.broadcast_to(arr[:, None, None], (n, n_actions, n)).copy(), domain="s")
+        return cls(np.broadcast_to(arr[:, None, None], (n, n_actions, n)))
 
     @property
     def n_states(self) -> int:
@@ -136,17 +121,6 @@ class RewardTable:
     @property
     def n_actions(self) -> int:
         return self.values.shape[1]
-
-
-def lift_reward(r: RewardTable) -> RewardTable:
-    """Embed a restricted-domain reward into the full S x A x S' domain.
-
-    The stored tensor is already broadcast, so lifting only rewrites the tag;
-    the induced expected rewards are bitwise unchanged.
-    """
-    if r.domain == "sas":
-        return RewardTable(r.values.copy(), domain="sas")
-    return RewardTable(r.values, domain="sas")
 
 
 @dataclass(frozen=True)
@@ -167,24 +141,12 @@ class StochasticPolicy:
         object.__setattr__(self, "probs", p)
 
     @property
-    def full_support(self) -> bool:
-        """Membership in the set of policies taking every action with positive probability."""
-        return bool(np.all(self.probs >= FULL_SUPPORT_ATOL))
-
-    @property
     def n_states(self) -> int:
         return self.probs.shape[0]
 
     @property
     def n_actions(self) -> int:
         return self.probs.shape[1]
-
-    @classmethod
-    def deterministic(cls, actions, n_actions: int) -> "StochasticPolicy":
-        acts = np.asarray(actions, dtype=int)
-        p = np.zeros((acts.shape[0], n_actions))
-        p[np.arange(acts.shape[0]), acts] = 1.0
-        return cls(p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructuralError
-from .mdp import Mdp, RewardTable, lift_reward
+from .mdp import Mdp, RewardTable
 from .solve import ROUNDOFF_RTOL, optimal_values, reward_vector
 
 DIST_TOL = 1e-6            # unitless acceptance bound of the canonical-form tests
@@ -36,10 +36,9 @@ SLACK_FLOOR_FRAC = 1e-3    # slack magnitudes stay >= this fraction of bounds
 
 @dataclass(frozen=True)
 class PotentialFn:
-    """State potential phi; flag asserts E_{S0~mu0}[phi(S0)] = 0 (checked in context)."""
+    """State potential phi."""
 
     phi: np.ndarray
-    zero_initial_expectation: bool = False
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=float)
@@ -49,6 +48,7 @@ class PotentialFn:
         object.__setattr__(self, "phi", phi)
 
     def check_zero_initial(self, initial: np.ndarray) -> bool:
+        """E_{S0~initial}[phi(S0)] = 0 up to round-off in phi's size."""
         return abs(float(initial @ self.phi)) <= ROUNDOFF_RTOL * float(np.abs(self.phi).max(initial=0.0))
 
 
@@ -131,7 +131,7 @@ def _check_shape(name: str, a: np.ndarray, shape: tuple) -> None:
 
 
 def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
-    """Apply one transformation (or a chain) to a reward; output is SAS-domain.
+    """Apply one transformation (or a chain) to a reward.
 
     Raises StructuralError when the reward, a potential, psi or slack does not
     fit the MDP's states and actions.
@@ -142,30 +142,30 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
         out = r
         for step in t.steps:
             out = apply(step, out, mdp)
-        return lift_reward(out)
+        return out
     if isinstance(t, PotentialShaping):
         phi = t.potential.phi
         _check_shape("potential", phi, (mdp.n_states,))
         vals = r.values + gamma * phi[None, None, :] - phi[:, None, None]
-        return RewardTable(vals, domain="sas")
+        return RewardTable(vals)
     if isinstance(t, SuccessorRedistribution):
         rv = reward_vector(r, mdp)
         gap = np.abs(reward_vector(t.replacement, mdp) - rv).max()
         bound = ROUNDOFF_RTOL * max(np.abs(rv).max(), np.abs(t.replacement.values).max())
         if gap > bound:
             raise ValueError(f"replacement changes expected rewards by {gap:.3e} (> {bound:.3e})")
-        return RewardTable(t.replacement.values.copy(), domain="sas")
+        return t.replacement
     if isinstance(t, LinearScaling):
-        return RewardTable(t.c * r.values, domain="sas")
+        return RewardTable(t.c * r.values)
     if isinstance(t, ConstantShift):
-        return RewardTable(r.values + t.k, domain="sas")
+        return RewardTable(r.values + t.k)
     if isinstance(t, OptimalityPreserving):
         _check_shape("psi", t.psi, (mdp.n_states,))
         _check_shape("slack", t.slack, (mdp.n_states, mdp.n_actions))
         non_opt = ~optimal_values(mdp, r).opt_sets.mask
         # E[R2(s,a,.) + gamma*psi(S')] = psi(s), minus slack off the optimal sets.
         rsa2 = t.psi[:, None] - gamma * (mdp.transition @ t.psi) + np.where(non_opt, t.slack, 0.0)
-        return lift_reward(RewardTable.from_sa(rsa2))
+        return RewardTable.from_sa(rsa2)
     raise StructuralError(f"unknown transformation {t!r}")
 
 
@@ -179,7 +179,7 @@ def sample_potential_shaping(
     phi = rng.uniform(-bounds, bounds, size=mdp.n_states)
     if zero_initial:
         phi = phi - float(mdp.initial @ phi)
-    return PotentialShaping(PotentialFn(phi, zero_initial_expectation=zero_initial))
+    return PotentialShaping(PotentialFn(phi))
 
 
 def sample_s_redistribution(
@@ -198,8 +198,8 @@ def sample_s_redistribution(
     u = np.random.default_rng(seed).uniform(-magnitude, magnitude, size=tau.shape)
     # The batched matmul is each row's p @ u, bit for bit; einsum sums in another order.
     mean = (tau[:, :, None, :] @ u[..., None])[..., 0] / tau.sum(axis=2, keepdims=True)
-    vals = lift_reward(r).values + np.where(tau > 0.0, u - mean, 10 * u)
-    return SuccessorRedistribution(RewardTable(vals, domain="sas"))
+    vals = r.values + np.where(tau > 0.0, u - mean, 10 * u)
+    return SuccessorRedistribution(RewardTable(vals))
 
 
 def sample_optimality_preserving(
@@ -312,19 +312,18 @@ def decompose_j(forms: CanonicalForms, mdp: Mdp) -> Decomposition | None:
     residual = 0.0 if misfit <= roundoff else misfit / j_scale(forms, mdp)
     if residual > DIST_TOL:
         return None
-    phi = np.ldexp(phi, forms.exp.max())
-    zero_initial = PotentialFn(phi).check_zero_initial(mdp.initial)
-    return Decomposition(c=1.0, phi=PotentialFn(phi, zero_initial), residual=residual)
+    return Decomposition(c=1.0, phi=PotentialFn(np.ldexp(phi, forms.exp.max())), residual=residual)
 
 
 def shaping_on_sa_domain(phi: PotentialFn, r: RewardTable, mdp: Mdp) -> RewardTable:
     """Potential shaping composed with the redistribution that stays inside S x A.
 
-    r'(s,a) = r(s,a) + gamma*E_{S'~tau(s,a)}[phi(S')] - phi(s); the output keeps
-    the SA domain and is order-equivalent to the input.
+    r'(s,a) = r(s,a) + gamma*E_{S'~tau(s,a)}[phi(S')] - phi(s); like the input,
+    the output does not depend on s', and it is order-equivalent to the input.
+    Raises ValueError when the input depends on s'.
     """
-    if r.domain != "sa":
-        raise ValueError(f"expected an SA-domain reward, got domain {r.domain!r}")
+    if not np.all(r.values == r.values[:, :, :1]):
+        raise ValueError("expected an SA-domain reward, whose values do not depend on s'")
     rsa = r.values[:, :, 0]
     out = rsa + mdp.discount * (mdp.transition @ phi.phi) - phi.phi[:, None]
     return RewardTable.from_sa(out)

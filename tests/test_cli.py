@@ -177,7 +177,7 @@ class TestTransform:
     def test_applies_spec_document(self, runner, tmp_path, chain_docs):
         mdp_path, reward_path = chain_docs
         spec = {"kind": "seq", "steps": [{"kind": "ls", "c": 2.0},
-                                         {"kind": "ps", "phi": [0.0, 1.0], "zero_initial": False}]}
+                                         {"kind": "ps", "phi": [0.0, 1.0]}]}
         spec_path = _write(tmp_path, "spec.json", spec)
         out = tmp_path / "out.json"
         result = runner.invoke(
@@ -242,9 +242,10 @@ class TestMalformedDocuments:
             ("transform", "spec-phi-1-state"),
             ("transform", "spec-psi-1-state"),
             ("transform", "spec-slack-1-action"),
+            ("transform", "spec-seq-600-deep"),
             *[(command, broken)
               for command in ("validate", "solve", "equiv", "transform")
-              for broken in ("not-utf8", "reward-3-states", "reward-1-state")],
+              for broken in ("not-utf8", "reward-3-states", "reward-1-state", "deep-array")],
         ],
     )
     def test_exit_2_with_one_line(self, runner, tmp_path, chain, chain_reward, command, broken):
@@ -270,12 +271,18 @@ class TestMalformedDocuments:
         mdp = _write(tmp_path, "mdp.json", mdp_doc)
         if broken == "not-utf8":  # the first document named on the command line
             (tmp_path / "mdp.json").write_bytes(b'{"n_states": "\xff"}')
+        elif broken == "deep-array":  # too deep for the JSON parser's recursion
+            (tmp_path / "mdp.json").write_text("[" * 100000 + "]" * 100000)
         reward = _write(tmp_path, "reward.json", reward_doc)
+        spec = _write(tmp_path, "spec.json", spec_doc)
+        if broken == "spec-seq-600-deep":  # written by hand: the JSON encoder recurses too
+            deep = '{"kind": "seq", "steps": [' * 600 + '{"kind": "ls", "c": 2.0}' + "]}" * 600
+            (tmp_path / "spec.json").write_text(deep)
         args = {
             "validate": [mdp, "--reward", reward],
             "solve": [mdp, reward],
             "equiv": [mdp, reward, reward],
-            "transform": [mdp, reward, _write(tmp_path, "spec.json", spec_doc)],
+            "transform": [mdp, reward, spec],
         }[command]
         result = runner.invoke(main, [command, *args])
         assert result.exit_code == 2

@@ -77,24 +77,23 @@ class TestRewardDocuments:
     def test_sas_round_trip(self, chain_reward):
         back = documents.reward_from_doc(documents.reward_to_doc(chain_reward))
         assert np.array_equal(back.values, chain_reward.values)
-        assert back.domain == "sas"
+        assert documents.reward_to_doc(back) == documents.reward_to_doc(chain_reward)
 
     def test_sa_round_trip_compact(self):
-        r = RewardTable.from_sa([[1.0, -0.5], [0.0, 2.0]])
-        doc = documents.reward_to_doc(r)
-        assert np.array(doc["values"]).shape == (2, 2)
-        back = documents.reward_from_doc(doc)
-        assert back.domain == "sa"
-        assert np.array_equal(back.values, r.values)
+        # a compact "sa" document is read broadcast over s' and written back in full
+        back = documents.reward_from_doc({"domain": "sa", "values": [[1.0, -0.5], [0.0, 2.0]]})
+        assert np.array_equal(back.values, RewardTable.from_sa([[1.0, -0.5], [0.0, 2.0]]).values)
+        doc = documents.reward_to_doc(back)
+        assert doc["domain"] == "sas" and np.array(doc["values"]).shape == (2, 2, 2)
 
     def test_state_domain_needs_n_actions(self):
-        r = RewardTable.from_state([1.0, 2.0], n_actions=3)
-        doc = documents.reward_to_doc(r)
-        assert np.array(doc["values"]).shape == (2,)
+        doc = {"domain": "s", "values": [1.0, 2.0]}
         with pytest.raises(StructuralError):
             documents.reward_from_doc(doc)
         back = documents.reward_from_doc(doc, n_actions=3)
-        assert np.array_equal(back.values, r.values)
+        assert np.array_equal(back.values, RewardTable.from_state([1.0, 2.0], n_actions=3).values)
+        out = documents.reward_to_doc(back)
+        assert out["domain"] == "sas" and np.array(out["values"]).shape == (2, 3, 2)
 
     def test_unknown_domain(self):
         with pytest.raises(StructuralError):
@@ -104,7 +103,7 @@ class TestRewardDocuments:
 class TestTransformDocuments:
     def test_all_kinds_round_trip(self, chain_reward):
         specs = [
-            PotentialShaping(PotentialFn(np.array([0.1, -0.2]), zero_initial_expectation=True)),
+            PotentialShaping(PotentialFn(np.array([0.1, -0.2]))),
             SuccessorRedistribution(chain_reward),
             LinearScaling(2.5),
             ConstantShift(-1.0),
@@ -116,19 +115,25 @@ class TestTransformDocuments:
             back = documents.transform_from_doc(json.loads(json.dumps(doc)))
             assert documents.transform_to_doc(back) == doc
 
+    def test_ps_zero_initial_key_ignored(self):
+        doc = {"kind": "ps", "phi": [0.1, -0.2], "zero_initial": True}
+        back = documents.transform_from_doc(doc)
+        assert documents.transform_to_doc(back) == {"kind": "ps", "phi": [0.1, -0.2]}
+
     def test_s_domain_redistribution_round_trip(self):
-        spec = SuccessorRedistribution(RewardTable.from_state([1.0, 2.0], n_actions=2))
-        doc = json.loads(json.dumps(documents.transform_to_doc(spec)))
+        doc = {"kind": "sr", "replacement": {"domain": "s", "values": [1.0, 2.0]}}
         back = documents.transform_from_doc(doc, n_actions=2)
-        assert back.replacement.domain == "s"
-        assert np.array_equal(back.replacement.values, spec.replacement.values)
+        full = RewardTable.from_state([1.0, 2.0], n_actions=2).values
+        assert np.array_equal(back.replacement.values, full)
+        again = documents.transform_from_doc(json.loads(json.dumps(documents.transform_to_doc(back))))
+        assert documents.transform_to_doc(again)["replacement"]["domain"] == "sas"
+        assert np.array_equal(again.replacement.values, full)
 
     def test_load_transform_reads_s_domain_replacement(self, tmp_path, chain):
-        spec = SuccessorRedistribution(RewardTable.from_state([1.0, 2.0], n_actions=2))
         path = tmp_path / "spec.json"
-        documents.save_doc(documents.transform_to_doc(spec), path)
+        documents.save_doc({"kind": "sr", "replacement": {"domain": "s", "values": [1.0, 2.0]}}, path)
         back = documents.load_transform(path, chain)
-        assert np.array_equal(back.replacement.values, spec.replacement.values)
+        assert np.array_equal(back.replacement.values, RewardTable.from_state([1.0, 2.0], n_actions=2).values)
 
     def test_unknown_kind(self):
         with pytest.raises(StructuralError):

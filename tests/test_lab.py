@@ -71,10 +71,11 @@ class TestGenerators:
 
     def test_random_reward_domains_and_determinism(self):
         mdp = random_mdp(3, 2, 0.8, seed=4)
-        for domain in ("sas", "sa", "s"):
+        # the values vary only along the axes the domain keeps
+        for domain, kept in (("sas", (3, 2, 3)), ("sa", (3, 2, 1)), ("s", (3, 1, 1))):
             a = random_reward(mdp, domain=domain, seed=5)
             b = random_reward(mdp, domain=domain, seed=5)
-            assert a.domain == domain
+            assert np.all(a.values == a.values[: kept[0], : kept[1], : kept[2]])
             assert np.array_equal(a.values, b.values)
 
     def test_generation_error_when_impossible(self, monkeypatch):
@@ -86,7 +87,7 @@ class TestGenerators:
 
     def test_random_policy_full_support(self):
         pi = random_policy(4, 3, seed=9)
-        assert pi.full_support
+        assert (pi.probs > 0).all()
 
 
 def gamma_pair(mdp, gamma1, gamma2, seed):
@@ -104,7 +105,7 @@ class TestGammaCounterexample:
         rec = gamma_pair(chain, 0.5, 0.9, seed=4)
         assert rec is not None
         assert rec.verify()
-        assert rec.relation == "opt"
+        assert rec.to_doc()["relation"] == "opt"
         assert rec.params["kind"] == "shaping"
         assert rec.mdp_model.discount == 0.5 and rec.mdp_true.discount == 0.9
 
@@ -179,7 +180,6 @@ class TestGammaCounterexample:
             mdp_true=documents.mdp_from_doc(doc["mdp_true"]),
             r1=documents.reward_from_doc(doc["r1"]),
             r2=documents.reward_from_doc(doc["r2"]),
-            relation=doc["relation"],
             evidence=doc["evidence"],
             params=doc["params"],
         )

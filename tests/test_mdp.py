@@ -8,7 +8,6 @@ from rewardlab import (
     RewardTable,
     StochasticPolicy,
     is_trivial_transition,
-    lift_reward,
     reward_vector,
     validate_mdp,
 )
@@ -102,49 +101,31 @@ class TestEnumerate:
     def test_policies_distinct_and_one_hot(self):
         actions = enumerate_action_tuples(3, 3)
         assert len({tuple(a) for a in actions}) == 27
-        policies = [StochasticPolicy.deterministic(a, 3).probs for a in actions]
-        for p in policies:
+        for a in actions:
+            p = StochasticPolicy(np.eye(3)[a]).probs
             assert set(np.unique(p)) == {0.0, 1.0}
             assert np.all(p.sum(axis=1) == 1.0)
 
 
 class TestRewardTable:
-    def test_lift_sa_broadcast(self):
-        r = RewardTable.from_sa([[1.0, 0.0], [0.0, 2.0]])
-        lifted = lift_reward(r)
-        assert lifted.domain == "sas"
-        assert np.all(lifted.values[0, 0, :] == 1.0)
-        assert np.all(lifted.values[1, 1, :] == 2.0)
+    def test_from_sa_broadcast(self, chain):
+        table = np.array([[0.3, -0.7], [1.1, 0.0]])
+        r = RewardTable.from_sa(table)
+        assert r.values.shape == (2, 2, 2)
+        assert np.all(r.values == table[:, :, None])
+        # the same expected rewards, bit for bit, as the full tensor written out by hand
+        full = RewardTable(np.repeat(table[:, :, None], 2, axis=2))
+        assert np.array_equal(reward_vector(r, chain), reward_vector(full, chain))
 
-    def test_lift_state_broadcast(self):
+    def test_from_state_broadcast(self):
         r = RewardTable.from_state([2.0, -1.0], n_actions=3)
-        lifted = lift_reward(r)
-        assert lifted.domain == "sas"
-        assert np.all(lifted.values[0] == 2.0)
-        assert np.all(lifted.values[1] == -1.0)
+        assert r.values.shape == (2, 3, 2)
+        assert np.all(r.values[0] == 2.0)
+        assert np.all(r.values[1] == -1.0)
 
-    def test_lift_sas_identity(self, chain_reward):
-        lifted = lift_reward(chain_reward)
-        assert lifted.domain == "sas"
-        assert np.array_equal(lifted.values, chain_reward.values)
-
-    def test_lift_preserves_reward_vector_bitwise(self, chain):
-        r = RewardTable.from_sa([[0.3, -0.7], [1.1, 0.0]])
-        before = reward_vector(r, chain)
-        after = reward_vector(lift_reward(r), chain)
-        assert np.array_equal(before, after)
-
-    def test_domain_tag_enforced(self):
-        vals = np.zeros((2, 2, 2))
-        vals[0, 0, 1] = 1.0  # varies over s'
-        with pytest.raises(StructuralError):
-            RewardTable(vals, domain="sa")
+    def test_non_finite_values_refused(self):
         with pytest.raises(StructuralError):
             RewardTable(np.full((2, 2, 2), np.nan))
-
-    def test_unknown_domain(self):
-        with pytest.raises(StructuralError):
-            RewardTable(np.zeros((2, 2, 2)), domain="qq")
 
 
 class TestPolicies:
@@ -158,10 +139,6 @@ class TestPolicies:
         # NaN passes both "p < 0" and the row-sum test; the sign test must reject it.
         with pytest.raises(StructuralError, match="non-negative"):
             StochasticPolicy(np.array([[np.nan, np.nan], [0.5, 0.5]]))
-
-    def test_full_support_flag(self):
-        assert StochasticPolicy(np.array([[0.5, 0.5]])).full_support
-        assert not StochasticPolicy(np.array([[1.0, 0.0]])).full_support
 
     def test_action_sets_must_be_nonempty(self):
         with pytest.raises(StructuralError, match="empty"):

@@ -15,7 +15,6 @@ from rewardlab import (
     decompose_j,
     decompose_ord,
     decompose_ps_ls,
-    lift_reward,
     optimal_values,
     policy_evaluate,
     reward_vector,
@@ -92,7 +91,9 @@ class TestApply:
 
     def test_output_is_sas_domain(self, chain):
         r_sa = RewardTable.from_sa([[1.0, 0.0], [0.0, 1.0]])
-        assert apply(LinearScaling(2.0), r_sa, chain).domain == "sas"
+        out = apply(LinearScaling(2.0), r_sa, chain)
+        assert out.values.shape == (2, 2, 2)
+        assert np.array_equal(out.values, 2.0 * r_sa.values)
 
 
 class TestPotentialSampler:
@@ -104,7 +105,6 @@ class TestPotentialSampler:
         # mu0 = (1, 0): projection forces phi[s0] = 0
         spec = sample_potential_shaping(chain, 2.0, True, seed=5)
         assert spec.potential.phi[0] == pytest.approx(0.0, abs=1e-15)
-        assert spec.potential.zero_initial_expectation
         assert spec.potential.check_zero_initial(chain.initial)
 
     def test_seed_determinism(self, chain):
@@ -294,7 +294,7 @@ class TestSaDomainShaping:
     def test_formula_on_chain(self, chain):
         r = RewardTable.from_sa([[0.0, 1.0], [1.0, 0.0]])
         out = shaping_on_sa_domain(PotentialFn(np.array([0.0, 1.0])), r, chain)
-        assert out.domain == "sa"
+        assert np.all(out.values == out.values[:, :, :1])  # still independent of s'
         # r'(s0,a1) = 1 + 0.5*1 - 0
         assert out.values[0, 1, 0] == pytest.approx(1.5)
 
@@ -304,7 +304,7 @@ class TestSaDomainShaping:
             rng = np.random.default_rng(seed)
             phi = PotentialFn(rng.uniform(-1, 1, size=2))
             out = shaping_on_sa_domain(phi, r, chain)
-            dec = decompose_ord(canonical_forms(lift_reward(r), lift_reward(out), chain))
+            dec = decompose_ord(canonical_forms(r, out, chain))
             assert dec is not None and dec.c == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_non_sa_input(self, chain, chain_reward):
