@@ -108,12 +108,20 @@ class TestEnumerate:
 
 
 class TestRewardTable:
-    def test_from_sa_broadcast(self, chain):
-        table = np.array([[0.3, -0.7], [1.1, 0.0]])
+    def test_lift_sa_broadcast(self):
+        # from_sa lifts an (S, A) table to the full (S, A, S') tensor
+        table = np.array([[1.0, 0.0], [0.0, 2.0]])
         r = RewardTable.from_sa(table)
         assert r.values.shape == (2, 2, 2)
         assert np.all(r.values == table[:, :, None])
-        # the same expected rewards, bit for bit, as the full tensor written out by hand
+        assert np.all(r.values[0, 0, :] == 1.0)
+        assert np.all(r.values[1, 1, :] == 2.0)
+
+    def test_lift_preserves_reward_vector_bitwise(self, chain):
+        # the lifted table gives the same expected rewards, bit for bit,
+        # as the full tensor written out by hand
+        table = np.array([[0.3, -0.7], [1.1, 0.0]])
+        r = RewardTable.from_sa(table)
         full = RewardTable(np.repeat(table[:, :, None], 2, axis=2))
         assert np.array_equal(reward_vector(r, chain), reward_vector(full, chain))
 
