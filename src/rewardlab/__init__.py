@@ -27,7 +27,6 @@ from .mdp import (
     validate_mdp,
 )
 from .models import (
-    FVariantSpec,
     boltzmann_policy,
     fvariant_policy,
     invert_boltzmann,

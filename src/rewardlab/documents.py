@@ -102,22 +102,6 @@ def reward_from_doc(doc: dict, n_actions: int | None = None) -> RewardTable:
     raise StructuralError(f"unknown reward domain {domain!r}")
 
 
-def transform_to_doc(t: TransformSpec) -> dict:
-    if isinstance(t, PotentialShaping):
-        return {"kind": "ps", "phi": t.potential.phi.tolist()}
-    if isinstance(t, SuccessorRedistribution):
-        return {"kind": "sr", "replacement": reward_to_doc(t.replacement)}
-    if isinstance(t, LinearScaling):
-        return {"kind": "ls", "c": t.c}
-    if isinstance(t, ConstantShift):
-        return {"kind": "cs", "k": t.k}
-    if isinstance(t, OptimalityPreserving):
-        return {"kind": "op", "psi": t.psi.tolist(), "slack": t.slack.tolist()}
-    if isinstance(t, Chain):
-        return {"kind": "seq", "steps": [transform_to_doc(s) for s in t.steps]}
-    raise StructuralError(f"unknown transformation {t!r}")
-
-
 def transform_from_doc(doc: dict, n_actions: int | None = None) -> TransformSpec:
     """The spec ``doc`` describes; ``n_actions`` is needed to read an S-domain replacement reward.
 

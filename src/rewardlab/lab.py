@@ -41,7 +41,6 @@ from .mdp import (
     validate_mdp,
 )
 from .models import (
-    FVariantSpec,
     _softmax_rows,
     boltzmann_policy,
     fvariant_policy,
@@ -122,8 +121,6 @@ def random_reward(mdp: Mdp, domain: str = "sas", seed: int = 0) -> RewardTable:
             r = RewardTable(rng.uniform(-BOUNDS, BOUNDS, size=(n, k, n)))
         elif domain == "sa":
             r = RewardTable.from_sa(rng.uniform(-BOUNDS, BOUNDS, size=(n, k)))
-        elif domain == "s":
-            r = RewardTable.from_state(rng.uniform(-BOUNDS, BOUNDS, size=n), n_actions=k)
         else:
             raise ValueError(f"unknown domain {domain!r}")
         if advantage_gap(mdp, r) >= GAP_FLOOR * BOUNDS:
@@ -419,27 +416,21 @@ def _boltz_opt(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     """Softmax-of-Q* model vs argmax-preserving probes, plus the argmax-inverting probe."""
     rng = _substream(config.seed, trial, 20)
     if trial % 2 == 0:
-        spec = FVariantSpec(
-            variant="mixture",
-            lam=float(rng.uniform(0.2, 0.8)),
-            beta1=_loguniform(rng, 0.5, 5.0) / BOUNDS,
-            beta2=_loguniform(rng, 0.5, 5.0) / BOUNDS,
-        )
-    else:
-        spec = FVariantSpec(
-            variant="tempered-rank",
-            beta=_loguniform(rng, 0.5, 5.0) / BOUNDS,
-            p=float(rng.uniform(0.5, 3.0)),
-        )
+        variant, lam = "mixture", float(rng.uniform(0.2, 0.8))
+        weights = (lam, 1 - lam)
+        betas = (_loguniform(rng, 0.5, 5.0) / BOUNDS, _loguniform(rng, 0.5, 5.0) / BOUNDS)
+    else:  # exp(b * A*)^p renormalised: the softmax at temperature p * b
+        variant, b = "tempered-rank", _loguniform(rng, 0.5, 5.0) / BOUNDS
+        weights, betas = (1.0,), (float(rng.uniform(0.5, 3.0)) * b,)
     beta = _loguniform(rng, 0.1, 10.0) / BOUNDS
 
     def f_inv(pi, mdp):
         return invert_boltzmann(pi, beta, mdp)
 
     verdict = _robustness_trial(
-        config, trial, 20, lambda mdp, r2: fvariant_policy(mdp, r2, spec), f_inv, opt_equivalent
+        config, trial, 20, lambda mdp, r2: fvariant_policy(mdp, r2, weights, betas), f_inv, opt_equivalent
     )[-1]
-    outcome = {"status": "pass" if verdict.equivalent else "fail", "variant": spec.variant}
+    outcome = {"status": "pass" if verdict.equivalent else "fail", "variant": variant}
 
     # Existential side: until a verified violation lands, the same pipeline
     # runs once per trial with the argmax-inverting g = softmax(-beta * Q*).

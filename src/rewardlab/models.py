@@ -1,15 +1,13 @@
 """Behavioural models as maps from rewards to policies, plus their inversions.
 
 Three standard families (softmax-of-Q*, entropy-regularized, optimal-set) and
-a probe family of argmax-preserving full-support variants. The inversion
-oracles construct, for a given policy, a reward under which the corresponding
-model reproduces that policy exactly; they are what make the robustness
-theorems checkable end to end.
+a probe family of argmax-preserving full-support policies, the mixtures of
+softmax(beta * A*). The inversion oracles construct, for a given policy, a
+reward under which the corresponding model reproduces that policy exactly;
+they are what make the robustness theorems checkable end to end.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,35 +46,6 @@ def optimal_set_policy(mdp: Mdp, r: RewardTable) -> ActionSetPolicy:
     return optimal_values(mdp, r).opt_sets
 
 
-@dataclass(frozen=True)
-class FVariantSpec:
-    """Parameters for an argmax-preserving full-support policy generator.
-
-    ``mixture``: lam-mixture of two softmax-of-Q* policies (temperatures
-    beta1, beta2). ``tempered-rank``: probabilities proportional to
-    exp(beta * A*) raised to the power p, renormalized.
-    """
-
-    variant: str
-    lam: float | None = None
-    beta1: float | None = None
-    beta2: float | None = None
-    beta: float | None = None
-    p: float | None = None
-
-    def __post_init__(self):
-        if self.variant == "mixture":
-            if not (self.lam is not None and 0 < self.lam < 1):
-                raise ValueError("mixture requires lam in (0, 1)")
-            if not all(x is not None and 0 < x < np.inf for x in (self.beta1, self.beta2)):
-                raise ValueError("mixture requires positive finite beta1, beta2")
-        elif self.variant == "tempered-rank":
-            if not all(x is not None and 0 < x < np.inf for x in (self.beta, self.p)):
-                raise ValueError("tempered-rank requires positive finite beta and p")
-        else:
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-
 def _certify_argmax(probs: np.ndarray, opt_sets: ActionSetPolicy) -> None:
     if np.any(probs <= 0):
         raise CertificationError("generated policy is not full support")
@@ -86,21 +55,22 @@ def _certify_argmax(probs: np.ndarray, opt_sets: ActionSetPolicy) -> None:
         raise CertificationError(f"argmax set at state {s} is {sorted(got[s])}, expected {sorted(opt_sets[s])}")
 
 
-def fvariant_policy(mdp: Mdp, r: RewardTable, spec: FVariantSpec) -> StochasticPolicy:
-    """Synthesize a policy from the variant family and certify its membership.
+def fvariant_policy(
+    mdp: Mdp, r: RewardTable, weights: tuple[float, ...], betas: tuple[float, ...]
+) -> StochasticPolicy:
+    """The mixture sum_i weights[i] * softmax(betas[i] * A*), certified argmax-preserving.
 
-    Certification (full support plus argmax sets matching the optimal-action
-    sets) runs on every synthesis; it is cheap at these sizes and guards any
-    future variant whose algebra is less obvious.
+    Every component has full support and puts its largest probabilities on
+    the optimal actions, so any mixture does too. Weights that do not sum to
+    one are refused by StochasticPolicy. Certification (full support plus
+    argmax sets matching the optimal-action sets) runs on every synthesis.
     """
+    if len(weights) == 0 or len(weights) != len(betas):
+        raise ValueError("need one or more weights and one temperature per weight")
+    if not all(0 < x < np.inf for x in (*weights, *betas)):
+        raise ValueError("weights and temperatures must be positive finite")
     bundle = optimal_values(mdp, r)
-    a_star = bundle.a_star
-    if spec.variant == "mixture":
-        probs = spec.lam * _softmax_rows(spec.beta1 * a_star) + (1 - spec.lam) * _softmax_rows(
-            spec.beta2 * a_star
-        )
-    else:  # tempered-rank: exp(beta*A*)^p renormalized
-        probs = _softmax_rows(spec.p * spec.beta * a_star)
+    probs = sum(w * _softmax_rows(b * bundle.a_star) for w, b in zip(weights, betas))
     _certify_argmax(probs, bundle.opt_sets)
     return StochasticPolicy(probs)
 

@@ -9,11 +9,11 @@ equation (its T^pi is a row gather; the optimal-action sets are one tie mask
 of a*), and soft policy iteration (Newton's method on v =
 alpha*logsumexp(q/alpha)) for the soft one. Both start after WARM_SWEEPS
 (soft) Bellman sweeps from v = 0 (modified policy iteration, Puterman & Shin
-1978), whose greedy policy is often optimal already. ``tol`` bounds the Bellman
-residual in units of the largest possible |v|, (max|rv| + alpha*log A) /
-(1 - gamma) (alpha = 0 for the hard one), so no result depends on the
-reward's unit; a reward whose value scale overflows float64 raises
-StructuralError before any solve.
+1978), whose greedy policy is often optimal already. The Bellman residual is
+bounded (by ``tol`` for the hard one, DEFAULT_TOL for the soft one) in units
+of the largest possible |v|, (max|rv| + alpha*log A) / (1 - gamma) (alpha = 0
+for the hard one), so no result depends on the reward's unit; a reward whose
+value scale overflows float64 raises StructuralError before any solve.
 
 J at all A^S deterministic policies comes from one prefix-shared elimination
 that needs no row exchanges (see vertex_j). Controllability needs one
@@ -119,8 +119,8 @@ def _policy_transition(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
 def _solve_flow(flow: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with flow @ x = b by one dense solve; ConvergenceError if the residual exceeds ROUNDOFF_RTOL*max|x|."""
     x = np.linalg.solve(flow, b)
-    residual = float(np.abs(flow @ x - b).max())
-    if not residual <= ROUNDOFF_RTOL * float(np.abs(x).max()):
+    residual = float(np.abs(flow @ x - b).max(initial=0.0))
+    if not residual <= ROUNDOFF_RTOL * float(np.abs(x).max(initial=0.0)):
         raise ConvergenceError("flow solve residual too large", residual=residual)
     return x
 
@@ -143,11 +143,6 @@ def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBund
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < np.inf:
-        raise ValueError(f"need 0 < tol < inf, got tol={tol}")
-
-
 def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> OptimalBundle:
     """Howard policy iteration from the greedy policy after WARM_SWEEPS sweeps, with tie-tolerant argmax sets.
 
@@ -156,7 +151,8 @@ def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> Optima
     that takes more than MAX_ITER steps, or if the final policy's Bellman
     residual exceeds ``tol * max|rv| / (1 - gamma)``.
     """
-    _check_tol(tol)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"need 0 < tol < inf, got tol={tol}")
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
     bound = tol * _value_scale(mdp, rsa)
@@ -188,21 +184,20 @@ def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> Optima
     return OptimalBundle(q_star=q_star, v_star=v_star, a_star=a_star, opt_sets=opt_sets, residual=residual)
 
 
-def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float, tol: float = DEFAULT_TOL) -> SoftBundle:
+def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float) -> SoftBundle:
     """Soft policy iteration for v(s) = alpha*log sum_a exp(q(s,a)/alpha), after WARM_SWEEPS soft sweeps.
 
     Each step evaluates pi = softmax(q/alpha) exactly, with the entropy bonus
     -alpha*log pi in the reward; this is Newton's method on the soft Bellman
     equation. It stops once the soft-Bellman residual is at most
-    ``tol * (max|rv| + alpha*log A) / (1 - gamma)``, and raises
+    ``DEFAULT_TOL * (max|rv| + alpha*log A) / (1 - gamma)``, and raises
     ConvergenceError if that takes more than MAX_ITER steps.
     """
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
-    _check_tol(tol)
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
-    bound = tol * _value_scale(mdp, rsa, alpha * np.log(mdp.n_actions))
+    bound = DEFAULT_TOL * _value_scale(mdp, rsa, alpha * np.log(mdp.n_actions))
     eye, q_soft = np.eye(mdp.n_states), rsa  # q_soft = rv + gamma*tau v at v = 0
     for _ in range(WARM_SWEEPS):
         m = q_soft.max(axis=1)
@@ -222,7 +217,7 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float, tol: float = DEF
         q_soft = rsa + gamma * (mdp.transition @ v)
     else:
         raise ConvergenceError(
-            f"soft policy iteration did not reach residual {bound:.3e} (tol={tol}) within {MAX_ITER} steps",
+            f"soft policy iteration did not reach residual {bound:.3e} within {MAX_ITER} steps",
             residual=residual,
             iterations=MAX_ITER,
         )
@@ -269,10 +264,11 @@ def controllable_states(mdp: Mdp) -> ControllableStates:
     With M = I - gamma*T^pi0' at the uniform policy pi0 and D(t,a) =
     tau(t,a,.) - tau(t,0,.), state s is controllable iff |[M^-1 D(t,a)]_s|
     exceeds CONTROL_RTOL / (1 - gamma) for some action a at some reachable state t.
+    The solve's residual is checked as every flow solve's is (ConvergenceError).
     """
     n, gamma, tau = mdp.n_states, mdp.discount, mdp.transition
     reached = reachable_states(mdp)
     diffs = (tau[reached, 1:, :] - tau[reached, :1, :]).reshape(-1, n)  # rows D(t,a), t-major
     flow = np.eye(n) - gamma * tau.mean(axis=1).T
-    gaps = np.abs(np.linalg.solve(flow, diffs.T)).max(axis=1, initial=0.0)
+    gaps = np.abs(_solve_flow(flow, diffs.T)).max(axis=1, initial=0.0)
     return ControllableStates(frozenset(np.flatnonzero(gaps > CONTROL_RTOL / (1.0 - gamma)).tolist()))

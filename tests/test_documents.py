@@ -102,32 +102,41 @@ class TestRewardDocuments:
 
 class TestTransformDocuments:
     def test_all_kinds_round_trip(self, chain_reward):
-        specs = [
-            PotentialShaping(PotentialFn(np.array([0.1, -0.2]))),
-            SuccessorRedistribution(chain_reward),
-            LinearScaling(2.5),
-            ConstantShift(-1.0),
-            OptimalityPreserving(psi=np.array([1.0, 0.0]), slack=-np.ones((2, 2))),
-        ]
-        specs.append(Chain(tuple(specs[:3])))
-        for spec in specs:
-            doc = documents.transform_to_doc(spec)
-            back = documents.transform_from_doc(json.loads(json.dumps(doc)))
-            assert documents.transform_to_doc(back) == doc
+        """Each kind read from a JSON document carries its fields; ``seq`` keeps its steps in order."""
+        docs = {
+            "ps": {"kind": "ps", "phi": [0.1, -0.2]},
+            "sr": {"kind": "sr", "replacement": {"domain": "sas", "values": chain_reward.values.tolist()}},
+            "ls": {"kind": "ls", "c": 2.5},
+            "cs": {"kind": "cs", "k": -1.0},
+            "op": {"kind": "op", "psi": [1.0, 0.0], "slack": [[-1.0, -1.0], [-1.0, -1.0]]},
+        }
+        read = {kind: documents.transform_from_doc(json.loads(json.dumps(doc))) for kind, doc in docs.items()}
+        assert isinstance(read["ps"], PotentialShaping)
+        assert np.array_equal(read["ps"].potential.phi, [0.1, -0.2])
+        assert isinstance(read["sr"], SuccessorRedistribution)
+        assert np.array_equal(read["sr"].replacement.values, chain_reward.values)
+        assert isinstance(read["ls"], LinearScaling) and read["ls"].c == 2.5
+        assert isinstance(read["cs"], ConstantShift) and read["cs"].k == -1.0
+        assert isinstance(read["op"], OptimalityPreserving)
+        assert np.array_equal(read["op"].psi, [1.0, 0.0]) and np.array_equal(read["op"].slack, -np.ones((2, 2)))
+        seq = documents.transform_from_doc({"kind": "seq", "steps": [docs["ls"], docs["ps"], docs["cs"]]})
+        assert isinstance(seq, Chain)
+        assert [type(step) for step in seq.steps] == [LinearScaling, PotentialShaping, ConstantShift]
+        assert seq.steps[0].c == 2.5 and seq.steps[2].k == -1.0
 
     def test_ps_zero_initial_key_ignored(self):
         doc = {"kind": "ps", "phi": [0.1, -0.2], "zero_initial": True}
         back = documents.transform_from_doc(doc)
-        assert documents.transform_to_doc(back) == {"kind": "ps", "phi": [0.1, -0.2]}
+        assert isinstance(back, PotentialShaping)
+        assert np.array_equal(back.potential.phi, [0.1, -0.2])
 
     def test_s_domain_redistribution_round_trip(self):
+        """An "s"-domain replacement is read as its (S, A, S') broadcast, also inside a ``seq``."""
         doc = {"kind": "sr", "replacement": {"domain": "s", "values": [1.0, 2.0]}}
-        back = documents.transform_from_doc(doc, n_actions=2)
         full = RewardTable.from_state([1.0, 2.0], n_actions=2).values
-        assert np.array_equal(back.replacement.values, full)
-        again = documents.transform_from_doc(json.loads(json.dumps(documents.transform_to_doc(back))))
-        assert documents.transform_to_doc(again)["replacement"]["domain"] == "sas"
-        assert np.array_equal(again.replacement.values, full)
+        assert np.array_equal(documents.transform_from_doc(doc, n_actions=2).replacement.values, full)
+        seq = documents.transform_from_doc({"kind": "seq", "steps": [doc]}, n_actions=2)
+        assert np.array_equal(seq.steps[0].replacement.values, full)
 
     def test_load_transform_reads_s_domain_replacement(self, tmp_path, chain):
         path = tmp_path / "spec.json"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rewardlab import (
-    FVariantSpec,
     LinearScaling,
     RewardTable,
     StochasticPolicy,
@@ -19,8 +18,9 @@ from rewardlab import (
     sample_potential_shaping,
     sample_s_redistribution,
 )
+from rewardlab import models
 from rewardlab.lab import random_mdp, random_reward
-from rewardlab.errors import CertificationError
+from rewardlab.errors import CertificationError, StructuralError
 from rewardlab.mdp import ActionSetPolicy
 from rewardlab.models import _certify_argmax, _softmax_rows
 
@@ -112,22 +112,25 @@ class TestOptimalSetPolicy:
         )
 
 
+def _fvariant_instances(n):
+    for seed in range(n):
+        mdp = random_mdp(2 + seed % 6, 2 + seed % 3, 0.4 + 0.59 * (seed % 7) / 6, seed=seed)
+        yield seed, mdp, random_reward(mdp, seed=seed + 7000)
+
+
 class TestFVariant:
     def test_mixture_on_chain(self, chain, chain_reward):
-        spec = FVariantSpec(variant="mixture", lam=0.5, beta1=1.0, beta2=2.0)
-        pi = fvariant_policy(chain, chain_reward, spec)
+        pi = fvariant_policy(chain, chain_reward, (0.5, 0.5), (1.0, 2.0))
         assert int(np.argmax(pi.probs[0])) == 1
         assert (pi.probs > 0).all()
 
     def test_tempered_rank_on_chain(self, chain, chain_reward):
-        spec = FVariantSpec(variant="tempered-rank", beta=1.0, p=2.0)
-        pi = fvariant_policy(chain, chain_reward, spec)
+        pi = fvariant_policy(chain, chain_reward, (1.0,), (2.0 * 1.0,))  # exp(beta*A*)^p at beta = 1, p = 2
         assert int(np.argmax(pi.probs[0])) == 1
         assert np.all(pi.probs > 0)
 
     def test_constant_reward_tie_handling(self, chain):
-        spec = FVariantSpec(variant="mixture", lam=0.3, beta1=1.0, beta2=4.0)
-        pi = fvariant_policy(chain, RewardTable(np.zeros((2, 2, 2))), spec)
+        pi = fvariant_policy(chain, RewardTable(np.zeros((2, 2, 2))), (0.3, 0.7), (1.0, 4.0))
         np.testing.assert_allclose(pi.probs, 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -135,10 +138,14 @@ class TestFVariant:
         "variant, field",
         [("mixture", "beta1"), ("mixture", "beta2"), ("tempered-rank", "beta"), ("tempered-rank", "p")],
     )
-    def test_non_finite_parameters_rejected(self, variant, field, bad):
-        params = {"mixture": {"lam": 0.5, "beta1": 1.0, "beta2": 2.0}, "tempered-rank": {"beta": 1.0, "p": 2.0}}
+    def test_non_finite_parameters_rejected(self, chain, chain_reward, variant, field, bad):
+        x = {"beta1": 1.0, "beta2": 2.0, "beta": 1.0, "p": 2.0, field: bad}
+        if variant == "mixture":
+            weights, betas = (0.5, 0.5), (x["beta1"], x["beta2"])
+        else:
+            weights, betas = (1.0,), (x["p"] * x["beta"],)
         with pytest.raises(ValueError, match="positive finite"):
-            FVariantSpec(variant=variant, **{**params[variant], field: bad})
+            fvariant_policy(chain, chain_reward, weights, betas)
 
     def test_certificate_names_first_mismatching_state(self):
         probs = np.array([[0.6, 0.4], [0.5, 0.5], [0.3, 0.7], [0.1, 0.9]])
@@ -147,13 +154,43 @@ class TestFVariant:
             _certify_argmax(probs, opt_sets)
         _certify_argmax(probs, ActionSetPolicy([[True, False], [True, True], [False, True], [False, True]]))
 
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            FVariantSpec(variant="mixture", lam=1.5, beta1=1.0, beta2=1.0)
-        with pytest.raises(ValueError):
-            FVariantSpec(variant="tempered-rank", beta=-1.0, p=1.0)
-        with pytest.raises(ValueError):
-            FVariantSpec(variant="sideways")
+    def test_invalid_specs_rejected(self, chain, chain_reward, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("fvariant_policy solved before checking its parameters")
+
+        monkeypatch.setattr(models, "optimal_values", no_solve)
+        for weights, betas in [
+            ((), ()),  # no component
+            ((0.5, 0.5), (1.0,)),  # one temperature short
+            ((1.5, -0.5), (1.0, 1.0)),  # mixing weight outside (0, 1)
+            ((0.0, 1.0), (1.0, 1.0)),  # a zero weight
+            ((1.0,), (-1.0,)),  # negative temperature
+            ((1.0,), (0.0,)),  # zero temperature
+        ]:
+            with pytest.raises(ValueError):
+                fvariant_policy(chain, chain_reward, weights, betas)
+
+    def test_weights_off_the_simplex_refused(self, chain, chain_reward):
+        with pytest.raises(StructuralError, match="sum to 1"):
+            fvariant_policy(chain, chain_reward, (0.5, 0.6), (1.0, 2.0))
+
+    def test_bitwise_equal_to_the_variant_formulas(self):
+        """One component is exp(beta*A*)^p renormalised, two are a lam-mixture, both to the last bit."""
+        for seed, mdp, r in _fvariant_instances(40):
+            a_star = optimal_values(mdp, r).a_star
+            lam, beta1, beta2, beta, p = 0.2 + 0.015 * seed, 0.3 + 0.1 * seed, 2.7, 0.05 * (seed + 1), 1.7
+            tempered = fvariant_policy(mdp, r, (1.0,), (p * beta,)).probs
+            assert np.array_equal(tempered, _softmax_rows(p * beta * a_star))
+            mixture = fvariant_policy(mdp, r, (lam, 1 - lam), (beta1, beta2)).probs
+            expected = lam * _softmax_rows(beta1 * a_star) + (1 - lam) * _softmax_rows(beta2 * a_star)
+            assert np.array_equal(mixture, expected)
+
+    def test_one_component_is_the_boltzmann_policy(self):
+        """exp(beta*A*)^p renormalised is the Boltzmann policy at temperature p*beta, within round-off."""
+        for seed, mdp, r in _fvariant_instances(40):
+            beta, p = 0.05 * (seed + 1), 0.5 + 0.06 * seed
+            tempered = fvariant_policy(mdp, r, (1.0,), (p * beta,)).probs
+            assert np.abs(tempered - boltzmann_policy(mdp, r, p * beta).probs).max() <= 1e-12
 
 
 class TestInvertBoltzmann:
@@ -259,12 +296,8 @@ class TestModelInvariances:
         for seed in range(0, self.N_TRIALS, 4):
             mdp, r = self._env(seed)
             opt = optimal_values(mdp, r).opt_sets
-            specs = [
-                FVariantSpec(variant="mixture", lam=0.4, beta1=1.0, beta2=3.0),
-                FVariantSpec(variant="tempered-rank", beta=1.5, p=1.5),
-            ]
-            for spec in specs:
-                pi = fvariant_policy(mdp, r, spec)
+            for weights, betas in (((0.4, 0.6), (1.0, 3.0)), ((1.0,), (1.5 * 1.5,))):
+                pi = fvariant_policy(mdp, r, weights, betas)
                 assert np.all(pi.probs > 0)
                 for s in range(mdp.n_states):
                     assert frozenset(np.flatnonzero(
