@@ -49,7 +49,6 @@ from .solve import (
 )
 from .transform import (
     Chain,
-    ConstantShift,
     Decomposition,
     LinearScaling,
     OptimalityPreserving,

@@ -21,7 +21,7 @@ from .equiv import j_equal, opt_equivalent, ord_equivalent
 from .errors import CapacityError, ConvergenceError, InternalConsistencyError, ValidationFailure
 from .lab import ExperimentConfig, run_registry, verify_claim
 from .models import boltzmann_policy, mce_policy
-from .solve import DEFAULT_TOL, optimal_values
+from .solve import optimal_values
 from .transform import apply as apply_transform
 
 # Exception type -> (exit code, message prefix); a raised exception takes the
@@ -96,26 +96,18 @@ def validate(mdp_path, reward_path, fmt):
 @main.command()
 @click.argument("mdp_path", type=click.Path(exists=True))
 @click.argument("reward_path", type=click.Path(exists=True))
-@click.option(
-    "--tol",
-    type=float,
-    default=DEFAULT_TOL,
-    show_default=True,
-    help="Bellman residual the result must meet, in units of max|rv| / (1 - gamma), "
-    "rv the expected reward per (s, a) (exit 3 otherwise)",
-)
 @click.option("--beta", type=float, default=None, help="also report the softmax-of-Q* policy")
 @click.option("--alpha", type=float, default=None, help="also report the entropy-regularized policy")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text")
 @click.option("--out", type=click.Path(), default=None)
-def solve(mdp_path, reward_path, tol, beta, alpha, fmt, out):
+def solve(mdp_path, reward_path, beta, alpha, fmt, out):
     """Solve for optimal values, advantages, and optimal-action sets."""
-    for name, value in (("tol", tol), ("beta", beta), ("alpha", alpha)):
+    for name, value in (("beta", beta), ("alpha", alpha)):
         if value is not None and not 0 < value < math.inf:
             raise ValueError(f"--{name} must be positive and finite, got {value}")
     mdp = documents.load_mdp(mdp_path)
     r = documents.load_reward(reward_path, mdp)
-    bundle = optimal_values(mdp, r, tol=tol)
+    bundle = optimal_values(mdp, r)
     doc = {
         "v_star": bundle.v_star.tolist(),
         "q_star": bundle.q_star.tolist(),

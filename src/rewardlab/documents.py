@@ -21,7 +21,6 @@ from .errors import StructuralError, ValidationFailure
 from .mdp import Mdp, RewardTable, validate_mdp
 from .transform import (
     Chain,
-    ConstantShift,
     LinearScaling,
     OptimalityPreserving,
     PotentialFn,
@@ -40,16 +39,13 @@ def dumps(doc) -> str:
 
 
 def mdp_to_doc(mdp: Mdp) -> dict:
-    doc = {
+    return {
         "n_states": mdp.n_states,
         "n_actions": mdp.n_actions,
         "gamma": mdp.discount,
         "mu0": mdp.initial.tolist(),
         "transition": mdp.transition.tolist(),
     }
-    if mdp.labels is not None:
-        doc["labels"] = list(mdp.labels)
-    return doc
 
 
 def _malformed(what: str, exc: Exception) -> StructuralError:
@@ -63,7 +59,6 @@ def mdp_from_doc(doc: dict) -> Mdp:
             transition=np.array(doc["transition"], dtype=float),
             initial=np.array(doc["mu0"], dtype=float),
             discount=float(doc["gamma"]),
-            labels=doc.get("labels"),
         )
         declared = int(doc["n_states"]), int(doc["n_actions"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -115,8 +110,6 @@ def transform_from_doc(doc: dict, n_actions: int | None = None) -> TransformSpec
             return SuccessorRedistribution(reward_from_doc(doc["replacement"], n_actions))
         if kind == "ls":
             return LinearScaling(float(doc["c"]))
-        if kind == "cs":
-            return ConstantShift(float(doc["k"]))
         if kind == "op":
             return OptimalityPreserving(
                 psi=np.array(doc["psi"], dtype=float), slack=np.array(doc["slack"], dtype=float)

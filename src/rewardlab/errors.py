@@ -21,10 +21,9 @@ class ValidationFailure(ValueError):
 class ConvergenceError(RuntimeError):
     """A solver could not meet its tolerance: iteration cap hit, or round-off above it."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class CapacityError(RuntimeError):

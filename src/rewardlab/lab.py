@@ -499,7 +499,7 @@ def _opt_model(config: ExperimentConfig, trial: int, searching: bool) -> dict:
     r1 = random_reward(mdp, seed=seeds[0])
     related = trial % 2 == 1
     if related:
-        op = sample_optimality_preserving(mdp, r1, BOUNDS, seeds[1])
+        op = sample_optimality_preserving(mdp, BOUNDS, seeds[1])
         r2 = apply(op, r1, mdp)
     else:
         r2 = random_reward(mdp, seed=seeds[2])

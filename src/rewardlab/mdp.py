@@ -42,7 +42,6 @@ class Mdp:
     transition: np.ndarray
     initial: np.ndarray
     discount: float
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         tau = np.array(self.transition, dtype=float)
@@ -56,11 +55,6 @@ class Mdp:
         object.__setattr__(self, "transition", tau)
         object.__setattr__(self, "initial", mu0)
         object.__setattr__(self, "discount", float(self.discount))
-        if self.labels is not None:
-            labels = tuple(self.labels) if isinstance(self.labels, (list, tuple)) else ()
-            if len(labels) != tau.shape[0] or not all(isinstance(x, str) for x in labels):
-                raise StructuralError(f"labels must be one string per state, got {self.labels!r}")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def n_states(self) -> int:

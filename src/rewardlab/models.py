@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CertificationError
 from .mdp import ActionSetPolicy, Mdp, RewardTable, StochasticPolicy
-from .solve import SoftBundle, optimal_values, soft_optimal_values
+from .solve import SoftBundle, optimal_values, refuse_overflow, soft_optimal_values
 
 ARGMAX_ATOL = 1e-12  # probability tie tolerance used when certifying argmax sets
 
@@ -24,11 +24,12 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def boltzmann_policy(mdp: Mdp, r: RewardTable, beta: float) -> StochasticPolicy:
-    """pi(a|s) proportional to exp(beta * Q*(s,a)); full support for any beta > 0."""
+    """pi(a|s) proportional to exp(beta * Q*(s,a)); StructuralError where beta * Q* overflows float64."""
     if not 0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
     q_star = optimal_values(mdp, r).q_star
-    return StochasticPolicy(_softmax_rows(beta * q_star))
+    with refuse_overflow(f"beta * Q* at beta={beta}"):
+        return StochasticPolicy(_softmax_rows(beta * q_star))
 
 
 def mce_policy(mdp: Mdp, r: RewardTable, alpha: float) -> StochasticPolicy:
@@ -37,8 +38,9 @@ def mce_policy(mdp: Mdp, r: RewardTable, alpha: float) -> StochasticPolicy:
 
 
 def soft_policy(soft: SoftBundle) -> StochasticPolicy:
-    """The entropy-regularized optimum read off solved soft values: softmax(q_soft / alpha)."""
-    return StochasticPolicy(_softmax_rows(soft.q_soft / soft.alpha))
+    """The entropy-regularized optimum softmax(q_soft / alpha); StructuralError where that overflows float64."""
+    with refuse_overflow(f"q_soft / alpha at alpha={soft.alpha}"):
+        return StochasticPolicy(_softmax_rows(soft.q_soft / soft.alpha))
 
 
 def optimal_set_policy(mdp: Mdp, r: RewardTable) -> ActionSetPolicy:

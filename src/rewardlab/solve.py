@@ -9,11 +9,11 @@ equation (its T^pi is a row gather; the optimal-action sets are one tie mask
 of a*), and soft policy iteration (Newton's method on v =
 alpha*logsumexp(q/alpha)) for the soft one. Both start after WARM_SWEEPS
 (soft) Bellman sweeps from v = 0 (modified policy iteration, Puterman & Shin
-1978), whose greedy policy is often optimal already. The Bellman residual is
-bounded (by ``tol`` for the hard one, DEFAULT_TOL for the soft one) in units
-of the largest possible |v|, (max|rv| + alpha*log A) / (1 - gamma) (alpha = 0
-for the hard one), so no result depends on the reward's unit; a reward whose
-value scale overflows float64 raises StructuralError before any solve.
+1978), whose greedy policy is often optimal already. Both bound the Bellman
+residual by DEFAULT_TOL in units of the largest possible |v|, (max|rv| +
+alpha*log A) / (1 - gamma) (alpha = 0 for the hard one), so no result depends
+on the reward's unit; a reward whose value scale overflows float64 raises
+StructuralError before any solve.
 
 J at all A^S deterministic policies comes from one prefix-shared elimination
 that needs no row exchanges (see vertex_j). Controllability needs one
@@ -23,6 +23,7 @@ constant over all policies iff the uniform policy's action gaps for the reward
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,16 @@ class ControllableStates:
         return len(self.states)
 
 
+@contextmanager
+def refuse_overflow(what: str):
+    """Raise StructuralError naming ``what`` where float64 arithmetic in the block overflows or makes a NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise StructuralError(f"{what} overflows float64") from None
+
+
 def reward_vector(r: RewardTable, mdp: Mdp) -> np.ndarray:
     """Expected immediate reward per (s, a): r[s,a] = E_{S'~tau(s,a)}[R(s,a,S')], shape (S, A)."""
     mdp.check_reward(r)
@@ -143,19 +154,17 @@ def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBund
     return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
 
 
-def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> OptimalBundle:
+def optimal_values(mdp: Mdp, r: RewardTable) -> OptimalBundle:
     """Howard policy iteration from the greedy policy after WARM_SWEEPS sweeps, with tie-tolerant argmax sets.
 
     A state switches action only on a strict improvement, so the iteration
     cannot cycle; it stops when no state improves. Raises ConvergenceError if
     that takes more than MAX_ITER steps, or if the final policy's Bellman
-    residual exceeds ``tol * max|rv| / (1 - gamma)``.
+    residual exceeds ``DEFAULT_TOL * max|rv| / (1 - gamma)``.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"need 0 < tol < inf, got tol={tol}")
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
-    bound = tol * _value_scale(mdp, rsa)
+    bound = DEFAULT_TOL * _value_scale(mdp, rsa)
     states, eye, q = np.arange(mdp.n_states), np.eye(mdp.n_states), rsa  # q = rv + gamma*tau v at v = 0
     for _ in range(WARM_SWEEPS):
         q = rsa + gamma * (mdp.transition @ q.max(axis=1))
@@ -170,13 +179,9 @@ def optimal_values(mdp: Mdp, r: RewardTable, tol: float = DEFAULT_TOL) -> Optima
             break
         act = np.where(improve, q_star.argmax(axis=1), act)
     else:
-        raise ConvergenceError(
-            f"policy iteration still improving after {MAX_ITER} steps",
-            residual=residual,
-            iterations=MAX_ITER,
-        )
+        raise ConvergenceError(f"policy iteration still improving after {MAX_ITER} steps", residual)
     if residual > bound:
-        raise ConvergenceError(f"Bellman residual {residual:.3e} above {bound:.3e} (tol={tol})", residual)
+        raise ConvergenceError(f"Bellman residual {residual:.3e} above {bound:.3e}", residual)
     a_star = q_star - v_star[:, None]
     # Shifts and shaping leave a* unchanged but not q*, whose round-off floors the tie.
     tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(q_star).max()))
@@ -191,7 +196,8 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float) -> SoftBundle:
     -alpha*log pi in the reward; this is Newton's method on the soft Bellman
     equation. It stops once the soft-Bellman residual is at most
     ``DEFAULT_TOL * (max|rv| + alpha*log A) / (1 - gamma)``, and raises
-    ConvergenceError if that takes more than MAX_ITER steps.
+    ConvergenceError if that takes more than MAX_ITER steps. Raises
+    StructuralError where the soft values overflow float64 (q/alpha at a tiny alpha).
     """
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
@@ -199,28 +205,27 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float) -> SoftBundle:
     rsa = reward_vector(r, mdp)
     bound = DEFAULT_TOL * _value_scale(mdp, rsa, alpha * np.log(mdp.n_actions))
     eye, q_soft = np.eye(mdp.n_states), rsa  # q_soft = rv + gamma*tau v at v = 0
-    for _ in range(WARM_SWEEPS):
-        m = q_soft.max(axis=1)
-        v = m + alpha * np.log(np.exp((q_soft - m[:, None]) / alpha).sum(axis=1))
-        q_soft = rsa + gamma * (mdp.transition @ v)
-    for _ in range(MAX_ITER):
-        m = q_soft.max(axis=1)
-        z = (q_soft - m[:, None]) / alpha
-        log_norm = np.log(np.exp(z).sum(axis=1))
-        v_soft = m + alpha * log_norm
-        residual = float(np.abs(v_soft - v).max())
-        if residual <= bound:
-            break
-        log_pi = z - log_norm[:, None]
-        pi = np.exp(log_pi)
-        v = _solve_flow(eye - gamma * _policy_transition(mdp, pi), (pi * (rsa - alpha * log_pi)).sum(axis=1))
-        q_soft = rsa + gamma * (mdp.transition @ v)
-    else:
-        raise ConvergenceError(
-            f"soft policy iteration did not reach residual {bound:.3e} within {MAX_ITER} steps",
-            residual=residual,
-            iterations=MAX_ITER,
-        )
+    with refuse_overflow(f"the soft Bellman update at alpha={alpha}"):
+        for _ in range(WARM_SWEEPS):
+            m = q_soft.max(axis=1)
+            v = m + alpha * np.log(np.exp((q_soft - m[:, None]) / alpha).sum(axis=1))
+            q_soft = rsa + gamma * (mdp.transition @ v)
+        for _ in range(MAX_ITER):
+            m = q_soft.max(axis=1)
+            z = (q_soft - m[:, None]) / alpha
+            log_norm = np.log(np.exp(z).sum(axis=1))
+            v_soft = m + alpha * log_norm
+            residual = float(np.abs(v_soft - v).max())
+            if residual <= bound:
+                break
+            log_pi = z - log_norm[:, None]
+            pi = np.exp(log_pi)
+            v = _solve_flow(eye - gamma * _policy_transition(mdp, pi), (pi * (rsa - alpha * log_pi)).sum(axis=1))
+            q_soft = rsa + gamma * (mdp.transition @ v)
+        else:
+            raise ConvergenceError(
+                f"soft policy iteration did not reach residual {bound:.3e} within {MAX_ITER} steps", residual
+            )
     return SoftBundle(q_soft=q_soft, v_soft=v_soft, alpha=float(alpha), residual=residual)
 
 

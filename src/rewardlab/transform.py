@@ -1,11 +1,10 @@
 """Reward-transformation algebra: constructors, samplers, appliers, decomposers.
 
-Five transformation families are supported, plus left-to-right chains of them:
+Four transformation families are supported, plus left-to-right chains of them:
 
-* potential shaping       R'(s,a,s') = R(s,a,s') + gamma*phi(s') - phi(s)
+* potential shaping       R'(s,a,s') = R(s,a,s') + gamma*phi(s') - phi(s) (phi = -k/(1-gamma): R + k)
 * successor redistribution: any rewrite preserving E_{S'~tau(s,a)}[R(s,a,S')]
 * positive linear scaling R' = c*R with c > 0
-* constant shift          R' = R + k
 * optimality preserving   rewrites keeping the optimal-action sets while
                           retargeting an arbitrary value profile psi
 
@@ -47,10 +46,6 @@ class PotentialFn:
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
 
-    def check_zero_initial(self, initial: np.ndarray) -> bool:
-        """E_{S0~initial}[phi(S0)] = 0 up to round-off in phi's size."""
-        return abs(float(initial @ self.phi)) <= ROUNDOFF_RTOL * float(np.abs(self.phi).max(initial=0.0))
-
 
 class TransformSpec:
     """Base tag for the transformation union; see the concrete kinds below."""
@@ -75,11 +70,6 @@ class LinearScaling(TransformSpec):
     def __post_init__(self):
         if not self.c > 0:
             raise StructuralError(f"scaling constant must be positive, got {self.c}")
-
-
-@dataclass(frozen=True)
-class ConstantShift(TransformSpec):
-    k: float
 
 
 @dataclass(frozen=True)
@@ -157,8 +147,6 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
         return t.replacement
     if isinstance(t, LinearScaling):
         return RewardTable(t.c * r.values)
-    if isinstance(t, ConstantShift):
-        return RewardTable(r.values + t.k)
     if isinstance(t, OptimalityPreserving):
         _check_shape("psi", t.psi, (mdp.n_states,))
         _check_shape("slack", t.slack, (mdp.n_states, mdp.n_actions))
@@ -202,9 +190,7 @@ def sample_s_redistribution(
     return SuccessorRedistribution(RewardTable(vals))
 
 
-def sample_optimality_preserving(
-    mdp: Mdp, r: RewardTable, bounds: float, seed: int
-) -> OptimalityPreserving:
+def sample_optimality_preserving(mdp: Mdp, bounds: float, seed: int) -> OptimalityPreserving:
     """Random value profile plus slack with magnitudes in [1e-3*bounds, bounds]."""
     if bounds <= 0:
         raise ValueError("bounds must be positive")

@@ -5,7 +5,6 @@ import pytest
 
 from rewardlab import (
     Chain,
-    ConstantShift,
     LinearScaling,
     OptimalityPreserving,
     PotentialFn,
@@ -28,23 +27,20 @@ class TestMdpDocuments:
         assert np.array_equal(back.initial, chain.initial)
         assert back.discount == chain.discount
 
-    def test_labels_preserved(self):
-        mdp = random_mdp(3, 2, 0.8, seed=1)
-        doc = documents.mdp_to_doc(
-            type(mdp)(mdp.transition, mdp.initial, mdp.discount, labels=("a", "b", "c"))
-        )
-        assert documents.mdp_from_doc(doc).labels == ("a", "b", "c")
-
     @pytest.mark.parametrize(
-        "labels", [("a",), "abc", [1, None, {}]], ids=["one-for-three-states", "string", "not-strings"]
+        "labels",
+        [["a", "b", "c"], ["a"], "abc", [1, None, {}]],
+        ids=["one-per-state", "one-for-three-states", "string", "not-strings"],
     )
-    def test_labels_must_be_one_string_per_state(self, labels):
+    def test_labels_key_ignored(self, labels):
+        """A "labels" key, like any key the loader does not read, changes nothing, and none is written."""
         mdp = random_mdp(3, 2, 0.8, seed=1)
-        with pytest.raises(StructuralError, match="labels"):
-            type(mdp)(mdp.transition, mdp.initial, mdp.discount, labels=labels)
-        doc = {**documents.mdp_to_doc(mdp), "labels": labels}
-        with pytest.raises(StructuralError, match="labels"):
-            documents.mdp_from_doc(doc)
+        doc = documents.mdp_to_doc(mdp)
+        back = documents.mdp_from_doc(json.loads(json.dumps({**doc, "labels": labels})))
+        assert np.array_equal(back.transition, mdp.transition)
+        assert np.array_equal(back.initial, mdp.initial)
+        assert back.discount == mdp.discount
+        assert "labels" not in documents.mdp_to_doc(back)
 
     def test_loader_revalidates(self, chain):
         doc = documents.mdp_to_doc(chain)
@@ -107,7 +103,6 @@ class TestTransformDocuments:
             "ps": {"kind": "ps", "phi": [0.1, -0.2]},
             "sr": {"kind": "sr", "replacement": {"domain": "sas", "values": chain_reward.values.tolist()}},
             "ls": {"kind": "ls", "c": 2.5},
-            "cs": {"kind": "cs", "k": -1.0},
             "op": {"kind": "op", "psi": [1.0, 0.0], "slack": [[-1.0, -1.0], [-1.0, -1.0]]},
         }
         read = {kind: documents.transform_from_doc(json.loads(json.dumps(doc))) for kind, doc in docs.items()}
@@ -116,13 +111,16 @@ class TestTransformDocuments:
         assert isinstance(read["sr"], SuccessorRedistribution)
         assert np.array_equal(read["sr"].replacement.values, chain_reward.values)
         assert isinstance(read["ls"], LinearScaling) and read["ls"].c == 2.5
-        assert isinstance(read["cs"], ConstantShift) and read["cs"].k == -1.0
         assert isinstance(read["op"], OptimalityPreserving)
         assert np.array_equal(read["op"].psi, [1.0, 0.0]) and np.array_equal(read["op"].slack, -np.ones((2, 2)))
-        seq = documents.transform_from_doc({"kind": "seq", "steps": [docs["ls"], docs["ps"], docs["cs"]]})
+        seq = documents.transform_from_doc({"kind": "seq", "steps": [docs["ls"], docs["ps"], docs["op"]]})
         assert isinstance(seq, Chain)
-        assert [type(step) for step in seq.steps] == [LinearScaling, PotentialShaping, ConstantShift]
-        assert seq.steps[0].c == 2.5 and seq.steps[2].k == -1.0
+        assert [type(step) for step in seq.steps] == [LinearScaling, PotentialShaping, OptimalityPreserving]
+        assert seq.steps[0].c == 2.5 and np.array_equal(seq.steps[2].psi, [1.0, 0.0])
+
+    def test_constant_shift_kind_unknown(self):
+        with pytest.raises(StructuralError, match="unknown transformation kind 'cs'"):
+            documents.transform_from_doc({"kind": "cs", "k": 1.0})
 
     def test_ps_zero_initial_key_ignored(self):
         doc = {"kind": "ps", "phi": [0.1, -0.2], "zero_initial": True}

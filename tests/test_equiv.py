@@ -50,7 +50,7 @@ def assert_witness_flips(witness, mdp, r1, r2):
 
 class TestOptEquivalent:
     def test_op_transform_preserves(self, chain, chain_reward):
-        spec = sample_optimality_preserving(chain, chain_reward, 1.0, seed=3)
+        spec = sample_optimality_preserving(chain, 1.0, seed=3)
         r2 = apply(spec, chain_reward, chain)
         assert opt_equivalent(chain_reward, r2, chain).equivalent
 
@@ -65,7 +65,7 @@ class TestOptEquivalent:
     def test_equivalence_relation_on_seeded_sample(self):
         mdp = random_mdp(3, 2, 0.8, seed=0)
         rewards = [random_reward(mdp, seed=s) for s in range(6)]
-        rewards.append(apply(sample_optimality_preserving(mdp, rewards[0], 1.0, 7), rewards[0], mdp))
+        rewards.append(apply(sample_optimality_preserving(mdp, 1.0, 7), rewards[0], mdp))
         verdicts = {}
         for i, ri in enumerate(rewards):
             for j, rj in enumerate(rewards):

@@ -17,14 +17,22 @@ from rewardlab import (
     sample_optimality_preserving,
     sample_potential_shaping,
     sample_s_redistribution,
+    soft_optimal_values,
 )
 from rewardlab import models
 from rewardlab.lab import random_mdp, random_reward
 from rewardlab.errors import CertificationError, StructuralError
-from rewardlab.mdp import ActionSetPolicy
-from rewardlab.models import _certify_argmax, _softmax_rows
+from rewardlab.mdp import ActionSetPolicy, Mdp
+from rewardlab.models import _certify_argmax, _softmax_rows, soft_policy
 
 import oracles
+
+# Q* and the soft Q reach about 2 here, so beta * Q* overflows float64 from beta ~ 9e307,
+# and Q / alpha below alpha ~ 1.5e-308.
+TWO_STATE = Mdp(
+    np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4], [0.3, 0.7]]]), np.array([0.5, 0.5]), 0.5
+)
+TWO_STATE_REWARD = RewardTable.from_sa([[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestBoltzmann:
@@ -62,6 +70,12 @@ class TestBoltzmann:
         with pytest.raises(ValueError):
             boltzmann_policy(chain, chain_reward, beta=beta)
 
+    def test_overflowing_beta_refused(self):
+        assert boltzmann_policy(TWO_STATE, TWO_STATE_REWARD, beta=8e307).probs.max() == 1.0
+        for beta in (9e307, 1e308):
+            with pytest.raises(StructuralError, match="beta"):
+                boltzmann_policy(TWO_STATE, TWO_STATE_REWARD, beta=beta)
+
 
 class TestMce:
     def test_constant_reward_uniform(self, chain):
@@ -90,6 +104,16 @@ class TestMce:
     def test_alpha_must_be_positive_and_finite(self, chain, chain_reward, alpha):
         with pytest.raises(ValueError):
             mce_policy(chain, chain_reward, alpha=alpha)
+
+    def test_overflowing_alpha_refused(self):
+        """The soft values overflow below alpha ~ 1e-308, and the policy's Q / alpha from there to ~1.5e-308."""
+        assert mce_policy(TWO_STATE, TWO_STATE_REWARD, alpha=1.5e-308).probs.max() == 1.0
+        soft = soft_optimal_values(TWO_STATE, TWO_STATE_REWARD, alpha=1e-308)
+        with pytest.raises(StructuralError, match="alpha"):
+            soft_policy(soft)
+        for alpha in (5e-309, 1e-320):
+            with pytest.raises(StructuralError, match="alpha"):
+                soft_optimal_values(TWO_STATE, TWO_STATE_REWARD, alpha=alpha)
 
 
 class TestOptimalSetPolicy:
@@ -311,7 +335,7 @@ class TestModelInvariances:
         for seed in range(0, self.N_TRIALS, 4):
             mdp, r1 = self._env(seed)
             if seed % 8 == 0:
-                r2 = apply(sample_optimality_preserving(mdp, r1, 1.0, seed + 6), r1, mdp)
+                r2 = apply(sample_optimality_preserving(mdp, 1.0, seed + 6), r1, mdp)
             else:
                 r2 = random_reward(mdp, seed=seed + 7000)
             same_sets = optimal_set_policy(mdp, r1) == optimal_set_policy(mdp, r2)
