@@ -60,11 +60,9 @@ from .transform import (
     canonical_forms,
     decompose_j,
     decompose_ord,
-    decompose_ps_ls,
     sample_optimality_preserving,
     sample_potential_shaping,
     sample_s_redistribution,
-    shaping_on_sa_domain,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ lossless.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 import numpy as np
 
@@ -60,7 +59,9 @@ def mdp_from_doc(doc: dict) -> Mdp:
             initial=np.array(doc["mu0"], dtype=float),
             discount=float(doc["gamma"]),
         )
-        declared = int(doc["n_states"]), int(doc["n_actions"])
+        declared = doc["n_states"], doc["n_actions"]
+        if any(type(d) is not int for d in declared):  # a JSON integer; true and 2.0 are not
+            raise TypeError(f"n_states and n_actions must be integers, got {declared}")
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed("MDP", exc) from exc
     if (mdp.n_states, mdp.n_actions) != declared:
@@ -166,15 +167,3 @@ def load_transform(path, mdp: Mdp) -> TransformSpec:
 def save_doc(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(doc))
-
-
-def load_transfer_pair():
-    """The committed two-state transfer fixture: (r1, r2, n_states, n_actions)."""
-    raw = resources.files("rewardlab.data").joinpath("transfer_pair.json").read_text("utf-8")
-    doc = json.loads(raw)
-    return (
-        reward_from_doc(doc["r1"]),
-        reward_from_doc(doc["r2"]),
-        int(doc["n_states"]),
-        int(doc["n_actions"]),
-    )

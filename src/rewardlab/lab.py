@@ -60,15 +60,14 @@ from .solve import (
 from .transform import (
     LinearScaling,
     PotentialFn,
+    PotentialShaping,
     _canonical,
     apply,
     canonical_forms,
-    decompose_ps_ls,
     sample_optimality_preserving,
     sample_potential_shaping,
     sample_s_redistribution,
     shaping_matrix,
-    shaping_on_sa_domain,
 )
 
 GAP_FLOOR = 1e-4       # minimum optimal-advantage gap of generated rewards, in BOUNDS
@@ -77,6 +76,11 @@ STATES = (2, 5)        # inclusive range of n_states drawn per trial
 ACTIONS = (2, 3)       # inclusive range of n_actions drawn per trial
 BOUNDS = 1.0           # reward unit: size of generated rewards and potentials; model parameters follow it
 GAMMA_PAIRS = ((0.5, 0.9), (0.9, 0.95))  # (model, true) discounts LEM-GAMMA searches on every drawn MDP
+# EX-TRANSFER's two-state pair: the two successors of (s0, a0) pay 1 and 0.5 in r1, 0.5 and 1 in r2.
+TRANSFER_PAIR = (
+    RewardTable([[[1.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+    RewardTable([[[0.5, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+)
 
 
 def _substream(seed: int, *path: int) -> np.random.Generator:
@@ -107,7 +111,7 @@ def advantage_gap(mdp: Mdp, r: RewardTable) -> float:
     return float(-losing.max()) if losing.size else np.inf
 
 
-def random_reward(mdp: Mdp, domain: str = "sas", seed: int = 0) -> RewardTable:
+def random_reward(mdp: Mdp, seed: int = 0) -> RewardTable:
     """Uniform reward in [-BOUNDS, BOUNDS], redrawn until it meets the gap floor.
 
     A draw is kept only if every non-optimal action loses by at least
@@ -117,12 +121,7 @@ def random_reward(mdp: Mdp, domain: str = "sas", seed: int = 0) -> RewardTable:
     rng = np.random.default_rng(seed)
     n, k = mdp.n_states, mdp.n_actions
     for _ in range(REWARD_TRIES):
-        if domain == "sas":
-            r = RewardTable(rng.uniform(-BOUNDS, BOUNDS, size=(n, k, n)))
-        elif domain == "sa":
-            r = RewardTable.from_sa(rng.uniform(-BOUNDS, BOUNDS, size=(n, k)))
-        else:
-            raise ValueError(f"unknown domain {domain!r}")
+        r = RewardTable(rng.uniform(-BOUNDS, BOUNDS, size=(n, k, n)))
         if advantage_gap(mdp, r) >= GAP_FLOOR * BOUNDS:
             return r
     raise GenerationError(f"no reward met the gap floor after {REWARD_TRIES} tries")
@@ -137,7 +136,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("seed", "trials"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
@@ -645,31 +644,44 @@ def _control(config: ExperimentConfig, trial: int, searching: bool) -> dict:
 
 
 def _ex_sa_shaping(config: ExperimentConfig, trial: int, searching: bool) -> dict:
-    """The composite shaping that stays inside the S x A domain preserves the ordering."""
+    """Shaping followed by the redistribution to each row's expected value stays inside
+    the S x A domain and preserves the ordering."""
     rng = _substream(config.seed, trial, 110)
     mdp = _draw_env(config, trial)
-    seeds = _child_seeds(config.seed, trial, 111, n=1)
-    r = random_reward(mdp, domain="sa", seed=seeds[0])
+    draw = np.random.default_rng(_child_seeds(config.seed, trial, 111)[0])
+    r = RewardTable.from_sa(draw.uniform(-BOUNDS, BOUNDS, (mdp.n_states, mdp.n_actions)))
     phi = PotentialFn(rng.uniform(-BOUNDS, BOUNDS, size=mdp.n_states))
-    shaped = shaping_on_sa_domain(phi, r, mdp)
-    if not np.all(shaped.values == shaped.values[:, :, :1]):
-        return {"status": "fail", "error": "output left the SA domain"}
+    shaped = RewardTable.from_sa(reward_vector(apply(PotentialShaping(phi), r, mdp), mdp))
     verdict = ord_equivalent(r, shaped, mdp)
     ok = verdict.equivalent and abs(verdict.certificate.c - 1.0) <= 1e-6
     return {"status": "pass" if ok else "fail"}
 
 
+def _successor_choice(r1: RewardTable, r2: RewardTable, gamma: float):
+    """(r1, r2, mdp) on the MDP at ``gamma`` where action (a, s') moves to s' with certainty; mu0 is uniform.
+
+    Each reward's expected rewards there are its own (S, A, S') tensor and the
+    shaping matrix is the pointwise design gamma*[s' = t] - [s = t], so
+    ``ord_equivalent`` on the result accepts iff r2 = c*r1 + gamma*phi(s') -
+    phi(s) with c > 0: scaling plus shaping alone, with no redistribution.
+    """
+    n, k = r1.n_states, r1.n_actions
+    tau = np.broadcast_to(np.tile(np.eye(n), (k, 1)), (n, k * n, n))
+    mdp = Mdp(transition=tau, initial=np.full(n, 1.0 / n), discount=gamma)
+    return (*(RewardTable.from_sa(r.values.reshape(n, k * n)) for r in (r1, r2)), mdp)
+
+
 def _ex_transfer(config: ExperimentConfig, trial: int, searching: bool) -> dict:
-    """The committed two-state pair: order-equivalent for every sampled transition
-    function, yet inexpressible as scaling plus shaping alone."""
-    r1, r2, n_states, n_actions = documents.load_transfer_pair()
+    """TRANSFER_PAIR: order-equivalent for every sampled transition function, yet
+    inexpressible as scaling plus shaping alone."""
+    r1, r2 = TRANSFER_PAIR
     rng = _substream(config.seed, trial, 120)
     gamma = float(rng.uniform(0.3, 0.95))
-    mdp = random_mdp(n_states, n_actions, gamma, _child_seeds(config.seed, trial, 121, 1)[0])
+    mdp = random_mdp(r1.n_states, r1.n_actions, gamma, _child_seeds(config.seed, trial, 121, 1)[0])
     verdict = ord_equivalent(r1, r2, mdp)
     if not verdict.equivalent:
         return {"status": "fail", "error": "transfer pair not order-equivalent"}
-    if decompose_ps_ls(r1, r2, gamma) is not None:
+    if ord_equivalent(*_successor_choice(r1, r2, gamma)).equivalent:
         return {"status": "fail", "error": "scaling+shaping-only fit unexpectedly succeeded"}
     return {"status": "pass", "gamma": gamma, "c_fit": verdict.certificate.c}
 

@@ -89,14 +89,15 @@ def invert_boltzmann(pi: StochasticPolicy, beta: float, mdp: Mdp) -> RewardTable
     R(s,a,s') = Q(s,a) - gamma * max_a' Q(s',a') (the one-step backup returns Q
     unchanged), so re-synthesizing reproduces pi up to solver tolerance. The
     per-state free constant is fixed to zero; any shift gives another valid
-    preimage, which is exactly the shaping/redistribution ambiguity.
+    preimage, which is exactly the shaping/redistribution ambiguity. Raises
+    StructuralError where log(pi) / beta overflows float64.
     """
     if not 0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
     _require_positive(pi.probs)
-    q = np.log(pi.probs) / beta
-    v = q.max(axis=1)
-    vals = q[:, :, None] - mdp.discount * v[None, None, :]
+    with refuse_overflow(f"log(pi) / beta at beta={beta}"):
+        q = np.log(pi.probs) / beta
+        vals = q[:, :, None] - mdp.discount * q.max(axis=1)[None, None, :]
     return RewardTable(np.broadcast_to(vals, (pi.n_states, pi.n_actions, pi.n_states)).copy())
 
 
@@ -111,5 +112,6 @@ def invert_mce(pi: StochasticPolicy, alpha: float) -> RewardTable:
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
     _require_positive(pi.probs)
-    return RewardTable.from_sa(alpha * np.log(pi.probs))
+    with refuse_overflow(f"alpha * log(pi) at alpha={alpha}"):
+        return RewardTable.from_sa(alpha * np.log(pi.probs))
 

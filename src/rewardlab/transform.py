@@ -299,31 +299,3 @@ def decompose_j(forms: CanonicalForms, mdp: Mdp) -> Decomposition | None:
     if residual > DIST_TOL:
         return None
     return Decomposition(c=1.0, phi=PotentialFn(np.ldexp(phi, forms.exp.max())), residual=residual)
-
-
-def shaping_on_sa_domain(phi: PotentialFn, r: RewardTable, mdp: Mdp) -> RewardTable:
-    """Potential shaping composed with the redistribution that stays inside S x A.
-
-    r'(s,a) = r(s,a) + gamma*E_{S'~tau(s,a)}[phi(S')] - phi(s); like the input,
-    the output does not depend on s', and it is order-equivalent to the input.
-    Raises ValueError when the input depends on s'.
-    """
-    if not np.all(r.values == r.values[:, :, :1]):
-        raise ValueError("expected an SA-domain reward, whose values do not depend on s'")
-    rsa = r.values[:, :, 0]
-    out = rsa + mdp.discount * (mdp.transition @ phi.phi) - phi.phi[:, None]
-    return RewardTable.from_sa(out)
-
-
-def decompose_ps_ls(r1: RewardTable, r2: RewardTable, gamma: float) -> Decomposition | None:
-    """Transition-free fit R2 = c*R1 + gamma*phi(s') - phi(s) over full tensors.
-
-    The same canonical-form test as decompose_ord, against the pointwise
-    shaping design on (s,a,s') instead of expected rewards, so it leaves no
-    redistribution slack and is a strictly stronger requirement.
-    """
-    n, k = r1.n_states, r1.n_actions
-    eye = np.eye(n)
-    design = gamma * eye[None, None, :, :] - eye[:, None, None, :]
-    design = np.broadcast_to(design, (n, k, n, n)).reshape(-1, n)
-    return decompose_ord(_canonical(design, np.array([r1.values.reshape(-1), r2.values.reshape(-1)])))

@@ -1,8 +1,9 @@
 """Independent oracles and input generators for the test suite.
 
 Everything here is deliberately primitive: truncated power series, plain
-value-iteration sweeps, exhaustive enumeration and Monte-Carlo rollouts, no
-linear solves and no reuse of library internals.
+value-iteration sweeps, exhaustive enumeration, Monte-Carlo rollouts and one
+least-squares fit written out from its definition, no other linear solves and
+no reuse of library internals.
 The library's exact solvers are checked against these, never the other way
 round. The generators draw what the library's own do not: sparse MDPs and
 rewards without the advantage-gap floor.
@@ -174,6 +175,25 @@ def brute_force_opt_sets(mdp, r, tol=1e-9):
     floor = tol * max(abs(j) for j in js)
     winners = [p for p, j in zip(policies, js) if j >= best - floor]
     return tuple(frozenset(p[s] for p in winners) for s in range(mdp.n_states))
+
+
+POINTWISE_RTOL = 1e-9  # pointwise_fit accepts a misfit up to this fraction of |r2|
+
+
+def pointwise_fit(r1, r2, gamma):
+    """Fit r2 = c*r1 + gamma*phi(s') - phi(s) entry by entry over the (S, A, S') tensors.
+
+    Least squares against r1 and, for each state t, the column
+    gamma*[s' = t] - [s = t]. Returns c when the fit holds (c > 0 and a misfit
+    within POINTWISE_RTOL of |r2|), else None.
+    """
+    n, k, _ = r1.values.shape
+    s, _, s_next = np.indices((n, k, n))
+    columns = [r1.values.ravel()] + [(gamma * (s_next == t) - (s == t)).ravel() for t in range(n)]
+    design = np.stack(columns, axis=1)
+    x = np.linalg.lstsq(design, r2.values.ravel(), rcond=None)[0]
+    misfit = np.linalg.norm(design @ x - r2.values.ravel())
+    return float(x[0]) if x[0] > 0 and misfit <= POINTWISE_RTOL * np.linalg.norm(r2.values) else None
 
 
 def softmax_by_hand(row):

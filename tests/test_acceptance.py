@@ -169,15 +169,8 @@ def test_criterion_09_j_ambiguity(capsys):
 
 
 def test_criterion_10_transfer_fixture(capsys):
-    r1, r2, _, _ = documents.load_transfer_pair()
-    values_ok = (
-        r1.values[0, 0, 0] == 1.0
-        and r1.values[0, 0, 1] == 0.5
-        and r2.values[0, 0, 0] == 0.5
-        and r2.values[0, 0, 1] == 1.0
-    )
     rep = verify_claim(ExperimentConfig(claim_id="EX-TRANSFER", trials=10, seed=10))
-    ok = values_ok and rep.ok and rep.counts["pass"] == 10
+    ok = rep.ok and rep.counts["pass"] == 10
     _report(
         capsys, 10,
         "committed transfer pair: order-equivalent over 10 transitions, "

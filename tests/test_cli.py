@@ -254,6 +254,10 @@ class TestMalformedDocuments:
         "command, broken",
         [
             ("validate", "mdp"),
+            ("validate", "mdp-size-fraction"),
+            ("validate", "mdp-size-float"),
+            ("validate", "mdp-size-string"),
+            ("validate", "mdp-size-true"),
             ("solve", "mdp"),
             ("equiv", "mdp"),
             ("transform", "mdp"),
@@ -277,6 +281,12 @@ class TestMalformedDocuments:
         spec_doc = {"kind": "ls", "c": 2.0}
         if broken == "mdp":
             del mdp_doc["n_states"]
+        elif broken == "mdp-size-true":  # int(true) is 1: a one-action MDP and reward
+            mdp_doc.update(n_actions=True, mu0=[0.5, 0.5], transition=[[[1.0, 0.0]], [[0.0, 1.0]]])
+            reward_doc = {"domain": "sa", "values": [[0.0], [1.0]]}
+        elif broken.startswith("mdp-size-"):  # a declared size that int() reads as the tensor's
+            mdp_doc.update({"fraction": {"n_states": 2.7}, "float": {"n_actions": 2.0},
+                            "string": {"n_states": "2"}}[broken.removeprefix("mdp-size-")])
         elif broken == "reward":
             reward_doc = reward_doc["values"]  # a JSON array, not an object
         elif broken == "reward-3-states":  # the chain MDP has 2 states

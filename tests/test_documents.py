@@ -161,16 +161,6 @@ class TestVerdictDocuments:
         assert doc["witness"]["state"] == 0
 
 
-class TestTransferFixture:
-    def test_quoted_values(self):
-        r1, r2, n_states, n_actions = documents.load_transfer_pair()
-        assert (n_states, n_actions) == (2, 2)
-        assert r1.values[0, 0, 0] == 1.0
-        assert r1.values[0, 0, 1] == 0.5
-        assert r2.values[0, 0, 0] == 0.5
-        assert r2.values[0, 0, 1] == 1.0
-
-
 def test_dumps_is_lossless_for_doubles():
     awkward = {"a": 0.1 + 0.2, "b": 1.0 / 3.0, "c": 1e-300, "d": [np.pi]}
     again = json.loads(documents.dumps(awkward))

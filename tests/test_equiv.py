@@ -9,7 +9,6 @@ from rewardlab import (
     Mdp,
     RewardTable,
     apply,
-    decompose_ps_ls,
     j_equal,
     opt_equivalent,
     ord_equivalent,
@@ -19,10 +18,18 @@ from rewardlab import (
     sample_s_redistribution,
 )
 from rewardlab import documents
-from rewardlab.documents import load_transfer_pair
 from rewardlab.errors import CapacityError, InternalConsistencyError, StructuralError
-from rewardlab.lab import ExperimentConfig, _child_seeds, _draw_env, random_mdp, random_reward
+from rewardlab.lab import (
+    TRANSFER_PAIR,
+    ExperimentConfig,
+    _child_seeds,
+    _draw_env,
+    _successor_choice,
+    random_mdp,
+    random_reward,
+)
 from rewardlab.solve import IMPROVE_RTOL, TIE_TOL, optimal_values, vertex_j
+from rewardlab.transform import shaping_matrix
 
 import oracles
 from test_solve import TIED_CASES, _tied_instance
@@ -183,8 +190,8 @@ class TestOrdEquivalent:
 
 class TestTransferPair:
     def test_fixture_values_match_quoted_construction(self):
-        r1, r2, n_states, n_actions = load_transfer_pair()
-        assert (n_states, n_actions) == (2, 2)
+        r1, r2 = TRANSFER_PAIR
+        assert r1.values.shape == r2.values.shape == (2, 2, 2)
         assert r1.values[0, 0, 0] == 1.0 and r1.values[0, 0, 1] == 0.5
         assert r2.values[0, 0, 0] == 0.5 and r2.values[0, 0, 1] == 1.0
         mask = np.ones((2, 2, 2), dtype=bool)
@@ -192,15 +199,58 @@ class TestTransferPair:
         assert np.all(r1.values[mask] == 0.0) and np.all(r2.values[mask] == 0.0)
 
     def test_order_equivalent_for_each_sampled_transition(self):
-        r1, r2, n_states, n_actions = load_transfer_pair()
+        r1, r2 = TRANSFER_PAIR
         for seed in range(10):
-            mdp = random_mdp(n_states, n_actions, 0.5, seed=seed)
+            mdp = random_mdp(2, 2, 0.5, seed=seed)
             assert ord_equivalent(r1, r2, mdp).equivalent
 
     def test_transition_free_fit_fails(self):
-        r1, r2, _, _ = load_transfer_pair()
+        r1, r2 = TRANSFER_PAIR
         for gamma in (0.3, 0.5, 0.9):
-            assert decompose_ps_ls(r1, r2, gamma) is None
+            assert not ord_equivalent(*_successor_choice(r1, r2, gamma)).equivalent
+
+
+class TestSuccessorChoice:
+    """ord_equivalent on the successor-choice MDP against the pointwise least-squares oracle."""
+
+    @staticmethod
+    def agrees(r1, r2, gamma):
+        """Decider and oracle give the same verdict, and the same c on an acceptance; returns the verdict."""
+        verdict = ord_equivalent(*_successor_choice(r1, r2, gamma))
+        c = oracles.pointwise_fit(r1, r2, gamma)
+        assert verdict.equivalent == (c is not None), (gamma, c)
+        if c is not None:
+            assert verdict.certificate.c == pytest.approx(c, rel=1e-12, abs=0)
+        return verdict.equivalent
+
+    def test_expected_rewards_and_shaping_matrix_are_pointwise(self):
+        r1, r2 = TRANSFER_PAIR
+        s1, s2, mdp = _successor_choice(r1, r2, 0.7)
+        assert np.array_equal(reward_vector(s1, mdp).ravel(), r1.values.ravel())
+        assert np.array_equal(reward_vector(s2, mdp).ravel(), r2.values.ravel())
+        s, _, s_next = np.indices((2, 2, 2))
+        design = np.stack([(0.7 * (s_next == t) - (s == t)).ravel() for t in range(2)], axis=1)
+        assert np.array_equal(shaping_matrix(mdp), design)
+
+    def test_transfer_pair_at_twenty_discounts(self):
+        r1, r2 = TRANSFER_PAIR
+        for gamma in np.linspace(0.3, 0.95, 20):
+            assert not self.agrees(r1, r2, float(gamma))
+
+    @pytest.mark.parametrize("kind, accepted", [("scaled-shaped", True), ("independent", False),
+                                                ("perturbed", False)])
+    def test_random_pairs(self, kind, accepted):
+        for seed in range(100):
+            rng = np.random.default_rng([seed, 26])
+            n, k, gamma = int(rng.integers(2, 5)), int(rng.integers(2, 4)), float(rng.uniform(0.3, 0.95))
+            r1 = rng.uniform(-1.0, 1.0, (n, k, n))
+            phi = rng.uniform(-1.0, 1.0, n)
+            r2 = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0)))) * r1 + gamma * phi - phi[:, None, None]
+            if kind == "independent":
+                r2 = rng.uniform(-1.0, 1.0, (n, k, n))
+            elif kind == "perturbed":
+                r2 = r2 + 1e-3 * rng.uniform(-1.0, 1.0, (n, k, n))
+            assert self.agrees(RewardTable(r1), RewardTable(r2), gamma) == accepted, (kind, seed)
 
 
 class TestJEqual:

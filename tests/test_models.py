@@ -241,6 +241,11 @@ class TestInvertBoltzmann:
         with pytest.raises(ValueError):
             invert_boltzmann(det, 1.0, chain)
 
+    def test_overflowing_beta_refused(self, chain):
+        pi = StochasticPolicy(np.array([[0.3, 0.7], [0.6, 0.4]]))
+        with pytest.raises(StructuralError, match="beta=1e-320"):
+            invert_boltzmann(pi, 1e-320, chain)
+
 
 class TestInvertMce:
     def test_round_trip(self, chain, chain_reward):
@@ -261,6 +266,11 @@ class TestInvertMce:
             r1 = invert_mce(pi, alpha_prime)
             pi2 = mce_policy(chain, r1, alpha=alpha_prime)
             assert np.abs(pi.probs - pi2.probs).max() <= 1e-8
+
+    def test_overflowing_alpha_refused(self):
+        pi = StochasticPolicy(np.array([[1e-300, 1.0], [0.5, 0.5]]))
+        with pytest.raises(StructuralError, match=r"alpha=1e\+308"):
+            invert_mce(pi, 1e308)
 
     def test_preimage_environment_independent(self, chain, chain_reward):
         pi = mce_policy(chain, chain_reward, alpha=1.0)

@@ -15,18 +15,17 @@ from rewardlab import (
     canonical_forms,
     decompose_j,
     decompose_ord,
-    decompose_ps_ls,
     optimal_values,
+    ord_equivalent,
     policy_evaluate,
     reward_vector,
     sample_optimality_preserving,
     sample_potential_shaping,
     sample_s_redistribution,
-    shaping_on_sa_domain,
 )
 from rewardlab.errors import StructuralError
 from rewardlab.solve import ROUNDOFF_RTOL
-from rewardlab.lab import random_mdp, random_policy, random_reward
+from rewardlab.lab import _successor_choice, random_mdp, random_policy, random_reward
 
 import oracles
 
@@ -293,15 +292,20 @@ class TestDecomposeJ:
         np.testing.assert_allclose(dec.phi.phi, 0.0, atol=1e-9)
 
 
+def sa_shaping(phi, r, mdp):
+    """EX-SA-SHAPING's composite: potential shaping, then the redistribution to each row's expected value."""
+    return RewardTable.from_sa(reward_vector(apply(PotentialShaping(phi), r, mdp), mdp))
+
+
 class TestSaDomainShaping:
     def test_zero_potential_identity(self, chain):
         r = RewardTable.from_sa([[0.0, 1.0], [1.0, 0.0]])
-        out = shaping_on_sa_domain(PotentialFn(np.zeros(2)), r, chain)
+        out = sa_shaping(PotentialFn(np.zeros(2)), r, chain)
         assert np.array_equal(out.values, r.values)
 
     def test_formula_on_chain(self, chain):
         r = RewardTable.from_sa([[0.0, 1.0], [1.0, 0.0]])
-        out = shaping_on_sa_domain(PotentialFn(np.array([0.0, 1.0])), r, chain)
+        out = sa_shaping(PotentialFn(np.array([0.0, 1.0])), r, chain)
         assert np.all(out.values == out.values[:, :, :1])  # still independent of s'
         # r'(s0,a1) = 1 + 0.5*1 - 0
         assert out.values[0, 1, 0] == pytest.approx(1.5)
@@ -311,27 +315,26 @@ class TestSaDomainShaping:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             phi = PotentialFn(rng.uniform(-1, 1, size=2))
-            out = shaping_on_sa_domain(phi, r, chain)
+            out = sa_shaping(phi, r, chain)
             dec = decompose_ord(canonical_forms(r, out, chain))
             assert dec is not None and dec.c == pytest.approx(1.0, abs=1e-8)
 
-    def test_rejects_non_sa_input(self, chain, chain_reward):
-        with pytest.raises(ValueError):
-            shaping_on_sa_domain(PotentialFn(np.zeros(2)), chain_reward, chain)
-
 
 class TestPsLsFit:
+    """Scaling plus shaping alone: ord_equivalent on the successor-choice MDP, where every
+    (s, a, s') entry is its own expected reward."""
+
     def test_recovers_constructed_fit(self, chain, chain_reward):
         phi = np.array([0.4, -0.9])
         target = RewardTable(
             2.0 * chain_reward.values + 0.5 * phi[None, None, :] - phi[:, None, None]
         )
-        dec = decompose_ps_ls(chain_reward, target, gamma=0.5)
-        assert dec is not None
-        assert dec.c == pytest.approx(2.0, abs=1e-9)
+        verdict = ord_equivalent(*_successor_choice(chain_reward, target, 0.5))
+        assert verdict.equivalent
+        assert verdict.certificate.c == pytest.approx(2.0, abs=1e-9)
 
     def test_redistribution_breaks_pointwise_fit(self, chain, chain_reward):
         spec = sample_s_redistribution(chain, chain_reward, 1.0, seed=5)
         out = apply(spec, chain_reward, chain)
         # Same expectations, different tensors: the pointwise fit must fail.
-        assert decompose_ps_ls(chain_reward, out, gamma=0.5) is None
+        assert not ord_equivalent(*_successor_choice(chain_reward, out, 0.5)).equivalent
