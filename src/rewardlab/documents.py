@@ -52,17 +52,23 @@ def _malformed(what: str, exc: Exception) -> StructuralError:
     return StructuralError(f"malformed {what} document: {detail}")
 
 
+def _numbers(value, field: str, scalar: bool = False):
+    """``value`` as float64 (a float if ``scalar``); TypeError unless every entry is a JSON number, not a
+    string or a boolean, which numpy would read as numbers."""
+    entries = np.array(value, dtype=object)
+    if not set(map(type, entries.flat)) <= {int, float} or scalar and entries.ndim:
+        raise TypeError(f"{field} must {'be a JSON number' if scalar else 'hold JSON numbers only'}")
+    return float(entries) if scalar else entries.astype(float)
+
+
 def mdp_from_doc(doc: dict) -> Mdp:
     try:
-        mdp = Mdp(
-            transition=np.array(doc["transition"], dtype=float),
-            initial=np.array(doc["mu0"], dtype=float),
-            discount=float(doc["gamma"]),
-        )
+        mdp = Mdp(transition=_numbers(doc["transition"], "transition"), initial=_numbers(doc["mu0"], "mu0"),
+                  discount=_numbers(doc["gamma"], "gamma", scalar=True))
         declared = doc["n_states"], doc["n_actions"]
         if any(type(d) is not int for d in declared):  # a JSON integer; true and 2.0 are not
             raise TypeError(f"n_states and n_actions must be integers, got {declared}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # OverflowError: an integer beyond float64
         raise _malformed("MDP", exc) from exc
     if (mdp.n_states, mdp.n_actions) != declared:
         raise StructuralError("declared n_states/n_actions do not match the transition tensor")
@@ -84,8 +90,8 @@ def reward_from_doc(doc: dict, n_actions: int | None = None) -> RewardTable:
     """The reward ``doc`` describes: a full "sas" tensor, an (S, A) "sa" table or an (S,) "s" vector."""
     try:
         domain = doc.get("domain")
-        values = np.array(doc.get("values"), dtype=float)
-    except (AttributeError, TypeError, ValueError) as exc:
+        values = _numbers(doc.get("values"), "values")
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise _malformed("reward", exc) from exc
     if domain == "sas":
         return RewardTable(values)
@@ -106,18 +112,16 @@ def transform_from_doc(doc: dict, n_actions: int | None = None) -> TransformSpec
     try:
         kind = doc.get("kind")
         if kind == "ps":
-            return PotentialShaping(PotentialFn(np.array(doc["phi"], dtype=float)))
+            return PotentialShaping(PotentialFn(_numbers(doc["phi"], "phi")))
         if kind == "sr":
             return SuccessorRedistribution(reward_from_doc(doc["replacement"], n_actions))
         if kind == "ls":
-            return LinearScaling(float(doc["c"]))
+            return LinearScaling(_numbers(doc["c"], "c", scalar=True))
         if kind == "op":
-            return OptimalityPreserving(
-                psi=np.array(doc["psi"], dtype=float), slack=np.array(doc["slack"], dtype=float)
-            )
+            return OptimalityPreserving(psi=_numbers(doc["psi"], "psi"), slack=_numbers(doc["slack"], "slack"))
         if kind == "seq":
             return Chain(tuple(transform_from_doc(s, n_actions) for s in doc["steps"]))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise _malformed("transformation", exc) from exc
     raise StructuralError(f"unknown transformation kind {kind!r}")
 

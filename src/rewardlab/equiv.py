@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, StructuralError
-from .mdp import Mdp, RewardTable, StochasticPolicy
-from .solve import ROUNDOFF_RTOL, occupancy, optimal_values, vertex_j
+from .mdp import Mdp, RewardTable
+from .solve import ROUNDOFF_RTOL, _occupancy, optimal_values, vertex_j
 from .transform import (
     DIST_TOL,
     CanonicalForms,
@@ -65,8 +65,8 @@ def _chord(j1: np.ndarray, j2: np.ndarray):
     Ties in J1 are broken by J2, so a vertex level with the lowest never lies
     below the chord and one level with the highest never above it.
     """
-    order = np.lexsort((j2, j1))
-    lo, hi = order[0], order[-1]
+    lows, highs = ((j1 == j1[i]).nonzero()[0] for i in (j1.argmin(), j1.argmax()))
+    lo, hi = lows[j2[lows].argmin()], highs[j2[highs].argmax()]
     span = j1[hi] - j1[lo]
     t = (j1 - j1[lo]) / span if span > 0 else np.zeros_like(j1)
     rise = j2[hi] - j2[lo]
@@ -86,7 +86,7 @@ def _policy_pair(forms: CanonicalForms, w: np.ndarray, mdp: Mdp) -> dict:
     Each J scales back from its own reward's unit; one that overflows is inf.
     """
     n, k = mdp.n_states, mdp.n_actions
-    d0 = occupancy(mdp, StochasticPolicy(np.full((n, k), 1.0 / k))).d.ravel()
+    d0 = _occupancy(mdp, np.full((n, k), 1.0 / k)).ravel()
     if (d0 <= 0).any():
         raise StructuralError(f"states {np.flatnonzero(d0[::k] <= 0).tolist()} are unreachable from mu0")
     peak = float(np.abs(w).max())
@@ -145,13 +145,13 @@ def j_equal(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     Every state must be reachable from mu0 (validate_mdp), as for ord_equivalent.
     """
     forms = canonical_forms(r1, r2, mdp)
-    cert = decompose_j(forms, mdp)
+    same = forms.common()  # restated once, for the certificate, the witness and the oracle
+    cert = decompose_j(same, mdp)
     equivalent = cert is not None
-    witness = None if equivalent else _policy_pair(forms, np.diff(forms.common(forms.c), axis=0)[0], mdp)
+    witness = None if equivalent else _policy_pair(forms, np.diff(same.c, axis=0)[0], mdp)
     if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
-        v, scale = forms.common(forms.v), j_scale(forms, mdp)
-        roundoff = ROUNDOFF_RTOL * float(forms.common(forms.v_size).max())
-        j_diff = vertex_j(mdp, v[:1] - v[1:])
+        scale, roundoff = j_scale(same, mdp), ROUNDOFF_RTOL * float(same.v_size.max())
+        j_diff = vertex_j(mdp, same.v[:1] - same.v[1:])
         gap = (1.0 - mdp.discount) * float(np.abs(j_diff).max())
         if equivalent and gap > 2 * max(DIST_TOL * scale, roundoff) + roundoff:
             raise InternalConsistencyError(

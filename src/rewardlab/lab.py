@@ -189,9 +189,8 @@ class CounterexampleRecord:
         S'-redistribution under ``mdp_model``) at any reward unit; unlike means
         opt_equivalent refuses. ``params`` only describes the search.
         """
-        forms = canonical_forms(self.r1, self.r2, self.mdp_model)
-        c = forms.common(forms.c)
-        alike = np.linalg.norm(c[1] - c[0]) <= ROUNDOFF_RTOL * forms.common(forms.v_size).max()
+        forms = canonical_forms(self.r1, self.r2, self.mdp_model).common()
+        alike = np.linalg.norm(forms.c[1] - forms.c[0]) <= ROUNDOFF_RTOL * forms.v_size.max()
         return bool(alike) and not opt_equivalent(self.r1, self.r2, self.mdp_true).equivalent
 
     def to_doc(self) -> dict:
@@ -644,8 +643,8 @@ def _control(config: ExperimentConfig, trial: int, searching: bool) -> dict:
 
 
 def _ex_sa_shaping(config: ExperimentConfig, trial: int, searching: bool) -> dict:
-    """Shaping followed by the redistribution to each row's expected value stays inside
-    the S x A domain and preserves the ordering."""
+    """Shaping followed by the redistribution to each row's expected value stays inside the S x A
+    domain and preserves the ordering: the certificate has c = 1 and the drawn (identified) potential."""
     rng = _substream(config.seed, trial, 110)
     mdp = _draw_env(config, trial)
     draw = np.random.default_rng(_child_seeds(config.seed, trial, 111)[0])
@@ -654,6 +653,7 @@ def _ex_sa_shaping(config: ExperimentConfig, trial: int, searching: bool) -> dic
     shaped = RewardTable.from_sa(reward_vector(apply(PotentialShaping(phi), r, mdp), mdp))
     verdict = ord_equivalent(r, shaped, mdp)
     ok = verdict.equivalent and abs(verdict.certificate.c - 1.0) <= 1e-6
+    ok = ok and np.abs(verdict.certificate.phi.phi - phi.phi).max() <= 1e-9 * BOUNDS
     return {"status": "pass" if ok else "fail"}
 
 

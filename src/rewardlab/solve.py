@@ -229,11 +229,15 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float) -> SoftBundle:
     return SoftBundle(q_soft=q_soft, v_soft=v_soft, alpha=float(alpha), residual=residual)
 
 
+def _occupancy(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
+    """d[s,a] = w[s] * pi(a|s) for the (S, A) policy table ``probs``, with w = mu0 + gamma*(T^pi)' w."""
+    w = _solve_flow(np.eye(mdp.n_states) - mdp.discount * _policy_transition(mdp, probs).T, mdp.initial)
+    return w[:, None] * probs
+
+
 def occupancy(mdp: Mdp, pi: StochasticPolicy) -> OccupancyVector:
-    """Solve w = mu0 + gamma*(T^pi)' w, then d[s,a] = w[s] * pi(a|s)."""
-    t_pi = _policy_transition(mdp, pi.probs)
-    w = _solve_flow(np.eye(mdp.n_states) - mdp.discount * t_pi.T, mdp.initial)
-    return OccupancyVector(w[:, None] * pi.probs)
+    """Discounted state-action visitation of ``pi`` (see _occupancy)."""
+    return OccupancyVector(_occupancy(mdp, pi.probs))
 
 
 def vertex_j(mdp: Mdp, rv: np.ndarray) -> np.ndarray:
@@ -242,25 +246,28 @@ def vertex_j(mdp: Mdp, rv: np.ndarray) -> np.ndarray:
     Eliminates v_0, ..., v_{S-1} in turn from v = rv^pi + gamma*T^pi v, with
     J - mu0.v = 0 as an extra row and the K reward columns on the right. Each
     state keeps a row per action until its pivot branches on the action, so
-    policies agreeing on actions 0..s-1 share all work before state s.
-    I - gamma*T^pi and its Schur complements are strictly row-diagonally
-    dominant: every pivot is >= 1 - gamma, with no row exchange. Raises
-    CapacityError, before allocating, when A^S exceeds DEFAULT_ENUM_CAP.
+    policies agreeing on actions 0..s-1 share all work before state s. The
+    branch (shared-prefix) axis is stored last, so every round runs along rows
+    of up to A^S/A entries; each round's action goes ahead of it, and one final
+    reorder of the action digits gives the s0-major (A^S, K) table. Every pivot
+    is >= 1 - gamma (I - gamma*T^pi and its Schur complements are strictly
+    row-diagonally dominant), so no row is exchanged. Raises CapacityError,
+    before allocating, when A^S exceeds DEFAULT_ENUM_CAP.
     """
     n, k = mdp.n_states, mdp.n_actions
     if k**n > DEFAULT_ENUM_CAP:
         raise CapacityError(f"{k}^{n} = {k**n} deterministic policies exceeds cap {DEFAULT_ENUM_CAP}")
     m = len(rv)
-    g = np.zeros((1, n * k + 1, n + m))  # (shared action prefixes, (state, action) rows + J row, v | rv)
-    g[0, :-1, :n] = np.repeat(np.eye(n), k, axis=0) - mdp.discount * mdp.transition.reshape(n * k, n)
-    g[0, :-1, n:] = rv.reshape(m, n * k).T
-    g[0, -1, :n] = -mdp.initial
+    g = np.zeros((n + m, n * k + 1, 1))  # (v | rv, (state, action) rows + J row, shared action prefixes)
+    g[:n, :-1, 0] = (np.eye(n)[:, :, None] - mdp.discount * mdp.transition.transpose(2, 0, 1)).reshape(n, -1)
+    g[n:, :-1, 0] = rv.reshape(m, n * k)
+    g[:n, -1, 0] = -mdp.initial
     for _ in range(n):
-        piv = g[:, :k, 1:] / g[:, :k, :1]  # the eliminated state's row per action, pivot scaled to 1
-        rest = g[:, None, k:]
-        new = rest[..., :1] * piv[:, :, None]
-        g = np.subtract(rest[..., 1:], new, out=new).reshape(-1, new.shape[2], new.shape[3])
-    return g[:, 0]
+        piv = g[1:, None, :k] / g[:1, None, :k]  # the eliminated state's row per action, pivot scaled to 1
+        rest = g[:, k:, None]
+        new = rest[:1] * piv
+        g = np.subtract(rest[1:], new, out=new).reshape(len(new), new.shape[1], -1)
+    return g.reshape((m,) + (k,) * (n if k > 1 else 0)).T.reshape(-1, m)
 
 
 def controllable_states(mdp: Mdp) -> ControllableStates:

@@ -229,9 +229,13 @@ class CanonicalForms(NamedTuple):
     v_size: np.ndarray
     exp: np.ndarray  # (K,)
 
-    def common(self, x: np.ndarray) -> np.ndarray:
-        """Rows of ``x`` (one per vector) restated from their own units in the unit of the largest row."""
-        return np.ldexp(x.T, self.exp - self.exp.max()).T
+    def common(self) -> CanonicalForms:
+        """These forms with every row restated from its own unit in the unit of the largest row."""
+        shift = self.exp - self.exp.max()
+        if not shift.any():
+            return self
+        restated = {f: np.ldexp(getattr(self, f).T, shift).T for f in ("v", "c", "p", "size", "v_size")}
+        return self._replace(**restated, exp=self.exp - shift)
 
 
 def _canonical(design: np.ndarray, vectors: np.ndarray) -> CanonicalForms:
@@ -276,9 +280,9 @@ def j_scale(forms: CanonicalForms, mdp: Mdp) -> float:
     """The larger bound on (1 - gamma)*|J| of the two rewards: |c[i]| + (1 - gamma)*|mu0 . p[i]|.
 
     J_i(pi) = <d_pi, c[i]> - mu0 . p[i], and (1 - gamma)*d_pi sums to one.
-    Shaping with mu0-mean zero leaves this scale unchanged; it is in ``forms.common``'s unit.
+    Shaping with mu0-mean zero leaves this scale unchanged; ``forms`` must be in one unit (``common()``).
     """
-    return float(forms.common(forms.size + (1.0 - mdp.discount) * np.abs(forms.p @ mdp.initial)).max())
+    return float((forms.size + (1.0 - mdp.discount) * np.abs(forms.p @ mdp.initial)).max())
 
 
 def decompose_j(forms: CanonicalForms, mdp: Mdp) -> Decomposition | None:
@@ -290,11 +294,11 @@ def decompose_j(forms: CanonicalForms, mdp: Mdp) -> Decomposition | None:
     (within ROUNDOFF_RTOL of the larger reward vector); accepted iff it is at
     most DIST_TOL.
     """
-    c, p = forms.common(forms.c), forms.common(forms.p)
-    phi = p[1] - p[0]
+    forms = forms.common()
+    phi = forms.p[1] - forms.p[0]
     shift = (1.0 - mdp.discount) * abs(float(mdp.initial @ phi))
-    misfit = max(float(np.linalg.norm(c[1] - c[0])), shift)
-    roundoff = ROUNDOFF_RTOL * forms.common(forms.v_size).max()
+    misfit = max(float(np.linalg.norm(forms.c[1] - forms.c[0])), shift)
+    roundoff = ROUNDOFF_RTOL * forms.v_size.max()
     residual = 0.0 if misfit <= roundoff else misfit / j_scale(forms, mdp)
     if residual > DIST_TOL:
         return None

@@ -5,8 +5,10 @@ value-iteration sweeps, exhaustive enumeration, Monte-Carlo rollouts and one
 least-squares fit written out from its definition, no other linear solves and
 no reuse of library internals.
 The library's exact solvers are checked against these, never the other way
-round. The generators draw what the library's own do not: sparse MDPs and
-rewards without the advantage-gap floor.
+round. One function is the exception: prefix_major_vertex_j keeps the
+library's earlier vertex elimination, as the bitwise reference for the
+layout solve.vertex_j uses now. The generators draw what the library's own
+do not: sparse MDPs and rewards without the advantage-gap floor.
 """
 
 import itertools
@@ -154,6 +156,25 @@ def brute_force_j_table(mdp, r, horizon=None):
     if horizon is None:
         horizon = horizon_for(mdp.discount)
     return (truncated_values(mdp, r, one_hot_batch(mdp), horizon) @ mdp.initial).tolist()
+
+
+def prefix_major_vertex_j(mdp, rv):
+    """J at every deterministic policy (s0-major) of each reward vector in rv (K, S, A), by the
+    library's prefix-shared elimination with the branch axis first: the layout solve.vertex_j
+    used before it moved that axis last. Same pivots, same operations, so its bits are the
+    reference for vertex_j's."""
+    n, k = mdp.n_states, mdp.n_actions
+    m = len(rv)
+    g = np.zeros((1, n * k + 1, n + m))  # (shared action prefixes, (state, action) rows + J row, v | rv)
+    g[0, :-1, :n] = np.repeat(np.eye(n), k, axis=0) - mdp.discount * mdp.transition.reshape(n * k, n)
+    g[0, :-1, n:] = rv.reshape(m, n * k).T
+    g[0, -1, :n] = -mdp.initial
+    for _ in range(n):
+        piv = g[:, :k, 1:] / g[:, :k, :1]
+        rest = g[:, None, k:]
+        new = rest[..., :1] * piv[:, :, None]
+        g = np.subtract(rest[..., 1:], new, out=new).reshape(-1, new.shape[2], new.shape[3])
+    return g[:, 0]
 
 
 def vertex_entry_spread(mdp):

@@ -249,6 +249,27 @@ class TestSolveOptions:
         assert flags[0][2:] in result.output
 
 
+# Numeric fields holding a string, a boolean or an integer beyond float64: (file, fields it is updated with).
+# numpy reads "0.5" as 0.5 and true as 1.0, and float() of a 400-digit integer overflows.
+NON_NUMBERS = {
+    "mdp-gamma-string": ("mdp", {"gamma": "0.5"}),
+    "mdp-mu0-booleans": ("mdp", {"mu0": [True, False]}),
+    "mdp-mu0-strings": ("mdp", {"mu0": ["0.5", "5e-1"]}),
+    "mdp-mu0-integer-beyond-float64": ("mdp", {"mu0": [10**400, 0]}),
+    "mdp-transition-string": ("mdp", {"transition": [[["1", 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]}),
+    "mdp-transition-true": ("mdp", {"transition": [[[1.0, 0.0], [0.0, True]], [[0.0, 1.0], [1.0, 0.0]]]}),
+    "mdp-found-62": ("mdp", {"n_actions": 1, "gamma": "0.5", "mu0": ["0.5", "5e-1"],
+                             "transition": [[["1", 0.0]], [[0.0, True]]]}),
+    "reward-values-string": ("reward", {"domain": "sa", "values": [[0.0, "1"], [1.0, 0.0]]}),
+    "reward-values-false": ("reward", {"domain": "sa", "values": [[0.0, 1.0], [False, 0.0]]}),
+    "spec-c-string": ("spec", {"c": "2.0"}),
+    "spec-c-true": ("spec", {"c": True}),
+    "spec-phi-string": ("spec", {"kind": "ps", "phi": ["0.5", 1.0]}),
+    "spec-psi-true": ("spec", {"kind": "op", "psi": [True, 2.0], "slack": [[-1.0, -1.0], [-1.0, -1.0]]}),
+    "spec-slack-string": ("spec", {"kind": "op", "psi": [1.0, 2.0], "slack": [[-1.0, "-1"], [-1.0, -1.0]]}),
+}
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "command, broken",
@@ -273,6 +294,10 @@ class TestMalformedDocuments:
             *[(command, broken)
               for command in ("validate", "solve", "equiv", "transform")
               for broken in ("not-utf8", "reward-3-states", "reward-1-state", "deep-array")],
+            *[("validate", broken) for broken in NON_NUMBERS if broken.startswith("mdp-")],
+            *[(command, broken) for command in ("validate", "solve")
+              for broken in NON_NUMBERS if broken.startswith("reward-")],
+            *[("transform", broken) for broken in NON_NUMBERS if broken.startswith("spec-")],
         ],
     )
     def test_exit_2_with_one_line(self, runner, tmp_path, chain, chain_reward, command, broken):
@@ -301,6 +326,9 @@ class TestMalformedDocuments:
             spec_doc = {"kind": "op", "psi": [1.0], "slack": [[-1.0]]}
         elif broken == "spec-slack-1-action":
             spec_doc = {"kind": "op", "psi": [1.0, 2.0], "slack": [[-1.0], [-1.0]]}
+        elif broken in NON_NUMBERS:
+            target, fields = NON_NUMBERS[broken]
+            {"mdp": mdp_doc, "reward": reward_doc, "spec": spec_doc}[target].update(fields)
         mdp = _write(tmp_path, "mdp.json", mdp_doc)
         if broken == "not-utf8":  # the first document named on the command line
             (tmp_path / "mdp.json").write_bytes(b'{"n_states": "\xff"}')
@@ -322,6 +350,8 @@ class TestMalformedDocuments:
         assert result.output.startswith("error: ")
         assert result.output.count("\n") == 1
         assert "Traceback" not in result.output
+        if broken in NON_NUMBERS:  # the line names the file that holds the value
+            assert str(tmp_path / f"{NON_NUMBERS[broken][0]}.json") in result.output
 
     @pytest.mark.parametrize(
         "args",

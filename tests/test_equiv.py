@@ -8,6 +8,7 @@ from rewardlab import (
     LinearScaling,
     Mdp,
     RewardTable,
+    StochasticPolicy,
     apply,
     j_equal,
     opt_equivalent,
@@ -17,7 +18,7 @@ from rewardlab import (
     sample_potential_shaping,
     sample_s_redistribution,
 )
-from rewardlab import documents
+from rewardlab import documents, equiv
 from rewardlab.errors import CapacityError, InternalConsistencyError, StructuralError
 from rewardlab.lab import (
     TRANSFER_PAIR,
@@ -28,7 +29,7 @@ from rewardlab.lab import (
     random_mdp,
     random_reward,
 )
-from rewardlab.solve import IMPROVE_RTOL, TIE_TOL, optimal_values, vertex_j
+from rewardlab.solve import IMPROVE_RTOL, TIE_TOL, occupancy, optimal_values, vertex_j
 from rewardlab.transform import shaping_matrix
 
 import oracles
@@ -186,6 +187,46 @@ class TestOrdEquivalent:
         monkeypatch.setattr(equiv_mod, "decompose_ord", lambda *a, **k: None)
         with pytest.raises(InternalConsistencyError):
             ord_equivalent(chain_reward, chain_reward, chain)
+
+
+def lexsort_chord(j1, j2):
+    """_chord's outputs with the extreme J1 vertices taken from a stable lexsort by (J1, J2)."""
+    order = np.lexsort((j2, j1))
+    lo, hi = order[0], order[-1]
+    span = j1[hi] - j1[lo]
+    t = (j1 - j1[lo]) / span if span > 0 else np.zeros_like(j1)
+    rise = j2[hi] - j2[lo]
+    return span, j2 - j2[lo] - t * rise, rise
+
+
+class TestChord:
+    def test_matches_the_lexsort_rule_on_tables_full_of_ties(self):
+        """Integer-valued J tables tie in J1 and in (J1, J2) everywhere; ties are broken by J2."""
+        rng = np.random.default_rng(29)
+        for _ in range(2000):
+            size, levels = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            j1, j2 = rng.integers(-levels, levels + 1, size=(2, size)).astype(float)
+            for got, want in zip(equiv._chord(j1, j2), lexsort_chord(j1, j2)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestPolicyPair:
+    @pytest.mark.parametrize("decider", [ord_equivalent, j_equal])
+    def test_uniform_occupancy_is_solve_occupancy_bit_for_bit(self, decider, monkeypatch):
+        """The witness starts from the uniform policy's occupancy, bit for bit as solve.occupancy gives it."""
+        mdp = random_mdp(4, 3, 0.9, seed=31)
+        r1, r2 = (oracles.uniform_reward(mdp, seed=s) for s in (32, 33))
+        seen, solve_occupancy = [], equiv._occupancy
+
+        def recorded(*args):
+            seen.append(solve_occupancy(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(equiv, "_occupancy", recorded)
+        assert not decider(r1, r2, mdp).equivalent
+        uniform = StochasticPolicy(np.full((4, 3), 1.0 / 3))
+        assert len(seen) == 1
+        assert seen[0].tobytes() == occupancy(mdp, uniform).d.tobytes()
 
 
 class TestTransferPair:

@@ -312,6 +312,14 @@ class TestClaims:
         with pytest.raises(ValueError, match="non-negative integer"):
             run_registry(seed=seed, trials=trials)
 
+    def test_ex_sa_shaping_fails_when_shaping_is_skipped(self, monkeypatch):
+        """An apply() that returns its input leaves a reward ord-equivalent to itself with c = 1, but the
+        certificate's potential is then 0, not the drawn one."""
+        monkeypatch.setattr(lab, "apply", lambda t, r, mdp: r)
+        rep = verify_claim(ExperimentConfig(claim_id="EX-SA-SHAPING", seed=1))
+        assert not rep.ok
+        assert rep.counts["pass"] == 0
+
     def test_registry_covers_all_claims(self):
         assert set(CLAIMS) == set(CLAIM_ORDER)
         reports = run_registry(seed=5, trials=2)

@@ -644,6 +644,24 @@ class TestVertexWeights:
         residual = w - mdp.discount * np.einsum("ns,nsp->np", w, t_pi) - mdp.initial  # M w - mu0
         assert np.abs(residual).max() <= 1e-12 * np.abs(w).max()
 
+    @pytest.mark.parametrize("n_states, n_actions",
+                             [(n, k) for n in range(1, 11) for k in range(1, 6) if k**n <= 1024])
+    def test_bitwise_equal_to_prefix_major_elimination(self, n_states, n_actions):
+        """Storing the branch axis last changes no bit: same pivots, same operations, same row order."""
+        mdp = random_mdp(n_states, n_actions, 0.9, seed=17 * n_states + n_actions)
+        for k in (1, 2, 3):
+            rv = np.random.default_rng(k).uniform(-1.0, 1.0, size=(k, n_states, n_actions))
+            j = vertex_j(mdp, rv)
+            expected = oracles.prefix_major_vertex_j(mdp, rv)
+            assert j.shape == expected.shape == (n_actions**n_states, k)
+            assert j.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_bitwise_equal_to_prefix_major_elimination_at_the_cap(self):
+        mdp = random_mdp(16, 2, 0.95, seed=18)
+        rv = np.random.default_rng(19).uniform(-1.0, 1.0, size=(2, 16, 2))
+        expected = np.ascontiguousarray(oracles.prefix_major_vertex_j(mdp, rv))
+        assert vertex_j(mdp, rv).tobytes() == expected.tobytes()
+
     def test_enumeration_cap_completes(self):
         mdp = random_mdp(16, 2, 0.9, seed=15)
         r = oracles.uniform_reward(mdp, seed=16)
