@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * rewards are always stored as a full ``(S, A, S)`` tensor; a reward on the
   restricted domain ``S x A`` or ``S`` is built broadcast over the rest
   (``RewardTable.from_sa``, ``RewardTable.from_state``);
-* all values are immutable after construction and all operations are pure.
+* all values are immutable after construction and all operations are pure;
+  a value object holding an array compares and hashes by identity.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ TRIVIAL_ATOL = 1e-12        # tolerance for "all actions share a successor row"
 DEFAULT_ENUM_CAP = 65536    # deterministic-policy enumeration cap
 
 
-def _frozen_array(values, shape=None, name="array"):
-    arr = np.array(values, dtype=float)
-    if shape is not None and arr.shape != shape:
-        raise StructuralError(f"{name}: expected shape {shape}, got {arr.shape}")
+def _freeze(obj, field: str, dtype=float) -> np.ndarray:
+    """Store ``obj.field`` as a read-only array copy of ``dtype`` and return it."""
+    arr = np.array(getattr(obj, field), dtype=dtype)
     arr.setflags(write=False)
+    object.__setattr__(obj, field, arr)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mdp:
     """A finite MDP without its reward: (S, A, tau, mu0, gamma).
 
@@ -44,16 +45,15 @@ class Mdp:
     discount: float
 
     def __post_init__(self):
-        tau = np.array(self.transition, dtype=float)
+        tau = _freeze(self, "transition")
         if tau.ndim != 3 or tau.shape[0] != tau.shape[2]:
             raise StructuralError(f"transition must be (S, A, S), got {tau.shape}")
-        mu0 = _frozen_array(self.initial, (tau.shape[0],), "initial")
+        mu0 = _freeze(self, "initial")
+        if mu0.shape != tau.shape[:1]:
+            raise StructuralError(f"initial: expected shape {tau.shape[:1]}, got {mu0.shape}")
         if not (0.0 < float(self.discount) < 1.0):
             # The solvers all rely on the geometric series converging.
             raise StructuralError(f"discount must lie in (0, 1), got {self.discount}")
-        tau.setflags(write=False)
-        object.__setattr__(self, "transition", tau)
-        object.__setattr__(self, "initial", mu0)
         object.__setattr__(self, "discount", float(self.discount))
 
     @property
@@ -73,23 +73,21 @@ class Mdp:
         return replace(self, discount=gamma)
 
     def with_transition(self, tau) -> "Mdp":
-        return replace(self, transition=np.array(tau, dtype=float))
+        return replace(self, transition=tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RewardTable:
     """An (S, A, S') reward tensor; a restricted-domain reward is stored fully broadcast."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = _freeze(self, "values")
         if vals.ndim != 3 or vals.shape[0] != vals.shape[2]:
             raise StructuralError(f"reward values must be (S, A, S), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise StructuralError("reward values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_sa(cls, table) -> "RewardTable":
@@ -117,22 +115,20 @@ class RewardTable:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticPolicy:
     """Row-stochastic pi[s, a] table."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
+        p = _freeze(self, "probs")
         if p.ndim != 2:
             raise StructuralError(f"policy must be (S, A), got shape {p.shape}")
         if not np.all(p >= 0):  # also rejects NaN; +-inf fails the row-sum test
             raise StructuralError("policy probabilities must be non-negative")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > PROB_ATOL:
             raise StructuralError("policy rows must sum to 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
 
     @property
     def n_states(self) -> int:
@@ -150,11 +146,9 @@ class ActionSetPolicy:
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.array(self.mask, dtype=bool)
+        mask = _freeze(self, "mask", bool)
         if mask.ndim != 2 or not mask.any(axis=1).all():
             raise StructuralError(f"need an (S, A) mask with no empty action set, got shape {mask.shape}")
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
 
     def __getitem__(self, s: int) -> frozenset:
         return frozenset(np.flatnonzero(self.mask[s]).tolist())

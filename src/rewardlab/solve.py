@@ -23,6 +23,7 @@ constant over all policies iff the uniform policy's action gaps for the reward
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -47,14 +48,14 @@ TIE_TOL = 1e-8            # membership tolerance for optimal-action sets, relati
 CONTROL_RTOL = 1e-9       # action gap marking a controllable state, relative to 1/(1-gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueBundle:
     v: np.ndarray   # (S,)
     q: np.ndarray   # (S, A)
     j: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalBundle:
     q_star: np.ndarray      # (S, A)
     v_star: np.ndarray      # (S,)
@@ -63,7 +64,7 @@ class OptimalBundle:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftBundle:
     q_soft: np.ndarray  # (S, A)
     v_soft: np.ndarray  # (S,)
@@ -71,7 +72,7 @@ class SoftBundle:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupancyVector:
     """Discounted state-action visitation d[s,a]; sums to 1/(1-gamma)."""
 
@@ -160,17 +161,25 @@ def optimal_values(mdp: Mdp, r: RewardTable) -> OptimalBundle:
     A state switches action only on a strict improvement, so the iteration
     cannot cycle; it stops when no state improves. Raises ConvergenceError if
     that takes more than MAX_ITER steps, or if the final policy's Bellman
-    residual exceeds ``DEFAULT_TOL * max|rv| / (1 - gamma)``.
+    residual exceeds ``DEFAULT_TOL * max|rv| / (1 - gamma)``. The solve runs
+    on rv / 2^e, with 2^e the power of two that brings that value scale into
+    [0.5, 1), so a subnormal reward's tolerances do not underflow; the scaling
+    is exact, and every result and residual is reported in the reward's own unit.
     """
     gamma = mdp.discount
     rsa = reward_vector(r, mdp)
-    bound = DEFAULT_TOL * _value_scale(mdp, rsa)
+    scale = _value_scale(mdp, rsa)
+    unit = math.frexp(scale)[1]
+    rsa, bound = np.ldexp(rsa, -unit), DEFAULT_TOL * math.ldexp(scale, -unit)
     states, eye, q = np.arange(mdp.n_states), np.eye(mdp.n_states), rsa  # q = rv + gamma*tau v at v = 0
     for _ in range(WARM_SWEEPS):
         q = rsa + gamma * (mdp.transition @ q.max(axis=1))
     act = q.argmax(axis=1)
     for _ in range(MAX_ITER):
-        v = _solve_flow(eye - gamma * mdp.transition[states, act], rsa[states, act])
+        try:
+            v = _solve_flow(eye - gamma * mdp.transition[states, act], rsa[states, act])
+        except ConvergenceError as exc:
+            raise ConvergenceError(str(exc), math.ldexp(exc.residual, unit)) from None
         q_star = rsa + gamma * (mdp.transition @ v)
         v_star = q_star.max(axis=1)
         residual = float(np.abs(v_star - v).max())
@@ -179,14 +188,16 @@ def optimal_values(mdp: Mdp, r: RewardTable) -> OptimalBundle:
             break
         act = np.where(improve, q_star.argmax(axis=1), act)
     else:
-        raise ConvergenceError(f"policy iteration still improving after {MAX_ITER} steps", residual)
+        raise ConvergenceError(f"policy iteration still improving after {MAX_ITER} steps", math.ldexp(residual, unit))
     if residual > bound:
+        residual, bound = math.ldexp(residual, unit), math.ldexp(bound, unit)
         raise ConvergenceError(f"Bellman residual {residual:.3e} above {bound:.3e}", residual)
     a_star = q_star - v_star[:, None]
     # Shifts and shaping leave a* unchanged but not q*, whose round-off floors the tie.
     tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(q_star).max()))
     opt_sets = ActionSetPolicy(a_star >= -tie)
-    return OptimalBundle(q_star=q_star, v_star=v_star, a_star=a_star, opt_sets=opt_sets, residual=residual)
+    q_star, v_star, a_star = (np.ldexp(x, unit) for x in (q_star, v_star, a_star))
+    return OptimalBundle(q_star, v_star, a_star, opt_sets, math.ldexp(residual, unit))
 
 
 def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float) -> SoftBundle:

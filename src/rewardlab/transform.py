@@ -26,25 +26,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StructuralError
-from .mdp import Mdp, RewardTable
-from .solve import ROUNDOFF_RTOL, optimal_values, reward_vector
+from .mdp import Mdp, RewardTable, _freeze
+from .solve import ROUNDOFF_RTOL, optimal_values, refuse_overflow, reward_vector
 
 DIST_TOL = 1e-6            # unitless acceptance bound of the canonical-form tests
 SLACK_FLOOR_FRAC = 1e-3    # slack magnitudes stay >= this fraction of bounds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialFn:
     """State potential phi."""
 
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)
+        phi = _freeze(self, "phi")
         if phi.ndim != 1:
             raise StructuralError(f"potential must be a state vector, got shape {phi.shape}")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
 
 
 class TransformSpec:
@@ -72,7 +70,7 @@ class LinearScaling(TransformSpec):
             raise StructuralError(f"scaling constant must be positive, got {self.c}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalityPreserving(TransformSpec):
     """New value profile psi plus strictly negative slack for non-optimal pairs.
 
@@ -84,16 +82,11 @@ class OptimalityPreserving(TransformSpec):
     slack: np.ndarray
 
     def __post_init__(self):
-        psi = np.array(self.psi, dtype=float)
-        slack = np.array(self.slack, dtype=float)
+        psi, slack = _freeze(self, "psi"), _freeze(self, "slack")
         if psi.ndim != 1 or slack.ndim != 2 or slack.shape[0] != psi.shape[0]:
             raise StructuralError("psi must be (S,) and slack (S, A)")
         if not np.all(slack < 0):
             raise StructuralError("slack entries must be strictly negative")
-        psi.setflags(write=False)
-        slack.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "slack", slack)
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
     """Apply one transformation (or a chain) to a reward.
 
     Raises StructuralError when the reward, a potential, psi or slack does not
-    fit the MDP's states and actions.
+    fit the MDP's states and actions, or when a step's arithmetic overflows float64.
     """
     mdp.check_reward(r)
     gamma = mdp.discount
@@ -136,8 +129,8 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
     if isinstance(t, PotentialShaping):
         phi = t.potential.phi
         _check_shape("potential", phi, (mdp.n_states,))
-        vals = r.values + gamma * phi[None, None, :] - phi[:, None, None]
-        return RewardTable(vals)
+        with refuse_overflow("the reward shaped by the potential"):
+            return RewardTable(r.values + gamma * phi[None, None, :] - phi[:, None, None])
     if isinstance(t, SuccessorRedistribution):
         rv = reward_vector(r, mdp)
         gap = np.abs(reward_vector(t.replacement, mdp) - rv).max()
@@ -146,13 +139,15 @@ def apply(t: TransformSpec, r: RewardTable, mdp: Mdp) -> RewardTable:
             raise ValueError(f"replacement changes expected rewards by {gap:.3e} (> {bound:.3e})")
         return t.replacement
     if isinstance(t, LinearScaling):
-        return RewardTable(t.c * r.values)
+        with refuse_overflow(f"the reward scaled by {t.c:g}"):
+            return RewardTable(t.c * r.values)
     if isinstance(t, OptimalityPreserving):
         _check_shape("psi", t.psi, (mdp.n_states,))
         _check_shape("slack", t.slack, (mdp.n_states, mdp.n_actions))
         non_opt = ~optimal_values(mdp, r).opt_sets.mask
         # E[R2(s,a,.) + gamma*psi(S')] = psi(s), minus slack off the optimal sets.
-        rsa2 = t.psi[:, None] - gamma * (mdp.transition @ t.psi) + np.where(non_opt, t.slack, 0.0)
+        with refuse_overflow("the optimality-preserving reward"):
+            rsa2 = t.psi[:, None] - gamma * (mdp.transition @ t.psi) + np.where(non_opt, t.slack, 0.0)
         return RewardTable.from_sa(rsa2)
     raise StructuralError(f"unknown transformation {t!r}")
 
@@ -215,8 +210,9 @@ class CanonicalForms(NamedTuple):
 
     Row i of v, c, p, size and v_size is in units of 2^exp[i], the power of
     two that brings that input's largest entry into [0.5, 1), so no norm
-    overflows or underflows at any input size; ``common`` restates rows in
-    one unit for comparisons across them, and certificates and witnesses
+    overflows or underflows at any input size; a zero input takes the smallest
+    unit, 2^-1073, so it never sets the common unit. ``common`` restates rows
+    in one unit for comparisons across them, and certificates and witnesses
     scale back. u[i] is c[i] normalised, or zero when |c[i]| <=
     ROUNDOFF_RTOL * |v[i]|; ``size`` holds the |c[i]| and ``v_size`` the |v[i]|.
     """
@@ -240,7 +236,7 @@ class CanonicalForms(NamedTuple):
 
 def _canonical(design: np.ndarray, vectors: np.ndarray) -> CanonicalForms:
     """Canonical forms of the rows of ``vectors`` (K, rows of ``design``)."""
-    exp = np.frexp(np.abs(vectors).max(axis=1, initial=0.0))[1]
+    exp = np.frexp(np.abs(vectors).max(axis=1, initial=5e-324))[1]
     q, rr = np.linalg.qr(design)
     v = np.ldexp(vectors, -exp[:, None]).T
     shaped = q.T @ v

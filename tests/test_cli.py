@@ -15,6 +15,14 @@ def runner():
     return CliRunner()
 
 
+# Three states at gamma = 0.9 whose (s0, a0) and (s1, a1) rows are deterministic, so a reward at those two pairs
+# is its own expected reward at every size, down to 5e-324.
+THREE_STATE = {"n_states": 3, "n_actions": 2, "gamma": 0.9, "mu0": [0.4, 0.3, 0.3],
+               "transition": [[[1.0, 0.0, 0.0], [0.2, 0.5, 0.3]],
+                              [[0.3, 0.3, 0.4], [0.0, 1.0, 0.0]],
+                              [[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]]}
+
+
 def _write(tmp_path, name, doc):
     path = tmp_path / name
     documents.save_doc(doc, path)
@@ -200,6 +208,51 @@ class TestTransform:
         spec_path = _write(tmp_path, "spec.json", {"kind": "warp"})
         result = runner.invoke(main, ["transform", str(mdp_path), str(reward_path), spec_path])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"kind": "ls", "c": 1e308}', '{"kind": "ps", "phi": [1e308, -1e308, 0.0]}',
+         '{"kind": "ps", "phi": [Infinity, 0.0, 0.0]}', '{"kind": "ls", "c": Infinity}',
+         '{"kind": "op", "psi": [1.7e308, -1.7e308, 0.0], "slack": [[-1.0, -1.0], [-1.0, -1.0], [-1.0, -1.0]]}'],
+        ids=["ls-1e308", "ps-1e308", "ps-Infinity", "ls-Infinity", "op-1.7e308"],
+    )
+    def test_overflowing_step_exits_2_with_one_line(self, runner, tmp_path, spec):
+        """On a reward holding 3.0 at gamma = 0.9: one "error:" line on stderr and no RuntimeWarning on either stream."""
+        mdp = _write(tmp_path, "mdp.json", THREE_STATE)
+        reward = _write(tmp_path, "r.json", {"domain": "sa", "values": [[3.0, 0.0], [0.0, 3.0], [1.0, 0.0]]})
+        (tmp_path / "spec.json").write_text(spec)  # Python's json reads Infinity
+        result = runner.invoke(main, ["transform", mdp, reward, str(tmp_path / "spec.json")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "overflows float64" in result.stderr
+        assert "RuntimeWarning" not in result.output
+
+
+class TestSubnormalReward:
+    """The reward 5e-324 (the smallest subnormal) at (s0, a0) and (s1, a1) of THREE_STATE, and 0 elsewhere."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        def reward(name, x):
+            return _write(tmp_path, name, {"domain": "sa", "values": [[x, 0.0], [0.0, x], [0.0, 0.0]]})
+
+        return _write(tmp_path, "mdp.json", THREE_STATE), reward("sub.json", 5e-324), reward("zero.json", 0.0)
+
+    @pytest.mark.parametrize("flags", [[], ["--beta", "1"], ["--alpha", "1"]], ids=["plain", "beta", "alpha"])
+    def test_solve_exits_0_with_the_unit_rewards_sets(self, runner, tmp_path, paths, flags):
+        mdp, sub, _ = paths
+        unit = _write(tmp_path, "unit.json", {"domain": "sa", "values": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]})
+        docs = [runner.invoke(main, ["solve", mdp, r, "--format", "json", *flags]) for r in (sub, unit)]
+        assert docs[0].exit_code == 0, docs[0].output
+        assert json.loads(docs[0].output)["opt_sets"] == json.loads(docs[1].output)["opt_sets"]
+
+    @pytest.mark.parametrize("relation", ["opt", "jeq"])
+    def test_against_itself_exits_0_and_against_zero_exits_1(self, runner, paths, relation):
+        mdp, sub, zero = paths
+        assert runner.invoke(main, ["equiv", mdp, sub, sub, "--relation", relation]).exit_code == 0
+        for pair in ([sub, zero], [zero, sub]):
+            result = runner.invoke(main, ["equiv", mdp, *pair, "--relation", relation])
+            assert result.exit_code == 1, result.output
 
 
 class TestSolveOptions:

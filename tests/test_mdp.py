@@ -4,17 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rewardlab import (
+    CounterexampleRecord,
     Mdp,
+    OptimalityPreserving,
+    PotentialFn,
+    PotentialShaping,
     RewardTable,
     StochasticPolicy,
     is_trivial_transition,
+    occupancy,
+    optimal_values,
+    ord_equivalent,
+    policy_evaluate,
     reward_vector,
+    soft_optimal_values,
     validate_mdp,
 )
 from rewardlab.errors import CapacityError, StructuralError
 from rewardlab.mdp import ActionSetPolicy, enumerate_action_tuples
 
-from conftest import make_chain
+from conftest import make_chain, make_chain_reward
 
 
 class TestValidateMdp:
@@ -203,3 +212,48 @@ def test_row_normalized_dense_tensors_validate(n_states, n_actions, seed):
 
 def test_chain_matches_fixture_helper(chain):
     assert np.array_equal(make_chain().transition, chain.transition)
+
+
+
+VALUE_OBJECTS = ["Mdp", "RewardTable", "StochasticPolicy", "PotentialFn", "OptimalityPreserving", "PotentialShaping",
+                 "ValueBundle", "OptimalBundle", "SoftBundle", "OccupancyVector", "EquivVerdict",
+                 "CounterexampleRecord"]
+
+
+def _value_objects() -> dict:
+    """One instance of every value object that holds an ndarray, and of composites of them, built from scratch."""
+    mdp, r, uniform = make_chain(), make_chain_reward(), StochasticPolicy(np.full((2, 2), 0.5))
+    verdict = ord_equivalent(r, RewardTable(2.0 * r.values), mdp)
+    assert verdict.certificate is not None
+    return {
+        "Mdp": mdp,
+        "RewardTable": r,
+        "StochasticPolicy": uniform,
+        "PotentialFn": PotentialFn([0.0, 1.0]),
+        "OptimalityPreserving": OptimalityPreserving(psi=[1.0, 2.0], slack=-np.ones((2, 2))),
+        "PotentialShaping": PotentialShaping(PotentialFn([0.0, 1.0])),
+        "ValueBundle": policy_evaluate(mdp, r, uniform),
+        "OptimalBundle": optimal_values(mdp, r),
+        "SoftBundle": soft_optimal_values(mdp, r, 0.5),
+        "OccupancyVector": occupancy(mdp, uniform),
+        "EquivVerdict": verdict,
+        "CounterexampleRecord": CounterexampleRecord(mdp, make_chain(0.9), r, make_chain_reward(), {}, {}),
+    }
+
+
+@pytest.fixture(scope="module")
+def two_builds():
+    return _value_objects(), _value_objects()
+
+
+@pytest.mark.parametrize("name", VALUE_OBJECTS)
+def test_value_objects_compare_and_hash_by_identity(two_builds, name):
+    """Equal values are not equal objects: == and != answer by identity instead of raising on an array."""
+    a, b = (build[name] for build in two_builds)
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True and (a != a) is False
+    if name == "CounterexampleRecord":  # its evidence and params are dicts
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(a) and isinstance(hash(b), int)

@@ -95,6 +95,23 @@ class TestApply:
         with pytest.raises(StructuralError):
             apply(spec, chain_reward, chain)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LinearScaling(1e308),
+            LinearScaling(np.inf),
+            PotentialShaping(PotentialFn([1.5e308, -1.5e308])),
+            PotentialShaping(PotentialFn([np.inf, 0.0])),
+            OptimalityPreserving(psi=[1.5e308, -1.5e308], slack=-np.ones((2, 2))),
+        ],
+        ids=["ls-1e308", "ls-inf", "ps-1.5e308", "ps-inf", "op-1.5e308"],
+    )
+    def test_overflowing_step_raises_structural_error(self, chain, spec):
+        """A step whose arithmetic leaves float64 is refused with one message and no RuntimeWarning."""
+        r = RewardTable.from_sa([[3.0, 0.0], [0.0, 3.0]])
+        with pytest.raises(StructuralError, match="overflows float64"):
+            apply(spec, r, chain)
+
     def test_output_is_sas_domain(self, chain):
         r_sa = RewardTable.from_sa([[1.0, 0.0], [0.0, 1.0]])
         out = apply(LinearScaling(2.0), r_sa, chain)
