@@ -11,9 +11,10 @@ alpha*logsumexp(q/alpha)) for the soft one. Both start after WARM_SWEEPS
 (soft) Bellman sweeps from v = 0 (modified policy iteration, Puterman & Shin
 1978), whose greedy policy is often optimal already. Both bound the Bellman
 residual by DEFAULT_TOL in units of the largest possible |v|, (max|rv| +
-alpha*log A) / (1 - gamma) (alpha = 0 for the hard one), so no result depends
-on the reward's unit; a reward whose value scale overflows float64 raises
-StructuralError before any solve.
+alpha*log A) / (1 - gamma) (alpha = 0 for the hard one). policy_evaluate,
+optimal_values and soft_optimal_values all solve in that scale's power-of-two
+unit (_reward_unit), alpha with it, so no result depends on the reward's unit
+and no tolerance underflows; an overflowing value scale raises StructuralError.
 
 J at all A^S deterministic policies comes from one prefix-shared elimination
 that needs no row exchanges (see vertex_j). Controllability needs one
@@ -24,7 +25,6 @@ constant over all policies iff the uniform policy's action gaps for the reward
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +105,17 @@ class ControllableStates:
         return len(self.states)
 
 
-@contextmanager
-def refuse_overflow(what: str):
+class refuse_overflow(np.errstate):
     """Raise StructuralError naming ``what`` where float64 arithmetic in the block overflows or makes a NaN."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise StructuralError(f"{what} overflows float64") from None
+
+    def __init__(self, what: str):
+        super().__init__(over="raise", invalid="raise")
+        self.what = what
+
+    def __exit__(self, *exc_info):
+        super().__exit__(*exc_info)
+        if isinstance(exc_info[1], FloatingPointError):
+            raise StructuralError(f"{self.what} overflows float64") from None
 
 
 def reward_vector(r: RewardTable, mdp: Mdp) -> np.ndarray:
@@ -128,31 +131,39 @@ def _policy_transition(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
     return np.einsum("sa,sap->sp", probs, mdp.transition)
 
 
-def _solve_flow(flow: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with flow @ x = b by one dense solve; ConvergenceError if the residual exceeds ROUNDOFF_RTOL*max|x|."""
+def _solve_flow(flow: np.ndarray, b: np.ndarray, unit: int = 0) -> np.ndarray:
+    """x = flow^-1 b by one dense solve; ConvergenceError (its residual times 2^unit) if above ROUNDOFF_RTOL*max|x|."""
     x = np.linalg.solve(flow, b)
     residual = float(np.abs(flow @ x - b).max(initial=0.0))
     if not residual <= ROUNDOFF_RTOL * float(np.abs(x).max(initial=0.0)):
-        raise ConvergenceError("flow solve residual too large", residual=residual)
+        raise ConvergenceError("flow solve residual too large", residual=math.ldexp(residual, unit))
     return x
 
 
-def _value_scale(mdp: Mdp, rsa: np.ndarray, bonus: float = 0.0) -> float:
-    """(max|rv| + bonus) / (1 - gamma), the largest possible |v|; StructuralError if it overflows float64."""
-    scale = float(np.abs(rsa).max() + bonus) / (1.0 - mdp.discount)
+def _reward_unit(mdp: Mdp, rv: np.ndarray, bonus: float = 0.0) -> tuple[np.ndarray, int, float]:
+    """rv / 2^e, e and the Bellman bound DEFAULT_TOL * scale / 2^e, 2^e bringing the value scale into [0.5, 1)."""
+    scale = float(np.abs(rv).max() + bonus) / (1.0 - mdp.discount)  # the largest possible |v|
     if not scale < np.inf:
         raise StructuralError(f"reward too large: values up to max|rv| / (1 - {mdp.discount}) overflow float64")
-    return scale
+    unit = math.frexp(scale)[1]
+    if -900 < unit < 900:  # no solve nears the subnormal or overflow range: a rescale would change no bit
+        return rv, 0, DEFAULT_TOL * scale
+    return np.ldexp(rv, -unit), unit, DEFAULT_TOL * math.ldexp(scale, -unit)
+
+
+def _restated(unit: int, *xs):
+    """Each x scaled back from a solve's unit 2^unit to the reward's own."""
+    return xs if unit == 0 else tuple(np.ldexp(x, unit) for x in xs)
 
 
 def policy_evaluate(mdp: Mdp, r: RewardTable, pi: StochasticPolicy) -> ValueBundle:
-    """Exact V^pi, Q^pi, and J via the (I - gamma*T^pi) linear system."""
-    rsa = reward_vector(r, mdp)
-    _value_scale(mdp, rsa)
+    """Exact V^pi, Q^pi, and J via the (I - gamma*T^pi) linear system, solved in the reward's unit."""
+    rsa, unit, _ = _reward_unit(mdp, reward_vector(r, mdp))
     flow = np.eye(mdp.n_states) - mdp.discount * _policy_transition(mdp, pi.probs)
-    v = _solve_flow(flow, (pi.probs * rsa).sum(axis=1))
+    v = _solve_flow(flow, (pi.probs * rsa).sum(axis=1), unit)
     q = rsa + mdp.discount * (mdp.transition @ v)
-    return ValueBundle(v=v, q=q, j=float(mdp.initial @ v))
+    v, q, j = _restated(unit, v, q, mdp.initial @ v)
+    return ValueBundle(v=v, q=q, j=float(j))
 
 
 def optimal_values(mdp: Mdp, r: RewardTable) -> OptimalBundle:
@@ -161,25 +172,17 @@ def optimal_values(mdp: Mdp, r: RewardTable) -> OptimalBundle:
     A state switches action only on a strict improvement, so the iteration
     cannot cycle; it stops when no state improves. Raises ConvergenceError if
     that takes more than MAX_ITER steps, or if the final policy's Bellman
-    residual exceeds ``DEFAULT_TOL * max|rv| / (1 - gamma)``. The solve runs
-    on rv / 2^e, with 2^e the power of two that brings that value scale into
-    [0.5, 1), so a subnormal reward's tolerances do not underflow; the scaling
-    is exact, and every result and residual is reported in the reward's own unit.
+    residual exceeds ``DEFAULT_TOL * max|rv| / (1 - gamma)``. It solves in the
+    reward's unit (_reward_unit) and reports every result and residual in its own.
     """
     gamma = mdp.discount
-    rsa = reward_vector(r, mdp)
-    scale = _value_scale(mdp, rsa)
-    unit = math.frexp(scale)[1]
-    rsa, bound = np.ldexp(rsa, -unit), DEFAULT_TOL * math.ldexp(scale, -unit)
+    rsa, unit, bound = _reward_unit(mdp, reward_vector(r, mdp))
     states, eye, q = np.arange(mdp.n_states), np.eye(mdp.n_states), rsa  # q = rv + gamma*tau v at v = 0
     for _ in range(WARM_SWEEPS):
         q = rsa + gamma * (mdp.transition @ q.max(axis=1))
     act = q.argmax(axis=1)
     for _ in range(MAX_ITER):
-        try:
-            v = _solve_flow(eye - gamma * mdp.transition[states, act], rsa[states, act])
-        except ConvergenceError as exc:
-            raise ConvergenceError(str(exc), math.ldexp(exc.residual, unit)) from None
+        v = _solve_flow(eye - gamma * mdp.transition[states, act], rsa[states, act], unit)
         q_star = rsa + gamma * (mdp.transition @ v)
         v_star = q_star.max(axis=1)
         residual = float(np.abs(v_star - v).max())
@@ -187,57 +190,57 @@ def optimal_values(mdp: Mdp, r: RewardTable) -> OptimalBundle:
         if not improve.any():
             break
         act = np.where(improve, q_star.argmax(axis=1), act)
-    else:
-        raise ConvergenceError(f"policy iteration still improving after {MAX_ITER} steps", math.ldexp(residual, unit))
-    if residual > bound:
-        residual, bound = math.ldexp(residual, unit), math.ldexp(bound, unit)
-        raise ConvergenceError(f"Bellman residual {residual:.3e} above {bound:.3e}", residual)
     a_star = q_star - v_star[:, None]
     # Shifts and shaping leave a* unchanged but not q*, whose round-off floors the tie.
     tie = max(TIE_TOL * float(np.abs(a_star).max()), IMPROVE_RTOL * float(np.abs(q_star).max()))
     opt_sets = ActionSetPolicy(a_star >= -tie)
-    q_star, v_star, a_star = (np.ldexp(x, unit) for x in (q_star, v_star, a_star))
-    return OptimalBundle(q_star, v_star, a_star, opt_sets, math.ldexp(residual, unit))
+    q_star, v_star, a_star, restated = _restated(unit, q_star, v_star, a_star, residual)
+    if improve.any():
+        raise ConvergenceError(f"policy iteration still improving after {MAX_ITER} steps", restated)
+    if residual > bound:
+        raise ConvergenceError(f"Bellman residual {restated:.3e} above {DEFAULT_TOL:g} of the value scale", restated)
+    return OptimalBundle(q_star, v_star, a_star, opt_sets, float(restated))
 
 
 def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float) -> SoftBundle:
     """Soft policy iteration for v(s) = alpha*log sum_a exp(q(s,a)/alpha), after WARM_SWEEPS soft sweeps.
 
     Each step evaluates pi = softmax(q/alpha) exactly, with the entropy bonus
-    -alpha*log pi in the reward; this is Newton's method on the soft Bellman
-    equation. It stops once the soft-Bellman residual is at most
-    ``DEFAULT_TOL * (max|rv| + alpha*log A) / (1 - gamma)``, and raises
-    ConvergenceError if that takes more than MAX_ITER steps. Raises
-    StructuralError where the soft values overflow float64 (q/alpha at a tiny alpha).
+    -alpha*log pi in the reward (Newton's method on the soft Bellman equation),
+    until the residual is at most ``DEFAULT_TOL * (max|rv| + alpha*log A) / (1 - gamma)``.
+    ConvergenceError after MAX_ITER steps; StructuralError where the soft values
+    overflow float64 (q/alpha at a tiny alpha). It solves in the reward's unit,
+    alpha with it where alpha stays exact there.
     """
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
-    gamma = mdp.discount
-    rsa = reward_vector(r, mdp)
-    bound = DEFAULT_TOL * _value_scale(mdp, rsa, alpha * np.log(mdp.n_actions))
+    gamma, rv = mdp.discount, reward_vector(r, mdp)
+    rsa, unit, bound = _reward_unit(mdp, rv, alpha * np.log(mdp.n_actions))
+    if not -1022 < math.frexp(alpha)[1] - unit <= 1024:  # alpha / 2^unit would lose bits: solve as given
+        rsa, unit, bound = rv, 0, math.ldexp(bound, unit)
+    a = math.ldexp(alpha, -unit)  # alpha in the solve's unit
     eye, q_soft = np.eye(mdp.n_states), rsa  # q_soft = rv + gamma*tau v at v = 0
     with refuse_overflow(f"the soft Bellman update at alpha={alpha}"):
         for _ in range(WARM_SWEEPS):
             m = q_soft.max(axis=1)
-            v = m + alpha * np.log(np.exp((q_soft - m[:, None]) / alpha).sum(axis=1))
+            v = m + a * np.log(np.exp((q_soft - m[:, None]) / a).sum(axis=1))
             q_soft = rsa + gamma * (mdp.transition @ v)
         for _ in range(MAX_ITER):
             m = q_soft.max(axis=1)
-            z = (q_soft - m[:, None]) / alpha
+            z = (q_soft - m[:, None]) / a
             log_norm = np.log(np.exp(z).sum(axis=1))
-            v_soft = m + alpha * log_norm
+            v_soft = m + a * log_norm
             residual = float(np.abs(v_soft - v).max())
             if residual <= bound:
                 break
             log_pi = z - log_norm[:, None]
             pi = np.exp(log_pi)
-            v = _solve_flow(eye - gamma * _policy_transition(mdp, pi), (pi * (rsa - alpha * log_pi)).sum(axis=1))
+            v = _solve_flow(eye - gamma * _policy_transition(mdp, pi), (pi * (rsa - a * log_pi)).sum(axis=1), unit)
             q_soft = rsa + gamma * (mdp.transition @ v)
-        else:
-            raise ConvergenceError(
-                f"soft policy iteration did not reach residual {bound:.3e} within {MAX_ITER} steps", residual
-            )
-    return SoftBundle(q_soft=q_soft, v_soft=v_soft, alpha=float(alpha), residual=residual)
+    q_soft, v_soft, restated = _restated(unit, q_soft, v_soft, residual)
+    if residual > bound:
+        raise ConvergenceError(f"soft policy iteration at residual {restated:.3e} after {MAX_ITER} steps", restated)
+    return SoftBundle(q_soft=q_soft, v_soft=v_soft, alpha=float(alpha), residual=float(restated))
 
 
 def _occupancy(mdp: Mdp, probs: np.ndarray) -> np.ndarray:

@@ -238,11 +238,17 @@ class TestSubnormalReward:
 
         return _write(tmp_path, "mdp.json", THREE_STATE), reward("sub.json", 5e-324), reward("zero.json", 0.0)
 
-    @pytest.mark.parametrize("flags", [[], ["--beta", "1"], ["--alpha", "1"]], ids=["plain", "beta", "alpha"])
-    def test_solve_exits_0_with_the_unit_rewards_sets(self, runner, tmp_path, paths, flags):
+    @pytest.mark.parametrize(
+        "flags, unit_flags",
+        [([], []), (["--beta", "1"], ["--beta", "1"]), (["--alpha", "1"], ["--alpha", "1"]),
+         (["--alpha", "1e-320"], ["--alpha", "2024"])],  # 1e-320 rounds to 2024 * 5e-324
+        ids=["plain", "beta", "alpha", "alpha-1e-320"],
+    )
+    def test_solve_exits_0_with_the_unit_rewards_sets(self, runner, tmp_path, paths, flags, unit_flags):
         mdp, sub, _ = paths
         unit = _write(tmp_path, "unit.json", {"domain": "sa", "values": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]})
-        docs = [runner.invoke(main, ["solve", mdp, r, "--format", "json", *flags]) for r in (sub, unit)]
+        runs = ((sub, flags), (unit, unit_flags))
+        docs = [runner.invoke(main, ["solve", mdp, r, "--format", "json", *f]) for r, f in runs]
         assert docs[0].exit_code == 0, docs[0].output
         assert json.loads(docs[0].output)["opt_sets"] == json.loads(docs[1].output)["opt_sets"]
 

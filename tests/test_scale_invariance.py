@@ -23,17 +23,22 @@ from rewardlab import (
     PotentialShaping,
     RewardTable,
     apply,
+    boltzmann_policy,
     j_equal,
+    mce_policy,
     opt_equivalent,
     optimal_values,
     ord_equivalent,
+    policy_evaluate,
+    reward_vector,
     sample_potential_shaping,
     sample_s_redistribution,
+    soft_optimal_values,
 )
-from rewardlab import lab
-from rewardlab.errors import StructuralError
-from rewardlab.lab import oracle_opt_sets, random_mdp, random_reward
-from rewardlab.solve import ROUNDOFF_RTOL
+from rewardlab import lab, solve
+from rewardlab.errors import ConvergenceError, StructuralError
+from rewardlab.lab import oracle_opt_sets, random_mdp, random_policy, random_reward
+from rewardlab.solve import ROUNDOFF_RTOL, vertex_j
 
 import oracles
 
@@ -193,6 +198,17 @@ class TestHeavyShaping:
             assert abs(mdp.initial @ phi) <= ROUNDOFF_RTOL * np.abs(phi).max()
 
 
+# Each reward solver at the reward 2^k * R (and alpha * 2^k): its call, and the fields that scale with 2^k.
+SOLVERS = {
+    "optimal": (lambda mdp, r, k: optimal_values(mdp, r), ("q_star", "v_star", "a_star", "residual")),
+    "evaluate": (
+        lambda mdp, r, k: policy_evaluate(mdp, r, random_policy(mdp.n_states, mdp.n_actions, seed=3)),
+        ("v", "q", "j"),
+    ),
+    "soft": (lambda mdp, r, k: soft_optimal_values(mdp, r, np.ldexp(0.5, k)), ("q_soft", "v_soft", "residual")),
+}
+
+
 class TestSubnormalRewards:
     """Rewards of size 2^-1070, whose values and expected rewards are subnormal."""
 
@@ -208,21 +224,50 @@ class TestSubnormalRewards:
         assert np.isfinite(witness["policies"]).all() and np.isfinite(witness["j1"] + witness["j2"]).all()
         assert witness["j1"] != witness["j2"]
 
-    def test_optimal_values_match_the_exactly_rescaled_reward(self):
-        """The bundle of a 2^-1070 reward is the bundle of the same reward at 2^0, scaled back bit for bit.
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_optimal_values_match_the_exactly_rescaled_reward(self, solver):
+        """Every reward solver's results at 2^-1070 are those of the same reward at 2^0, scaled back bit for bit.
 
         Deterministic rows keep the expected rewards exact at both sizes, so both solves see one rv.
         """
         rng = np.random.default_rng(5)
         mdp = Mdp(np.eye(4)[rng.integers(4, size=(4, 3))], np.full(4, 0.25), 0.9)
         tiny = RewardTable(np.ldexp(rng.uniform(-1.0, 1.0, size=(4, 3, 4)), -1070))
-        small, unit = optimal_values(mdp, tiny), optimal_values(mdp, RewardTable(np.ldexp(tiny.values, 1070)))
-        for field in ("q_star", "v_star", "a_star"):
-            assert np.array_equal(getattr(small, field), np.ldexp(getattr(unit, field), -1070)), field
-        assert small.residual == np.ldexp(unit.residual, -1070)
-        assert small.opt_sets == unit.opt_sets
-        assert opt_equivalent(tiny, tiny, mdp).equivalent
-        assert not opt_equivalent(tiny, RewardTable(np.zeros_like(tiny.values)), mdp).equivalent
+        unit = RewardTable(np.ldexp(tiny.values, 1070))
+        call, fields = SOLVERS[solver]
+        small, big = call(mdp, tiny, -1070), call(mdp, unit, 0)
+        for field in fields:
+            assert np.array_equal(getattr(small, field), np.ldexp(getattr(big, field), -1070)), field
+        if solver == "optimal":
+            assert small.opt_sets == big.opt_sets
+            assert opt_equivalent(tiny, tiny, mdp).equivalent
+            assert not opt_equivalent(tiny, RewardTable(np.zeros_like(tiny.values)), mdp).equivalent
+        if solver == "soft":
+            # q_soft is rounded to 2^-1074 and alpha = 2^-1071 is exact, so each q_soft / alpha is off by at
+            # most 2^-4 and each probability by a factor of at most e^(2^-3).
+            probs = mce_policy(mdp, tiny, np.ldexp(0.5, -1070)).probs
+            np.testing.assert_allclose(probs, mce_policy(mdp, unit, 0.5).probs, rtol=np.expm1(2.0**-3), atol=0)
+
+    @pytest.mark.parametrize(
+        "solver, check",
+        [("optimal", "ROUNDOFF_RTOL"), ("evaluate", "ROUNDOFF_RTOL"), ("soft", "ROUNDOFF_RTOL"),
+         ("optimal", "DEFAULT_TOL"), ("soft", "DEFAULT_TOL")],
+    )
+    def test_convergence_error_residual_is_in_the_rewards_unit(self, solver, check, monkeypatch):
+        """A forced failure of a flow-solve or Bellman check reports its residual in the reward's unit.
+
+        At 2^-960 the solve runs in the unit 2^-957; stochastic rows keep the residuals off zero.
+        """
+        mdp = random_mdp(4, 3, 0.9, 0)
+        r = random_reward(mdp, seed=1)
+        monkeypatch.setattr(solve, check, -1.0)  # a negative tolerance fails every check
+        monkeypatch.setattr(solve, "MAX_ITER", 2)
+        call = SOLVERS[solver][0]
+        with pytest.raises(ConvergenceError) as small:
+            call(mdp, RewardTable(np.ldexp(r.values, -960)), -960)
+        with pytest.raises(ConvergenceError) as big:
+            call(mdp, r, 0)
+        assert big.value.residual > 0 and small.value.residual == np.ldexp(big.value.residual, -960)
 
 
 def _transition(kind: str, n: int, k: int, rng) -> np.ndarray:
@@ -287,3 +332,45 @@ def test_verdicts_hold_at_every_scale(n_states, n_actions, gamma, log_c, log_k, 
 
     # opt: every positive scaling keeps the optimal-action sets.
     assert opt_equivalent(base, r1, mdp).equivalent
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n_states=st.integers(2, 5),
+    n_actions=st.integers(2, 3),
+    gamma=st.sampled_from([0.5, 0.9, 1 - 2.0**-20]),
+    k=st.integers(-1000, 1000) | st.sampled_from([-1000, -901, -900, -899, 899, 900, 901, 1000]),
+    shaped=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_power_of_two_scaling_is_exact(n_states, n_actions, gamma, k, shaped, seed):
+    """2^k * R gives R's results times 2^k, bit for bit, at every k in [-1000, 1000].
+
+    Solvers, models and vertex_j scale with the reward (alpha with it, beta against it); each verdict
+    against a partner scaled the same way, shaped (equivalent) or perturbed (not), is unchanged.
+    """
+    mdp = random_mdp(n_states, n_actions, gamma, seed)
+    r = random_reward(mdp, seed=seed + 1)
+    if shaped:
+        partner = apply(sample_potential_shaping(mdp, 1.0, True, seed + 2), r, mdp)
+    else:
+        partner = RewardTable(r.values + np.random.default_rng(seed + 2).uniform(-0.5, 0.5, size=r.values.shape))
+    rk, partner_k = RewardTable(np.ldexp(r.values, k)), RewardTable(np.ldexp(partner.values, k))
+
+    def same(x, xk):
+        assert np.array_equal(np.ldexp(x, k), xk)
+
+    for call, fields in SOLVERS.values():
+        base, scaled_k = call(mdp, r, 0), call(mdp, rk, k)
+        for field in fields:
+            same(getattr(base, field), getattr(scaled_k, field))
+    assert optimal_values(mdp, rk).opt_sets == optimal_values(mdp, r).opt_sets
+    assert np.array_equal(mce_policy(mdp, rk, np.ldexp(0.5, k)).probs, mce_policy(mdp, r, 0.5).probs)
+    assert np.array_equal(boltzmann_policy(mdp, rk, np.ldexp(2.0, -k)).probs, boltzmann_policy(mdp, r, 2.0).probs)
+    same(vertex_j(mdp, reward_vector(r, mdp)[None]), vertex_j(mdp, reward_vector(rk, mdp)[None]))
+
+    assert opt_equivalent(rk, partner_k, mdp).equivalent == opt_equivalent(r, partner, mdp).equivalent
+    verdict, verdict_k = ord_equivalent(r, partner, mdp), ord_equivalent(rk, partner_k, mdp)
+    assert verdict_k.equivalent == verdict.equivalent
+    assert (verdict_k.certificate and verdict_k.certificate.c) == (verdict.certificate and verdict.certificate.c)
+    assert j_equal(rk, partner_k, mdp).equivalent == j_equal(r, partner, mdp).equivalent

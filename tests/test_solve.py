@@ -287,9 +287,9 @@ def test_warm_start_needs_one_flow_solve(solver, monkeypatch):
     calls = []
     checked_solve = solve._solve_flow
 
-    def counted_solve(flow, b):
+    def counted_solve(flow, b, *unit):
         calls.append(len(b))
-        return checked_solve(flow, b)
+        return checked_solve(flow, b, *unit)
 
     monkeypatch.setattr(solve, "_solve_flow", counted_solve)
     solver(mdp, r)
@@ -310,6 +310,25 @@ def test_values_beyond_float64_raise_structural_error(solver):
         with pytest.raises(StructuralError, match="overflow float64"):
             solver(mdp, r)
         solver(mdp, RewardTable(r.values * 1e-3))  # 1e307 / (1 - gamma) stays finite
+
+
+def test_refuse_overflow_restores_the_callers_error_state():
+    """refuse_overflow raises on overflow or NaN inside its block only, and changes no other exception."""
+    with np.errstate(over="ignore", invalid="warn", divide="raise"):
+        caller = np.geterr()
+        with solve.refuse_overflow("the product"):
+            assert np.geterr() == {**caller, "over": "raise", "invalid": "raise"}
+        assert np.geterr() == caller
+        with pytest.raises(StructuralError, match="^the product overflows float64$"):
+            with solve.refuse_overflow("the product"):
+                np.float64(1e308) * 10.0
+        assert np.geterr() == caller
+        other = KeyError("not a floating-point error")
+        with pytest.raises(KeyError) as raised:
+            with solve.refuse_overflow("the product"):
+                raise other
+        assert raised.value is other and raised.value.__cause__ is None
+        assert np.geterr() == caller
 
 
 class TestSoftOptimalValues:
