@@ -161,7 +161,6 @@ class TrialReport:
             "counts": self.counts,
             "outcomes": self.outcomes,
             "first_counterexample": self.first_counterexample,
-            "wall_clock_s": self.wall_clock_s,
             "config": self.config,
         }
 

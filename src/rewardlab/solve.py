@@ -210,15 +210,16 @@ def soft_optimal_values(mdp: Mdp, r: RewardTable, alpha: float) -> SoftBundle:
     until the residual is at most ``DEFAULT_TOL * (max|rv| + alpha*log A) / (1 - gamma)``.
     ConvergenceError after MAX_ITER steps; StructuralError where the soft values
     overflow float64 (q/alpha at a tiny alpha). It solves in the reward's unit,
-    alpha with it where alpha stays exact there.
+    alpha with it where alpha stays exact there (any alpha does with one action).
     """
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
     gamma, rv = mdp.discount, reward_vector(r, mdp)
     rsa, unit, bound = _reward_unit(mdp, rv, alpha * np.log(mdp.n_actions))
-    if not -1022 < math.frexp(alpha)[1] - unit <= 1024:  # alpha / 2^unit would lose bits: solve as given
+    if mdp.n_actions > 1 and not -1022 < math.frexp(alpha)[1] - unit <= 1024:  # alpha / 2^unit would lose bits
         rsa, unit, bound = rv, 0, math.ldexp(bound, unit)
-    a = math.ldexp(alpha, -unit)  # alpha in the solve's unit
+    # alpha in the solve's unit; with one action it multiplies log 1 = 0, so 1.0 stands in for any alpha
+    a = math.ldexp(alpha, -unit) if mdp.n_actions > 1 else 1.0
     eye, q_soft = np.eye(mdp.n_states), rsa  # q_soft = rv + gamma*tau v at v = 0
     with refuse_overflow(f"the soft Bellman update at alpha={alpha}"):
         for _ in range(WARM_SWEEPS):

@@ -1,11 +1,11 @@
-"""Per-claim sha256 digests of the registry's stripped reports at seeds 1-11.
+"""Per-claim sha256 digests of the registry's reports at seeds 1-11.
 
-A stripped report is one claim's report document without ``wall_clock_s``,
-written by ``documents.dumps`` (sorted keys) and encoded as UTF-8; its digest
-is the sha256 of those bytes. ``tests/report_digests.json`` holds the digest
-of every claim at every seed in SEEDS. The digests are exact, unlike the
-golden files' float tolerance, so a change that moves any bit of any report
-shows here; a BLAS build that rounds differently can move them too.
+A claim's digest is the sha256 of its report document written by
+``documents.dumps`` (sorted keys) and encoded as UTF-8.
+``tests/report_digests.json`` holds the digest of every claim at every seed
+in SEEDS. The digests are exact, unlike the golden files' float tolerance, so
+a change that moves any bit of any report shows here; a BLAS build that rounds
+differently can move them too.
 
     PYTHONPATH=src python tests/report_digests.py           # recompute and compare (exit 1 on a mismatch)
     PYTHONPATH=src python tests/report_digests.py --write   # regenerate the committed file
@@ -26,13 +26,11 @@ SEEDS = range(1, 12)
 
 
 def claim_digests(seed: int) -> dict:
-    """Each claim's stripped report digest at ``seed``, keyed by claim id in registry order."""
-    digests = {}
-    for report in run_registry(seed=seed):
-        doc = report.to_doc()
-        del doc["wall_clock_s"]
-        digests[report.claim_id] = hashlib.sha256(documents.dumps(doc).encode("utf-8")).hexdigest()
-    return digests
+    """Each claim's report digest at ``seed``, keyed by claim id in registry order."""
+    return {
+        report.claim_id: hashlib.sha256(documents.dumps(report.to_doc()).encode("utf-8")).hexdigest()
+        for report in run_registry(seed=seed)
+    }
 
 
 def main(argv: list[str]) -> int:

@@ -19,7 +19,6 @@ from rewardlab import (
     reward_vector,
     verify_claim,
 )
-from rewardlab import documents
 
 import oracles
 
@@ -192,28 +191,20 @@ def test_criterion_11_full_registry_cli(capsys, tmp_path):
             timeout=600,
         )
         elapsed = time.perf_counter() - t0
-        return proc, elapsed, json.loads(out.read_text())
+        return proc, elapsed, out.read_bytes()
 
-    proc1, t1, doc1 = run("run1.json")
-    proc2, t2, doc2 = run("run2.json")
-
-    def strip(doc):
-        for claim in doc["claims"].values():
-            claim.pop("wall_clock_s")
-        return documents.dumps(doc)
-
-    stable = strip(doc1) == strip(doc2)
+    proc1, t1, report1 = run("run1.json")
+    proc2, t2, report2 = run("run2.json")
     ok = (
         proc1.returncode == 0
         and proc2.returncode == 0
         and t1 < 300.0
         and t2 < 300.0
-        and stable
-        and doc1["ok"]
+        and report1 == report2
+        and json.loads(report1)["ok"]
     )
     _report(
         capsys, 11,
-        f"full registry exits 0 in {t1:.0f}s and {t2:.0f}s; reports byte-stable "
-        "modulo wall-clock",
+        f"full registry exits 0 in {t1:.0f}s and {t2:.0f}s; reports byte-identical",
         ok, detail=proc1.stdout[-400:] + proc1.stderr[-400:],
     )

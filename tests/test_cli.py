@@ -1,11 +1,14 @@
+import importlib
 import json
 import re
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rewardlab import LinearScaling, Mdp, PotentialFn, PotentialShaping, RewardTable, apply
+from rewardlab import LinearScaling, Mdp, PotentialFn, PotentialShaping, RewardTable, apply, random_mdp
 from rewardlab import documents
 from rewardlab.cli import main
 
@@ -23,10 +26,41 @@ THREE_STATE = {"n_states": 3, "n_actions": 2, "gamma": 0.9, "mu0": [0.4, 0.3, 0.
                               [[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]]}
 
 
+# Two states at gamma = 0.5 whose rows are all stochastic.
+TWO_STATE = {"n_states": 2, "n_actions": 2, "gamma": 0.5, "mu0": [0.5, 0.5],
+             "transition": [[[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4], [0.3, 0.7]]]}
+
+
 def _write(tmp_path, name, doc):
     path = tmp_path / name
     documents.save_doc(doc, path)
     return str(path)
+
+
+def _strict_json(text):
+    """The document ``text`` holds, with NaN and Infinity (which Python's json reads) refused."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _opposite_huge_pair(tmp_path, gamma):
+    """Paths of TWO_STATE at ``gamma``, a reward of size 1e308 and its negation."""
+    values = np.array([[1e308, -1e308], [-1e308, 1e308]])
+    return (_write(tmp_path, "mdp.json", dict(TWO_STATE, gamma=gamma)),
+            _write(tmp_path, "huge.json", {"domain": "sa", "values": values.tolist()}),
+            _write(tmp_path, "negated.json", {"domain": "sa", "values": (-values).tolist()}))
+
+
+def test_console_script_is_the_click_group():
+    """pyproject.toml's [project.scripts] entry names this group (read as text: Python 3.10 has no tomllib)."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    (line,) = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0].strip().splitlines()
+    name, module, attr = re.fullmatch(r'(\S+) = "([\w.]+):(\w+)"', line).groups()
+    assert name == "rewardlab"
+    assert getattr(importlib.import_module(module), attr) is main
+    assert isinstance(main, click.Group)
 
 
 class TestValidate:
@@ -81,12 +115,7 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         result = runner.invoke(main, ["validate", str(path), "--format", "json"])
         assert result.exit_code == 2
-
-        def not_json(constant):
-            raise AssertionError(f"{constant} is not JSON")
-
-        report = json.loads(result.output, parse_constant=not_json)
-        assert report["violations"] == [["non-finite", "transition", 2.0]]
+        assert _strict_json(result.output)["violations"] == [["non-finite", "transition", 2.0]]
 
 
 class TestSolve:
@@ -134,6 +163,16 @@ class TestSolve:
         args = ["solve", _write(tmp_path, "mdp.json", mdp_doc), r_path]
         assert runner.invoke(main, args).exit_code == 0
 
+    def test_one_action_soft_solve_at_subnormal_size_exits_0(self, runner, tmp_path):
+        """With one action alpha multiplies log 1 = 0, so --alpha 1 solves a reward of size 2^-1070."""
+        mdp = random_mdp(3, 1, 0.9, 0)
+        reward = {"domain": "sa", "values": np.full((3, 1), 2.0**-1070).tolist()}
+        args = ["solve", _write(tmp_path, "mdp.json", documents.mdp_to_doc(mdp)), _write(tmp_path, "r.json", reward),
+                "--alpha", "1", "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert _strict_json(result.output)["mce_policy"] == [[1.0]] * 3
+
 
 class TestEquiv:
     def test_scaled_shaped_pair_exits_0(self, runner, tmp_path, chain, chain_reward, chain_docs):
@@ -165,6 +204,14 @@ class TestEquiv:
         )
         assert result.exit_code == 1
         assert "witness" in result.output
+
+    @pytest.mark.parametrize("relation", ["ord", "jeq"])
+    def test_opposite_rewards_of_size_1e308_exit_1(self, runner, tmp_path, relation):
+        """At gamma = 0.5 their J stays within float64, and the two rewards order every policy oppositely."""
+        args = ["equiv", *_opposite_huge_pair(tmp_path, 0.5), "--relation", relation, "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert _strict_json(result.output)["equivalent"] is False
 
     def test_jeq_on_redistributed_pair(self, runner, tmp_path, chain, chain_reward, chain_docs):
         from rewardlab import sample_s_redistribution
@@ -202,6 +249,16 @@ class TestTransform:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["values"] == [[[1.0, 1.0], [1.0, 1.0]], [[2.0, 2.0], [2.0, 2.0]]]
+
+    def test_sa_reward_is_written_as_sas(self, runner, tmp_path):
+        """A compact "sa" reward is read, and the transformed reward is written as a full (S, A, S) tensor."""
+        args = ["transform", _write(tmp_path, "mdp.json", TWO_STATE),
+                _write(tmp_path, "sa.json", {"domain": "sa", "values": [[0.0, 1.0], [1.0, 0.0]]}),
+                _write(tmp_path, "ls.json", {"kind": "ls", "c": 2.0})]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert _strict_json(result.output) == {"domain": "sas",
+                                               "values": [[[0.0, 0.0], [2.0, 2.0]], [[2.0, 2.0], [0.0, 0.0]]]}
 
     def test_bad_spec_exits_2(self, runner, tmp_path, chain_docs):
         mdp_path, reward_path = chain_docs
@@ -299,8 +356,7 @@ class TestSolveOptions:
     )
     def test_overflowing_temperature_exits_2_with_one_line(self, runner, tmp_path, flags):
         """beta * Q* or Q / alpha beyond float64 on a 2-state MDP with rewards in {0, 1}: one error line, no warning."""
-        tau = [[[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4], [0.3, 0.7]]]
-        mdp_path = _write(tmp_path, "mdp.json", documents.mdp_to_doc(Mdp(tau, np.array([0.5, 0.5]), 0.5)))
+        mdp_path = _write(tmp_path, "mdp.json", TWO_STATE)
         r_path = _write(tmp_path, "r.json", {"domain": "sa", "values": [[0.0, 1.0], [1.0, 0.0]]})
         result = runner.invoke(main, ["solve", mdp_path, r_path, *flags])
         assert result.exit_code == 2
@@ -346,6 +402,7 @@ class TestMalformedDocuments:
             ("equiv", "reward"),
             ("transform", "reward"),
             ("transform", "spec"),
+            ("transform", "spec-cs"),
             ("transform", "spec-phi-1-state"),
             ("transform", "spec-psi-1-state"),
             ("transform", "spec-slack-1-action"),
@@ -379,6 +436,8 @@ class TestMalformedDocuments:
             reward_doc = {"domain": "sa", "values": [[0.0, 1.0]]}
         elif broken == "spec":
             spec_doc = {"kind": "ls"}  # no scaling constant
+        elif broken == "spec-cs":  # no such kind: a constant shift is written as a "ps" step
+            spec_doc = {"kind": "cs", "k": 1.0}
         elif broken == "spec-phi-1-state":  # numpy would broadcast phi, psi or slack over the MDP
             spec_doc = {"kind": "ps", "phi": [3.0]}
         elif broken == "spec-psi-1-state":
@@ -420,12 +479,7 @@ class TestMalformedDocuments:
     )
     def test_values_beyond_float64_exit_2_with_one_line(self, runner, tmp_path, args):
         """At gamma = 0.99, rewards of size 1e308 have values and J beyond float64's range."""
-        mdp = _write(tmp_path, "mdp.json", {
-            "n_states": 2, "n_actions": 2, "gamma": 0.99, "mu0": [0.5, 0.5],
-            "transition": [[[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4], [0.3, 0.7]]]})
-        values = np.array([[1e308, -1e308], [-1e308, 1e308]])
-        huge = _write(tmp_path, "huge.json", {"domain": "sa", "values": values.tolist()})
-        negated = _write(tmp_path, "negated.json", {"domain": "sa", "values": (-values).tolist()})
+        mdp, huge, negated = _opposite_huge_pair(tmp_path, 0.99)
         paths = [mdp, huge] if args[0] == "solve" else [mdp, huge, negated]
         result = runner.invoke(main, [args[0], *paths, *args[1:]])
         assert result.exit_code == 2
@@ -507,11 +561,6 @@ class TestLab:
                 main, ["lab", "--claim", "J-AMB", "--seed", "9", "--trials", "5", "--out", str(out)]
             )
             assert result.exit_code == 0
-            return json.loads(out.read_text())
+            return out.read_bytes()
 
-        def strip(doc):
-            for claim in doc["claims"].values():
-                claim.pop("wall_clock_s")
-            return documents.dumps(doc)
-
-        assert strip(run("a.json")) == strip(run("b.json"))
+        assert run("a.json") == run("b.json")

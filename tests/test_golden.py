@@ -1,7 +1,7 @@
-"""The registry's stripped reports at seeds 1 and 77 match the committed golden files.
+"""The registry's reports at seeds 1 and 77 match the committed golden files.
 
-A stripped report is every claim's report document without ``wall_clock_s``,
-keyed by claim id, written as sorted JSON and gzipped under ``tests/golden/``.
+A golden file holds every claim's whole report document, keyed by claim id,
+written as sorted JSON and gzipped under ``tests/golden/``.
 Strings, booleans, integers and nulls must match exactly. Floats must match to
 within GOLDEN_RTOL relative, since solver outputs such as ``soft_residual`` and
 ``c_fit`` may differ in their last bits between BLAS builds. A mismatch names
@@ -25,14 +25,9 @@ SEEDS = (1, 77)
 GOLDEN_RTOL = 1e-12
 
 
-def stripped_registry(seed: int) -> dict:
-    """Every claim's report at ``seed`` without its wall-clock field, as the JSON that is written."""
-    reports = {}
-    for report in run_registry(seed=seed):
-        doc = report.to_doc()
-        del doc["wall_clock_s"]
-        reports[report.claim_id] = doc
-    return json.loads(documents.dumps(reports))
+def registry_reports(seed: int) -> dict:
+    """Every claim's report at ``seed``, as the JSON that is written."""
+    return json.loads(documents.dumps({report.claim_id: report.to_doc() for report in run_registry(seed=seed)}))
 
 
 def first_difference(expected, actual, path="$"):
@@ -64,7 +59,7 @@ def golden_path(seed: int) -> Path:
 def test_registry_matches_golden(seed):
     with gzip.open(golden_path(seed), "rt", encoding="utf-8") as fh:
         expected = json.load(fh)
-    difference = first_difference(expected, stripped_registry(seed))
+    difference = first_difference(expected, registry_reports(seed))
     assert difference is None, difference
 
 
@@ -88,7 +83,7 @@ def test_first_difference_names_the_path(expected, actual, path):
 
 if __name__ == "__main__":
     for seed in SEEDS:
-        payload = documents.dumps(stripped_registry(seed)).encode("utf-8")
+        payload = documents.dumps(registry_reports(seed)).encode("utf-8")
         with open(golden_path(seed), "wb") as raw, gzip.GzipFile("", "wb", 9, raw, mtime=0) as fh:
             fh.write(payload)
         print(f"wrote {golden_path(seed)} ({len(payload)} bytes before gzip)")

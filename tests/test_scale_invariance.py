@@ -198,6 +198,16 @@ class TestHeavyShaping:
             assert abs(mdp.initial @ phi) <= ROUNDOFF_RTOL * np.abs(phi).max()
 
 
+def _one_action(mdp: Mdp, r: RewardTable) -> tuple[Mdp, RewardTable]:
+    """One action, from s to s or s + 1 (mod S) with probability 1/2 each, rewarded 2 R(s, a0, .).
+
+    The doubled reward keeps each half exact at 2^-1070, so the expected rewards are exact at both sizes.
+    """
+    eye = np.eye(mdp.n_states)
+    halves = 0.5 * (eye + np.roll(eye, 1, axis=1))
+    return Mdp(halves[:, None], mdp.initial, mdp.discount), RewardTable(np.ldexp(r.values[:, :1], 1))
+
+
 # Each reward solver at the reward 2^k * R (and alpha * 2^k): its call, and the fields that scale with 2^k.
 SOLVERS = {
     "optimal": (lambda mdp, r, k: optimal_values(mdp, r), ("q_star", "v_star", "a_star", "residual")),
@@ -206,6 +216,10 @@ SOLVERS = {
         ("v", "q", "j"),
     ),
     "soft": (lambda mdp, r, k: soft_optimal_values(mdp, r, np.ldexp(0.5, k)), ("q_soft", "v_soft", "residual")),
+    # One stochastic action, where alpha multiplies log 1 = 0 and so keeps its size whatever the reward's.
+    "soft-one-action": (
+        lambda mdp, r, k: soft_optimal_values(*_one_action(mdp, r), 1.0), ("q_soft", "v_soft", "residual")
+    ),
 }
 
 
@@ -247,6 +261,8 @@ class TestSubnormalRewards:
             # most 2^-4 and each probability by a factor of at most e^(2^-3).
             probs = mce_policy(mdp, tiny, np.ldexp(0.5, -1070)).probs
             np.testing.assert_allclose(probs, mce_policy(mdp, unit, 0.5).probs, rtol=np.expm1(2.0**-3), atol=0)
+        if solver == "soft-one-action":
+            assert np.array_equal(mce_policy(*_one_action(mdp, tiny), 1.0).probs, np.ones((4, 1)))
 
     @pytest.mark.parametrize(
         "solver, check",
