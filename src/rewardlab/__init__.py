@@ -1,6 +1,7 @@
 """Tabular-MDP toolkit for reward transformations, equivalence, and robustness checks."""
 
 from .equiv import (
+    Decomposition,
     EquivVerdict,
     j_equal,
     opt_equivalent,
@@ -49,7 +50,6 @@ from .solve import (
 )
 from .transform import (
     Chain,
-    Decomposition,
     LinearScaling,
     OptimalityPreserving,
     PotentialFn,
@@ -58,8 +58,6 @@ from .transform import (
     TransformSpec,
     apply,
     canonical_forms,
-    decompose_j,
-    decompose_ord,
     sample_optimality_preserving,
     sample_potential_shaping,
     sample_s_redistribution,

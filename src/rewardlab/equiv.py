@@ -6,10 +6,13 @@ Three relations over rewards in a fixed environment:
 * ``ord`` - same ordering of all policies by J;
 * ``jeq`` - identical J for every policy.
 
-ord and jeq are decided on the canonical forms of the two rewards (see
-``rewardlab.transform``), so verdicts hold at every reward scale. At any
-size, a negative verdict carries two policies built from the same forms
-(see _policy_pair).
+ord and jeq are decided on the canonical forms of the two rewards
+(``transform.canonical_forms``): rewards order all policies alike iff their
+forms are positive multiples (or both zero), and give every policy the same J
+iff C1 = C2 and mu0 . (phi2 - phi1) = 0. Both tests are unitless and ignore
+|rv|, whose shaping part changes no behaviour; a form or misfit within
+ROUNDOFF_RTOL of |rv| counts as zero. So verdicts hold at every reward scale,
+and a negative one carries two policies built from the same forms (_policy_pair).
 
 Whenever the A^S deterministic policies fit under the cap, the ord/jeq
 verdicts are cross-checked against an exact vertex oracle. J(pi) = <d^pi, r>
@@ -22,7 +25,7 @@ Rewards order all policies alike iff J2 is a positive affine function of J1
 on every vertex (measured off the chord through the extreme J1 vertices, or
 both tables flat), and give every policy the same J iff J1 = J2 there. The
 oracle takes J from the reward vectors but measures it on the deciders'
-scales (|C|, or ``j_scale`` for jeq), since |rv| grows with shaping that
+scales (|C|, or jeq's J scale), since |rv| grows with shaping that
 changes no behaviour. It raises InternalConsistencyError, which means a bug,
 only on a confident disagreement: a deviation beyond what an accepted
 certificate permits plus the round-off of J at the size of rv, or agreement
@@ -38,17 +41,19 @@ import numpy as np
 from .errors import InternalConsistencyError, StructuralError
 from .mdp import Mdp, RewardTable
 from .solve import ROUNDOFF_RTOL, _occupancy, optimal_values, vertex_j
-from .transform import (
-    DIST_TOL,
-    CanonicalForms,
-    Decomposition,
-    canonical_forms,
-    decompose_j,
-    decompose_ord,
-    j_scale,
-)
+from .transform import CanonicalForms, PotentialFn, canonical_forms
 
 CROSS_CHECK_CAP = 1024   # the oracle runs when A^S fits under this
+DIST_TOL = 1e-6          # unitless acceptance bound of the canonical-form tests
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Certificate (c, phi) with the unitless residual its test compared against DIST_TOL."""
+
+    c: float
+    phi: PotentialFn
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,10 @@ def _policy_pair(forms: CanonicalForms, w: np.ndarray, mdp: Mdp) -> dict:
     policy reaches, which this raises StructuralError for. A combination w of
     canonical forms has M^T w = 0, so both points satisfy the flow equations
     M^T d = -mu0, and eps keeps them above d0/2 > 0: each is the occupancy of
-    its per-state normalisation. For w = C1^ - C2^, <w, C1^> > 0 >= <w, C2^>,
-    so J1 rises from the second policy to the first while J2 falls (or stays
-    level when C2 is zero); for w = C2 - C1, J2 - J1 rises by 2*eps*|w|^2.
+    its per-state normalisation. For w = C1^ - C2^, <w, C1^> >= 0 >= <w, C2^>
+    with at least one strict, so one reward ranks the two policies strictly and
+    the other ranks them the other way or ties them (when its form is zero);
+    for w = C2 - C1, J2 - J1 rises by 2*eps*|w|^2.
     Each J scales back from its own reward's unit; one that overflows is inf.
     """
     n, k = mdp.n_states, mdp.n_actions
@@ -110,15 +116,29 @@ def opt_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
 
 
 def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
-    """Same policy ordering, decided on the canonical forms (see decompose_ord).
+    """Same policy ordering: certificate v2 = c*v1 + M @ phi with c > 0, or a policy-pair witness.
 
-    Every state must be reachable from mu0 (validate_mdp): a reward at a state
-    no policy visits moves the forms but no J, so a refusal raises StructuralError.
+    Accepted iff the normalised forms lie within DIST_TOL of each other (the
+    STARC distance of Skalse et al., arXiv 2309.15257); both zero means J is
+    constant for both rewards. c = |c2| / |c1| in true units, or 1 when both are
+    zero. Raises StructuralError when c or phi is outside float64 (c = 0 or inf,
+    phi not finite), and on a refusal when a state is unreachable from mu0
+    (validate_mdp): a reward there moves the forms but no J.
     """
     forms = canonical_forms(r1, r2, mdp)
-    cert = decompose_ord(forms)
+    u_gap = forms.u[0] - forms.u[1]
+    residual = float(np.linalg.norm(u_gap))
+    if residual > DIST_TOL:
+        cert, witness = None, _policy_pair(forms, u_gap, mdp)
+    else:
+        e1, e2 = forms.exp
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            c = float(np.ldexp(forms.size[1] / forms.size[0], e2 - e1)) if forms.u[0].any() else 1.0
+            phi = np.ldexp(forms.p[1], e2) - c * np.ldexp(forms.p[0], e1)
+        if not (0.0 < c < np.inf and np.isfinite(phi).all()):
+            raise StructuralError(f"ord certificate outside float64: the rewards differ in size by ~2^{e2 - e1}")
+        cert, witness = Decomposition(c=c, phi=PotentialFn(phi), residual=residual), None
     equivalent = cert is not None
-    witness = None if equivalent else _policy_pair(forms, forms.u[0] - forms.u[1], mdp)
     if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
         unit = np.where(forms.u.any(axis=1), forms.size, forms.v_size)
         unit = np.where(unit > 0, unit, 1.0)
@@ -140,17 +160,29 @@ def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
 
 
 def j_equal(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
-    """Identical J for every policy, decided on the canonical forms (see decompose_j).
+    """Identical J for every policy: certificate v2 = v1 + M @ phi with mu0 . phi = 0, or a policy-pair witness.
 
-    Every state must be reachable from mu0 (validate_mdp), as for ord_equivalent.
+    The misfit is the larger of |c[1] - c[0]| and (1 - gamma)*|mu0 . phi|; no
+    policy's (1 - gamma)*|J2 - J1| exceeds twice it. The residual is the misfit
+    over the J scale, the larger bound |c[i]| + (1 - gamma)*|mu0 . p[i]| on
+    (1 - gamma)*|J_i| (J_i(pi) = <d_pi, c[i]> - mu0 . p[i]), or 0 when the misfit
+    is within ROUNDOFF_RTOL of the larger reward vector; accepted iff it is at
+    most DIST_TOL. States must be reachable from mu0, as for ord_equivalent.
     """
     forms = canonical_forms(r1, r2, mdp)
     same = forms.common()  # restated once, for the certificate, the witness and the oracle
-    cert = decompose_j(same, mdp)
+    phi, c_gap = same.p[1] - same.p[0], same.c[1] - same.c[0]
+    shift = (1.0 - mdp.discount) * abs(float(mdp.initial @ phi))
+    misfit = max(float(np.linalg.norm(c_gap)), shift)
+    roundoff = ROUNDOFF_RTOL * float(same.v_size.max())
+    scale = float((same.size + (1.0 - mdp.discount) * np.abs(same.p @ mdp.initial)).max())
+    residual = 0.0 if misfit <= roundoff else misfit / scale
+    if residual > DIST_TOL:
+        cert, witness = None, _policy_pair(forms, c_gap, mdp)
+    else:
+        cert, witness = Decomposition(1.0, PotentialFn(np.ldexp(phi, same.exp.max())), residual), None
     equivalent = cert is not None
-    witness = None if equivalent else _policy_pair(forms, np.diff(same.c, axis=0)[0], mdp)
     if mdp.n_actions**mdp.n_states <= CROSS_CHECK_CAP:
-        scale, roundoff = j_scale(same, mdp), ROUNDOFF_RTOL * float(same.v_size.max())
         j_diff = vertex_j(mdp, same.v[:1] - same.v[1:])
         gap = (1.0 - mdp.discount) * float(np.abs(j_diff).max())
         if equivalent and gap > 2 * max(DIST_TOL * scale, roundoff) + roundoff:

@@ -1,4 +1,4 @@
-"""Reward-transformation algebra: constructors, samplers, appliers, decomposers.
+"""Reward-transformation algebra: constructors, samplers, appliers and canonical forms.
 
 Four transformation families are supported, plus left-to-right chains of them:
 
@@ -8,14 +8,10 @@ Four transformation families are supported, plus left-to-right chains of them:
 * optimality preserving   rewrites keeping the optimal-action sets while
                           retargeting an arbitrary value profile psi
 
-The decomposers run the other way. A reward's expected-reward vector rv
-splits into a shaping part M @ phi (M = ``shaping_matrix(mdp)``) and its
-canonical form C = (I - QQ^T) rv, Q an orthonormal basis of M's range (Ng,
-Harada & Russell 1999). Rewards order all policies alike iff their forms are
-positive multiples (or both zero), and give every policy the same J iff
-C1 = C2 and mu0 . (phi2 - phi1) = 0. Both tests are unitless and ignore |rv|,
-whose shaping part changes no behaviour; a form or misfit within
-ROUNDOFF_RTOL of |rv| counts as zero.
+A reward's expected-reward vector rv splits into a shaping part M @ phi
+(M = ``shaping_matrix(mdp)``) and its canonical form C = (I - QQ^T) rv, Q an
+orthonormal basis of M's range (Ng, Harada & Russell 1999); ``rewardlab.equiv``
+decides ord and jeq on these forms.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from .errors import StructuralError
 from .mdp import Mdp, RewardTable, _freeze
 from .solve import ROUNDOFF_RTOL, optimal_values, refuse_overflow, reward_vector
 
-DIST_TOL = 1e-6            # unitless acceptance bound of the canonical-form tests
 SLACK_FLOOR_FRAC = 1e-3    # slack magnitudes stay >= this fraction of bounds
 
 
@@ -97,15 +92,6 @@ class Chain(TransformSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Certificate (c, phi) with the unitless residual its test compared against DIST_TOL."""
-
-    c: float
-    phi: PotentialFn
-    residual: float
 
 
 def _check_shape(name: str, a: np.ndarray, shape: tuple) -> None:
@@ -251,51 +237,3 @@ def canonical_forms(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> CanonicalForm
     """Canonical forms of both rewards' expected-reward vectors against ``shaping_matrix(mdp)``."""
     return _canonical(shaping_matrix(mdp), np.array([reward_vector(r, mdp).ravel() for r in (r1, r2)]))
 
-
-def decompose_ord(forms: CanonicalForms) -> Decomposition | None:
-    """Certificate v2 = c*v1 + M @ phi with c > 0, i.e. the same policy order, or None.
-
-    Accepted iff the normalised forms lie within DIST_TOL of each other (the
-    STARC distance of Skalse et al., arXiv 2309.15257); both zero means J is
-    constant for both rewards. c = |c2| / |c1| in true units, or 1 when both are zero.
-    Raises StructuralError when c or phi is outside float64 (c = 0 or inf, phi not finite).
-    """
-    residual = float(np.linalg.norm(forms.u[0] - forms.u[1]))
-    if residual > DIST_TOL:
-        return None
-    e1, e2 = forms.exp
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        c = float(np.ldexp(forms.size[1] / forms.size[0], e2 - e1)) if forms.u[0].any() else 1.0
-        phi = np.ldexp(forms.p[1], e2) - c * np.ldexp(forms.p[0], e1)
-    if not (0.0 < c < np.inf and np.isfinite(phi).all()):
-        raise StructuralError(f"ord certificate outside float64: the rewards differ in size by ~2^{e2 - e1}")
-    return Decomposition(c=c, phi=PotentialFn(phi), residual=residual)
-
-
-def j_scale(forms: CanonicalForms, mdp: Mdp) -> float:
-    """The larger bound on (1 - gamma)*|J| of the two rewards: |c[i]| + (1 - gamma)*|mu0 . p[i]|.
-
-    J_i(pi) = <d_pi, c[i]> - mu0 . p[i], and (1 - gamma)*d_pi sums to one.
-    Shaping with mu0-mean zero leaves this scale unchanged; ``forms`` must be in one unit (``common()``).
-    """
-    return float((forms.size + (1.0 - mdp.discount) * np.abs(forms.p @ mdp.initial)).max())
-
-
-def decompose_j(forms: CanonicalForms, mdp: Mdp) -> Decomposition | None:
-    """Certificate v2 = v1 + M @ phi with mu0 . phi = 0, i.e. the same J for every policy, or None.
-
-    The misfit is the larger of |c[1] - c[0]| and (1 - gamma)*|mu0 . phi|; no
-    policy's (1 - gamma)*|J2 - J1| exceeds twice the misfit. The residual is the
-    misfit relative to ``j_scale``, or 0 when the misfit is round-off
-    (within ROUNDOFF_RTOL of the larger reward vector); accepted iff it is at
-    most DIST_TOL.
-    """
-    forms = forms.common()
-    phi = forms.p[1] - forms.p[0]
-    shift = (1.0 - mdp.discount) * abs(float(mdp.initial @ phi))
-    misfit = max(float(np.linalg.norm(forms.c[1] - forms.c[0])), shift)
-    roundoff = ROUNDOFF_RTOL * forms.v_size.max()
-    residual = 0.0 if misfit <= roundoff else misfit / j_scale(forms, mdp)
-    if residual > DIST_TOL:
-        return None
-    return Decomposition(c=1.0, phi=PotentialFn(np.ldexp(phi, forms.exp.max())), residual=residual)

@@ -181,12 +181,12 @@ class TestOrdEquivalent:
                 assert max(abs(g) for g in gaps) > 1e-10
         assert min(refused.values()) > 50
 
-    def test_cross_check_guard_raises_on_rigged_decider(self, chain, chain_reward, monkeypatch):
-        import rewardlab.equiv as equiv_mod
-
-        monkeypatch.setattr(equiv_mod, "decompose_ord", lambda *a, **k: None)
-        with pytest.raises(InternalConsistencyError):
-            ord_equivalent(chain_reward, chain_reward, chain)
+    @pytest.mark.parametrize("decider", [ord_equivalent, j_equal], ids=["ord", "jeq"])
+    def test_cross_check_guard_raises_on_rigged_decider(self, decider, chain, chain_reward, monkeypatch):
+        # A negative tolerance refuses every pair, so the oracle must catch r refused against itself.
+        monkeypatch.setattr(equiv, "DIST_TOL", -1.0)
+        with pytest.raises(InternalConsistencyError, match="decider said False"):
+            decider(chain_reward, chain_reward, chain)
 
 
 def lexsort_chord(j1, j2):

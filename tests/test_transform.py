@@ -13,8 +13,7 @@ from rewardlab import (
     SuccessorRedistribution,
     apply,
     canonical_forms,
-    decompose_j,
-    decompose_ord,
+    j_equal,
     optimal_values,
     ord_equivalent,
     policy_evaluate,
@@ -25,6 +24,7 @@ from rewardlab import (
 )
 from rewardlab.errors import StructuralError
 from rewardlab.solve import ROUNDOFF_RTOL
+from rewardlab.transform import shaping_matrix
 from rewardlab.lab import _successor_choice, random_mdp, random_policy, random_reward
 
 import oracles
@@ -249,6 +249,51 @@ class TestShapingValueIdentities:
         assert tuple(scaled.opt_sets) == tuple(base.opt_sets)
 
 
+CANONICAL_ROWS = {
+    "2^-600": lambda base, mdp: RewardTable(np.ldexp(base.values, -600)),
+    "2^0": lambda base, mdp: base,
+    "2^600": lambda base, mdp: RewardTable(np.ldexp(base.values, 600)),
+    "pure-shaping": lambda base, mdp: apply(
+        PotentialShaping(PotentialFn(np.array([0.7, -1.3, 2.1]))), RewardTable(np.zeros((3, 2, 3))), mdp),
+    "zero": lambda base, mdp: RewardTable(np.zeros((3, 2, 3))),
+}
+
+
+class TestCanonicalForms:
+    @pytest.mark.parametrize("row", CANONICAL_ROWS)
+    def test_contract(self, row):
+        """Each row's unit, split, normalisation and restatement, paired with a reward at 2^0."""
+        mdp = random_mdp(3, 2, 0.9, seed=1)
+        base = RewardTable(np.random.default_rng(0).uniform(-1, 1, (3, 2, 3)))
+        rewards = (CANONICAL_ROWS[row](base, mdp), base)
+        forms = canonical_forms(*rewards, mdp)
+        rvs = np.array([reward_vector(r, mdp).ravel() for r in rewards])
+        for rv, exp in zip(rvs, forms.exp):
+            if rv.any():
+                assert 0.5 <= np.ldexp(np.abs(rv).max(), -exp) < 1.0
+            else:
+                assert exp == -1073
+        np.testing.assert_allclose(forms.c + forms.p @ shaping_matrix(mdp).T, forms.v, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(forms.size, np.linalg.norm(forms.c, axis=1))
+        np.testing.assert_array_equal(forms.v_size, np.linalg.norm(forms.v, axis=1))
+        for c, u, size, v_size in zip(forms.c, forms.u, forms.size, forms.v_size):
+            if size > ROUNDOFF_RTOL * v_size:
+                np.testing.assert_array_equal(u, c / size)
+            else:
+                assert not u.any()
+        assert forms.u[0].any() == (row not in ("pure-shaping", "zero"))
+        same = forms.common()
+        if forms.exp[0] == forms.exp[1]:
+            assert same is forms
+            return
+        shift = forms.exp - forms.exp.max()
+        assert (same.exp == forms.exp.max()).all()
+        for field in ("v", "c", "p", "size", "v_size"):
+            np.testing.assert_array_equal(getattr(same, field).T, np.ldexp(getattr(forms, field).T, shift))
+        # Every restated value here stays normal, so the restatement is exact.
+        np.testing.assert_array_equal(same.v, np.ldexp(rvs, -same.exp[:, None]))
+
+
 class TestDecomposeOrd:
     def test_round_trip_recovers_scale(self):
         for seed in range(30):
@@ -258,7 +303,7 @@ class TestDecomposeOrd:
             cur = apply(LinearScaling(c), r1, mdp)
             cur = apply(sample_potential_shaping(mdp, 1.0, False, seed=seed + 50), cur, mdp)
             cur = apply(sample_s_redistribution(mdp, cur, 1.0, seed=seed + 60), cur, mdp)
-            dec = decompose_ord(canonical_forms(r1, cur, mdp))
+            dec = ord_equivalent(r1, cur, mdp).certificate
             assert dec is not None
             assert dec.residual <= 1e-6
             assert dec.c == pytest.approx(c, abs=1e-6 * max(1.0, c))
@@ -268,10 +313,10 @@ class TestDecomposeOrd:
         assert oracles.brute_force_opt_sets(chain, negated) != oracles.brute_force_opt_sets(
             chain, chain_reward
         )
-        assert decompose_ord(canonical_forms(chain_reward, negated, chain)) is None
+        assert ord_equivalent(chain_reward, negated, chain).certificate is None
 
     def test_identity_fit(self, chain, chain_reward):
-        dec = decompose_ord(canonical_forms(chain_reward, chain_reward, chain))
+        dec = ord_equivalent(chain_reward, chain_reward, chain).certificate
         assert dec is not None
         assert dec.c == pytest.approx(1.0, abs=1e-9)
         assert dec.residual <= 1e-12
@@ -282,10 +327,10 @@ class TestDecomposeOrd:
         zero = RewardTable(np.zeros((2, 2, 2)))
         r1 = apply(PotentialShaping(PotentialFn(np.array([1.0, -2.0]))), zero, chain)
         r2 = apply(PotentialShaping(PotentialFn(np.array([-0.5, 3.0]))), zero, chain)
-        dec = decompose_ord(canonical_forms(r1, r2, chain))
+        dec = ord_equivalent(r1, r2, chain).certificate
         assert dec is not None and dec.c == 1.0
         r3 = random_reward(chain, seed=77)
-        assert decompose_ord(canonical_forms(r1, r3, chain)) is None
+        assert ord_equivalent(r1, r3, chain).certificate is None
 
 
 class TestDecomposeJ:
@@ -295,16 +340,16 @@ class TestDecomposeJ:
             r1 = oracles.uniform_reward(mdp, seed=seed + 40)
             shaped = apply(sample_potential_shaping(mdp, 1.0, True, seed=seed + 50), r1, mdp)
             r2 = apply(sample_s_redistribution(mdp, shaped, 1.0, seed=seed + 60), shaped, mdp)
-            dec = decompose_j(canonical_forms(r1, r2, mdp), mdp)
+            dec = j_equal(r1, r2, mdp).certificate
             assert dec is not None and dec.residual <= 1e-6
 
     def test_constant_shift_changes_j(self, chain, chain_reward):
         shifted = RewardTable(chain_reward.values + 1.0)
         # J moves by k/(1-gamma) = 2 for every policy, so no zero-mean fit exists.
-        assert decompose_j(canonical_forms(chain_reward, shifted, chain), chain) is None
+        assert j_equal(chain_reward, shifted, chain).certificate is None
 
     def test_identity(self, chain, chain_reward):
-        dec = decompose_j(canonical_forms(chain_reward, chain_reward, chain), chain)
+        dec = j_equal(chain_reward, chain_reward, chain).certificate
         assert dec is not None
         np.testing.assert_allclose(dec.phi.phi, 0.0, atol=1e-9)
 
@@ -333,7 +378,7 @@ class TestSaDomainShaping:
             rng = np.random.default_rng(seed)
             phi = PotentialFn(rng.uniform(-1, 1, size=2))
             out = sa_shaping(phi, r, chain)
-            dec = decompose_ord(canonical_forms(r, out, chain))
+            dec = ord_equivalent(r, out, chain).certificate
             assert dec is not None and dec.c == pytest.approx(1.0, abs=1e-8)
 
 
