@@ -11,9 +11,10 @@ with that message, so budget exhaustion is a suite failure, never a silent
 pass. Positive claims must pass every trial. BOLTZ-OPT, BM-ORD and MCE-ORD
 share the paper's robustness test, ``_robustness_trial``: observe pi = g(R2),
 fit R1 = f^-1(pi), decide R1 ≡ R2. LEM-GAMMA, LEM-TAU and MDP-MISSPEC
-share one generator, ``misspec_counterexample``: a reward difference that is
-shaping or S'-redistribution in the model's MDP but visible in the true one,
-grown until optimal actions flip. Trials draw their randomness from
+share one generator, ``misspec_counterexample``: the smallest reward change
+that is shaping plus S'-redistribution in the model's MDP and flips optimal
+actions in the true one, in closed form, or None when no such change exists
+for the drawn reward. Trials draw their randomness from
 substreams keyed on (seed, trial index), so reports are reproducible and
 trials could run in any order.
 """
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import documents
 from .equiv import j_equal, opt_equivalent, ord_equivalent
-from .errors import GenerationError, UnknownClaimError
+from .errors import GenerationError, InternalConsistencyError, UnknownClaimError
 from .mdp import (
     DEFAULT_ENUM_CAP,
     ActionSetPolicy,
@@ -61,7 +62,6 @@ from .transform import (
     LinearScaling,
     PotentialFn,
     PotentialShaping,
-    _canonical,
     apply,
     canonical_forms,
     sample_optimality_preserving,
@@ -186,7 +186,8 @@ class CounterexampleRecord:
 
         Alike means equal canonical forms up to round-off (r2 = r1 + shaping +
         S'-redistribution under ``mdp_model``) at any reward unit; unlike means
-        opt_equivalent refuses. ``params`` only describes the search.
+        opt_equivalent refuses. ``params`` names the flipped (state, action)
+        and the margin |r2 - r1| / |r1|; verify does not read it.
         """
         forms = canonical_forms(self.r1, self.r2, self.mdp_model).common()
         alike = np.linalg.norm(forms.c[1] - forms.c[0]) <= ROUNDOFF_RTOL * forms.v_size.max()
@@ -204,55 +205,21 @@ class CounterexampleRecord:
         }
 
 
-def _invisible_directions(mdp_model: Mdp, mdp_true: Mdp):
-    """Yield (delta, params) for each SAS direction ``mdp_model`` cannot see and ``mdp_true`` can.
-
-    Shaping by the potential 1[state = s] comes first, one s at a time; then,
-    row by row, each (s, a) row's redistributions under ``mdp_model``'s
-    successor probabilities p: e_i on each successor i it never takes, and
-    p_j*e_i - p_i*e_j for each pair of successors it takes. Shaping is seen by
-    ``mdp_true`` when its canonical form there is not round-off; a row
-    direction when its expectation under the true row is not round-off and the
-    reward e_(s,a) is seen.
-    """
-    n, k = mdp_model.n_states, mdp_model.n_actions
-    gamma, eye = mdp_model.discount, np.eye(n)
-    shaping = np.broadcast_to(gamma * eye[:, None, None, :] - eye[:, :, None, None], (n, n, k, n))
-    rv_shaping = shaping_matrix(mdp_true.with_discount(gamma)).T  # each shaping's true expected rewards
-    seen = _canonical(shaping_matrix(mdp_true), np.vstack([rv_shaping, np.eye(n * k)])).u.any(axis=1)
-    for s in np.flatnonzero(seen[:n]):
-        yield shaping[s], {"kind": "shaping", "state": int(s)}
-
-    # Row direction d puts weight w1 on successor first[d] and w2 on second[d]: e_i, then the pairs.
-    p, q = (m.transition.reshape(n * k, n) for m in (mdp_model, mdp_true))
-    iu, ju = np.triu_indices(n, 1)
-    first, second = np.concatenate([np.arange(n), iu]), np.concatenate([np.arange(n), ju])
-    w1 = np.hstack([np.ones_like(p), p[:, ju]])
-    w2 = np.hstack([np.zeros_like(p), -p[:, iu]])
-    takes = p > 0
-    distinct = np.hstack([~takes, takes[:, iu] & takes[:, ju]])
-    terms = (q[:, first] * w1, q[:, second] * w2)  # the two terms of each direction's true expectation
-    moved = np.abs(terms[0] + terms[1]) > ROUNDOFF_RTOL * (np.abs(terms[0]) + np.abs(terms[1]))
-    for row, d in np.argwhere(distinct & moved & seen[n:, None]):
-        delta = np.zeros((n * k, n))
-        delta[row, first[d]] += w1[row, d]
-        delta[row, second[d]] += w2[row, d]
-        params = {"kind": "redistribution", "row": list(divmod(int(row), k))}
-        yield delta.reshape(n, k, n), {**params, "successors": np.flatnonzero(delta[row]).tolist()}
-
-
 def misspec_counterexample(mdp_model: Mdp, mdp_true: Mdp, seed: int) -> CounterexampleRecord | None:
-    """Rewards alike to every behavioural model in ``mdp_model`` whose optimal actions differ in ``mdp_true``.
+    """The smallest change to a drawn r1 that ``mdp_model`` cannot see and that flips optimal actions in ``mdp_true``.
 
-    Tries r2 = r1 + x*delta along each direction delta of
-    ``_invisible_directions`` in turn, with x = +-BOUNDS * 2^m for
-    m = 0, 2, ..., 30, and returns the first record that verifies, or None.
-    r1 is drawn under ``mdp_true`` and zeroed on the rows where delta is
-    non-zero but has zero ``mdp_model`` expectation, so those expectations of
-    r1 and r2 match bitwise. A wrong discount, a wrong transition function or
-    both give directions; equal MDPs, a trivial transition function under a
-    wrong discount and identical rows give none. Raises ValueError unless both
-    MDPs have the same (S, A) and pass validate_mdp.
+    r1 is drawn under ``mdp_true``, where the gap floor makes its optimal
+    policy pi* unique. pi*'s advantages are A = L @ rv_true with L = I - M
+    (M[rows])^-1 E[rows], M = shaping_matrix(mdp_true), so A(j)'s gradient g_j
+    puts L[j, i] * tau_true(i) on reward row i. P projects onto the changes
+    the model cannot see: those whose expectations under its rows
+    tau_model(i) lie in range(shaping_matrix(mdp_model)). The losing (s, a)
+    with the smallest |A| / |P g| is tied by delta* = |A| / |P g|^2 * P g, and
+    no smaller invisible change ties any. None, when every P g is round-off,
+    is exact for r1: equal MDPs, a trivial transition function under a wrong
+    discount and identical rows give it. ``params`` holds the (state, action)
+    and the margin |delta*| / |r1|. Raises ValueError unless both MDPs have
+    the same (S, A) and pass validate_mdp.
     """
     if mdp_model.transition.shape != mdp_true.transition.shape:
         raise ValueError(f"MDPs of shapes {mdp_model.transition.shape} and {mdp_true.transition.shape}")
@@ -260,21 +227,34 @@ def misspec_counterexample(mdp_model: Mdp, mdp_true: Mdp, seed: int) -> Countere
         report = validate_mdp(mdp)
         if not report.ok:
             raise ValueError(f"not a valid MDP: {report.rule_ids()}")
-    base = None
-    for delta, params in _invisible_directions(mdp_model, mdp_true):
-        if base is None:
-            base = random_reward(mdp_true, seed=_child_seeds(seed, 1)[0])
-        unseen = (delta != 0).any(axis=2) & (reward_vector(RewardTable(delta), mdp_model) == 0)
-        r1 = RewardTable(np.where(unseen[:, :, None], 0.0, base.values))
-        opt1 = optimal_values(mdp_true, r1).opt_sets
-        for x in (sign * BOUNDS * 2.0**m for m in range(0, 31, 2) for sign in (1.0, -1.0)):
-            r2 = RewardTable(r1.values + x * delta)
-            if optimal_values(mdp_true, r2).opt_sets != opt1:
-                witness = opt_equivalent(r1, r2, mdp_true).witness
-                record = CounterexampleRecord(mdp_model, mdp_true, r1, r2, witness, {**params, "x": x})
-                if record.verify():
-                    return record
-    return None
+    n, k = mdp_true.n_states, mdp_true.n_actions
+    r1 = random_reward(mdp_true, seed=_child_seeds(seed, 1)[0])
+    a_star = optimal_values(mdp_true, r1).a_star
+    rows = np.arange(n) * k + a_star.argmax(axis=1)
+    shaping, lin = shaping_matrix(mdp_true), np.eye(n * k)
+    lin[:, rows] -= np.linalg.solve(shaping[rows].T, shaping.T).T
+    adv = lin @ reward_vector(r1, mdp_true).ravel()
+    p, q = (m.transition.reshape(n * k, n) for m in (mdp_model, mdp_true))
+    pp = (p * p).sum(axis=1)
+    c = (q * p).sum(axis=1) / pp  # exactly 1 on identical rows, so their across parts are exactly 0
+    across, along = q - c[:, None] * p, c * np.sqrt(pp)
+    # Across p_i a row is free; the along coefficients must lie in range(shaping_matrix(mdp_model) / |p_i|).
+    basis = np.linalg.qr(shaping_matrix(mdp_model) / np.sqrt(pp)[:, None])[0]
+    coef = (lin * along) @ basis  # row j: the projection of g_j's along coefficients, in the basis
+    moved = np.sqrt(lin**2 @ (across**2).sum(axis=1) + (coef**2).sum(axis=1))  # |P g_j|
+    size = np.sqrt(lin**2 @ (q**2).sum(axis=1))  # |g_j|
+    movable = (a_star < a_star.max(axis=1, keepdims=True)).ravel() & (moved > ROUNDOFF_RTOL * size)
+    ratio = np.divide(-adv, moved, out=np.full(n * k, np.inf), where=movable)  # |delta| tying each (s, a)
+    j = int(ratio.argmin())
+    if ratio[j] == np.inf:
+        return None
+    step = lin[j, :, None] * across + (basis @ coef[j] / np.sqrt(pp))[:, None] * p
+    r2 = RewardTable(r1.values + (ratio[j] / moved[j] * step).reshape(n, k, n))
+    params = {"state": j // k, "action": j % k, "margin": float(ratio[j] / np.linalg.norm(r1.values))}
+    record = CounterexampleRecord(mdp_model, mdp_true, r1, r2, opt_equivalent(r1, r2, mdp_true).witness, params)
+    if not record.verify():
+        raise InternalConsistencyError(f"closed-form counterexample at {params} does not verify")
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +516,8 @@ def _lem_gamma(config: ExperimentConfig, trial: int, searching: bool) -> dict:
         return {"status": "fail", "error": "trivial-transition control produced a counterexample"}
     if misspec_counterexample(mdp.with_discount(g1), mdp.with_discount(g1), config.seed) is not None:
         return {"status": "fail", "error": "equal-discount control produced a counterexample"}
-    x_values = [r.params["x"] for r in records]
-    return {"status": "pass", "x_values": x_values, "counterexample": records[0].to_doc()}
+    margins = [r.params["margin"] for r in records]
+    return {"status": "pass", "margins": margins, "counterexample": records[0].to_doc()}
 
 
 def _lem_tau(config: ExperimentConfig, trial: int, searching: bool) -> dict:

@@ -192,7 +192,7 @@ def shaping_matrix(mdp: Mdp) -> np.ndarray:
 
 
 class CanonicalForms(NamedTuple):
-    """A stack of vectors split against one QR of a shaping design D: v[i] = c[i] + D @ p[i].
+    """Expected-reward vectors split against one QR of M = ``shaping_matrix(mdp)``: v[i] = c[i] + M @ p[i].
 
     Row i of v, c, p, size and v_size is in units of 2^exp[i], the power of
     two that brings that input's largest entry into [0.5, 1), so no norm
@@ -220,10 +220,11 @@ class CanonicalForms(NamedTuple):
         return self._replace(**restated, exp=self.exp - shift)
 
 
-def _canonical(design: np.ndarray, vectors: np.ndarray) -> CanonicalForms:
-    """Canonical forms of the rows of ``vectors`` (K, rows of ``design``)."""
+def canonical_forms(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> CanonicalForms:
+    """Canonical forms of both rewards' expected-reward vectors against ``shaping_matrix(mdp)``."""
+    vectors = np.array([reward_vector(r, mdp).ravel() for r in (r1, r2)])
     exp = np.frexp(np.abs(vectors).max(axis=1, initial=5e-324))[1]
-    q, rr = np.linalg.qr(design)
+    q, rr = np.linalg.qr(shaping_matrix(mdp))
     v = np.ldexp(vectors, -exp[:, None]).T
     shaped = q.T @ v
     c = v - q @ shaped
@@ -231,9 +232,3 @@ def _canonical(design: np.ndarray, vectors: np.ndarray) -> CanonicalForms:
     keep = size > ROUNDOFF_RTOL * v_size
     u = c / np.where(keep, size, np.inf)
     return CanonicalForms(v.T, c.T, u.T, np.linalg.solve(rr, shaped).T, size, v_size, exp)
-
-
-def canonical_forms(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> CanonicalForms:
-    """Canonical forms of both rewards' expected-reward vectors against ``shaping_matrix(mdp)``."""
-    return _canonical(shaping_matrix(mdp), np.array([reward_vector(r, mdp).ravel() for r in (r1, r2)]))
-

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,18 +8,15 @@ import pytest
 from rewardlab import (
     ExperimentConfig,
     Mdp,
-    PotentialFn,
-    PotentialShaping,
     RewardTable,
-    apply,
     boltzmann_policy,
+    mce_policy,
     misspec_counterexample,
     opt_equivalent,
     optimal_values,
     random_mdp,
     random_policy,
     random_reward,
-    reward_vector,
     validate_mdp,
     verify_claim,
 )
@@ -29,7 +27,6 @@ from rewardlab.lab import (
     CLAIM_ORDER,
     CLAIMS,
     CounterexampleRecord,
-    _invisible_directions,
     _run_trials,
     advantage_gap,
     oracle_opt_sets,
@@ -98,22 +95,37 @@ def tau_pair(mdp, tau2, seed):
     return misspec_counterexample(mdp, mdp.with_transition(tau2), seed)
 
 
+def tilted_row_pair():
+    """A tau-only record: the truth redraws row (s0, a0) of a dense three-state MDP."""
+    mdp1 = random_mdp(3, 2, 0.8, seed=5)
+    tau2 = mdp1.transition.copy()
+    tau2[0, 0] = np.random.default_rng(6).dirichlet(np.ones(3))
+    return tau_pair(mdp1, tau2, seed=8)
+
+
+def assert_flips(rec):
+    """The recorded action is outside r1's optimal set and inside r2's at the recorded state, in the truth."""
+    s, a = rec.params["state"], rec.params["action"]
+    opt1, opt2 = (optimal_values(rec.mdp_true, r).opt_sets for r in (rec.r1, rec.r2))
+    assert a not in opt1[s] and a in opt2[s]
+
+
 class TestGammaCounterexample:
     def test_chain_pair_found_and_verified(self, chain):
         rec = gamma_pair(chain, 0.5, 0.9, seed=4)
         assert rec is not None
         assert rec.verify()
         assert rec.to_doc()["relation"] == "opt"
-        assert rec.params["kind"] == "shaping"
+        assert_flips(rec)
         assert rec.mdp_model.discount == 0.5 and rec.mdp_true.discount == 0.9
 
     def test_model_cannot_distinguish_the_pair(self, chain):
-        # shaping by x inflates Q* by O(|x|), so compare at temperature 1 / (1 + |x|)
-        rec = gamma_pair(chain, 0.5, 0.9, seed=4)
-        beta = 1.0 / (1.0 + abs(rec.params["x"]))
-        b1 = boltzmann_policy(rec.mdp_model, rec.r1, beta)
-        b2 = boltzmann_policy(rec.mdp_model, rec.r2, beta)
-        assert np.abs(b1.probs - b2.probs).max() <= 1e-10
+        # a discount-only and a transition-only record: the model's policies of r1 and r2 agree
+        for rec in (gamma_pair(chain, 0.5, 0.9, seed=4), tilted_row_pair()):
+            for policy in (partial(boltzmann_policy, beta=1.0), partial(boltzmann_policy, beta=10.0),
+                           partial(mce_policy, alpha=1.0)):
+                pi1, pi2 = (policy(rec.mdp_model, r) for r in (rec.r1, rec.r2))
+                assert np.abs(pi1.probs - pi2.probs).max() <= 1e-10
 
     def test_visible_rewrite_does_not_verify(self, chain):
         # 2*r2 still flips optimality under the true discount, but the model
@@ -142,22 +154,40 @@ class TestGammaCounterexample:
         assert mdp.n_actions**mdp.n_states > DEFAULT_ENUM_CAP
         rec = gamma_pair(mdp, 0.5, 0.9, seed=5)
         assert rec is not None and rec.verify()
-        assert rec.params["kind"] == "shaping"
+        assert_flips(rec)
 
-    def test_tied_spreads_pick_the_first_state(self):
-        # On two states w(0) + w(1) = 1/(1 - gamma) at every vertex, so both states are seen alike.
-        for seed in range(30):
-            rec = gamma_pair(random_mdp(2, 2, 0.7, seed=seed), 0.7, 0.9, seed=seed)
-            assert rec.params["state"] == 0
-
-    def test_success_monotone_in_x(self, chain):
-        # once a shaping weight flips optimality, doubling it keeps the flip
+    def test_doubled_change_keeps_the_flip(self, chain):
+        # delta* ties the recorded action; 2 * delta* makes it strictly better, still unseen by the model
         rec = gamma_pair(chain, 0.5, 0.9, seed=4)
-        x, state = rec.params["x"], rec.params["state"]
-        phi = np.zeros(chain.n_states)
-        phi[state] = 2 * x
-        r2 = apply(PotentialShaping(PotentialFn(phi)), rec.r1, rec.mdp_model)
-        assert not opt_equivalent(rec.r1, r2, rec.mdp_true).equivalent
+        doubled = replace(rec, r2=RewardTable(2.0 * rec.r2.values - rec.r1.values))
+        assert doubled.verify()
+        s, a = rec.params["state"], rec.params["action"]
+        assert optimal_values(rec.mdp_true, doubled.r2).opt_sets[s] == {a}
+
+    def test_no_smaller_invisible_change_flips(self):
+        # Brute force on a basis of the model's blind subspace built here, independently of the
+        # generator: no random direction in it flips an optimal action below |r2 - r1|.
+        for seed in range(6):
+            n, k = 2 + seed % 2, 2 + seed // 2 % 2
+            mdp = random_mdp(n, k, 0.5, seed=seed)
+            rec = gamma_pair(mdp, 0.5, 0.9, seed=seed)
+            assert rec is not None
+            # delta is invisible iff its model expectations E @ delta lie in range(M): W^T E delta = 0
+            # for W the orthogonal complement of range(M).
+            p = rec.mdp_model.transition.reshape(n * k, n)
+            expect = (np.eye(n * k)[:, :, None] * p[None, :, :]).reshape(n * k, n * k * n)
+            shaping = rec.mdp_model.discount * p - np.repeat(np.eye(n), k, axis=0)
+            w = np.linalg.svd(shaping)[0][:, n:]
+            _, sv, vt = np.linalg.svd(w.T @ expect)
+            blind = vt[int((sv > 1e-12).sum()):]
+            assert len(blind) == n * k * n - n * k + n
+            dirs = np.random.default_rng(seed).standard_normal((40, len(blind))) @ blind
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            size = np.linalg.norm(rec.r2.values - rec.r1.values)
+            opt1 = optimal_values(rec.mdp_true, rec.r1).opt_sets
+            for d, m in itertools.product(dirs, np.linspace(0.2, 0.98, 8)):
+                r = RewardTable(rec.r1.values + m * size * d.reshape(n, k, n))
+                assert optimal_values(rec.mdp_true, r).opt_sets == opt1, (seed, m)
 
     def test_equal_discounts_return_none(self, chain):
         assert gamma_pair(chain, 0.7, 0.7, seed=4) is None
@@ -186,16 +216,9 @@ class TestGammaCounterexample:
 
 class TestTauCounterexample:
     def test_tilted_row_found_and_verified(self):
-        mdp1 = random_mdp(3, 2, 0.8, seed=5)
-        tau2 = mdp1.transition.copy()
-        tau2[0, 0] = np.random.default_rng(6).dirichlet(np.ones(3))
-        rec = tau_pair(mdp1, tau2, seed=8)
+        rec = tilted_row_pair()
         assert rec is not None and rec.verify()
-        assert rec.params["kind"] == "redistribution"
-        # invisible under tau1: expected rewards match bitwise
-        assert np.array_equal(
-            reward_vector(rec.r1, rec.mdp_model), reward_vector(rec.r2, rec.mdp_model)
-        )
+        assert_flips(rec)
         assert not opt_equivalent(rec.r1, rec.r2, rec.mdp_true).equivalent
 
     def test_identical_transitions_return_none(self):
@@ -216,7 +239,7 @@ class TestTauCounterexample:
         tau2[0, 0] = [0.7, 0.3, 0.0]
         rec = tau_pair(mdp1, tau2, seed=11)
         assert rec is not None and rec.verify()
-        assert tuple(rec.params["row"]) == (0, 0)
+        assert_flips(rec)
 
     def test_deterministic_tau1_uses_zero_probability_entries(self, chain):
         # tau1 is deterministic; tau2 moves mass onto entries tau1 never takes.
@@ -224,7 +247,7 @@ class TestTauCounterexample:
         tau2[0, 0] = [0.6, 0.4]
         rec = tau_pair(chain, tau2, seed=3)
         assert rec is not None and rec.verify()
-        assert rec.params["row"] == [0, 0] and rec.params["successors"] == [1]
+        assert_flips(rec)
 
     def test_shared_deterministic_support_returns_none(self, chain):
         # same supports and deterministic rows: no usable kernel direction
@@ -249,26 +272,6 @@ class TestMisspecCounterexample:
         assert rec is not None and rec.verify()
         assert not opt_equivalent(rec.r1, rec.r2, rec.mdp_true).equivalent
 
-    def test_each_kind_of_direction_needs_its_misspecification(self):
-        # Shaping is invisible to a wrong transition function alone, and
-        # redistribution to a wrong discount alone; both are seen when both are wrong.
-        mdp = random_mdp(3, 2, 0.5, seed=2)
-        tau2 = mdp.transition.copy()
-        tau2[0, 1] = np.random.default_rng(3).dirichlet(np.ones(3))
-        kinds = {
-            name: {params["kind"] for _, params in _invisible_directions(mdp, true)}
-            for name, true in (
-                ("gamma", mdp.with_discount(0.9)),
-                ("tau", mdp.with_transition(tau2)),
-                ("both", mdp.with_discount(0.9).with_transition(tau2)),
-            )
-        }
-        assert kinds == {
-            "gamma": {"shaping"},
-            "tau": {"redistribution"},
-            "both": {"shaping", "redistribution"},
-        }
-
     def test_mismatched_shapes_rejected(self, chain):
         with pytest.raises(ValueError):
             misspec_counterexample(chain, random_mdp(3, 2, 0.5, seed=1), seed=1)
@@ -287,7 +290,7 @@ class TestClaims:
         counts = rep.counts
         assert counts["pass"] + counts["fail"] + counts["skip"] == 4
 
-    def test_report_deterministic_modulo_wall_clock(self):
+    def test_report_deterministic(self):
         cfg = ExperimentConfig(claim_id="J-AMB", trials=5, seed=77)
         assert documents.dumps(verify_claim(cfg).to_doc()) == documents.dumps(verify_claim(cfg).to_doc())
 
