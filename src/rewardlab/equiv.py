@@ -6,13 +6,14 @@ Three relations over rewards in a fixed environment:
 * ``ord`` - same ordering of all policies by J;
 * ``jeq`` - identical J for every policy.
 
-ord and jeq are decided on the canonical forms of the two rewards
-(``transform.canonical_forms``): rewards order all policies alike iff their
-forms are positive multiples (or both zero), and give every policy the same J
-iff C1 = C2 and mu0 . (phi2 - phi1) = 0. Both tests are unitless and ignore
-|rv|, whose shaping part changes no behaviour; a form or misfit within
-ROUNDOFF_RTOL of |rv| counts as zero. So verdicts hold at every reward scale,
-and a negative one carries two policies built from the same forms (_policy_pair).
+ord and jeq are decided on the canonical forms of the two rewards, levelled at
+the uniform policy (``transform.canonical_forms``): rewards order all policies
+alike iff their forms are positive multiples (or both zero), and give every
+policy the same J iff C1 = C2 and mu0 . (phi2 - phi1) = 0. Both tests are
+unitless and ignore |rv|, whose shaping part changes no behaviour; a form or
+misfit within ROUNDOFF_RTOL of |rv| counts as zero. So verdicts hold at every
+reward scale, and a negative one carries two policies built from the same forms
+(_policy_pair).
 
 Whenever the A^S deterministic policies fit under the cap, the ord/jeq
 verdicts are cross-checked against an exact vertex oracle. J(pi) = <d^pi, r>
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import InternalConsistencyError, StructuralError
 from .mdp import Mdp, RewardTable
 from .solve import ROUNDOFF_RTOL, _occupancy, optimal_values, vertex_j
-from .transform import CanonicalForms, PotentialFn, canonical_forms
+from .transform import CanonicalForms, PotentialFn, canonical_forms, shaping_matrix
 
 CROSS_CHECK_CAP = 1024   # the oracle runs when A^S fits under this
 DIST_TOL = 1e-6          # unitless acceptance bound of the canonical-form tests
@@ -79,22 +80,25 @@ def _chord(j1: np.ndarray, j2: np.ndarray):
 
 
 def _policy_pair(forms: CanonicalForms, w: np.ndarray, mdp: Mdp) -> dict:
-    """The policies with occupancies d0 + eps*w and d0 - eps*w, and their J under r1 and r2.
+    """The policies with occupancies d0 + eps*w' and d0 - eps*w', and their J under r1 and r2.
 
     d0 is the uniform policy's occupancy; it is zero exactly at the states no
-    policy reaches, which this raises StructuralError for. A combination w of
-    canonical forms has M^T w = 0, so both points satisfy the flow equations
-    M^T d = -mu0, and eps keeps them above d0/2 > 0: each is the occupancy of
-    its per-state normalisation. For w = C1^ - C2^, <w, C1^> >= 0 >= <w, C2^>
-    with at least one strict, so one reward ranks the two policies strictly and
-    the other ranks them the other way or ties them (when its form is zero);
-    for w = C2 - C1, J2 - J1 rises by 2*eps*|w|^2.
+    policy reaches, which this raises StructuralError for. w' is w less y(s) at
+    every action of state s, with (sum_a M)^T y = M^T w, so M^T w' = 0: both points
+    satisfy the flow equations M^T d = -mu0, and eps keeps them above d0/2 > 0, so
+    each is the occupancy of its per-state normalisation. Canonical forms sum to
+    zero over each state's actions, so <w', C_i> = <w, C_i>. For w = C1^ - C2^,
+    <w, C1^> >= 0 >= <w, C2^> with at least one strict, so one reward ranks the
+    two policies strictly and the other ranks them the other way or ties them
+    (when its form is zero); for w = C2 - C1, J2 - J1 rises by 2*eps*|w|^2.
     Each J scales back from its own reward's unit; one that overflows is inf.
     """
     n, k = mdp.n_states, mdp.n_actions
     d0 = _occupancy(mdp, np.full((n, k), 1.0 / k)).ravel()
     if (d0 <= 0).any():
         raise StructuralError(f"states {np.flatnonzero(d0[::k] <= 0).tolist()} are unreachable from mu0")
+    m = shaping_matrix(mdp)
+    w = w - np.repeat(np.linalg.solve(m.reshape(n, k, n).sum(axis=1).T, w @ m), k)
     peak = float(np.abs(w).max())
     eps = 0.5 * float(d0.min()) / peak if peak > 0 else 0.0
     d = np.array([d0 + eps * w, d0 - eps * w])
@@ -119,7 +123,8 @@ def ord_equivalent(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> EquivVerdict:
     """Same policy ordering: certificate v2 = c*v1 + M @ phi with c > 0, or a policy-pair witness.
 
     Accepted iff the normalised forms lie within DIST_TOL of each other (the
-    STARC distance of Skalse et al., arXiv 2309.15257); both zero means J is
+    STARC distance of Skalse et al., arXiv 2309.15257, here with value-adjusted
+    levelling at the uniform policy as its canonicalisation); both zero means J is
     constant for both rewards. c = |c2| / |c1| in true units, or 1 when both are
     zero. Raises StructuralError when c or phi is outside float64 (c = 0 or inf,
     phi not finite), and on a refusal when a state is unreachable from mu0

@@ -8,10 +8,10 @@ Four transformation families are supported, plus left-to-right chains of them:
 * optimality preserving   rewrites keeping the optimal-action sets while
                           retargeting an arbitrary value profile psi
 
-A reward's expected-reward vector rv splits into a shaping part M @ phi
-(M = ``shaping_matrix(mdp)``) and its canonical form C = (I - QQ^T) rv, Q an
-orthonormal basis of M's range (Ng, Harada & Russell 1999); ``rewardlab.equiv``
-decides ord and jeq on these forms.
+A reward's expected-reward vector rv splits into a shaping part M @ p (M = ``shaping_matrix(mdp)``;
+Ng, Harada & Russell 1999) and its canonical form C = rv - M @ p, where p = -V^pi at the uniform policy pi
+levels C to a zero mean over each state's actions: value-adjusted levelling (Skalse et al., arXiv 2309.15257),
+one S x S solve. ``rewardlab.equiv`` decides ord and jeq on these forms.
 """
 
 from __future__ import annotations
@@ -187,20 +187,18 @@ def shaping_matrix(mdp: Mdp) -> np.ndarray:
     M @ phi is the change a potential phi induces in the expected-reward
     vector. M has full column rank: M @ phi = 0 forces phi = gamma*T^pi phi.
     """
-    n, k = mdp.n_states, mdp.n_actions
-    return mdp.discount * mdp.transition.reshape(n * k, n) - np.repeat(np.eye(n), k, axis=0)
+    return (mdp.discount * mdp.transition - np.eye(mdp.n_states)[:, None, :]).reshape(-1, mdp.n_states)
 
 
 class CanonicalForms(NamedTuple):
-    """Expected-reward vectors split against one QR of M = ``shaping_matrix(mdp)``: v[i] = c[i] + M @ p[i].
+    """Expected-reward vectors levelled at the uniform policy: v[i] = c[i] + M @ p[i], M = ``shaping_matrix(mdp)``.
 
-    Row i of v, c, p, size and v_size is in units of 2^exp[i], the power of
-    two that brings that input's largest entry into [0.5, 1), so no norm
-    overflows or underflows at any input size; a zero input takes the smallest
-    unit, 2^-1073, so it never sets the common unit. ``common`` restates rows
-    in one unit for comparisons across them, and certificates and witnesses
-    scale back. u[i] is c[i] normalised, or zero when |c[i]| <=
-    ROUNDOFF_RTOL * |v[i]|; ``size`` holds the |c[i]| and ``v_size`` the |v[i]|.
+    p[i] is -V^pi of reward i at the uniform policy pi, so c[i] sums to zero over each state's actions. Row i of
+    v, c, p, size and v_size is in units of 2^exp[i], the power of two that brings that input's largest entry
+    into [0.5, 1), so no norm overflows or underflows at any input size; a zero input takes the smallest unit,
+    2^-1073, so it never sets the common unit. ``common`` restates rows in one unit for comparisons across them,
+    and certificates and witnesses scale back. u[i] is c[i] normalised, or zero when |c[i]| <= ROUNDOFF_RTOL *
+    |v[i]|; ``size`` holds the |c[i]| and ``v_size`` the |v[i]|.
     """
 
     v: np.ndarray
@@ -221,14 +219,16 @@ class CanonicalForms(NamedTuple):
 
 
 def canonical_forms(r1: RewardTable, r2: RewardTable, mdp: Mdp) -> CanonicalForms:
-    """Canonical forms of both rewards' expected-reward vectors against ``shaping_matrix(mdp)``."""
+    """Both rewards' expected-reward vectors levelled at the uniform policy (value-adjusted levelling)."""
     vectors = np.array([reward_vector(r, mdp).ravel() for r in (r1, r2)])
     exp = np.frexp(np.abs(vectors).max(axis=1, initial=5e-324))[1]
-    q, rr = np.linalg.qr(shaping_matrix(mdp))
+    m, (n, k) = shaping_matrix(mdp), mdp.transition.shape[:2]
     v = np.ldexp(vectors, -exp[:, None]).T
-    shaped = q.T @ v
-    c = v - q @ shaped
-    size, v_size = np.linalg.norm(c, axis=0), np.linalg.norm(v, axis=0)
-    keep = size > ROUNDOFF_RTOL * v_size
-    u = c / np.where(keep, size, np.inf)
-    return CanonicalForms(v.T, c.T, u.T, np.linalg.solve(rr, shaped).T, size, v_size, exp)
+    # Summed over each state's actions, v = c + M @ p fixes p. Taking k/n from every entry of the summed M moves its
+    # eigenvalue -k*(1 - gamma) (constant potentials) to -k*(2 - gamma), so z = p - mean(z)/(1 - gamma) is O(|v|).
+    z = np.linalg.solve(m.reshape(n, k, n).sum(axis=1) - k / n, v.reshape(n, k, 2).sum(axis=1))
+    level = z.sum(axis=0) / n
+    c, p = v - m @ z + level, z + level / (1.0 - mdp.discount)
+    size, v_size = np.sqrt((c * c).sum(axis=0)), np.sqrt((v * v).sum(axis=0))
+    u = c / np.where(size > ROUNDOFF_RTOL * v_size, size, np.inf)
+    return CanonicalForms(v.T, c.T, u.T, p.T, size, v_size, exp)

@@ -228,6 +228,21 @@ class TestPolicyPair:
         assert len(seen) == 1
         assert seen[0].tobytes() == occupancy(mdp, uniform).d.tobytes()
 
+    @pytest.mark.parametrize("shape", [(4, 3), (11, 2)], ids=["under-cap", "above-cap"])
+    @pytest.mark.parametrize("decider", [ord_equivalent, j_equal], ids=["ord", "jeq"])
+    def test_witness_occupancies_average_to_the_uniform_occupancy(self, decider, shape):
+        """The pair's occupancies are d0 +/- eps*w' with w' a flow direction, so they sum to twice d0."""
+        n, k = shape
+        assert (k**n > equiv.CROSS_CHECK_CAP) == (n == 11)
+        for seed, gamma in enumerate((0.5, 0.9, 0.99)):
+            mdp = random_mdp(n, k, gamma, seed=seed)
+            r1, r2 = (oracles.uniform_reward(mdp, seed=10 * seed + s) for s in (1, 2))
+            verdict = decider(r1, r2, mdp)
+            assert not verdict.equivalent
+            d0 = occupancy(mdp, StochasticPolicy(np.full((n, k), 1.0 / k))).d
+            pair = sum(occupancy(mdp, StochasticPolicy(np.array(p))).d for p in verdict.witness["policies"])
+            assert np.abs(pair - 2 * d0).max() <= 1e-12 * np.abs(2 * d0).max(), seed
+
 
 class TestTransferPair:
     def test_fixture_values_match_quoted_construction(self):

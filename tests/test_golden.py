@@ -9,6 +9,8 @@ the first JSON path that differs.
 
 A change that moves a report regenerates the files in the same commit, with
 ``PYTHONPATH=src python tests/test_golden.py``, and says which fields moved and why.
+Before it rewrites a file, that command prints every path that moved (array
+indices collapsed to ``[*]``) with its count and largest relative change.
 """
 
 import gzip
@@ -51,6 +53,30 @@ def first_difference(expected, actual, path="$"):
     return next(filter(None, (first_difference(e, a, p) for p, e, a in items)), None)
 
 
+def leaf_changes(expected, actual, path="$"):
+    """(path with array indices as [*], relative change) for each leaf of ``actual`` that differs.
+
+    The change is None unless both leaves are floats; a dict whose keys differ
+    or a list whose length differs counts as one changed leaf.
+    """
+    if isinstance(expected, float) and type(actual) is float:
+        if actual != expected:
+            yield path, abs(actual - expected) / max(abs(expected), abs(actual))
+    elif type(expected) is not type(actual) or isinstance(expected, (dict, list)) and len(expected) != len(actual):
+        yield path, None
+    elif isinstance(expected, dict):
+        if list(expected) != list(actual):
+            yield path, None
+        for key in expected:
+            if key in actual:
+                yield from leaf_changes(expected[key], actual[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        for e, a in zip(expected, actual):
+            yield from leaf_changes(e, a, f"{path}[*]")
+    elif expected != actual:
+        yield path, None
+
+
 def golden_path(seed: int) -> Path:
     return GOLDEN / f"registry-seed{seed}.json.gz"
 
@@ -81,9 +107,26 @@ def test_first_difference_names_the_path(expected, actual, path):
     assert (found if found is None else found.split(":")[0]) == path
 
 
+def test_leaf_changes_collapse_indices_and_name_non_float_moves():
+    expected = {"a": [{"x": 1.0, "s": "p"}, {"x": 2.0, "s": "q"}], "n": 3, "l": [1, 2]}
+    actual = {"a": [{"x": 1.0, "s": "p"}, {"x": 2.5, "s": "r"}], "n": 3.0, "l": [1]}
+    assert sorted(leaf_changes(expected, actual), key=str) == [
+        ("$.a[*].s", None), ("$.a[*].x", 0.2), ("$.l", None), ("$.n", None)]
+    assert list(leaf_changes({"a": 1}, {"b": 1})) == [("$", None)]
+
+
 if __name__ == "__main__":
     for seed in SEEDS:
-        payload = documents.dumps(registry_reports(seed)).encode("utf-8")
+        reports = registry_reports(seed)
+        if golden_path(seed).exists():
+            with gzip.open(golden_path(seed), "rt", encoding="utf-8") as fh:
+                moved = {}
+                for path, change in leaf_changes(json.load(fh), reports):
+                    moved.setdefault(path, []).append(change)
+            for path, changes in sorted(moved.items()):
+                largest = "not a float" if None in changes else f"largest relative change {max(changes):.2e}"
+                print(f"seed {seed}: {path} moved in {len(changes)} places, {largest}")
+        payload = documents.dumps(reports).encode("utf-8")
         with open(golden_path(seed), "wb") as raw, gzip.GzipFile("", "wb", 9, raw, mtime=0) as fh:
             fh.write(payload)
         print(f"wrote {golden_path(seed)} ({len(payload)} bytes before gzip)")

@@ -299,8 +299,9 @@ def _transition(kind: str, n: int, k: int, rng) -> np.ndarray:
 def test_heavy_shaping_near_gamma_one(kind, gamma):
     """Scaling plus shaping up to 10^6 * max|r| is recovered, and mu0-mean-zero shaping keeps J, as gamma nears 1.
 
-    The canonical forms project on an explicit orthonormal basis Q of the shaping design. Forms solved
-    from the design's normal equations instead fail 63 of these 120 cases, by refusal or by an oracle error.
+    The canonical forms level the rewards at the uniform policy, with one solve whose constant-potential
+    eigenvalue is shifted away from 0. Forms solved from the shaping design's normal equations instead fail
+    63 of these 120 cases, by refusal or by an oracle error.
     """
     for seed in range(20):
         rng = np.random.default_rng(seed)

@@ -258,6 +258,8 @@ CANONICAL_ROWS = {
     "zero": lambda base, mdp: RewardTable(np.zeros((3, 2, 3))),
 }
 
+CANONICAL_GAMMAS = [2.0**-40, 0.5, 0.99, 1 - 2.0**-20]
+
 
 class TestCanonicalForms:
     @pytest.mark.parametrize("row", CANONICAL_ROWS)
@@ -292,6 +294,32 @@ class TestCanonicalForms:
             np.testing.assert_array_equal(getattr(same, field).T, np.ldexp(getattr(forms, field).T, shift))
         # Every restated value here stays normal, so the restatement is exact.
         np.testing.assert_array_equal(same.v, np.ldexp(rvs, -same.exp[:, None]))
+
+    @pytest.mark.parametrize("gamma", CANONICAL_GAMMAS, ids=["2^-40", "0.5", "0.99", "1-2^-20"])
+    @pytest.mark.parametrize("row", CANONICAL_ROWS)
+    def test_forms_average_to_zero_over_each_states_actions(self, row, gamma):
+        """Levelling at the uniform policy: each form's mean over a state's actions is round-off of |v|."""
+        mdp = random_mdp(3, 2, gamma, seed=1)
+        base = RewardTable(np.random.default_rng(0).uniform(-1, 1, (3, 2, 3)))
+        forms = canonical_forms(CANONICAL_ROWS[row](base, mdp), base, mdp)
+        means = np.abs(forms.c.reshape(2, 3, 2).mean(axis=2)).max(axis=1)
+        assert (means <= 1e-14 * forms.v_size).all(), means / forms.v_size
+
+    @pytest.mark.parametrize("gamma", CANONICAL_GAMMAS, ids=["2^-40", "0.5", "0.99", "1-2^-20"])
+    @pytest.mark.parametrize("exp", [-600, 0, 600], ids=["2^-600", "2^0", "2^600"])
+    def test_scaling_shaping_and_redistribution_keep_the_direction(self, exp, gamma):
+        """c*r plus shaping plus S'-redistribution has r's normalised form, and its form is c times as long."""
+        for seed in range(10):
+            mdp = random_mdp(4, 3, gamma, seed=seed)
+            rng = np.random.default_rng(seed)
+            r = RewardTable(np.ldexp(rng.uniform(-1, 1, (4, 3, 4)), exp))
+            c = 10.0 ** rng.uniform(-3, 3)
+            head = (LinearScaling(c), PotentialShaping(PotentialFn(np.ldexp(rng.uniform(-1, 1, 4), exp))))
+            spread = sample_s_redistribution(mdp, apply(Chain(head), r, mdp), float(np.ldexp(1.0, exp)), seed)
+            forms = canonical_forms(r, apply(Chain((*head, spread)), r, mdp), mdp)
+            np.testing.assert_allclose(forms.u[1], forms.u[0], rtol=0, atol=1e-12)
+            ratio = np.ldexp(forms.size[1] / forms.size[0], forms.exp[1] - forms.exp[0])
+            assert ratio == pytest.approx(c, rel=1e-12), seed
 
 
 class TestDecomposeOrd:
