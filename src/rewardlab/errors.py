@@ -39,7 +39,7 @@ class CertificationError(RuntimeError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """Two independent decision paths disagreed; signals a bug, not bad input."""
+    """A result failed its own check (a verdict's certificate or witness, a counterexample's verify()); a bug."""
 
 
 class UnknownClaimError(ValueError):

@@ -374,8 +374,8 @@ def _ord_char(config: ExperimentConfig, trial: int, searching: bool) -> dict:
         verdict.equivalent
         and abs(cert.c - c) <= 1e-6 * max(1.0, c)
     )
-    # Negative control: an independent reward; decider and oracle must agree
-    # (ord_equivalent raises InternalConsistencyError on any disagreement).
+    # Negative control: an independent reward; the verdict must pass its own
+    # certificate or witness check (ord_equivalent raises InternalConsistencyError otherwise).
     r3 = random_reward(mdp, seed=seeds[3])
     neg_verdict = ord_equivalent(r1, r3, mdp)
     status = "pass" if pos_ok else "fail"

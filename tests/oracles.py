@@ -7,8 +7,10 @@ no reuse of library internals.
 The library's exact solvers are checked against these, never the other way
 round. One function is the exception: prefix_major_vertex_j keeps the
 library's earlier vertex elimination, as the bitwise reference for the
-layout solve.vertex_j uses now. The generators draw what the library's own
-do not: sparse MDPs and rewards without the advantage-gap floor.
+layout solve.vertex_j uses now; chord_oracle decides ord and jeq exactly
+from its J tables, as the reference for the deciders' own checks. The
+generators draw what the library's own do not: sparse MDPs and rewards
+without the advantage-gap floor.
 """
 
 import itertools
@@ -175,6 +177,52 @@ def prefix_major_vertex_j(mdp, rv):
         new = rest[..., :1] * piv[:, :, None]
         g = np.subtract(rest[..., 1:], new, out=new).reshape(-1, new.shape[2], new.shape[3])
     return g[:, 0]
+
+
+def chord(j1, j2):
+    """J1's span, each vertex's J2 deviation from the chord through the extreme J1 vertices, and its rise.
+
+    Ties in J1 are broken by J2, so a vertex level with the lowest never lies
+    below the chord and one level with the highest never above it.
+    """
+    lows, highs = ((j1 == j1[i]).nonzero()[0] for i in (j1.argmin(), j1.argmax()))
+    lo, hi = lows[j2[lows].argmin()], highs[j2[highs].argmax()]
+    span = j1[hi] - j1[lo]
+    t = (j1 - j1[lo]) / span if span > 0 else np.zeros_like(j1)
+    rise = j2[hi] - j2[lo]
+    return span, j2 - j2[lo] - t * rise, rise
+
+
+CHORD_SURE, CHORD_FAR = 1e-9, 1e-4  # chord_oracle's relative gaps for a sure yes and a sure no
+
+
+def chord_oracle(mdp, r1, r2, relation):
+    """The exact vertex oracle's ord or jeq verdict: True, False, or None when the gap is between
+    CHORD_SURE and CHORD_FAR.
+
+    J is linear in the occupancy measure, whose polytope has the deterministic
+    policies as vertices, so relations on J hold everywhere iff they hold at every
+    vertex (J from prefix_major_vertex_j). ord: J2 is a positive affine function of
+    J1, measured off the chord through the extreme J1 vertices as a fraction of J2's
+    spread, or both tables are flat (a spread within CHORD_SURE of their size).
+    jeq: J1 = J2, as a fraction of the larger |J|. Both gaps are unitless. The ord
+    gap is blind to shaping, which moves every J by one constant; that constant
+    enlarges |J|, so heavy shaping with a nonzero mean under mu0 leaves the jeq
+    oracle silent more often.
+    """
+    rv = np.stack([np.einsum("sap,sap->sa", mdp.transition, r.values) for r in (r1, r2)])
+    j1, j2 = prefix_major_vertex_j(mdp, rv).T
+    if relation == "jeq":
+        size = max(np.abs(j1).max(), np.abs(j2).max())
+        gap = np.abs(j1 - j2).max() / size if size > 0 else 0.0
+    else:
+        flat1, flat2 = (np.ptp(j) <= CHORD_SURE * np.abs(j).max() for j in (j1, j2))
+        if flat1 or flat2:
+            gap = 0.0 if flat1 and flat2 else 1.0
+        else:
+            _, dev, rise = chord(j1, j2)
+            gap = max(np.abs(dev).max(), -rise) / np.ptp(j2)
+    return True if gap <= CHORD_SURE else False if gap >= CHORD_FAR else None
 
 
 def vertex_entry_spread(mdp):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from rewardlab import (
     Chain,
     LinearScaling,
     Mdp,
+    PotentialFn,
+    PotentialShaping,
     RewardTable,
     StochasticPolicy,
     apply,
@@ -18,7 +21,7 @@ from rewardlab import (
     sample_potential_shaping,
     sample_s_redistribution,
 )
-from rewardlab import documents, equiv
+from rewardlab import documents, equiv, transform
 from rewardlab.errors import CapacityError, InternalConsistencyError, StructuralError
 from rewardlab.lab import (
     TRANSFER_PAIR,
@@ -29,9 +32,12 @@ from rewardlab.lab import (
     random_mdp,
     random_reward,
 )
-from rewardlab.solve import IMPROVE_RTOL, TIE_TOL, occupancy, optimal_values, vertex_j
+from rewardlab.solve import (
+    IMPROVE_RTOL, ROUNDOFF_RTOL, TIE_TOL, occupancy, optimal_values, policy_evaluate, vertex_j,
+)
 from rewardlab.transform import shaping_matrix
 
+import oracle_sweep
 import oracles
 from test_solve import TIED_CASES, _tied_instance
 
@@ -157,9 +163,9 @@ class TestOrdEquivalent:
 
     def test_near_equivalent_sweep_never_raises(self):
         # r2 = r1 + noise with log-uniform scale straddles the decider's
-        # tolerance; the oracle must stay silent whichever way it rules, and
-        # every refusal, under the cap or above it, must carry a witness that
-        # holds up under the series oracle.
+        # tolerance; its own checks must stay silent whichever way it rules,
+        # and every refusal, under the cap or above it, must carry a witness
+        # that holds up under the series oracle.
         rng = np.random.default_rng(20221207)
         refused = {"ord": 0, "jeq": 0}
         for trial in range(300):
@@ -183,14 +189,14 @@ class TestOrdEquivalent:
 
     @pytest.mark.parametrize("decider", [ord_equivalent, j_equal], ids=["ord", "jeq"])
     def test_cross_check_guard_raises_on_rigged_decider(self, decider, chain, chain_reward, monkeypatch):
-        # A negative tolerance refuses every pair, so the oracle must catch r refused against itself.
+        # A negative tolerance refuses every pair, so the witness check must catch r refused against itself.
         monkeypatch.setattr(equiv, "DIST_TOL", -1.0)
         with pytest.raises(InternalConsistencyError, match="decider said False"):
             decider(chain_reward, chain_reward, chain)
 
 
 def lexsort_chord(j1, j2):
-    """_chord's outputs with the extreme J1 vertices taken from a stable lexsort by (J1, J2)."""
+    """oracles.chord's outputs with the extreme J1 vertices taken from a stable lexsort by (J1, J2)."""
     order = np.lexsort((j2, j1))
     lo, hi = order[0], order[-1]
     span = j1[hi] - j1[lo]
@@ -206,8 +212,19 @@ class TestChord:
         for _ in range(2000):
             size, levels = int(rng.integers(1, 40)), int(rng.integers(1, 5))
             j1, j2 = rng.integers(-levels, levels + 1, size=(2, size)).astype(float)
-            for got, want in zip(equiv._chord(j1, j2), lexsort_chord(j1, j2)):
+            for got, want in zip(oracles.chord(j1, j2), lexsort_chord(j1, j2)):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+    def test_verdicts_agree_with_the_chord_oracle(self):
+        """Away from DIST_TOL (oracle_sweep's battery), every ord/jeq verdict is the exact vertex oracle's."""
+        outcomes = Counter()
+        for _, mdp, r1, r2 in oracle_sweep.battery(250, seed=7):
+            for relation, decider in oracle_sweep.DECIDERS.items():
+                oracle = oracles.chord_oracle(mdp, r1, r2, relation)
+                outcomes[oracle is None] += 1
+                assert oracle is None or decider(r1, r2, mdp).equivalent == oracle, relation
+        assert outcomes[False] > 3 * outcomes[True]
 
 
 class TestPolicyPair:
@@ -233,7 +250,6 @@ class TestPolicyPair:
     def test_witness_occupancies_average_to_the_uniform_occupancy(self, decider, shape):
         """The pair's occupancies are d0 +/- eps*w' with w' a flow direction, so they sum to twice d0."""
         n, k = shape
-        assert (k**n > equiv.CROSS_CHECK_CAP) == (n == 11)
         for seed, gamma in enumerate((0.5, 0.9, 0.99)):
             mdp = random_mdp(n, k, gamma, seed=seed)
             r1, r2 = (oracles.uniform_reward(mdp, seed=10 * seed + s) for s in (1, 2))
@@ -242,6 +258,23 @@ class TestPolicyPair:
             d0 = occupancy(mdp, StochasticPolicy(np.full((n, k), 1.0 / k))).d
             pair = sum(occupancy(mdp, StochasticPolicy(np.array(p))).d for p in verdict.witness["policies"])
             assert np.abs(pair - 2 * d0).max() <= 1e-12 * np.abs(2 * d0).max(), seed
+
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e4, 1e8])
+    def test_shift_only_witness_reports_each_policys_j(self, magnitude):
+        """A shift moves no canonical form, so w' is only the projection's cancellation; the witness's J values
+        must still be its policies' J. At 1e8 and seed 78, a scaled-up cancellation reported +-8.9e6 for 0.45."""
+        for seed in range(70, 90):
+            mdp = random_mdp(3, 2, 0.5, seed)
+            r = random_reward(mdp, seed=seed)
+            shaped = apply(sample_potential_shaping(mdp, magnitude, True, seed + 7), r, mdp)
+            shifted = RewardTable(shaped.values + 1.0)
+            witness = j_equal(shaped, shifted, mdp).witness
+            bound = 1e-12 * float(np.abs(reward_vector(shaped, mdp)).max()) / (1.0 - mdp.discount)
+            for policy, j1, j2 in zip(witness["policies"], witness["j1"], witness["j2"]):
+                pi = StochasticPolicy(np.array(policy))
+                assert abs(j1 - policy_evaluate(mdp, shaped, pi).j) <= bound, seed
+                assert abs(j2 - policy_evaluate(mdp, shifted, pi).j) <= bound, seed
 
 
 class TestTransferPair:
@@ -332,6 +365,134 @@ class TestJEqual:
             r2 = apply(sample_s_redistribution(mdp, shaped, 1.0, seed=seed + 50), shaped, mdp)
             assert j_equal(r1, r2, mdp).equivalent
             assert ord_equivalent(r1, r2, mdp).equivalent
+
+    def test_j_equal_implies_ord_near_the_threshold(self):
+        """Noise of relative size 10^U(-9, -5) on shaped rewards reaches the band where jeq's J-scale test
+        accepts and ord's form test refuses; jeq must refuse there too."""
+        rng = np.random.default_rng(17)
+        verdicts = Counter()
+        for trial in range(300):
+            n, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+            mdp = random_mdp(n, k, float(rng.choice([0.5, 0.9, 0.99])), seed=trial)
+            r1 = oracles.uniform_reward(mdp, seed=trial)
+            r2 = RewardTable(r1.values + rng.normal(0.0, 10.0 ** rng.uniform(-9, -5), size=r1.values.shape))
+            shaping = sample_potential_shaping(mdp, 10.0 ** rng.uniform(0, 8), False, trial)
+            ord_holds, jeq_holds = (decider(apply(shaping, r1, mdp), apply(shaping, r2, mdp), mdp).equivalent
+                                    for decider in (ord_equivalent, j_equal))
+            assert ord_holds or not jeq_holds, trial
+            verdicts[ord_holds, jeq_holds] += 1
+        assert verdicts[True, True] > 30 and verdicts[False, False] > 30
+
+
+def _reunit(forms, c):
+    """The forms with canonical part c, its sizes and its normalised rows recomputed as canonical_forms does."""
+    size = np.sqrt((c * c).sum(axis=1))
+    return forms._replace(c=c, size=size, u=c / np.where(size > ROUNDOFF_RTOL * forms.v_size, size, np.inf)[:, None])
+
+
+def _level_dropped(forms, mdp):
+    """The forms without their level correction: p = z and c = v - M @ z, where p = z + mean(z)/(1 - gamma)."""
+    gamma = mdp.discount
+    level = forms.p.mean(axis=1) * (1.0 - gamma) / (2.0 - gamma)
+    return _reunit(forms._replace(p=forms.p - (level / (1.0 - gamma))[:, None]), forms.c - level[:, None])
+
+
+# Faults seeded into the canonical forms (each edits the true forms), into the shaping matrix they are built
+# from, and into the decision tolerance.
+FORM_FAULTS = {
+    "shaping-sign-flipped": lambda f, mdp: _reunit(f, f.v + f.p @ shaping_matrix(mdp).T),
+    "level-dropped": _level_dropped,
+    "p-zeroed": lambda f, mdp: f._replace(p=0.0 * f.p),
+    "c-is-v": lambda f, mdp: _reunit(f, f.v),
+    "u-over-v": lambda f, mdp: f._replace(u=f.c / f.v_size[:, None]),
+    "u-rows-equal": lambda f, mdp: f._replace(u=f.u[[0, 0]]),
+    "size-doubled": lambda f, mdp: f._replace(size=f.size * [1.0, 2.0]),
+}
+MATRIX_FAULTS = {
+    "matrix-negated": lambda mdp: -shaping_matrix(mdp),
+    "matrix-gamma-squared": lambda mdp: (
+        mdp.discount**2 * mdp.transition - np.eye(mdp.n_states)[:, None, :]).reshape(-1, mdp.n_states),
+}
+
+
+def _seed_fault(fault, monkeypatch):
+    if fault in FORM_FAULTS:
+        forms = equiv.canonical_forms
+        monkeypatch.setattr(equiv, "canonical_forms", lambda r1, r2, mdp: FORM_FAULTS[fault](forms(r1, r2, mdp), mdp))
+    elif fault in MATRIX_FAULTS:
+        monkeypatch.setattr(transform, "shaping_matrix", MATRIX_FAULTS[fault])
+    else:
+        monkeypatch.setattr(equiv, "DIST_TOL", -1.0)
+
+
+def _known_pairs(shape, count):
+    """(mdp, r1, r2, (ord holds, jeq holds)): zero-mean shaped and redistributed, scaled and shaped, independent."""
+    n, k = shape
+    for seed in range(count):
+        mdp = random_mdp(n, k, (0.5, 0.9, 0.99)[seed % 3], seed)
+        r1 = random_reward(mdp, seed=100 + seed)
+        shaped = apply(sample_potential_shaping(mdp, 1.0, True, 200 + seed), r1, mdp)
+        same_j = apply(sample_s_redistribution(mdp, shaped, 1.0, 300 + seed), shaped, mdp)
+        steps = (LinearScaling((0.3, 3.0)[seed % 2]), sample_potential_shaping(mdp, 1.0, False, 400 + seed))
+        yield mdp, r1, same_j, (True, True)
+        yield mdp, r1, apply(Chain(steps), same_j, mdp), (True, False)
+        yield mdp, r1, random_reward(mdp, seed=500 + seed), (False, False)
+
+
+def certificate_misfit(verdict, r1, r2, mdp):
+    """|rv2 - c*rv1 - M @ phi| over |rv2| from the reward tensors, plus (1 - gamma)*|mu0 . phi| / |rv2| for jeq."""
+    rv1, rv2 = (np.einsum("sap,sap->sa", mdp.transition, r.values).ravel() for r in (r1, r2))
+    c, phi = verdict.certificate.c, verdict.certificate.phi.phi
+    shaped = (mdp.discount * np.einsum("sap,p->sa", mdp.transition, phi) - phi[:, None]).ravel()
+    misfit = np.linalg.norm(rv2 - c * rv1 - shaped)
+    if verdict.relation == "jeq":
+        misfit += (1.0 - mdp.discount) * abs(mdp.initial @ phi)
+    return misfit / np.linalg.norm(rv2)
+
+
+class TestVerdictChecks:
+    """Each ord/jeq verdict is checked against its own certificate or witness at every size."""
+
+    @pytest.mark.parametrize("shape", [(4, 3), (11, 2)], ids=["under-cap", "above-cap"])
+    @pytest.mark.parametrize("fault", [*FORM_FAULTS, *MATRIX_FAULTS, "dist-tol-negative"])
+    def test_a_seeded_fault_never_returns_a_wrong_verdict_or_certificate(self, fault, shape, monkeypatch):
+        """Every verdict is right or raises InternalConsistencyError, and every certificate returned rebuilds r2.
+
+        DIST_TOL = 0.1 is no such fault: it changes what the deciders promise, not their arithmetic.
+        """
+        pairs = list(_known_pairs(shape, 6))
+        _seed_fault(fault, monkeypatch)
+        raised = 0
+        for mdp, r1, r2, holds in pairs:
+            for decider, truth in zip((ord_equivalent, j_equal), holds):
+                try:
+                    verdict = decider(r1, r2, mdp)
+                except InternalConsistencyError:
+                    raised += 1
+                    continue
+                assert verdict.equivalent == truth, decider.__name__
+                assert not truth or certificate_misfit(verdict, r1, r2, mdp) <= 1e-6, decider.__name__
+        assert raised > 0
+
+    def test_near_threshold_pairs_raise_nothing(self):
+        """r2 = r1 + noise of relative size 10^U(-9, -5) straddles DIST_TOL. At reward sizes 2^-600 to 2^600,
+        shaping up to 1e8 (mu0-mean zero or not), gamma up to 0.999 and 4 to 4^16 policies, no check raises."""
+        rng = np.random.default_rng(38)
+        verdicts = Counter()
+        for trial in range(400):
+            k = int(rng.integers(2, 5))
+            n = int(rng.integers(2, {2: 12, 3: 10, 4: 17}[k]))
+            mdp = random_mdp(n, k, float(rng.choice([0.5, 0.9, 0.99, 0.999])), trial)
+            size = np.ldexp(1.0, int(rng.integers(-600, 601)))
+            r1 = RewardTable(size * rng.uniform(-1.0, 1.0, size=(n, k, n)))
+            noise = size * rng.normal(0.0, 10.0 ** rng.uniform(-9, -5), size=r1.values.shape)
+            r2 = RewardTable((r1.values + noise) * (float(rng.uniform(0.2, 5.0)) if trial % 2 else 1.0))
+            phi = size * rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(0, 8)
+            shaping = PotentialShaping(PotentialFn(phi - mdp.initial @ phi if trial % 3 else phi))
+            r1, r2 = apply(shaping, r1, mdp), apply(shaping, r2, mdp)
+            for decider in (ord_equivalent, j_equal):
+                verdicts[decider.__name__, decider(r1, r2, mdp).equivalent] += 1
+        assert min(verdicts.values()) > 40
 
 
 class TestOrderSignature:
