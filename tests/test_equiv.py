@@ -163,9 +163,9 @@ class TestOrdEquivalent:
 
     def test_near_equivalent_sweep_never_raises(self):
         # r2 = r1 + noise with log-uniform scale straddles the decider's
-        # tolerance; its own checks must stay silent whichever way it rules,
-        # and every refusal, under the cap or above it, must carry a witness
-        # that holds up under the series oracle.
+        # tolerance; the oracle must stay silent whichever way it rules, and
+        # every refusal, under the cap or above it, must carry a witness that
+        # holds up under the series oracle.
         rng = np.random.default_rng(20221207)
         refused = {"ord": 0, "jeq": 0}
         for trial in range(300):
@@ -189,7 +189,7 @@ class TestOrdEquivalent:
 
     @pytest.mark.parametrize("decider", [ord_equivalent, j_equal], ids=["ord", "jeq"])
     def test_cross_check_guard_raises_on_rigged_decider(self, decider, chain, chain_reward, monkeypatch):
-        # A negative tolerance refuses every pair, so the witness check must catch r refused against itself.
+        # A negative tolerance refuses every pair, so the oracle must catch r refused against itself.
         monkeypatch.setattr(equiv, "DIST_TOL", -1.0)
         with pytest.raises(InternalConsistencyError, match="decider said False"):
             decider(chain_reward, chain_reward, chain)
